@@ -37,9 +37,15 @@ from .costs import DEFAULT_COSTS, CryptoCosts
 #: (``decrypt_at`` re-derives the pad minted at encrypt time) and from ESD's
 #: read-for-comparison decrypts of candidate duplicate frames.
 _PAD_CACHE = _memo.get_cache("counter_pad", 1 << 16)
-#: The cache's backing OrderedDict, for the inlined lookup in decrypt_at()
-#: (MemoCache.reset() clears this dict in place, never reassigns it).
+#: The cache's backing OrderedDict, for the inlined lookups in encrypt() and
+#: decrypt_at() (MemoCache.reset() clears this dict in place, never
+#: reassigns it).
 _PAD_DATA = _PAD_CACHE._data
+
+
+#: The PRF message after the key: little-endian line, counter, block index.
+_PAD_MSG = struct.Struct("<QQB")
+_sha256 = hashlib.sha256
 
 
 def _derive_pad_uncached(key: bytes, line_number: int, counter: int) -> bytes:
@@ -48,11 +54,9 @@ def _derive_pad_uncached(key: bytes, line_number: int, counter: int) -> bytes:
     Two SHA-256 invocations (domain-separated by a block index) produce the
     64 pad bytes.
     """
-    pads = []
-    for block in range(2):
-        msg = key + struct.pack("<QQB", line_number, counter, block)
-        pads.append(hashlib.sha256(msg).digest())
-    return b"".join(pads)
+    pack = _PAD_MSG.pack
+    return (_sha256(key + pack(line_number, counter, 0)).digest()
+            + _sha256(key + pack(line_number, counter, 1)).digest())
 
 
 def _derive_pad(key: bytes, line_number: int, counter: int) -> bytes:
@@ -184,10 +188,17 @@ class CounterModeEngine:
                 raise OverflowError(f"counter overflow on line {line_number}")
             counters[line_number] = counter
             memo_key = (self._key, line_number, counter)
-            pad = _PAD_CACHE.get(memo_key)
+            pad = _PAD_DATA.get(memo_key)
             if pad is None:
+                _PAD_CACHE.misses += 1
                 pad = _derive_pad_uncached(self._key, line_number, counter)
-                _PAD_CACHE.put(memo_key, pad)
+                if len(_PAD_DATA) >= _PAD_CACHE.capacity:
+                    _PAD_DATA.popitem(last=False)
+                    _PAD_CACHE.evictions += 1
+                _PAD_DATA[memo_key] = pad
+            else:
+                _PAD_CACHE.hits += 1
+                _PAD_DATA.move_to_end(memo_key)
             self.encrypt_count += 1
             return EncryptedLine(
                 (int.from_bytes(plaintext, "little")

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..nvmm.controller import MemoryController
 
@@ -30,9 +29,12 @@ class LookupWhere(enum.Enum):
     ABSENT = "absent"
 
 
-@dataclass(frozen=True)
-class LookupResult:
-    """Outcome of one fingerprint lookup."""
+class LookupResult(NamedTuple):
+    """Outcome of one fingerprint lookup.
+
+    A ``NamedTuple`` like :class:`~repro.nvmm.bank.BankService`: one is
+    built per fingerprint lookup, and tuple construction is C-level.
+    """
 
     frame: Optional[int]
     completion_ns: float
@@ -137,24 +139,6 @@ class FullFingerprintStore:
 
     def contains(self, fingerprint: int) -> bool:
         return fingerprint in self._cache or fingerprint in self._home
-
-    def contains_batch(self, fingerprints) -> "np.ndarray":
-        """Vectorized membership probe over a batch of fingerprints.
-
-        Pure observation: touches no LRU recency, no Figure 5 counters, and
-        charges no NVMM traffic — by design, so the vectorized engine (and
-        analysis code) can ask "which of this epoch's fingerprints are
-        already indexed?" without perturbing simulated state.  Timed
-        resolution still goes through :meth:`lookup` line by line.
-
-        Returns:
-            A boolean numpy array aligned with ``fingerprints``.
-        """
-        import numpy as np
-        cache, home = self._cache, self._home
-        return np.fromiter(
-            ((fp in cache or fp in home) for fp in fingerprints),
-            dtype=bool, count=len(fingerprints))
 
     @property
     def entry_count(self) -> int:

@@ -19,10 +19,12 @@ and would otherwise serialize at full PCM read latency.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from typing import Hashable, List, NamedTuple, Optional, Tuple
 
 from ..perf import memo as _memo
+
+_NEG_INF = float("-inf")
 
 
 class BankService(NamedTuple):
@@ -94,29 +96,62 @@ class Bank:
         if arrival_ns > self._latest_arrival:
             self._latest_arrival = arrival_ns
         intervals = self._intervals
-        if (_memo.ENABLED and duration_ns > 0.0
-                and (not intervals or arrival_ns >= intervals[-1][0])):
-            # (Zero-duration accesses take the general path: a 0-ns access
-            # arriving exactly at a busy interval's start fits *before* it.)
-            # Fast common case: the access lands in or after the *last* busy
-            # interval (program-order traces are mostly monotonic, and a
-            # busy bank queues arrivals behind its tail).  The earliest fit
-            # is then ``max(arrival, last_end)`` and the new interval
-            # appends/merges at the tail — equivalent to the general
-            # ``_find_slot``/``_insert_interval`` path below, which remains
-            # for genuinely out-of-order arrivals.
-            if intervals:
-                last_start, last_end = intervals[-1]
-                start = last_end if arrival_ns < last_end else arrival_ns
-            else:
-                last_end = -1.0
-                start = arrival_ns
-            end = start + duration_ns
-            if end > start:
-                if start == last_end:
-                    intervals[-1] = (last_start, end)
+        if _memo.ENABLED:
+            if duration_ns > 0.0 and (not intervals
+                                      or arrival_ns >= intervals[-1][0]):
+                # Common case: the access lands in or after the *last* busy
+                # interval (program-order traces are mostly monotonic, and
+                # a busy bank queues arrivals behind its tail).  The
+                # earliest fit is then ``max(arrival, last_end)`` and the
+                # new interval appends/merges at the tail.  (A 0-ns access
+                # arriving exactly at a busy interval's start fits *before*
+                # it, so zero-duration accesses take the branch below.)
+                if intervals:
+                    last_start, last_end = intervals[-1]
+                    start = last_end if arrival_ns < last_end else arrival_ns
                 else:
-                    intervals.append((start, end))
+                    last_end = -1.0
+                    start = arrival_ns
+                end = start + duration_ns
+                if end > start:
+                    if start == last_end:
+                        intervals[-1] = (last_start, end)
+                    else:
+                        intervals.append((start, end))
+            else:
+                # Out-of-order arrival, typically a few intervals behind
+                # the tail of a saturated bank: ``_find_slot`` and
+                # ``_insert_interval`` inlined, with the same earliest-fit
+                # and merge rules, walking the intervals by index instead
+                # of copying the suffix.
+                n = len(intervals)
+                i = bisect_left(intervals, (arrival_ns, _NEG_INF))
+                if i and intervals[i - 1][1] > arrival_ns:
+                    i -= 1
+                start = arrival_ns
+                while i < n:
+                    busy_start, busy_end = intervals[i]
+                    if start + duration_ns <= busy_start:
+                        break
+                    if busy_end > start:
+                        start = busy_end
+                    i += 1
+                end = start + duration_ns
+                # Intervals before ``i`` end at or before ``start`` and
+                # ``intervals[i]`` starts at or after ``end``, so ``i`` is
+                # where ``_insert_interval``'s bisection would land.
+                if end != start:
+                    if i and intervals[i - 1][1] == start:
+                        if i < n and intervals[i][0] == end:
+                            intervals[i - 1] = (intervals[i - 1][0],
+                                                intervals[i][1])
+                            del intervals[i]
+                        else:
+                            intervals[i - 1] = (intervals[i - 1][0], end)
+                    elif i < n and intervals[i][0] == end:
+                        intervals[i] = (start, intervals[i][1])
+                    else:
+                        intervals.insert(i, (start, end))
             self.busy_time_ns += duration_ns
             self.services += 1
             if len(intervals) >= 4096:
@@ -214,7 +249,7 @@ class Bank:
     def _find_slot(self, arrival: float, duration: float) -> float:
         intervals = self._intervals
         # First interval whose end is after the arrival can conflict.
-        idx = bisect_left(intervals, (arrival, float("-inf")))
+        idx = bisect_left(intervals, (arrival, _NEG_INF))
         if idx > 0 and intervals[idx - 1][1] > arrival:
             idx -= 1
         candidate = arrival
@@ -250,7 +285,7 @@ class Bank:
         if len(self._intervals) < 4096:
             return
         cutoff = self._latest_arrival - self.prune_margin_ns
-        idx = bisect_left(self._intervals, (cutoff, float("-inf")))
+        idx = bisect_left(self._intervals, (cutoff, _NEG_INF))
         # Keep the interval straddling the cutoff.
         while idx > 0 and self._intervals[idx - 1][1] > cutoff:
             idx -= 1

@@ -96,25 +96,6 @@ class MemoryController:
     def bank_for_line(self, line_number: int) -> Bank:
         return self.banks[line_number % self.config.num_banks]
 
-    def bank_index_batch(self, line_numbers):
-        """Vectorized data-line bank mapping (``line % num_banks``).
-
-        Batch counterpart of :meth:`bank_for_line` for epoch-level
-        consumers (benchmark replays, bank-pressure analysis): one numpy
-        modulo over an array of line numbers instead of a Python call per
-        line.  Data lines only — the metadata hash mixes keys wider than
-        64 bits (fingerprints), which uint64 array arithmetic would wrap.
-
-        Returns:
-            An integer numpy array of bank indices aligned with the input.
-        """
-        import numpy as np
-        lines = np.asarray(line_numbers, dtype=np.int64)
-        if lines.size and (lines.min() < 0
-                           or lines.max() >= self.config.num_lines):
-            raise ValueError("line number out of range")
-        return lines % self._num_banks
-
     def _bank_for_metadata(self, key: int) -> Bank:
         # Spread metadata across banks; the multiplier decorrelates metadata
         # keys from the data lines they describe.

@@ -37,6 +37,17 @@ def scaled_system_config() -> SystemConfig:
                                               amt_bytes=kib(64))
 
 
+def _require_name_list(names: object, what: str) -> None:
+    """Reject a bare string where a list of names belongs.
+
+    A ``str`` is itself a sequence of one-character names, so without
+    this check ``"ESD"`` fails later as the unknown scheme ``'E'``.
+    """
+    if isinstance(names, str):
+        raise TypeError(f"{what} must be a list of names, not the string "
+                        f"{names!r}; pass [{names!r}]")
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment grid: which apps, schemes, and how much traffic."""
@@ -52,6 +63,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.requests_per_app <= 0:
             raise ValueError("requests_per_app must be positive")
+        _require_name_list(self.apps, "apps")
+        _require_name_list(self.schemes, "schemes")
         registered = registered_scheme_names()
         unknown = [s for s in self.schemes if s not in registered]
         if unknown:
@@ -82,6 +95,7 @@ def run_app(app: str, schemes: Sequence[str], *,
     with ``repro.sweep`` jobs built from an ``ExperimentConfig`` — pass
     ``system=scaled_system_config()`` explicitly.
     """
+    _require_name_list(schemes, "schemes")
     system = system or default_config()
     profile = get_profile(app)
     if trace is None:

@@ -17,10 +17,11 @@ Parity contract
 ``run()`` is reimplemented on top of ``open_session``/``feed``/
 ``finalize``, and a session fed in arbitrary chunk sizes produces a
 ``SimulationResult`` **bit-identical** to a one-shot ``run()`` of the
-concatenated stream (``tests/test_serve_session_parity.py``).  The three
-request-loop bodies — reference, kernel-fast, and epoch-vectorized — are
-the engine's former ``_loop_*`` implementations carved into resumable
-chunk processors; the load-bearing details are:
+concatenated stream (``tests/test_serve_session_parity.py``).  The two
+request-loop bodies — reference, and kernel-fast (which the vectorized
+mode runs one epoch at a time) — are the engine's former ``_loop_*``
+implementations carved into resumable chunk processors; the load-bearing
+details are:
 
 * **Float accumulation order.**  The fast/vectorized loops accumulate
   core stall cycles in a local and flush once at the end; a session keeps
@@ -342,12 +343,17 @@ class Session:
     # ------------------------------------------------------------------
 
     def _feed_fast(self, requests: Iterable[MemoryRequest]) -> int:
-        """Kernel-fast chunk processor (the former ``_loop_fast`` body).
+        """Kernel-fast chunk processor: the one loop body of the fast and
+        vectorized modes (the latter feeds it one epoch at a time).
 
         Bound methods and constants are hoisted because every attribute
         lookup in the body is paid once per request; running accumulators
         are loaded from and stored back to the session so the arithmetic
-        sequence across chunks matches the one-shot loop exactly.
+        sequence across chunks and epochs matches the one-shot loop
+        exactly.  The recorder flush in ``finally`` has the same
+        per-sample arithmetic as one end-of-run ``add_many`` (the recorder
+        state round-trips through the instance between batches), and also
+        runs on an exception mid-chunk so the partial batch is never lost.
         """
         scheme = self.scheme
         handle_write = scheme.handle_write
@@ -364,6 +370,7 @@ class Session:
         window_popleft = window.popleft
         shadow = self._shadow
         max_outstanding = self._max_outstanding
+        new_request = MemoryRequest.__new__
         WRITE = AccessType.WRITE
         cycle_ns = self._cycle_ns
         write_stall_fraction = self._write_stall_fraction
@@ -377,14 +384,19 @@ class Session:
                 if obs is not None:
                     obs.begin_request(processed)
                 # Closed-loop throttling: delay the issue until a window
-                # slot frees up.
-                issue = request.issue_time_ns
+                # slot frees up.  The delayed request is a trusted copy
+                # (request_unchecked's construction) differing only in
+                # issue_time_ns: the source request passed __post_init__
+                # when it was built, and every scheme rejects a malformed
+                # line itself, so re-validating through
+                # dataclasses.replace (the reference loop) only costs time.
                 if len(window) >= max_outstanding:
                     oldest = window_popleft()
-                    if oldest > issue:
-                        issue = oldest
-                if issue != request.issue_time_ns:
-                    request = replace(request, issue_time_ns=issue)
+                    if oldest > request.issue_time_ns:
+                        fields = request.__dict__.copy()
+                        fields["issue_time_ns"] = oldest
+                        request = new_request(MemoryRequest)
+                        request.__dict__ = fields
 
                 if request.access is WRITE:
                     result = handle_write(request)
@@ -535,97 +547,9 @@ class Session:
                 self._process_epoch(epoch)
 
     def _process_epoch(self, epoch: List[MemoryRequest]) -> None:
-        """Resolve one epoch (the former ``_loop_vectorized`` epoch body)."""
-        scheme = self.scheme
+        """Resolve one epoch: prime the kernel caches, then run the fast
+        loop body over it."""
         self._precomp.precompute(epoch)
         if self._epoch_hist is not None:
             self._epoch_hist.observe(float(len(epoch)))
-        handle_write = scheme.handle_write
-        handle_read = scheme.handle_read
-        verify = self._verify
-        warmup_after = self._warmup_after
-        instructions_per_access = self.instructions_per_access
-        write_lats: List[float] = []
-        read_lats: List[float] = []
-        write_lat_append = write_lats.append
-        read_lat_append = read_lats.append
-        window = self._window
-        window_append = window.append
-        window_popleft = window.popleft
-        shadow = self._shadow
-        max_outstanding = self._max_outstanding
-        WRITE = AccessType.WRITE
-        cycle_ns = self._cycle_ns
-        write_stall_fraction = self._write_stall_fraction
-        stall_cycles = self._stall_cycles
-        instructions = self._instructions
-        processed = self._processed
-        obs = self._obs_run
-        try:
-            for request in epoch:
-                if obs is not None:
-                    obs.begin_request(processed)
-                # Closed-loop throttling: delay the issue until a window
-                # slot frees up.
-                issue = request.issue_time_ns
-                if len(window) >= max_outstanding:
-                    oldest = window_popleft()
-                    if oldest > issue:
-                        issue = oldest
-                if issue != request.issue_time_ns:
-                    request = replace(request, issue_time_ns=issue)
-
-                if request.access is WRITE:
-                    result = handle_write(request)
-                    latency = result.latency_ns
-                    completion = result.completion_ns
-                    if verify:
-                        shadow[request.address] = request.data
-                    if processed >= warmup_after:
-                        write_lat_append(latency)
-                    stall_cycles += ((latency / cycle_ns)
-                                     * write_stall_fraction)
-                    if obs is not None:
-                        if processed >= warmup_after:
-                            obs.write_latency_hist.observe(latency)
-                        obs.record(completion, "engine", "write_done",
-                                   address=request.address,
-                                   latency_ns=latency)
-                else:
-                    rresult = handle_read(request)
-                    latency = rresult.latency_ns
-                    completion = rresult.completion_ns
-                    if verify:
-                        expected = shadow.get(request.address)
-                        if expected is not None and rresult.data != expected:
-                            raise IntegrityError(
-                                f"read at {request.address:#x} returned "
-                                f"stale or corrupt data under scheme "
-                                f"{scheme.name}")
-                    if processed >= warmup_after:
-                        read_lat_append(latency)
-                    stall_cycles += latency / cycle_ns
-                    if obs is not None:
-                        if processed >= warmup_after:
-                            obs.read_latency_hist.observe(latency)
-                        obs.record(completion, "engine", "read_done",
-                                   address=request.address,
-                                   latency_ns=latency)
-
-                instructions += instructions_per_access
-                window_append(completion)
-                processed += 1
-                if processed == warmup_after:
-                    self._dedup_at_warmup = scheme.counters.get("dedup_hits")
-        finally:
-            # Per-epoch flush — identical per-sample arithmetic to one
-            # end-of-run add_many (the recorder state round-trips through
-            # the instance between batches); also runs on an exception
-            # mid-epoch so the partial batch is never lost.
-            self._stall_cycles = stall_cycles
-            self._instructions = instructions
-            self._processed = processed
-            self._writes += len(write_lats)
-            self._reads += len(read_lats)
-            self._write_rec.add_many(write_lats)
-            self._read_rec.add_many(read_lats)
+        self._feed_fast(epoch)

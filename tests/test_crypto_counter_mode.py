@@ -9,8 +9,10 @@ from repro.crypto.counter_mode import (
     CounterModeEngine,
     CounterTable,
     EncryptedLine,
+    _derive_pad_uncached,
     demonstrate_diffusion,
 )
+from repro.perf import fastpath, memo
 
 LINES = st.binary(min_size=CACHE_LINE_SIZE, max_size=CACHE_LINE_SIZE)
 
@@ -113,3 +115,61 @@ class TestCostAccounting:
         engine = CounterModeEngine()
         assert engine.encrypt_latency_ns > 0
         assert engine.decrypt_latency_ns > 0
+
+
+class TestPinnedPads:
+    """Pad bytes and pad-memo accounting, pinned from the loop-built
+    derivation and the ``MemoCache.get``/``put`` encrypt path."""
+
+    @pytest.mark.parametrize("key, line, counter, pad_hex", [
+        (b"\x13" * 32, 0, 1,
+         "e8682a85402e0a45c259669143de043f967c58ac4eacbbfbbf8040515f739d31"
+         "f9ffff71e71ca68b688d0e477a1d241a96455fb413441e8602b896467d41e749"),
+        (bytes(range(16)), 12345, 7,
+         "768626dc56ac44594bad8491a5f4e859c1ddf1a761b288a2ead9cf20b2c4c7b3"
+         "699596d13355b70ac8d9728449a7e77a7877781439924c70627be11a2cd3bfde"),
+        (b"k" * 24, (1 << 40) - 1, (1 << 63) + 5,
+         "e34a5d5a2848f5f18cb9f1739e03807f6dc8b3ccde5277b338939d32897e4948"
+         "fec2ca58c4d9a6406a2ab627c0c897aa08f66f2ab0f9892eca29df078af10fed"),
+    ])
+    def test_derive_pad_bytes(self, key, line, counter, pad_hex):
+        assert _derive_pad_uncached(key, line, counter).hex() == pad_hex
+
+    @staticmethod
+    def _encrypt_decrypt_reencrypt():
+        engine = CounterModeEngine()
+        lines = [bytes([i]) * 64 for i in range(4)]
+        first = [engine.encrypt(lines[i], 10 + i) for i in range(4)]
+        for i in range(4):
+            assert engine.decrypt_at(first[i].ciphertext, 10 + i) == lines[i]
+        assert engine.decrypt(first[0]) == lines[0]
+        again = [engine.encrypt(lines[i], 10 + i) for i in range(2)]
+        for i in range(2):
+            assert engine.decrypt_at(again[i].ciphertext, 10 + i) == lines[i]
+        assert engine.decrypt(first[1]) == lines[1]
+        # A second engine with the same key re-mints cached pads: the
+        # encrypt side's hits.
+        other = CounterModeEngine()
+        for i in (3, 0):
+            assert other.encrypt(lines[i], 10 + i) == first[i]
+
+    @pytest.mark.parametrize("capacity, stats, recency", [
+        (None, {"hits": 10, "misses": 6, "evictions": 0, "size": 6},
+         [(12, 1), (10, 2), (11, 2), (11, 1), (13, 1), (10, 1)]),
+        (3, {"hits": 2, "misses": 14, "evictions": 11, "size": 3},
+         [(11, 1), (13, 1), (10, 1)]),
+    ])
+    def test_counter_pad_counts(self, capacity, stats, recency):
+        cache = memo.get_cache("counter_pad", 1)
+        saved = cache.capacity
+        if capacity is not None:
+            cache.capacity = capacity
+        try:
+            with fastpath(True):
+                memo.reset_all()
+                self._encrypt_decrypt_reencrypt()
+                assert cache.stats() == stats
+                assert [key[1:] for key in cache._data] == recency
+        finally:
+            cache.capacity = saved
+            memo.reset_all()

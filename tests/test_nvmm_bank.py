@@ -1,8 +1,11 @@
 """Tests for bank-level earliest-fit scheduling and the row buffer."""
 
+import random
+
 import pytest
 
 from repro.nvmm.bank import Bank
+from repro.perf import fastpath
 
 
 class TestBasicService:
@@ -119,3 +122,114 @@ class TestRowBuffer:
         bank = Bank(index=0)
         bank.access_row(("data", 5))
         assert bank.access_row(("meta", 5)) is False
+
+
+def _serve_both(ref, fast, arrival, duration):
+    """One access on a reference-path bank and a fast-path bank."""
+    with fastpath(False):
+        want = ref.service(arrival, duration)
+    with fastpath(True):
+        got = fast.service(arrival, duration)
+    assert got == want
+    return want
+
+
+def _assert_same_state(ref, fast):
+    assert fast._intervals == ref._intervals
+    assert fast.busy_time_ns == ref.busy_time_ns
+    assert fast.services == ref.services
+    assert fast._latest_arrival == ref._latest_arrival
+
+
+def _behind_tail_access(rng, intervals):
+    """An (arrival, duration) pair aimed 0-40 intervals behind the tail.
+
+    Times are whole nanoseconds so that sums are exact and gap-filling,
+    exact-fit and merge cases occur by construction.
+    """
+    if not intervals:
+        return float(rng.randrange(0, 500)), float(rng.choice([0, 15, 75]))
+    j = max(0, len(intervals) - 1 - rng.randrange(0, 41))
+    start, end = intervals[j]
+    gap_end = intervals[j + 1][0] if j + 1 < len(intervals) else end + 400.0
+    gap = gap_end - end
+    kind = rng.randrange(7)
+    if kind == 0:    # inside a busy interval
+        return float(rng.randrange(int(start), int(end))), 75.0
+    if kind == 1:    # zero-duration, exactly at a busy start or end
+        return rng.choice([start, end]), 0.0
+    if kind == 2 and gap > 0:    # exact fit: merges both neighbours
+        return end, gap
+    if kind == 3 and gap > 1:    # merges with the predecessor only
+        return end, float(rng.randrange(1, int(gap)))
+    if kind == 4 and gap > 1:    # merges with the successor only
+        d = float(rng.randrange(1, int(gap)))
+        return gap_end - d, d
+    if kind == 5:    # in the gap before this interval
+        return max(0.0, start - float(rng.randrange(1, 200))), 15.0
+    # Past the tail, like in-order traffic.
+    return intervals[-1][1] + float(rng.randrange(0, 300)), 150.0
+
+
+class TestFastPathMatchesReference:
+    """The fast branch's tail append and inlined out-of-order placement
+    against the reference ``_find_slot``/``_insert_interval`` path."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_streams_behind_the_tail(self, seed):
+        rng = random.Random(seed)
+        ref, fast = Bank(index=0), Bank(index=0)
+        behind = 0
+        for _ in range(3000):
+            arrival, duration = _behind_tail_access(rng, ref._intervals)
+            if ref._intervals and arrival < ref._intervals[-1][0]:
+                behind += 1
+            _serve_both(ref, fast, arrival, duration)
+        _assert_same_state(ref, fast)
+        assert behind > 1000
+
+    def test_stream_crossing_the_prune(self):
+        rng = random.Random(11)
+        ref = Bank(index=0, prune_margin_ns=50_000.0)
+        fast = Bank(index=0, prune_margin_ns=50_000.0)
+        pruned_at = []
+        for step in range(12_000):
+            if rng.random() < 0.5 or not ref._intervals:
+                # In-order access after an idle gap: one new interval.
+                arrival = (ref._intervals[-1][1] if ref._intervals else 0.0)
+                arrival += float(rng.randrange(1, 40))
+                duration = 10.0
+            else:
+                arrival, duration = _behind_tail_access(rng, ref._intervals)
+            before = len(ref._intervals)
+            _serve_both(ref, fast, arrival, duration)
+            # One access adds at most one interval or merges away one; a
+            # larger drop is the prune at 4,096 intervals.
+            if len(ref._intervals) < before - 1:
+                pruned_at.append(step)
+            _assert_same_state(ref, fast)
+        # Pruned, and then served thousands more accesses.
+        assert pruned_at and pruned_at[0] < 9_000
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("arrival, duration, expected", [
+        # Exact fit into [100, 200): merges with both neighbours.
+        (100.0, 100.0, [(0.0, 300.0), (400.0, 500.0)]),
+        # Starts at the predecessor's end, stops short of the successor.
+        (100.0, 50.0, [(0.0, 150.0), (200.0, 300.0), (400.0, 500.0)]),
+        # Ends at the successor's start.
+        (150.0, 50.0, [(0.0, 100.0), (150.0, 300.0), (400.0, 500.0)]),
+        # Arrives inside a busy interval: queued to the next gap that fits.
+        (50.0, 100.0, [(0.0, 300.0), (400.0, 500.0)]),
+        # Zero duration at a busy start fits before it; nothing is added.
+        (200.0, 0.0, [(0.0, 100.0), (200.0, 300.0), (400.0, 500.0)]),
+    ])
+    def test_out_of_order_merge_rules(self, enabled, arrival, duration,
+                                      expected):
+        bank = Bank(index=0)
+        with fastpath(enabled):
+            for start in (0.0, 200.0, 400.0):
+                bank.service(start, 100.0)
+            bank.service(arrival, duration)
+        assert bank._intervals == expected
+        assert bank.services == 4

@@ -1,10 +1,13 @@
 """Tests for the simulation engine (throttling, warm-up, integrity)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import IntegrityError
 from repro.common.types import AccessType, MemoryRequest
 from repro.dedup import make_scheme
+from repro.registry import registered_scheme_names
 from repro.sim.engine import EngineConfig, SimulationEngine
 
 
@@ -102,3 +105,75 @@ class TestIntegrity:
         engine = SimulationEngine(make_scheme(scheme_name, config))
         engine.run(iter(small_trace), app="gcc",
                    total_hint=len(small_trace))  # raises on violation
+
+
+#: (use_fastpath, use_vectorized): the fast, vectorized and reference loops.
+_LOOP_MODES = [(True, False), (True, True), (False, False)]
+
+
+def _throttled_run(config, requests, scheme_name, *, fast, vec,
+                   max_outstanding=2, seen=None):
+    system = replace(config, use_fastpath=fast, use_vectorized=vec)
+    scheme = make_scheme(scheme_name, system)
+    if seen is not None:
+        # Record every request object the scheme is handed.
+        for name in ("handle_write", "handle_read"):
+            def spy(request, inner=getattr(scheme, name)):
+                seen.append(request)
+                return inner(request)
+            setattr(scheme, name, spy)
+    engine = SimulationEngine(scheme,
+                              EngineConfig(max_outstanding=max_outstanding))
+    return engine.run(iter(requests), app="gcc", total_hint=len(requests))
+
+
+class TestThrottledReissue:
+    """A 2-request window re-issues most requests late: the fast loops as
+    trusted copies, the reference loop through ``dataclasses.replace``."""
+
+    def test_shared_requests_unchanged_and_rows_match_reference(
+            self, config, small_trace):
+        def fields(r):
+            return (r.address, r.access, r.data, r.issue_time_ns, r.core,
+                    r.seq)
+
+        before = [fields(r) for r in small_trace]
+        for scheme_name in ("ESD", "DeWrite"):
+            want = _throttled_run(config, small_trace, scheme_name,
+                                  fast=False, vec=False).summary_row()
+            for vec in (False, True):
+                seen = []
+                got = _throttled_run(config, small_trace, scheme_name,
+                                     fast=True, vec=vec, seen=seen)
+                assert got.summary_row() == want
+                assert len(seen) == len(small_trace)
+                late = 0
+                for copy, source in zip(seen, small_trace):
+                    assert type(copy) is MemoryRequest
+                    assert fields(copy)[:3] == fields(source)[:3]
+                    assert fields(copy)[4:] == fields(source)[4:]
+                    late += copy.issue_time_ns > source.issue_time_ns
+                assert late > len(small_trace) // 2
+        assert [fields(r) for r in small_trace] == before
+
+    @pytest.mark.parametrize("fast, vec", _LOOP_MODES)
+    @pytest.mark.parametrize("scheme_name", registered_scheme_names())
+    def test_short_payload_fails_alike_throttled_or_not(self, config,
+                                                        scheme_name, fast,
+                                                        vec):
+        messages = []
+        for max_outstanding in (64, 2):
+            requests = [MemoryRequest(address=64 * i,
+                                      access=AccessType.WRITE,
+                                      data=bytes([i + 1]) * 64,
+                                      issue_time_ns=0.0, seq=i)
+                        for i in range(4)]
+            # Mutated after construction, so __post_init__ never saw it;
+            # with a 2-request window the last two writes are throttled.
+            requests[3].data = bytes(63)
+            with pytest.raises(ValueError) as caught:
+                _throttled_run(config, requests, scheme_name, fast=fast,
+                               vec=vec, max_outstanding=max_outstanding)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert "64 bytes, got 63" in messages[0]

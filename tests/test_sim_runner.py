@@ -35,6 +35,10 @@ class TestRunApp:
         assert a["ESD"].mean_write_latency_ns == b["ESD"].mean_write_latency_ns
         assert a["ESD"].pcm_data_writes == b["ESD"].pcm_data_writes
 
+    def test_bare_string_schemes_rejected(self, config):
+        with pytest.raises(TypeError, match=r"\['ESD'\]"):
+            run_app("gcc", "ESD", requests=100, system=config)
+
 
 class TestExperimentConfig:
     def test_defaults(self):
@@ -45,6 +49,14 @@ class TestExperimentConfig:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
             ExperimentConfig(schemes=["Baseline", "NVDedup"])
+
+    def test_bare_string_schemes_rejected(self):
+        with pytest.raises(TypeError, match=r"\['ESD'\]"):
+            ExperimentConfig(schemes="ESD")
+
+    def test_bare_string_apps_rejected(self):
+        with pytest.raises(TypeError, match=r"\['gcc'\]"):
+            ExperimentConfig(apps="gcc")
 
     def test_rejects_nonpositive_requests(self):
         with pytest.raises(ValueError):

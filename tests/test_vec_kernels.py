@@ -3,9 +3,8 @@
 Every numpy kernel in :mod:`repro.vec` is checked element-by-element
 against its scalar reference: the bit-parallel Hamming(72,64) matrix
 kernels against the byte-table/mask-and-popcount implementations, the
-batched bank schedule against the sequential earliest-fit recurrence,
-and the batch mapping/membership helpers against their per-item
-counterparts.  The ECC kernels are integer-only GF(2) math and must be
+batched bank schedule against the sequential earliest-fit recurrence.
+The ECC kernels are integer-only GF(2) math and must be
 *exactly* equal; only the closed-form bank schedule is allowed float
 tolerance (and is therefore kept off the simulated parity path).
 """
@@ -19,7 +18,6 @@ from repro.ecc import hamming
 from repro.ecc.codec import line_ecc_uncached
 from repro.ecc.faults import flip_bit
 from repro.nvmm.bank import Bank
-from repro.nvmm.controller import MemoryController
 from repro.vec.kernels import (
     encode_words_batch,
     line_ecc_batch,
@@ -169,25 +167,3 @@ class TestBankServiceBatch:
         with pytest.raises(ValueError):
             # Arrives before the busy tail's start.
             bank.service_batch(np.array([10.0]), 5.0)
-
-
-class TestControllerBatchMapping:
-    def test_bank_index_batch_matches_scalar(self):
-        controller = MemoryController()
-        rng = random.Random(6)
-        lines = [rng.randrange(controller.config.num_lines)
-                 for _ in range(512)]
-        got = controller.bank_index_batch(lines)
-        want = [controller.bank_for_line(n).index for n in lines]
-        assert got.tolist() == want
-
-    def test_bank_index_batch_range_checks(self):
-        controller = MemoryController()
-        with pytest.raises(ValueError):
-            controller.bank_index_batch([-1])
-        with pytest.raises(ValueError):
-            controller.bank_index_batch([controller.config.num_lines])
-
-    def test_bank_index_batch_empty(self):
-        controller = MemoryController()
-        assert controller.bank_index_batch([]).size == 0
