@@ -166,8 +166,7 @@ class PhysicalAddress:
     @classmethod
     def from_line_number(cls, line_number: int) -> "PhysicalAddress":
         """Pack a flat physical cache-line number into base/offset fields."""
-        if line_number < 0 or line_number >= (1 << (cls.BASE_BITS + cls.OFFSET_BITS)):
-            raise ValueError(f"line number out of 40-bit range: {line_number}")
+        check_physical_line(line_number)
         return cls(base=line_number >> cls.OFFSET_BITS,
                    offset=line_number & ((1 << cls.OFFSET_BITS) - 1))
 
@@ -183,6 +182,13 @@ class PhysicalAddress:
 
     #: Size of one packed entry in bytes (4-byte base + 1-byte offset).
     PACKED_SIZE = 5
+
+
+def check_physical_line(line_number: int) -> None:
+    """Raise ``ValueError`` unless a line number fits :class:`PhysicalAddress`
+    (40 bits); an int compare for callers that never read the packed form."""
+    if line_number < 0 or line_number >= 1 << 40:
+        raise ValueError(f"line number out of 40-bit range: {line_number}")
 
 
 @dataclass

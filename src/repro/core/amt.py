@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..common.config import MetadataCacheConfig
-from ..common.types import PhysicalAddress
+from ..common.types import PhysicalAddress, check_physical_line
 from ..dedup.mapping import MappingTable
 from ..nvmm.controller import MemoryController
 
@@ -44,8 +44,7 @@ class AddressMappingTable(MappingTable):
 
     def update(self, logical_line: int, frame: int, at_time_ns: float) -> float:
         """Map ``initAddr`` onto a frame, validating the 40-bit packing."""
-        # Raises if the frame exceeds the Addr_base/Addr_offsets range.
-        PhysicalAddress.from_line_number(frame)
+        check_physical_line(frame)
         return super().update(logical_line, frame, at_time_ns)
 
     def physical_address(self, logical_line: int) -> Optional[PhysicalAddress]:

@@ -19,28 +19,28 @@ Entries are managed by the LRCU policy with periodic decay
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from ..common.config import ESDConfig, MetadataCacheConfig
-from ..common.types import PhysicalAddress
+from ..common.types import PhysicalAddress, check_physical_line
 from ..obs import runtime as _obs
 
 #: Bytes per EFIT entry: 8 (ECC) + 4 (Addr_base) + 1 (Addr_offsets) + 1 (referH).
 EFIT_ENTRY_SIZE = 14
 
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True)
-class EFITEntry:
-    """One EFIT row, exposing the paper's packed field layout."""
+
+class EFITEntry(NamedTuple):
+    """One EFIT row; :attr:`physical` gives the paper's packed layout."""
 
     ecc: int
-    physical: PhysicalAddress
+    frame: int
     refer_h: int
 
     @property
-    def frame(self) -> int:
-        return self.physical.line_number
+    def physical(self) -> PhysicalAddress:
+        return PhysicalAddress.from_line_number(self.frame)
 
 
 class EFIT:
@@ -87,13 +87,11 @@ class EFIT:
                 obs.record(-1.0, "efit", "miss", misses=self.misses)
             return None, self.probe_latency_ns
         self.hits += 1
+        refer_h = self._cache.count(ecc)
         if obs is not None:
-            obs.record(-1.0, "efit", "hit", frame=frame,
-                       refer_h=self._cache.count(ecc))
-        entry = EFITEntry(ecc=ecc,
-                          physical=PhysicalAddress.from_line_number(frame),
-                          refer_h=self._cache.count(ecc))
-        return entry, self.probe_latency_ns
+            obs.record(-1.0, "efit", "hit", frame=frame, refer_h=refer_h)
+        return (_new_tuple(EFITEntry, (ecc, frame, refer_h)),
+                self.probe_latency_ns)
 
     def record_duplicate(self, ecc: int) -> int:
         """Bump ``referH`` after a confirmed duplicate; returns new count."""
@@ -105,12 +103,13 @@ class EFIT:
 
     def insert(self, ecc: int, frame: int) -> Optional[int]:
         """Index a freshly written line; returns any evicted frame."""
-        PhysicalAddress.from_line_number(frame)  # range check (40-bit)
+        check_physical_line(frame)
         evicted = self._cache.put(ecc, frame, count=1)
         return evicted[1] if evicted is not None else None
 
     def replace_frame(self, ecc: int, frame: int) -> None:
         """Point an existing entry at a new frame, resetting referH."""
+        check_physical_line(frame)
         self._cache.put(ecc, frame, count=1)
 
     def remove(self, ecc: int) -> None:

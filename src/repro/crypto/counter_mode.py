@@ -41,6 +41,7 @@ _PAD_CACHE = _memo.get_cache("counter_pad", 1 << 16)
 #: decrypt_at() (MemoCache.reset() clears this dict in place, never
 #: reassigns it).
 _PAD_DATA = _PAD_CACHE._data
+_new_tuple = tuple.__new__
 
 
 #: The PRF message after the key: little-endian line, counter, block index.
@@ -131,7 +132,8 @@ class EncryptedLine(NamedTuple):
     """Ciphertext plus the counter needed to decrypt it.
 
     A ``NamedTuple`` rather than a frozen dataclass: one is built per
-    encrypted write, and tuple construction is C-level.
+    encrypted write.  Its generated ``__new__`` is a Python function, so
+    the fast path builds it with ``tuple.__new__`` (DESIGN.md §8).
     """
 
     ciphertext: bytes
@@ -200,11 +202,11 @@ class CounterModeEngine:
                 _PAD_CACHE.hits += 1
                 _PAD_DATA.move_to_end(memo_key)
             self.encrypt_count += 1
-            return EncryptedLine(
+            return _new_tuple(EncryptedLine, (
                 (int.from_bytes(plaintext, "little")
                  ^ int.from_bytes(pad, "little")).to_bytes(CACHE_LINE_SIZE,
                                                            "little"),
-                line_number, counter)
+                line_number, counter))
         validate_line(plaintext)
         if line_number < 0:
             raise ValueError("line number must be non-negative")

@@ -50,13 +50,15 @@ if TYPE_CHECKING:
 # cheaper than two-level attribute lookups on per-request paths).
 _ENCRYPTION = WritePathStage.ENCRYPTION
 _WRITE_UNIQUE = WritePathStage.WRITE_UNIQUE
+_new_tuple = tuple.__new__
 
 
 class WriteResult(NamedTuple):
     """Timing outcome of one write handled by a scheme.
 
     ``NamedTuple`` rather than a frozen dataclass: one is built per write
-    request, and tuple construction is C-level.
+    request.  Its generated ``__new__`` is a Python function, so the fast
+    path builds it with ``tuple.__new__`` (DESIGN.md §8).
     """
 
     completion_ns: float
@@ -221,8 +223,9 @@ class DedupScheme(abc.ABC):
                 if ns > 0.0:
                     by_stage[stage] = by_stage.get(stage, 0.0) + ns
             now = timeline.now
-            return WriteResult(now, now - request.issue_time_ns,
-                               deduplicated, wrote_line, timeline)
+            return _new_tuple(WriteResult,
+                              (now, now - request.issue_time_ns,
+                               deduplicated, wrote_line, timeline))
         timeline.seal()
         timeline.fold_into(self.breakdown)
         return WriteResult(
@@ -251,8 +254,9 @@ class DedupScheme(abc.ABC):
                 if ns > 0.0:
                     by_stage[stage] = by_stage.get(stage, 0.0) + ns
             now = timeline.now
-            return ReadResult(data, now, now - request.issue_time_ns,
-                              timeline)
+            return _new_tuple(ReadResult,
+                              (data, now, now - request.issue_time_ns,
+                               timeline))
         timeline.seal()
         timeline.fold_into(self.read_breakdown)
         return ReadResult(
@@ -306,8 +310,8 @@ class DedupScheme(abc.ABC):
                 if tree_ns:
                     timeline.serial(WritePathStage.METADATA, tree_ns)
                 now = timeline.now
-            result = self.controller.write(frame, enc.ciphertext, now)
-            completion = result.service.completion_ns
+            completion = self.controller.write(frame, enc.ciphertext,
+                                               now).completion_ns
             duration = completion - now
             if duration < 0.0:
                 duration = 0.0
@@ -349,7 +353,7 @@ class DedupScheme(abc.ABC):
             # service starts at or after the arrival we just passed in —
             # so advance_to's backwards-clock check is vacuous here.
             ciphertext, access = self.controller.read(frame, timeline.now)
-            completion = access.service.completion_ns
+            completion = access.completion_ns
             exposure = timeline._exposure
             segments = timeline._segments
             now = timeline.now

@@ -20,6 +20,8 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..nvmm.controller import MemoryController
 
+_new_tuple = tuple.__new__
+
 
 class LookupWhere(enum.Enum):
     """Where a fingerprint lookup was resolved."""
@@ -33,7 +35,7 @@ class LookupResult(NamedTuple):
     """Outcome of one fingerprint lookup.
 
     A ``NamedTuple`` like :class:`~repro.nvmm.bank.BankService`: one is
-    built per fingerprint lookup, and tuple construction is C-level.
+    built per fingerprint lookup, with ``tuple.__new__`` (DESIGN.md §8).
     """
 
     frame: Optional[int]
@@ -99,19 +101,16 @@ class FullFingerprintStore:
         if frame is not None:
             self._cache.move_to_end(fingerprint)
             self.cache_hits += 1
-            return LookupResult(frame=frame, completion_ns=t,
-                                where=LookupWhere.CACHE)
+            return _new_tuple(LookupResult, (frame, t, LookupWhere.CACHE))
         self.nvmm_lookup_ops += 1
         t = self._controller.metadata_read(fingerprint, t).completion_ns
         frame = self._home.get(fingerprint)
         if frame is not None:
             self.nvmm_hits += 1
             self._install(fingerprint, frame)
-            return LookupResult(frame=frame, completion_ns=t,
-                                where=LookupWhere.NVMM)
+            return _new_tuple(LookupResult, (frame, t, LookupWhere.NVMM))
         self.absent_lookups += 1
-        return LookupResult(frame=None, completion_ns=t,
-                            where=LookupWhere.ABSENT)
+        return _new_tuple(LookupResult, (None, t, LookupWhere.ABSENT))
 
     def insert(self, fingerprint: int, frame: int,
                at_time_ns: float) -> float:

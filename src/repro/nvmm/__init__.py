@@ -2,13 +2,12 @@
 
 from .allocator import FrameAllocator
 from .bank import Bank, BankService
-from .controller import AccessResult, MemoryController
+from .controller import MemoryController
 from .device import PCMDevice, WearStats
 from .energy import EnergyAccount, EnergyCategory
 from .wearlevel import StartGapWearLeveler, WearLevelerConfig, leveling_effectiveness
 
 __all__ = [
-    "AccessResult",
     "Bank",
     "BankService",
     "EnergyAccount",

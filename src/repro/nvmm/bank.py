@@ -25,13 +25,15 @@ from typing import Hashable, List, NamedTuple, Optional, Tuple
 from ..perf import memo as _memo
 
 _NEG_INF = float("-inf")
+_new_tuple = tuple.__new__
 
 
 class BankService(NamedTuple):
     """Record of one scheduled bank access.
 
-    A ``NamedTuple`` rather than a dataclass: one is built per bank access
-    (tens of thousands per run) and tuple construction is C-level.
+    A ``NamedTuple`` rather than a dataclass: one is built per bank access.
+    Its generated ``__new__`` is a Python function, so the fast path builds
+    it with ``tuple.__new__`` (DESIGN.md §8).
     """
 
     bank: int
@@ -156,8 +158,8 @@ class Bank:
             self.services += 1
             if len(intervals) >= 4096:
                 self._maybe_prune()
-            return BankService(bank=self.index, arrival_ns=arrival_ns,
-                               start_ns=start, completion_ns=end)
+            return _new_tuple(BankService,
+                              (self.index, arrival_ns, start, end))
         start = self._find_slot(arrival_ns, duration_ns)
         end = start + duration_ns
         self._insert_interval(start, end)

@@ -15,7 +15,7 @@ PCM array.  It combines:
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..common.config import PCMConfig
 from ..common.stats import Counter
@@ -30,24 +30,6 @@ from .energy import EnergyAccount, EnergyCategory
 # cheaper than two-level attribute lookups on a per-access path).
 _PCM_READ = EnergyCategory.PCM_READ
 _PCM_WRITE = EnergyCategory.PCM_WRITE
-
-
-class AccessResult(NamedTuple):
-    """Timing outcome of one controller access.
-
-    A ``NamedTuple`` for the same reason as :class:`BankService`: built on
-    every access, so construction cost is a per-access tax.
-    """
-
-    service: BankService
-
-    @property
-    def completion_ns(self) -> float:
-        return self.service.completion_ns
-
-    @property
-    def latency_ns(self) -> float:
-        return self.service.latency_ns
 
 
 class MemoryController:
@@ -119,8 +101,9 @@ class MemoryController:
     # pattern is identical; the fast-path switch is fixed for the lifetime
     # of a run, so a bank never sees a mix of the two encodings.
 
-    def read(self, line_number: int, at_time_ns: float) -> Tuple[bytes, AccessResult]:
-        """Read one line: returns (content, timing).
+    def read(self, line_number: int,
+             at_time_ns: float) -> Tuple[bytes, BankService]:
+        """Read one line: returns (content, its bank service).
 
         A read hitting the bank's open row is served from the row buffer at
         :attr:`PCMConfig.row_hit_read_latency_ns`.
@@ -142,7 +125,7 @@ class MemoryController:
             if obs is not None:
                 obs.record(service.completion_ns, "controller", "data_read",
                            line=line_number, latency_ns=service.latency_ns)
-            return data, AccessResult(service=service)
+            return data, service
         bank = self.banks[line_number % self._num_banks]
         if bank.access_row(line_number // self._row_size_lines):
             latency = self._row_hit_read_latency_ns
@@ -166,11 +149,11 @@ class MemoryController:
         if obs is not None:
             obs.record(service.completion_ns, "controller", "data_read",
                        line=line_number, latency_ns=service.latency_ns)
-        return data, AccessResult(service=service)
+        return data, service
 
     def write(self, line_number: int, data: bytes,
-              at_time_ns: float) -> AccessResult:
-        """Write one line: returns timing.
+              at_time_ns: float) -> BankService:
+        """Write one line: returns its bank service.
 
         PCM cell writes pay full latency/energy regardless of the row
         buffer, but the write loads its row into the buffer.
@@ -188,7 +171,7 @@ class MemoryController:
             if obs is not None:
                 obs.record(service.completion_ns, "controller", "data_write",
                            line=line_number, latency_ns=service.latency_ns)
-            return AccessResult(service=service)
+            return service
         bank = self.banks[line_number % self._num_banks]
         bank.access_row(line_number // self._row_size_lines)
         service = bank.service(at_time_ns, self._write_latency_ns)
@@ -201,10 +184,10 @@ class MemoryController:
         if obs is not None:
             obs.record(service.completion_ns, "controller", "data_write",
                        line=line_number, latency_ns=service.latency_ns)
-        return AccessResult(service=service)
+        return service
 
     def write_partial(self, key: int, fraction: float,
-                      at_time_ns: float) -> AccessResult:
+                      at_time_ns: float) -> BankService:
         """Write part of a line (byte-addressable PCM).
 
         PCM write energy scales with the bits actually programmed, while a
@@ -227,7 +210,7 @@ class MemoryController:
                 obs.record(service.completion_ns, "controller",
                            "partial_write", key=key, fraction=fraction,
                            latency_ns=service.latency_ns)
-            return AccessResult(service=service)
+            return service
         bank = self.banks[(key * 2654435761 >> 8) % self._num_banks]
         bank.access_row(~(key >> 3))
         service = bank.service(at_time_ns, self._write_latency_ns)
@@ -241,13 +224,13 @@ class MemoryController:
             obs.record(service.completion_ns, "controller", "partial_write",
                        key=key, fraction=fraction,
                        latency_ns=service.latency_ns)
-        return AccessResult(service=service)
+        return service
 
     # ------------------------------------------------------------------
     # Metadata-region accesses (fingerprint stores, AMT home in NVMM)
     # ------------------------------------------------------------------
 
-    def metadata_read(self, key: int, at_time_ns: float) -> AccessResult:
+    def metadata_read(self, key: int, at_time_ns: float) -> BankService:
         """Timing/energy of reading one metadata line from NVMM.
 
         Contents of metadata structures are modeled functionally by their
@@ -271,7 +254,7 @@ class MemoryController:
                 obs.record(service.completion_ns, "controller",
                            "metadata_read", key=key,
                            latency_ns=service.latency_ns)
-            return AccessResult(service=service)
+            return service
         bank = self.banks[(key * 2654435761 >> 8) % self._num_banks]
         if bank.access_row(~(key >> 3)):
             latency = self._row_hit_read_latency_ns
@@ -288,9 +271,9 @@ class MemoryController:
         if obs is not None:
             obs.record(service.completion_ns, "controller", "metadata_read",
                        key=key, latency_ns=service.latency_ns)
-        return AccessResult(service=service)
+        return service
 
-    def metadata_write(self, key: int, at_time_ns: float) -> AccessResult:
+    def metadata_write(self, key: int, at_time_ns: float) -> BankService:
         """Timing/energy of writing one metadata line to NVMM."""
         if not _memo.ENABLED:
             # Reference form (pre-fast-path implementation).
@@ -305,7 +288,7 @@ class MemoryController:
                 obs.record(service.completion_ns, "controller",
                            "metadata_write", key=key,
                            latency_ns=service.latency_ns)
-            return AccessResult(service=service)
+            return service
         bank = self.banks[(key * 2654435761 >> 8) % self._num_banks]
         bank.access_row(~(key >> 3))
         service = bank.service(at_time_ns, self._write_latency_ns)
@@ -317,7 +300,7 @@ class MemoryController:
         if obs is not None:
             obs.record(service.completion_ns, "controller", "metadata_write",
                        key=key, latency_ns=service.latency_ns)
-        return AccessResult(service=service)
+        return service
 
     # ------------------------------------------------------------------
     # Reporting

@@ -90,6 +90,14 @@ class TestReferH:
         assert entry.refer_h == 1
         assert not efit.refer_h_saturated(1)
 
+    def test_replace_frame_must_fit_40_bits(self):
+        efit = make_efit()
+        efit.insert(1, 10)
+        with pytest.raises(ValueError, match="40-bit range"):
+            efit.replace_frame(1, 1 << 40)
+        entry, _ = efit.lookup(1)
+        assert entry.frame == 10
+
 
 class TestReplacement:
     def test_lrcu_keeps_high_referh(self):

@@ -43,7 +43,7 @@ class TestPartialWrites:
     def test_partial_write_occupies_bank(self, controller):
         r1 = controller.write_partial(7, 0.5, 0.0)
         r2 = controller.write_partial(7, 0.5, 0.0)
-        assert r2.service.start_ns >= r1.completion_ns
+        assert r2.start_ns >= r1.completion_ns
 
 
 class TestExamplesAreRunnable:

@@ -49,12 +49,12 @@ class TestDataPath:
     def test_same_bank_accesses_serialize(self, controller):
         controller.write(0, bytes(64), 0.0)
         r = controller.write(4, bytes(64), 0.0)  # same bank 0
-        assert r.service.start_ns == 150.0
+        assert r.start_ns == 150.0
 
     def test_different_banks_parallel(self, controller):
         controller.write(0, bytes(64), 0.0)
         r = controller.write(1, bytes(64), 0.0)
-        assert r.service.start_ns == 0.0
+        assert r.start_ns == 0.0
 
 
 class TestEnergy:

@@ -14,7 +14,9 @@ from dataclasses import replace
 
 import pytest
 
+from repro.common.config import SystemConfig
 from repro.common.errors import UncorrectableError
+from repro.common.types import AccessType, MemoryRequest
 from repro.crypto.counter_mode import (
     CounterModeEngine,
     _xor_line,
@@ -28,8 +30,10 @@ from repro.ecc.codec import (
     line_ecc_uncached,
 )
 from repro.ecc.faults import flip_bit, flip_bits
+from repro.nvmm.bank import BankService
+from repro.nvmm.controller import MemoryController
 from repro.perf import fastpath, memo, reset_caches
-from repro.registry import registered_scheme_names
+from repro.registry import make_scheme, registered_scheme_names
 from repro.sim.runner import run_app, scaled_system_config
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.trace import read_trace_list, write_trace
@@ -206,3 +210,94 @@ class TestEndToEndParity:
                          system=system_off, seed=7)["ESD"]
         assert result.extras["fastpath_enabled"] == 0.0
         assert not [k for k in result.extras if k.startswith("memo_")]
+
+
+class TestPerRequestParity:
+    """Fast-on vs fast-off results of every single access, field by field.
+
+    The fast branches build their result tuples positionally
+    (``tuple.__new__``), so a field-order slip — ``deduplicated`` swapped
+    with ``wrote_line``, say — would change no summary row; only a
+    per-result comparison against the keyword-built reference catches it.
+    """
+
+    # Small metadata caches (8 EFIT entries, 4-11 fingerprint-cache entries,
+    # 16 AMT entries) force evictions and NVMM fingerprint lookups; referH
+    # saturates at 4 remaps.
+    CONFIG = SystemConfig().with_metadata_cache(
+        efit_bytes=112, amt_bytes=208).with_esd(refer_h_max=4)
+
+    @staticmethod
+    def _requests(count=600, seed=0xE5D):
+        """Seeded writes (pooled duplicates, fresh lines, rewrites of a few
+        addresses) interleaved with reads, some of never-written lines."""
+        rng = random.Random(seed)
+        pool = [bytes(64)] + _random_lines(11, seed=seed + 1)
+        requests = []
+        now = 0.0
+        for seq in range(count):
+            now += rng.choice((0.0, 5.0, 40.0, 200.0))
+            address = rng.randrange(24) * 64
+            if rng.random() < 0.7:
+                data = (rng.choice(pool) if rng.random() < 0.8
+                        else rng.randbytes(64))
+                requests.append(MemoryRequest(address, AccessType.WRITE,
+                                              data, now, seq=seq))
+            else:
+                requests.append(MemoryRequest(address, AccessType.READ,
+                                              None, now, seq=seq))
+        return requests
+
+    @pytest.mark.parametrize("name", registered_scheme_names())
+    def test_scheme_results_equal_field_by_field(self, name):
+        requests = self._requests()
+        results = {}
+        for enabled in (True, False):
+            with fastpath(enabled):
+                reset_caches()
+                scheme = make_scheme(name, self.CONFIG)
+                results[enabled] = [
+                    scheme.handle_write(r) if r.is_write
+                    else scheme.handle_read(r) for r in requests]
+        for i, (fast, ref) in enumerate(zip(results[True], results[False])):
+            assert type(fast) is type(ref)
+            for field in ref._fields:
+                if field != "timeline":
+                    assert getattr(fast, field) == getattr(ref, field), (
+                        i, field)
+        writes = [r for r in results[False] if hasattr(r, "deduplicated")]
+        assert any(r.wrote_line for r in writes)
+        # DaE fingerprints ciphertext, which counter mode never repeats.
+        if name not in ("Baseline", "DaE"):
+            assert any(r.deduplicated for r in writes)
+
+    def test_controller_bank_services_equal(self):
+        rng = random.Random(0xBA4C)
+        line = _random_lines(1, seed=11)[0]
+        ops = [(rng.choice(("read", "write", "write_partial",
+                            "metadata_read", "metadata_write")),
+                rng.randrange(64), rng.uniform(0.0, 2000.0))
+               for _ in range(400)]
+        results = {}
+        for enabled in (True, False):
+            with fastpath(enabled):
+                controller = MemoryController()
+                out = []
+                for op, key, at in ops:
+                    if op == "read":
+                        data, service = controller.read(key, at)
+                        out.append(data)
+                    elif op == "write":
+                        service = controller.write(key, line, at)
+                    elif op == "write_partial":
+                        service = controller.write_partial(key, 0.5, at)
+                    else:
+                        service = getattr(controller, op)(key, at)
+                    assert type(service) is BankService
+                    out.append(service)
+                results[enabled] = out
+        for fast, ref in zip(results[True], results[False]):
+            if isinstance(ref, BankService):
+                assert fast._asdict() == ref._asdict()
+            else:
+                assert fast == ref
