@@ -5,21 +5,21 @@ Produces the committed ``BENCH_perf_smoke.json`` artifact with four
 sections:
 
 * **grid** — end-to-end timing of the 3-app x 4-scheme evaluation grid,
-  run back-to-back in three modes per round: *reference* (memo and
-  vectorization off), *memo* (``repro.perf`` fast path only), and
-  *vectorized* (memo plus the ``repro.vec`` epoch-batched engine).
-  Rounds interleave the modes so machine noise hits all sides equally;
-  speedups are medians over per-round ratios.  The section carries the
-  correctness gate: ``grids_identical`` is true iff every summary row
-  (latencies, p99, write reduction, energy, IPC, PCM writes) is
-  bit-identical across all three modes.
+  run back-to-back in two modes per round: *reference* (the reference
+  loop) and *fast* (``repro.perf`` memo caches primed per epoch by
+  ``repro.vec``).  Rounds interleave the modes so machine noise hits
+  both sides equally; speedups are medians over per-round ratios.  The
+  section carries the correctness gate: ``grids_identical`` is true iff
+  every summary row (latencies, p99, write reduction, energy, IPC, PCM
+  writes) is bit-identical across the two modes.
 * **roster_parity** — the same bit-exactness gate over **all eight**
   registered schemes (the grid times only the paper's four headliners),
-  vectorized on vs off.
+  fast vs reference.
 * **long_trace** — serialization of a long request trace (write + read
-  round trip), vectorized reader on vs off, with byte-identity of the
-  written stream and equality of the reread requests gated.  This is the
-  hot path the memo fast path could not move (1.03x in PR 3).
+  round trip), timed with the batched reader the trace module uses
+  against the same write plus a scalar-parser decode, with equality of
+  both decodes to the source requests gated.  This is the hot path the
+  memo caches could not move (1.03x).
 * **streaming_capture** — peak-RSS contrast (``ru_maxrss`` in a fresh
   subprocess per strategy) of streaming a ≥200k-record generator into
   the chunked v2 trace writer vs materializing the full request list
@@ -56,9 +56,9 @@ Usage::
     PYTHONPATH=src python benchmarks/perf_smoke.py --quick
     PYTHONPATH=src python benchmarks/perf_smoke.py --output BENCH_perf_smoke.json
 
-Exit status: 0 on success, 2 when any mode's grid diverges from the
-reference grid, the roster parity check fails, or the long-trace round
-trip is not byte-identical (correctness regressions, never acceptable).
+Exit status: 0 on success, 2 when the fast grid diverges from the
+reference grid, the roster parity check fails, or the two parsers'
+long-trace decodes differ (correctness regressions, never acceptable).
 """
 
 from __future__ import annotations
@@ -92,10 +92,14 @@ from repro.sim.runner import (
     run_grid,
     scaled_system_config,
 )
-from repro.vec import vectorized
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.profiles import get_profile
-from repro.workloads.trace import read_trace_list, write_trace
+from repro.workloads.trace import (
+    _HEADER,
+    _parse_records,
+    read_trace_list,
+    write_trace,
+)
 
 # The reference grid: the paper's three most content-diverse SPEC apps
 # against all four evaluated schemes, on a fixed seed so the trace --- and
@@ -113,78 +117,64 @@ KERNEL_DISTINCT_LINES = 64
 # Grid benchmark
 # ----------------------------------------------------------------------
 
-#: The three timed execution modes: (label, use_fastpath, use_vectorized).
+#: The two timed execution modes: (label, use_fastpath).
 GRID_MODES = (
-    ("reference", False, False),
-    ("memo", True, False),
-    ("vectorized", True, True),
+    ("reference", False),
+    ("fast", True),
 )
 
 
-def _grid_config(requests: int, fast: bool, vec: bool) -> ExperimentConfig:
+def _grid_config(requests: int, fast: bool) -> ExperimentConfig:
     return ExperimentConfig(
         apps=list(GRID_APPS),
         schemes=list(GRID_SCHEMES),
         requests_per_app=requests,
-        system=replace(scaled_system_config(), use_fastpath=fast,
-                       use_vectorized=vec),
+        system=replace(scaled_system_config(), use_fastpath=fast),
         seed=GRID_SEED,
     )
 
 
-def _run_rows(requests: int, fast: bool, vec: bool) -> Dict[str, Dict[str, float]]:
+def _run_rows(requests: int, fast: bool) -> Dict[str, Dict[str, float]]:
     """Run the grid in one mode; returns ``{"app/scheme": summary_row}``."""
-    grid = run_grid(_grid_config(requests, fast, vec))
+    grid = run_grid(_grid_config(requests, fast))
     return {f"{app}/{scheme}": result.summary_row()
             for (app, scheme), result in grid.items()}
 
 
 def bench_grid(requests: int, rounds: int) -> Dict:
-    """Interleaved three-mode grid timing plus the parity check."""
+    """Interleaved two-mode grid timing plus the parity check."""
     round_records: List[Dict[str, float]] = []
     identical = True
     for _ in range(rounds):
         cpu: Dict[str, float] = {}
         wall: Dict[str, float] = {}
         rows: Dict[str, Dict] = {}
-        for label, fast, vec in GRID_MODES:
+        for label, fast in GRID_MODES:
             wall0 = time.perf_counter()
             cpu0 = time.process_time()
-            rows[label] = _run_rows(requests, fast, vec)
+            rows[label] = _run_rows(requests, fast)
             cpu[label] = time.process_time() - cpu0
             wall[label] = time.perf_counter() - wall0
         record = {f"{label}_cpu_s": cpu[label] for label in cpu}
         record.update({f"{label}_wall_s": wall[label] for label in wall})
-        for num, den, name in (("reference", "memo", "memo_cpu_speedup"),
-                               ("reference", "vectorized",
-                                "vec_cpu_speedup"),
-                               ("memo", "vectorized",
-                                "vec_vs_memo_cpu_speedup")):
-            record[name] = cpu[num] / cpu[den] if cpu[den] > 0 else 0.0
-        record["vec_wall_speedup"] = (wall["reference"] / wall["vectorized"]
-                                      if wall["vectorized"] > 0 else 0.0)
+        record["cpu_speedup"] = (cpu["reference"] / cpu["fast"]
+                                 if cpu["fast"] > 0 else 0.0)
+        record["wall_speedup"] = (wall["reference"] / wall["fast"]
+                                  if wall["fast"] > 0 else 0.0)
         round_records.append(record)
-        # Summary rows are deterministic per mode, so any round's trio is
-        # representative; check every round anyway (it is free).
-        reference = rows["reference"]
-        identical = identical and all(rows[label] == reference
-                                      for label, _, _ in GRID_MODES)
+        identical = identical and rows["fast"] == rows["reference"]
     return {
         "apps": list(GRID_APPS),
         "schemes": list(GRID_SCHEMES),
-        "modes": [label for label, _, _ in GRID_MODES],
+        "modes": [label for label, _ in GRID_MODES],
         "seed": GRID_SEED,
         "requests_per_app": requests,
         "jobs": 1,  # timed serially; parallel timing would measure the pool
         "rounds": round_records,
         "median_cpu_speedup": statistics.median(
-            r["vec_cpu_speedup"] for r in round_records),
-        "median_memo_cpu_speedup": statistics.median(
-            r["memo_cpu_speedup"] for r in round_records),
-        "median_vec_vs_memo_cpu_speedup": statistics.median(
-            r["vec_vs_memo_cpu_speedup"] for r in round_records),
+            r["cpu_speedup"] for r in round_records),
         "median_wall_speedup": statistics.median(
-            r["vec_wall_speedup"] for r in round_records),
+            r["wall_speedup"] for r in round_records),
         "grids_identical": identical,
     }
 
@@ -194,15 +184,14 @@ def bench_grid(requests: int, rounds: int) -> Dict:
 # ----------------------------------------------------------------------
 
 def bench_roster_parity(requests: int) -> Dict:
-    """Bit-exact summary rows, vectorized on vs off, for all 8 schemes."""
+    """Bit-exact summary rows, fast vs reference, for all 8 schemes."""
     schemes = registered_scheme_names()
     rows = {}
-    for vec in (False, True):
-        system = replace(scaled_system_config(), use_fastpath=True,
-                         use_vectorized=vec)
+    for fast in (False, True):
+        system = replace(scaled_system_config(), use_fastpath=fast)
         results = run_app(GRID_APPS[0], schemes, requests=requests,
                           system=system, seed=GRID_SEED)
-        rows[vec] = {name: r.summary_row() for name, r in results.items()}
+        rows[fast] = {name: r.summary_row() for name, r in results.items()}
     return {
         "app": GRID_APPS[0],
         "schemes": list(schemes),
@@ -211,46 +200,47 @@ def bench_roster_parity(requests: int) -> Dict:
     }
 
 
-def bench_long_trace(records: int, rounds: int) -> Dict:
-    """Long-trace serialization round trip, vectorized reader on vs off.
+def _read_scalar(buffer: io.BytesIO) -> List:
+    """Decode a version-1 trace with the scalar reference parser."""
+    _, _, _, count = _HEADER.unpack(buffer.read(_HEADER.size))
+    return list(_parse_records(buffer.read(), count))
 
-    The round-trip identity check (byte stream and reread requests equal
-    between modes) runs once, outside the timed rounds, so the timed
-    passes never hold another mode's 10^5-object reread alive — the
-    garbage collector's traversals scale with the live-object population,
-    and an extra reread in memory taxes whichever mode runs second.
-    Timed like the grid: modes interleave within each round, CPU seconds
-    are primary, each mode's reread is dropped before the next mode runs.
-    The realistic speedup ceiling is low — deserialization's floor is one
-    Python object per record, and the writer is scalar in both modes —
-    and the medians recorded here are honest measurements, not targets.
+
+def bench_long_trace(records: int, rounds: int) -> Dict:
+    """Long-trace serialization round trip, batched vs scalar parser.
+
+    Both sides write the same version-1 trace (one flat record span, so
+    the scalar parser can decode it whole) and decode it with their
+    parser.  The identity check (both decodes equal the source requests)
+    runs once, outside the timed rounds, so the timed passes never hold
+    another side's 10^5-object reread alive — the garbage collector's
+    traversals scale with the live-object population, and an extra
+    reread in memory taxes whichever side runs second.  Timed like the
+    grid: sides interleave within each round, CPU seconds are primary,
+    each side's reread is dropped before the next runs.  The realistic
+    speedup ceiling is low — deserialization's floor is one Python
+    object per record, and the writer is the same on both sides — and
+    the medians recorded here are honest measurements, not targets.
     """
     requests = TraceGenerator(get_profile(GRID_APPS[0]),
                               seed=GRID_SEED).generate_list(records)
-    blobs: Dict[bool, bytes] = {}
-    rereads: Dict[bool, List] = {}
-    for vec in (False, True):
-        with vectorized(vec):
-            buffer = io.BytesIO()
-            write_trace(requests, buffer)
-            buffer.seek(0)
-            rereads[vec] = read_trace_list(buffer)
-            blobs[vec] = buffer.getvalue()
-    identical = (blobs[False] == blobs[True]
-                 and rereads[False] == rereads[True]
-                 and rereads[True] == requests)
-    del blobs, rereads
+    sides = (("reference", _read_scalar), ("vectorized", read_trace_list))
+    identical = True
+    for _, read in sides:
+        buffer = io.BytesIO()
+        write_trace(requests, buffer, version=1)
+        buffer.seek(0)
+        identical = identical and read(buffer) == requests
     round_records = []
     for _ in range(rounds):
         cpu: Dict[str, float] = {}
-        for label, vec in (("reference", False), ("vectorized", True)):
-            with vectorized(vec):
-                cpu0 = time.process_time()
-                buffer = io.BytesIO()
-                write_trace(requests, buffer)
-                buffer.seek(0)
-                reread = read_trace_list(buffer)
-                cpu[label] = time.process_time() - cpu0
+        for label, read in sides:
+            cpu0 = time.process_time()
+            buffer = io.BytesIO()
+            write_trace(requests, buffer, version=1)
+            buffer.seek(0)
+            reread = read(buffer)
+            cpu[label] = time.process_time() - cpu0
             assert len(reread) == records
             del reread, buffer
         round_records.append({
@@ -709,7 +699,10 @@ def bench_sweep_backends(requests: int) -> Dict:
 #: v3: adds the multi-process serve fields (parity gate, aggregate
 #: req/s at workers=1 vs workers=N, scaling ratio, cpu_count).
 #: v4: adds the streaming-capture peak-RSS fields (report-only).
-HISTORY_SCHEMA_VERSION = 4
+#: v5: the grid times two modes (reference, fast); ``median_cpu_speedup``
+#: is fast over reference and ``median_memo_cpu_speedup`` is gone.  The
+#: long trace times the batched vs the scalar parser on a v1 trace.
+HISTORY_SCHEMA_VERSION = 5
 
 
 def history_entry(report: Dict) -> Dict:
@@ -728,7 +721,6 @@ def history_entry(report: Dict) -> Dict:
         "quick": report["quick"],
         "requests_per_app": grid["requests_per_app"],
         "median_cpu_speedup": grid["median_cpu_speedup"],
-        "median_memo_cpu_speedup": grid["median_memo_cpu_speedup"],
         "median_wall_speedup": grid["median_wall_speedup"],
         "long_trace_median_cpu_speedup":
             report["long_trace"]["median_cpu_speedup"],
@@ -888,8 +880,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.metrics_report is not None:
         emit_metrics_report(requests, args.metrics_report)
         print(f"wrote {args.metrics_report}")
-    print(f"grid: median cpu speedup vec {grid['median_cpu_speedup']:.2f}x "
-          f"/ memo {grid['median_memo_cpu_speedup']:.2f}x, "
+    print(f"grid: median cpu speedup fast {grid['median_cpu_speedup']:.2f}x, "
           f"identical={grid['grids_identical']}; "
           f"roster identical={roster['identical']}; "
           f"long-trace {long_trace['median_cpu_speedup']:.2f}x, "
@@ -914,11 +905,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr)
         failed = True
     if not roster["identical"]:
-        print("FAIL: full-roster summary rows diverge vectorized on vs off",
+        print("FAIL: full-roster summary rows diverge fast vs reference",
               file=sys.stderr)
         failed = True
     if not long_trace["roundtrip_identical"]:
-        print("FAIL: long-trace round trip not identical between modes",
+        print("FAIL: long-trace decodes differ between the parsers",
               file=sys.stderr)
         failed = True
     if not sweep["all_identical"]:

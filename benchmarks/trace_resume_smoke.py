@@ -5,10 +5,11 @@ Hard-gates three properties this repo's long-run story depends on:
 
 * **Container parity** — one generated workload serialized as legacy v1,
   chunked v2, and compressed v2 must decode to byte-identical request
-  streams under both the scalar and the vectorized parser (6 decodings,
-  one truth), and ``trace_record_count`` must agree without decoding.
-* **Resume bit-exactness** — for every registered scheme and every
-  fastpath/vectorized mode, interrupting a run at an arbitrary cut
+  streams, its records must decode identically under both the scalar
+  and the batched parser (5 decodings, one truth), and
+  ``trace_record_count`` must agree without decoding.
+* **Resume bit-exactness** — for every registered scheme in both the
+  fast and the reference mode, interrupting a run at an arbitrary cut
   (checkpoint, dirty the process with an unrelated run, restore in the
   same interpreter, finish) must produce a result whose lossless state
   bytes (:func:`result_state_bytes`) equal the uninterrupted run's.
@@ -49,9 +50,11 @@ from repro.registry import registered_scheme_names
 from repro.sim.engine import EngineConfig, SimulationEngine
 from repro.sim.export import result_state_bytes
 from repro.sim.session import Session
-from repro.vec import flags as vec_flags
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.trace import (
+    _pack_records,
+    _parse_records,
+    _parse_records_vectorized,
     read_trace_list,
     roundtrip_bytes,
     trace_record_count,
@@ -59,9 +62,10 @@ from repro.workloads.trace import (
 )
 
 REQUESTS = 2_000
-#: Interrupt points, cycled per (scheme, mode) cell so epoch-aligned and
-#: mid-epoch cuts are both exercised.
-CUTS = (1_337, 1_024, 999, 512)
+#: Interrupt points, cycled per (scheme, mode) cell; the fast-mode cells
+#: take the even slots, so they see both a mid-epoch and an
+#: epoch-aligned (1,024) cut.
+CUTS = (1_337, 999, 1_024, 512)
 
 failures: List[str] = []
 
@@ -94,32 +98,29 @@ def check_container_parity() -> None:
         buf = io.BytesIO()
         write_trace(original, buf, **kwargs)
         blobs[label] = buf.getvalue()
-    saved = vec_flags.ENABLED
-    try:
-        for label, blob in blobs.items():
-            count = trace_record_count(io.BytesIO(blob))
-            if count != len(original):
-                fail(f"trace_record_count({label}) = {count}")
-                continue
-            for vec in (False, True):
-                vec_flags.ENABLED = vec
-                decoded = _keys(read_trace_list(io.BytesIO(blob)))
-                mode = "vec" if vec else "scalar"
-                if decoded != truth:
-                    fail(f"container parity {label}/{mode}")
-                else:
-                    ok(f"container parity {label}/{mode} "
-                       f"({len(blob)} bytes)")
-    finally:
-        vec_flags.ENABLED = saved
+    for label, blob in blobs.items():
+        count = trace_record_count(io.BytesIO(blob))
+        if count != len(original):
+            fail(f"trace_record_count({label}) = {count}")
+            continue
+        if _keys(read_trace_list(io.BytesIO(blob))) != truth:
+            fail(f"container parity {label}")
+        else:
+            ok(f"container parity {label} ({len(blob)} bytes)")
+    payload, count = _pack_records(original)
+    for label, parse in (("scalar", _parse_records),
+                         ("batched", _parse_records_vectorized)):
+        if _keys(parse(payload, count)) != truth:
+            fail(f"parser parity {label}")
+        else:
+            ok(f"parser parity {label} ({count} records)")
     # The checked-in format default must still round-trip by default.
     if _keys(roundtrip_bytes(original)) != truth:
         fail("default-version roundtrip")
 
 
-def _mode_config(fast: bool, vec: bool):
-    return replace(small_test_config(), use_fastpath=fast,
-                   use_vectorized=vec)
+def _mode_config(fast: bool):
+    return replace(small_test_config(), use_fastpath=fast)
 
 
 def _direct(trace, scheme_name, config) -> bytes:
@@ -153,20 +154,18 @@ def _resumed(trace, scheme_name, config, cut: int) -> bytes:
 
 def check_resume_parity(quick: bool) -> None:
     schemes = list(registered_scheme_names())
-    modes = [(True, True), (True, False), (False, True), (False, False)]
     if quick:
         schemes = ["ESD", "NV-Dedup"]
-        modes = [(True, True), (False, False)]
     trace = TraceGenerator("gcc", seed=13).generate_list(REQUESTS)
     cell = 0
     for scheme_name in schemes:
-        for fast, vec in modes:
+        for fast in (True, False):
             cut = CUTS[cell % len(CUTS)]
             cell += 1
-            config = _mode_config(fast, vec)
+            config = _mode_config(fast)
             direct = _direct(trace, scheme_name, config)
             resumed = _resumed(trace, scheme_name, config, cut)
-            mode = f"fast={int(fast)} vec={int(vec)} cut={cut}"
+            mode = f"fast={int(fast)} cut={cut}"
             if direct != resumed:
                 fail(f"resume parity {scheme_name} [{mode}]")
             else:
@@ -217,7 +216,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="2 schemes x 2 modes instead of the full "
-                             "8 x 4 resume matrix")
+                             "8 x 2 resume matrix")
     args = parser.parse_args()
 
     check_container_parity()

@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from typing import List, Optional
 
 from itertools import islice
@@ -80,8 +81,6 @@ def _system_config(args) -> "SystemConfig":
         config = config.with_metadata_cache(amt_bytes=kib(args.amt_kb))
     if getattr(args, "no_fastpath", False):
         config = _replace(config, use_fastpath=False)
-    if getattr(args, "no_vectorized", False):
-        config = _replace(config, use_vectorized=False)
     return config
 
 
@@ -164,6 +163,15 @@ def _open_or_resume_session(args, scheme_name: str):
         raise SystemExit(
             f"checkpoint {args.resume} was taken with scheme "
             f"{meta.get('scheme')!r}, not {scheme_name!r}")
+    taken, wanted = restored.session.config, _system_config(args)
+    differing = [f.name for f in fields(wanted)
+                 if getattr(taken, f.name) != getattr(wanted, f.name)]
+    if differing:
+        raise SystemExit(
+            f"checkpoint {args.resume} was taken with a different system "
+            f"configuration (differing fields: {', '.join(differing)}); "
+            f"rerun with the original run's --no-fastpath/--efit-kb/"
+            f"--amt-kb flags")
     consumed = restored.consumed
     skipped = sum(1 for _ in islice(stream, consumed))
     if skipped < consumed:
@@ -595,13 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--amt-kb", type=int, default=None,
                        help="AMT / mapping cache size in KB")
         p.add_argument("--no-fastpath", action="store_true",
-                       help="disable the memoized kernel fast path "
-                            "(repro.perf); results are bit-identical, "
-                            "only slower")
-        p.add_argument("--no-vectorized", action="store_true",
-                       help="disable the epoch-batched vectorized engine "
-                            "(repro.vec); results are bit-identical, "
-                            "only slower")
+                       help="run the reference loop instead of the fast "
+                            "path (memoized kernels primed per epoch); "
+                            "results are bit-identical, only slower")
 
     run_p = sub.add_parser("run", help="run one scheme over one trace")
     add_common(run_p)
@@ -767,9 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seconds to wait for in-flight sessions on "
                               "SIGTERM before aborting them (default: 30)")
     serve_p.add_argument("--no-fastpath", action="store_true",
-                         help="disable the memoized kernel fast path")
-    serve_p.add_argument("--no-vectorized", action="store_true",
-                         help="disable the epoch-batched vectorized engine")
+                         help="run the reference loop instead of the fast "
+                              "path")
     serve_p.set_defaults(func=cmd_serve)
 
     val_p = sub.add_parser("validate",

@@ -248,21 +248,14 @@ class SystemConfig:
     #: Per-level hash latency of the integrity tree walk (on-chip SHA
     #: engine), charged when ``protect_counters`` is enabled.
     integrity_hash_latency_ns: float = 5.0
-    #: Content-addressed kernel fast path (:mod:`repro.perf`): memoize the
-    #: pure ECC/crypto/fingerprint kernels in bounded LRU caches.  ``None``
-    #: defers to the ``REPRO_FASTPATH`` environment variable (default on);
-    #: ``True``/``False`` force the fast path on/off for runs using this
-    #: config.  Purely a host-CPU optimisation — simulated results are
+    #: Host-CPU fast path: memoize the pure ECC/crypto/fingerprint kernels
+    #: in bounded LRU caches (:mod:`repro.perf`) and prime them one epoch
+    #: at a time with batched numpy kernels (:mod:`repro.vec`); off runs
+    #: the reference loop.  ``None`` defers to the ``REPRO_FASTPATH``
+    #: environment variable (default on); ``True``/``False`` force the
+    #: fast path on/off for runs using this config.  Simulated results are
     #: bit-identical either way (gated by ``benchmarks/perf_smoke.py``).
     use_fastpath: Optional[bool] = None
-    #: Epoch-batched execution engine (:mod:`repro.vec`): drain requests in
-    #: fixed-size epochs and run bit-parallel numpy kernels (line ECC,
-    #: fingerprint digests) over each epoch before the scalar per-line
-    #: resolution.  ``None`` defers to the ``REPRO_VECTORIZED`` environment
-    #: variable (default on); ``True``/``False`` force it per run.  Purely a
-    #: host-CPU optimisation — simulated results are bit-identical either
-    #: way (gated by ``tests/test_vec_parity.py`` and the perf smoke).
-    use_vectorized: Optional[bool] = None
     #: Run-scoped instrumentation (:mod:`repro.obs`): metrics registry,
     #: per-request trace ring, and exporters.  Off by default; enabling it
     #: never changes simulated results (gated by the obs parity tests).

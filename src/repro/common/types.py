@@ -121,7 +121,7 @@ def request_unchecked(address: int, access: AccessType,
                       core: int, seq: int) -> MemoryRequest:
     """Build a :class:`MemoryRequest` bypassing ``__post_init__`` validation.
 
-    For trusted batch producers only — the vectorized trace reader
+    For trusted batch producers only — the batched trace reader
     validates whole record arrays with numpy before constructing requests,
     and re-running the per-object checks would dominate deserialization
     time.  The caller guarantees the dataclass invariants: non-negative

@@ -88,7 +88,7 @@ class _HashEngineBase:
     def prime_batch(self, contents) -> int:
         """Digest and cache every uncached content (vec epoch priming).
 
-        The vectorized engine hands each epoch's *unique* write contents
+        The fast path hands each epoch's *unique* write contents
         here before the per-line resolution, so a content repeated across
         the epoch is digested once and every later ``fingerprint`` call
         hits.  Batch-computed entries are charged as cache misses — the

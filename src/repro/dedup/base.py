@@ -170,7 +170,7 @@ class DedupScheme(abc.ABC):
     def vec_prime_engines(self) -> tuple:
         """Fingerprint engines keyed on *plaintext line content*.
 
-        The vectorized engine's epoch front end batch-digests each epoch's
+        The fast path's epoch priming batch-digests each epoch's
         unique write contents through these engines, priming their memo
         caches before the scalar per-line resolution (see
         :mod:`repro.vec.epoch`).  Priming is only sound for engines whose

@@ -81,7 +81,7 @@ def line_ecc(data: bytes) -> int:
 def prime_line_ecc_batch(contents) -> int:
     """Batch-compute and cache line ECCs for uncached contents.
 
-    The vectorized engine's epoch front end calls this with an epoch's
+    The fast path's epoch priming calls this with an epoch's
     unique write contents; the bit-parallel kernel
     (:func:`repro.vec.kernels.line_ecc_batch`) computes every uncached
     value in one numpy pass, and subsequent scalar :func:`line_ecc` calls
@@ -89,8 +89,8 @@ def prime_line_ecc_batch(contents) -> int:
     cache *miss* — the work was done, just not served from the cache — so
     memo statistics keep counting actual computations.
 
-    No-op (returns 0) when the fast path is disabled: there is no cache to
-    prime, and the scalar kernel would bypass it anyway.
+    No-op (returns 0) when the memo caches are disabled: there is no cache
+    to prime, and the scalar kernel would bypass it anyway.
 
     Returns:
         The number of entries computed and inserted.

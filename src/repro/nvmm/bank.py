@@ -169,85 +169,6 @@ class Bank:
         return BankService(bank=self.index, arrival_ns=arrival_ns,
                            start_ns=start, completion_ns=end)
 
-    def service_batch(self, arrivals, durations):
-        """Vectorized earliest-fit schedule of a tail-monotonic burst.
-
-        Schedules ``len(arrivals)`` accesses whose arrivals are sorted and
-        land at/after the current busy tail — the shape a batch consumer
-        (benchmark replay, epoch-level planner) naturally produces — as
-        closed-form array math instead of per-access ``service`` calls.
-        With ``S`` the prefix sum of durations, the sequential recurrence
-        ``end[i] = max(arrival[i], end[i-1]) + duration[i]`` telescopes to
-        ``end = S + cummax(arrival - Sshift)``.
-
-        State updates (interval tail, busy time, service count) match the
-        scalar path's, so subsequent ``service`` calls see the same bank.
-        Not used on the simulated per-request path: the closed form
-        associates float additions differently than the scalar recurrence
-        (last-ulp differences on long queue chains), and the bit-exact
-        parity contract keeps the engine's resolution scalar.  Agreement
-        is within float tolerance (``tests/test_vec_kernels.py``).
-
-        Args:
-            arrivals: sorted, non-negative arrival times (ns).
-            durations: positive service times (ns), scalar or aligned array.
-
-        Returns:
-            ``(starts, completions)`` float64 arrays.
-
-        Raises:
-            ValueError: on empty/unsorted arrivals, negative times, or a
-                burst arriving before the current busy tail.
-        """
-        import numpy as np
-        arrivals = np.asarray(arrivals, dtype=np.float64)
-        if arrivals.size == 0:
-            raise ValueError("burst must contain at least one access")
-        durations = np.broadcast_to(
-            np.asarray(durations, dtype=np.float64), arrivals.shape)
-        if np.any(arrivals[1:] < arrivals[:-1]):
-            raise ValueError("burst arrivals must be sorted")
-        if arrivals[0] < 0 or np.any(durations <= 0):
-            raise ValueError("times must be non-negative, durations positive")
-        intervals = self._intervals
-        tail_end = intervals[-1][1] if intervals else 0.0
-        if intervals and arrivals[0] < intervals[-1][0]:
-            raise ValueError("burst must arrive at/after the busy tail")
-        prefix = np.cumsum(durations)
-        shifted = np.empty_like(prefix)
-        shifted[0] = 0.0
-        shifted[1:] = prefix[:-1]
-        floor = np.maximum(arrivals, tail_end)
-        completions = prefix + np.maximum.accumulate(floor - shifted)
-        # Starts via one exact recurrence step, ``max(arrival, prev_end)``:
-        # a queued access starts *exactly* at its predecessor's completion,
-        # so genuine idle gaps — not last-ulp closed-form residue — decide
-        # the span boundaries committed below.
-        prev_end = np.empty_like(completions)
-        prev_end[0] = tail_end
-        prev_end[1:] = completions[:-1]
-        starts = np.maximum(arrivals, prev_end)
-        # Commit the burst's busy spans: a new span opens wherever an access
-        # started strictly after its predecessor finished (idle gap).
-        opens = np.flatnonzero(
-            np.concatenate(([True], starts[1:] > prev_end[1:])))
-        span_starts = starts[opens]
-        span_ends = completions[
-            np.concatenate((opens[1:] - 1, [len(starts) - 1]))]
-        if intervals and span_starts[0] == tail_end:
-            last_start, _ = intervals[-1]
-            intervals[-1] = (last_start, float(span_ends[0]))
-            span_starts, span_ends = span_starts[1:], span_ends[1:]
-        intervals.extend(zip(span_starts.tolist(), span_ends.tolist()))
-        self.busy_time_ns += float(durations.sum())
-        self.services += len(arrivals)
-        last_arrival = float(arrivals[-1])
-        if last_arrival > self._latest_arrival:
-            self._latest_arrival = last_arrival
-        if len(intervals) >= 4096:
-            self._maybe_prune()
-        return starts, completions
-
     def _find_slot(self, arrival: float, duration: float) -> float:
         intervals = self._intervals
         # First interval whose end is after the arrival can conflict.

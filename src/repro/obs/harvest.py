@@ -35,9 +35,9 @@ def harvest_run(run: RunObservation, scheme: "object",
             (typed loosely to avoid an import cycle).
         memo_stats: the kernel fast path's flat ``memo_*`` mapping from
             :func:`repro.perf.end_run` (empty when the fast path is off).
-        vec_stats: the vectorized engine's flat ``vec_*`` snapshot
+        vec_stats: the fast path's flat ``vec_*`` epoch-priming snapshot
             (:meth:`repro.vec.epoch.VecStats.snapshot`; empty when the
-            epoch-batched loop is off).
+            fast path is off).
     """
     registry = run.registry
 
@@ -87,7 +87,7 @@ def harvest_run(run: RunObservation, scheme: "object",
     for name in sorted(memo_stats):
         registry.counter(name).inc(float(memo_stats[name]))
 
-    # Likewise the vectorized engine's vec_* epoch accounting, except the
+    # Likewise the fast path's vec_* epoch accounting, except the
     # occupancy ratio, which lands as a gauge (it is a fraction, and
     # summing it across harvests would be meaningless).
     for name in sorted(vec_stats):

@@ -4,14 +4,14 @@ One :class:`ServeSession` pairs a network-facing ingest queue with one
 engine session.  The connection handler (:mod:`repro.serve.server`)
 admits decoded request batches into the queue (or rejects them with
 backpressure when they do not fit); a per-session drain task pulls
-queued requests in vec-epoch-sized micro-batches and feeds the engine.
+queued requests in epoch-sized micro-batches and feeds the engine.
 
 Where the engine lives depends on ``ServeConfig.workers``:
 
 * ``workers == 1`` — the in-process fast path, unchanged from the
   single-process server: the engine :class:`~repro.sim.session.Session`
   runs on an executor thread under the manager's *engine lock* (the
-  fast-path/vectorized/observability switches each ``feed`` installs are
+  fast-path/observability switches each ``feed`` installs are
   process-global, so two sessions must never be inside ``feed``
   concurrently).  Concurrency is interleaving, not parallelism — the
   GIL bounds the engine to one core.
@@ -48,6 +48,7 @@ from ..sim.engine import EngineConfig, SimulationEngine
 from ..sim.export import result_to_state
 from ..sim.runner import scaled_system_config
 from ..sim.session import Session
+from ..vec.epoch import EPOCH_SIZE
 from .config import ServeConfig
 from .obs import ServeMetrics
 from .pool import WorkerPool
@@ -259,7 +260,7 @@ class SessionManager:
             thread_name_prefix="repro-serve")
         #: Serializes all in-process engine work — see the module doc.
         self.engine_lock = threading.Lock()
-        self.batch_hint = self.engine_config.vec_epoch_size
+        self.batch_hint = EPOCH_SIZE
         self.sessions: Dict[str, ServeSession] = {}
         self.draining = False
         self._ids = itertools.count(1)

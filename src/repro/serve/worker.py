@@ -1,7 +1,7 @@
 """Engine worker process: the spawn entry of the serve worker pool.
 
 One worker process owns one engine's worth of state: the process-global
-memo caches (:mod:`repro.perf.memo`), vectorization flags, and
+memo caches (:mod:`repro.perf.memo`), fast-path switch, and
 observability scope are all *per process*, so N workers simulate on N
 cores with no shared interpreter — the whole point of the pool
 (DESIGN.md §14).  The parent routes every session's

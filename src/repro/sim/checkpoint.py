@@ -3,7 +3,7 @@
 A week-long endurance study must survive host restarts.  The session API
 (:mod:`repro.sim.session`) already carries *all* run state on objects —
 the scheme graph (controller, banks, stores, timelines), the recorders,
-the core-timing model, the integrity shadow, the vectorized epoch buffer
+the core-timing model, the integrity shadow, the fast path's epoch buffer
 — so a checkpoint is a pickle of the session graph plus the one piece of
 process-global state the run depends on: the memo-cache registry
 (:mod:`repro.perf.memo`), whose hit/miss counters feed exported extras.
@@ -14,9 +14,9 @@ Why this is bit-exact (the property the CI ``trace-resume`` job gates):
   (``_stall_cycles``, the recorders' running state) and pickle restores
   floats, deques, ``OrderedDict`` order, and ``np.random.Generator``
   state exactly.
-* The vectorized loop's epoch buffer (``_pending``) is pickled too, so
-  epoch boundaries after resume fall exactly where an uninterrupted
-  ``iter_epochs`` would have put them.
+* The fast path's epoch buffer (``_pending``) is pickled too, so epoch
+  boundaries after resume fall exactly where an uninterrupted run would
+  have put them.
 * Memo caches are snapshotted with entry order and counters and restored
   **in place** (:func:`repro.perf.memo.state_import`), so cache-stat
   extras and priming counts match an uninterrupted run.
@@ -61,7 +61,8 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"ESDCKPT1"
-CHECKPOINT_VERSION = 1
+#: v2: the pickled ``Session`` has one execution switch (``_fast_on``).
+CHECKPOINT_VERSION = 2
 
 _HEADER = struct.Struct("<8sHHIQ")
 
@@ -94,7 +95,7 @@ class RestoredCheckpoint:
     #: The restored, open session — feed it the rest of the stream.
     session: "Session"
     #: Source-stream records the session has already consumed (processed
-    #: plus the buffered vectorized epoch tail): skip exactly this many
+    #: plus the buffered epoch tail): skip exactly this many
     #: records before feeding.
     consumed: int
     #: Identifying metadata captured at checkpoint time (app, scheme,
@@ -117,7 +118,6 @@ def checkpoint_bytes(session: "Session") -> bytes:
         "pending": session.pending,
         "consumed": session.processed + session.pending,
         "fastpath": session._fast_on,
-        "vectorized": session._vec_on,
     }
     payload = pickle.dumps(
         {

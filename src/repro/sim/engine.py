@@ -36,7 +36,6 @@ from typing import Dict, Iterable, Optional
 from ..common.config import SystemConfig
 from ..common.types import MemoryRequest
 from ..dedup.base import DedupScheme
-from ..vec.epoch import DEFAULT_EPOCH_SIZE, VecStats
 from .metrics import SimulationResult
 from .session import Session
 
@@ -51,10 +50,6 @@ class EngineConfig:
     warmup_fraction: float = 0.1
     #: Cap on retained raw latency samples (reservoir beyond this).
     max_latency_samples: int = 200_000
-    #: Requests per epoch of the vectorized loop (:mod:`repro.vec`).  Only
-    #: consulted when that loop is selected; has no effect on results —
-    #: epoch boundaries change batching, never simulated arithmetic.
-    vec_epoch_size: int = DEFAULT_EPOCH_SIZE
 
     def __post_init__(self) -> None:
         if self.max_outstanding <= 0:
@@ -63,8 +58,6 @@ class EngineConfig:
             raise ValueError("warmup_fraction must be in [0, 1)")
         if self.max_latency_samples <= 0:
             raise ValueError("max_latency_samples must be positive")
-        if self.vec_epoch_size <= 0:
-            raise ValueError("vec_epoch_size must be positive")
 
 
 class SimulationEngine:
@@ -76,9 +69,6 @@ class SimulationEngine:
         self.config: SystemConfig = scheme.config
         self.engine_config = engine_config or EngineConfig()
         self._shadow: Dict[int, bytes] = {}
-        #: Per-run epoch accounting, set at session open when the
-        #: vectorized loop is selected (None otherwise).
-        self._vec_stats: Optional[VecStats] = None
 
     def open_session(self, *, app: str = "unknown",
                      total_hint: Optional[int] = None,
@@ -86,7 +76,7 @@ class SimulationEngine:
         """Open an incremental simulation session on this engine.
 
         The session owns the run's recorders, core-timing model, and
-        fast-path/vectorized/observability scope; feed it request chunks
+        fast-path/observability scope; feed it request chunks
         of any size and :meth:`~repro.sim.session.Session.finalize` it to
         obtain the same :class:`SimulationResult` :meth:`run` returns.
         Sessions on one engine share the integrity-shadow map and the

@@ -18,41 +18,42 @@ Parity contract
 ``finalize``, and a session fed in arbitrary chunk sizes produces a
 ``SimulationResult`` **bit-identical** to a one-shot ``run()`` of the
 concatenated stream (``tests/test_serve_session_parity.py``).  The two
-request-loop bodies — reference, and kernel-fast (which the vectorized
-mode runs one epoch at a time) — are the engine's former ``_loop_*``
+request-loop bodies — reference, and kernel-fast (which the fast path
+runs one epoch at a time) — are the engine's former ``_loop_*``
 implementations carved into resumable chunk processors; the load-bearing
 details are:
 
-* **Float accumulation order.**  The fast/vectorized loops accumulate
-  core stall cycles in a local and flush once at the end; a session keeps
-  that running float across ``feed`` calls and flushes it to the core in
+* **Float accumulation order.**  The fast loop accumulates core stall
+  cycles in a local and flushes once at the end; a session keeps that
+  running float across ``feed`` calls and flushes it to the core in
   ``finalize``, so the sequence of float additions is exactly the
   one-shot loop's (chunked partial sums would reassociate and drift).
 * **Recorder batching.**  ``LatencyRecorder.add_many`` performs the same
   per-sample arithmetic as repeated ``add`` with state round-tripping
-  through the instance, so flushing per feed chunk (fast) or per epoch
-  (vectorized) is bit-identical to one end-of-run flush.
-* **Epoch formation.**  The vectorized loop drains the stream in
-  fixed-size epochs; a session buffers pending requests and only
-  processes *full* epochs during ``feed``, releasing the short tail
-  epoch in ``finalize`` — the exact chunking ``iter_epochs`` produces
-  regardless of how the stream was split across ``feed`` calls.
+  through the instance, so flushing per epoch is bit-identical to one
+  end-of-run flush.
+* **Epoch formation.**  The fast path drains the stream in epochs of
+  :data:`~repro.vec.epoch.EPOCH_SIZE` requests; a session buffers
+  pending requests and only processes *full* epochs during ``feed``,
+  releasing the short tail epoch in ``finalize`` — the same epochs
+  regardless of how the stream was split across ``feed`` calls.  The
+  reference loop never buffers.
 
 Scope handling
 --------------
 
-The fast-path/vectorized switches and the observability scope are
-process-global (:mod:`repro.perf.memo`, :mod:`repro.vec.flags`,
-:mod:`repro.obs.runtime`).  A session resolves its switches once at open
-(config override wins, ``None`` defers to the environment default, memo
-caches are reset — exactly ``run()``'s begin), then *activates* them
-around each ``feed``/``finalize`` call and restores the previous globals
-after, so many sessions can interleave on one process.  Memo caches are
-shared between interleaved sessions — sound, because the caches are
-content-addressed and pure, but the cache-statistics extras (``memo_*``
-and the ``vec_batched_*`` priming counts, which skip already-cached
-contents) are only deterministic for sessions that run without
-interleaving; the parity gates compare full results on that basis.
+The fast-path switch and the observability scope are process-global
+(:mod:`repro.perf.memo`, :mod:`repro.obs.runtime`).  A session resolves
+its switch once at open (config override wins, ``None`` defers to the
+environment default, memo caches are reset — exactly ``run()``'s begin),
+then *activates* it around each ``feed``/``finalize`` call and restores
+the previous globals after, so many sessions can interleave on one
+process.  Memo caches are shared between interleaved sessions — sound,
+because the caches are content-addressed and pure, but the
+cache-statistics extras (``memo_*`` and the ``vec_batched_*`` priming
+counts, which skip already-cached contents) are only deterministic for
+sessions that run without interleaving; the parity gates compare full
+results on that basis.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ from ..obs.export import build_report
 from ..obs.harvest import harvest_run
 from ..obs.runtime import RunObservation
 from ..perf import memo as _memo
-from ..vec import flags as _vec_flags
-from ..vec.epoch import EpochPrecomputer, VecStats
+from ..vec.epoch import EPOCH_SIZE, EpochPrecomputer, VecStats
 from .metrics import SimulationResult, collect_extras
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -80,8 +80,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["Session"]
 
-#: Power-of-two bucket bounds for the vectorized loop's epoch-size
-#: histogram (epochs are ``vec_epoch_size`` except a possibly-short tail).
+#: Power-of-two bucket bounds for the fast path's epoch-size histogram
+#: (epochs are ``EPOCH_SIZE`` except a possibly-short tail).
 _EPOCH_SIZE_BOUNDS = tuple(float(1 << i) for i in range(21))
 
 
@@ -103,14 +103,11 @@ class Session:
         self.instructions_per_access = instructions_per_access
         ec = engine.engine_config
 
-        # Run-switch resolution mirrors repro.perf/repro.vec begin_run:
-        # config override wins, None defers to the environment default.
+        # Run-switch resolution mirrors repro.perf.begin_run: config
+        # override wins, None defers to the environment default.
         cfg = self.config
         self._fast_on = (_memo.default_enabled() if cfg.use_fastpath is None
                          else bool(cfg.use_fastpath))
-        self._vec_on = (_vec_flags.default_enabled()
-                        if cfg.use_vectorized is None
-                        else bool(cfg.use_vectorized))
         # Caches start cold per session, the property that makes cache
         # statistics a deterministic function of (trace, scheme, config)
         # for non-interleaved sessions — exactly run()'s begin_run reset.
@@ -138,20 +135,19 @@ class Session:
         self._processed = 0
         self._writes = 0
         self._reads = 0
-        #: Running core-timing accumulators (fast/vectorized loops only);
-        #: flushed to the core once, in finalize — see the module
-        #: docstring's float-order note.
+        #: Running core-timing accumulators (fast loop only); flushed to
+        #: the core once, in finalize — see the module docstring's
+        #: float-order note.
         self._stall_cycles = 0.0
         self._instructions = 0
 
-        self._vec_stats: Optional[VecStats] = VecStats() if self._vec_on else None
-        engine._vec_stats = self._vec_stats
+        self._vec_stats: Optional[VecStats] = (VecStats() if self._fast_on
+                                               else None)
         self._precomp = (EpochPrecomputer(self.scheme, self._vec_stats)
-                         if self._vec_on else None)
-        self._epoch_size = ec.vec_epoch_size
+                         if self._fast_on else None)
         self._pending: List[MemoryRequest] = []
         self._epoch_hist = None
-        if self._obs_run is not None and self._vec_on:
+        if self._obs_run is not None and self._fast_on:
             self._epoch_hist = self._obs_run.registry.histogram(
                 "vec_epoch_size", _EPOCH_SIZE_BOUNDS)
 
@@ -173,7 +169,7 @@ class Session:
 
     @property
     def pending(self) -> int:
-        """Requests buffered toward the next epoch (vectorized mode)."""
+        """Requests buffered toward the next epoch (fast path only)."""
         return len(self._pending)
 
     @property
@@ -190,9 +186,8 @@ class Session:
 
     def _activate(self) -> None:
         """Install this session's global switches; save the previous."""
-        self._saved = (_memo.ENABLED, _vec_flags.ENABLED, _obs_runtime.RUN)
+        self._saved = (_memo.ENABLED, _obs_runtime.RUN)
         _memo.ENABLED = self._fast_on
-        _vec_flags.ENABLED = self._vec_on
         _obs_runtime.RUN = self._obs_run
 
     def _deactivate(self) -> None:
@@ -200,7 +195,7 @@ class Session:
         # Drop the saved tuple so a checkpoint taken between feeds never
         # pickles another session's observation scope along with this one.
         del self._saved
-        _memo.ENABLED, _vec_flags.ENABLED, _obs_runtime.RUN = saved
+        _memo.ENABLED, _obs_runtime.RUN = saved
 
     def feed(self, requests: Iterable[MemoryRequest]) -> int:
         """Process a chunk of the request stream; returns its length.
@@ -213,10 +208,8 @@ class Session:
         self._require_open("feed")
         self._activate()
         try:
-            if self._vec_on:
-                return self._feed_vectorized(requests)
             if self._fast_on:
-                return self._feed_fast(requests)
+                return self._feed_vectorized(requests)
             return self._feed_reference(requests)
         except BaseException:
             self._state = "failed"
@@ -230,7 +223,7 @@ class Session:
         self._activate()
         try:
             if self._pending:
-                # The short tail epoch iter_epochs would have produced.
+                # The stream's short tail epoch.
                 tail = self._pending
                 self._pending = []
                 self._process_epoch(tail)
@@ -243,27 +236,24 @@ class Session:
             self._deactivate()
 
         core = self._core
-        if self._fast_on or self._vec_on:
+        if self._fast_on:
             # One flush of the session-running accumulators — the same
-            # single float addition the batched loops' finally performed.
+            # single float addition the fast loop's finally performed.
             core.stall_cycles += self._stall_cycles
             core.instructions += self._instructions
 
         scheme = self.scheme
         extras = collect_extras(scheme)
         extras["fastpath_enabled"] = 1.0 if self._fast_on else 0.0
-        extras["vectorized_enabled"] = 1.0 if self._vec_on else 0.0
-        if self._fast_on:
-            extras.update(memo_stats)
-        if self._vec_stats is not None:
-            extras.update(self._vec_stats.snapshot())
+        vec_stats = (self._vec_stats.snapshot()
+                     if self._vec_stats is not None else {})
+        extras.update(memo_stats)
+        extras.update(vec_stats)
 
         obs_report = None
         if self._obs_run is not None:
-            harvest_run(self._obs_run, scheme,
-                        memo_stats if self._fast_on else {},
-                        vec_stats=(self._vec_stats.snapshot()
-                                   if self._vec_stats else {}))
+            harvest_run(self._obs_run, scheme, memo_stats,
+                        vec_stats=vec_stats)
             obs_report = build_report(self._obs_run)
 
         controller = scheme.controller
@@ -343,8 +333,8 @@ class Session:
     # ------------------------------------------------------------------
 
     def _feed_fast(self, requests: Iterable[MemoryRequest]) -> int:
-        """Kernel-fast chunk processor: the one loop body of the fast and
-        vectorized modes (the latter feeds it one epoch at a time).
+        """Kernel-fast chunk processor: the fast path's loop body, fed
+        one epoch at a time by :meth:`_process_epoch`.
 
         Bound methods and constants are hoisted because every attribute
         lookup in the body is paid once per request; running accumulators
@@ -524,15 +514,15 @@ class Session:
         return fed
 
     def _feed_vectorized(self, requests: Iterable[MemoryRequest]) -> int:
-        """Epoch-buffering front end of the vectorized chunk processor.
+        """Epoch-buffering front end of the fast path.
 
         Buffers incoming requests and processes only *full* epochs of
-        ``vec_epoch_size``; the short tail is released by ``finalize``.
-        The epoch boundaries are therefore exactly ``iter_epochs``'s for
-        the concatenated stream, independent of feed chunk sizes.
+        ``EPOCH_SIZE``; the short tail is released by ``finalize``.  The
+        epoch boundaries are therefore those of the concatenated stream,
+        independent of feed chunk sizes.
         """
         pending = self._pending
-        size = self._epoch_size
+        size = EPOCH_SIZE
         iterator = iter(requests)
         fed = 0
         while True:

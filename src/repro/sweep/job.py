@@ -10,7 +10,7 @@ resumable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Tuple
 
 from ..common.config import SystemConfig, config_digest
@@ -24,7 +24,9 @@ from ..workloads.trace import VERSION as TRACE_VERSION
 #: previously stored result (their hashes change), which is the safe
 #: default whenever simulation semantics move.
 #: v2: results carry a read-path breakdown (timeline refactor).
-SWEEP_SCHEMA_VERSION = 2
+#: v3: the system config's vectorized switch and the engine config's
+#: epoch size are gone (one execution switch).
+SWEEP_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -136,6 +138,12 @@ def _decode_value(payload, registry):
             if cls is None:
                 raise ValueError(
                     f"unknown config class {payload['__class__']!r}")
+            known = {f.name for f in fields(cls) if f.init}
+            unknown = sorted(set(payload["fields"]) - known)
+            if unknown:
+                raise ValueError(
+                    f"config class {cls.__name__} has no field "
+                    f"{', '.join(map(repr, unknown))}")
             kwargs = {name: _decode_value(value, registry)
                       for name, value in payload["fields"].items()}
             return cls(**kwargs)
@@ -167,10 +175,11 @@ def spec_from_payload(payload: dict) -> JobSpec:
     """Rebuild a :class:`JobSpec` from a queue payload.
 
     Raises:
-        ValueError: when the payload's schema is incompatible or the
-            rebuilt spec's digest differs from the recorded one (a
-            corrupted or cross-version payload must never execute under
-            the wrong identity).
+        ValueError: when the payload's schema is incompatible, a config
+            carries a field this build does not know, or the rebuilt
+            spec's digest differs from the recorded one (a corrupted or
+            cross-version payload must never execute under the wrong
+            identity).
     """
     if payload.get("schema") != SWEEP_SCHEMA_VERSION:
         raise ValueError(

@@ -1,96 +1,27 @@
-"""Vectorized epoch-batched execution for the simulation engine.
+"""Epoch priming for the simulation engine's fast path.
 
-``repro.vec`` is the second tier of the host-CPU performance stack.  The
-first tier (:mod:`repro.perf`) memoizes the pure kernels; this tier batches
-them: the engine drains the request stream in fixed-size *epochs* (chunked
-``itertools.islice``, never materializing the full trace), lifts each
-epoch's unique write contents into numpy arrays, and runs bit-parallel
-batched kernels — Hamming(72,64) line ECC as uint64 matrix ops
-(:mod:`repro.vec.kernels`), batched fingerprint digests — whose results
-prime the memo caches before the per-line resolution walks the epoch.
+``repro.vec`` is the second half of the host-CPU fast path.  The first
+half (:mod:`repro.perf`) memoizes the pure kernels; this half batches
+them: the engine drains the request stream in fixed-size *epochs*,
+lifts each epoch's unique write contents into numpy arrays, and runs
+bit-parallel batched kernels — Hamming(72,64) line ECC as uint64 matrix
+ops (:mod:`repro.vec.kernels`), batched fingerprint digests — whose
+results prime the memo caches before the per-line resolution walks the
+epoch (:mod:`repro.vec.epoch`).
 
 Parity contract
 ---------------
 
-Identical to the fast path's: simulated results are **bit-exact** with the
-switch on or off, for every registered scheme.  The per-line resolution is
-deliberately kept scalar — bank busy intervals, EFIT/LRCU recency, counter
-state, and the closed-loop issue window are sequential feedback loops, and
-float accumulation order must not change — so batching accelerates the
-pure, order-free work (ECC, digests, serialization) and leaves the
-order-sensitive arithmetic byte-for-byte as in ``_loop_fast``.  Lines the
-batch front end cannot serve (memo disabled, or schemes with no batchable
+Identical to the memo caches': simulated results are **bit-exact** with
+the fast path on or off, for every registered scheme.  The per-line
+resolution is deliberately kept scalar — bank busy intervals, EFIT/LRCU
+recency, counter state, and the closed-loop issue window are sequential
+feedback loops, and float accumulation order must not change — so
+batching accelerates the pure, order-free work (ECC, digests) and leaves
+the order-sensitive arithmetic byte-for-byte as in the reference loop.
+Lines the batch front end cannot serve (schemes with no batchable
 kernels) fall back to scalar handling and are counted, never guessed.
 
-Control surface (mirrors :mod:`repro.perf`)
--------------------------------------------
-
-* ``REPRO_VECTORIZED`` environment variable: process-wide default (on
-  unless set to ``0/false/off/no``).
-* ``SystemConfig.use_vectorized``: per-run override (``None`` defers to
-  the environment default); applied by ``SimulationEngine.run``.
-* :func:`set_vectorized` / :func:`vectorized` for direct and scoped
-  control in tests and benchmarks.
+There is no separate switch: epoch priming runs exactly when the fast
+path does (``SystemConfig.use_fastpath``, ``REPRO_FASTPATH``).
 """
-
-from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
-
-from . import flags
-from .flags import ENV_VAR, default_enabled
-
-__all__ = [
-    "ENV_VAR",
-    "begin_run",
-    "default_enabled",
-    "end_run",
-    "set_vectorized",
-    "vectorized",
-    "vectorized_enabled",
-]
-
-
-def vectorized_enabled() -> bool:
-    """Whether the epoch-batched engine is currently active."""
-    return flags.ENABLED
-
-
-def set_vectorized(enabled: bool) -> bool:
-    """Set the process-global switch; returns the previous value."""
-    previous = flags.ENABLED
-    flags.ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def vectorized(enabled: bool) -> Iterator[None]:
-    """Scoped enable/disable, restoring the prior state on exit."""
-    previous = set_vectorized(enabled)
-    try:
-        yield
-    finally:
-        flags.ENABLED = previous
-
-
-def begin_run(override: Optional[bool] = None) -> Tuple[bool, bool]:
-    """Start a simulation run's vectorization scope.
-
-    Resolves the run's switch (``override`` wins; ``None`` defers to the
-    environment default) and installs it.  Unlike :func:`repro.perf.begin_run`
-    there is no per-run state to reset — epoch statistics live on the
-    engine's :class:`~repro.vec.epoch.VecStats`, created fresh each run.
-
-    Returns:
-        ``(previous, active)`` — the prior global switch (hand it back to
-        :func:`end_run`) and the switch in effect for this run.
-    """
-    active = default_enabled() if override is None else bool(override)
-    previous = set_vectorized(active)
-    return previous, active
-
-
-def end_run(previous: bool) -> None:
-    """End a run's scope: restore the prior global switch."""
-    flags.ENABLED = previous

@@ -1,8 +1,8 @@
-"""Epoch draining and batched precompute for the vectorized engine.
+"""Epoch draining and batched precompute for the fast path.
 
-An *epoch* is a fixed-size chunk of the request stream (default 1024
-lines), drained with :func:`iter_epochs` — chunked ``itertools.islice``,
-so a 10^7-request trace is never materialized whole.  Per epoch the
+An *epoch* is a fixed-size chunk of the request stream
+(:data:`EPOCH_SIZE` lines), buffered by the session so a 10^7-request
+trace is never materialized whole.  Per epoch the
 :class:`EpochPrecomputer` lifts the unique write contents out of the
 request objects and batch-computes the pure content-keyed kernels the
 scheme will need — bit-parallel line ECC for ESD-family schemes, hash
@@ -12,11 +12,11 @@ caches so the scalar per-line resolution that follows hits every one.
 Ordering guarantee: precompute only touches *pure* kernels (content in,
 value out) and the memo caches that front them.  Request order, bank
 state, metadata recency, and every float accumulation are handled by the
-per-line resolution exactly as in the non-vectorized loops, which is what
-keeps summary rows bit-identical with the switch on or off.
+per-line resolution exactly as in the reference loop, which is what keeps
+summary rows bit-identical with the fast path on or off.
 
-Scalar fallback: when the memo fast path is disabled (no caches to
-prime) or a scheme exposes no content-keyed engines (Baseline has no
+Scalar fallback: when the memo caches are disabled (nothing to prime)
+or a scheme exposes no content-keyed engines (Baseline has no
 fingerprints; DaE digests ciphertext), the epoch's writes are counted in
 ``scalar_fallback_lines`` and resolved entirely by the scalar kernels —
 counted, never guessed.
@@ -25,35 +25,16 @@ counted, never guessed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Dict, Iterable, Iterator, List
+from typing import Dict, List
 
 from ..common.types import MemoryRequest
 from ..perf import memo as _memo
 
-__all__ = ["DEFAULT_EPOCH_SIZE", "EpochPrecomputer", "VecStats",
-           "iter_epochs"]
+__all__ = ["EPOCH_SIZE", "EpochPrecomputer", "VecStats"]
 
-#: Default epoch size (requests per batch) used by ``EngineConfig``.
-DEFAULT_EPOCH_SIZE = 1024
-
-
-def iter_epochs(requests: Iterable[MemoryRequest],
-                size: int) -> Iterator[List[MemoryRequest]]:
-    """Drain a request iterable into successive epochs of ``size``.
-
-    Streaming: holds at most one epoch at a time, so memory is bounded by
-    the epoch size regardless of trace length.  The final epoch may be
-    shorter; order within and across epochs is the stream's order.
-    """
-    if size <= 0:
-        raise ValueError("epoch size must be positive")
-    iterator = iter(requests)
-    while True:
-        epoch = list(islice(iterator, size))
-        if not epoch:
-            return
-        yield epoch
+#: Requests per epoch of the fast path, and the serve micro-batch hint.
+#: Epoch boundaries change batching, never simulated arithmetic.
+EPOCH_SIZE = 1024
 
 
 @dataclass
@@ -76,8 +57,8 @@ class VecStats:
     batched_fp_lines: int = 0
     #: Writes resolved with their content kernels primed by a batch.
     covered_writes: int = 0
-    #: Writes resolved entirely by scalar kernels (memo off, or the
-    #: scheme exposes no content-keyed engines to prime).
+    #: Writes resolved entirely by scalar kernels (memo caches off, or
+    #: the scheme exposes no content-keyed engines to prime).
     scalar_fallback_lines: int = 0
     min_epoch_size: int = 0
     max_epoch_size: int = 0

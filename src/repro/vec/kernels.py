@@ -1,17 +1,13 @@
 """Bit-parallel numpy kernels over epochs of cache lines.
 
-The scalar fast path (:mod:`repro.ecc.hamming`) encodes one word at a time
-through eight 256-entry byte tables.  These kernels transpose those same
-tables into numpy lookup matrices so one fancy-indexed gather plus an XOR
-reduction encodes an *entire epoch* of lines:
-
-* ``_WORD_LUT``  — shape ``(8, 256)`` uint8: ``_WORD_LUT[j][b]`` is byte
-  *j*'s contribution to a word's ECC byte (exactly
-  ``hamming._ENCODE_TABLES[j][b]``).
-* ``_LINE_LUT``  — shape ``(64, 256)`` uint64: byte *k* of a 64-byte line
-  belongs to word ``k // 8`` at byte offset ``k % 8``, and that word's ECC
-  byte lands at bits ``8 * (k // 8)`` of the 64-bit line ECC, so
-  ``_LINE_LUT[k][b] = _ENCODE_TABLES[k % 8][b] << (8 * (k // 8))``.
+The scalar kernel (:mod:`repro.ecc.hamming`) encodes one word at a time
+through eight 256-entry byte tables.  ``_LINE_LUT`` transposes those same
+tables into one numpy lookup matrix so a fancy-indexed gather plus an XOR
+reduction encodes an *entire epoch* of lines: shape ``(64, 256)``
+uint64, where byte *k* of a 64-byte line belongs to word ``k // 8`` at
+byte offset ``k % 8``, and that word's ECC byte lands at bits
+``8 * (k // 8)`` of the 64-bit line ECC, so
+``_LINE_LUT[k][b] = _ENCODE_TABLES[k % 8][b] << (8 * (k // 8))``.
 
 Because the code is GF(2)-linear, the XOR-reduction over the 64 gathered
 contributions is *exactly* the scalar result — integer ops, no float
@@ -21,7 +17,7 @@ rounding, bit-identical by construction (asserted in
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -29,14 +25,10 @@ from ..common.types import CACHE_LINE_SIZE
 from ..ecc import hamming
 
 __all__ = [
-    "encode_words_batch",
     "line_ecc_batch",
     "line_ecc_matrix",
     "lines_to_matrix",
-    "syndrome_batch",
 ]
-
-_WORD_LUT = np.array(hamming._ENCODE_TABLES, dtype=np.uint8)
 
 _LINE_LUT = np.zeros((CACHE_LINE_SIZE, 256), dtype=np.uint64)
 for _k in range(CACHE_LINE_SIZE):
@@ -44,12 +36,7 @@ for _k in range(CACHE_LINE_SIZE):
         np.array(hamming._ENCODE_TABLES[_k % 8], dtype=np.uint64)
         << np.uint64(8 * (_k // 8)))
 
-_BYTE_PARITY = np.frombuffer(hamming._BYTE_PARITY, dtype=np.uint8)
-
 _LINE_COLS = np.arange(CACHE_LINE_SIZE)
-_WORD_COLS = np.arange(8)
-
-_CHECK_MASK = np.uint8(hamming._CHECK_BITS_MASK)
 
 
 def lines_to_matrix(lines: Sequence[bytes]) -> np.ndarray:
@@ -84,33 +71,3 @@ def line_ecc_batch(lines: Sequence[bytes]) -> List[int]:
         return []
     return line_ecc_matrix(lines_to_matrix(lines)).tolist()
 
-
-def encode_words_batch(words: np.ndarray) -> np.ndarray:
-    """8-bit SEC-DED ECC bytes of an array of uint64 words.
-
-    Equivalent to mapping :func:`repro.ecc.hamming.encode_word`, via the
-    same per-byte tables: view each little-endian word as 8 bytes, gather
-    per-byte contributions, XOR-reduce.
-    """
-    words = np.ascontiguousarray(words, dtype="<u8")
-    byte_view = words.view(np.uint8).reshape(-1, 8)
-    return np.bitwise_xor.reduce(_WORD_LUT[_WORD_COLS, byte_view], axis=1)
-
-
-def syndrome_batch(words: np.ndarray,
-                   eccs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched SEC-DED syndromes for received ``(word, ecc)`` pairs.
-
-    Returns ``(position_syndrome, parity_syndrome)`` uint8 arrays matching
-    :func:`repro.ecc.hamming.syndrome` elementwise — the same table-driven
-    identity, with the byte-parity lookups done as array gathers.
-    """
-    eccs = np.asarray(eccs, dtype=np.uint8)
-    encoded = encode_words_batch(words)
-    recomputed_checks = encoded & _CHECK_MASK
-    stored_checks = eccs & _CHECK_MASK
-    stored_overall = eccs >> np.uint8(7)
-    position = recomputed_checks ^ stored_checks
-    word_parity = (encoded >> np.uint8(7)) ^ _BYTE_PARITY[recomputed_checks]
-    parity = word_parity ^ _BYTE_PARITY[stored_checks] ^ stored_overall
-    return position, parity

@@ -35,16 +35,15 @@ frame (a capture killed mid-write) never parses as complete, and bytes
 after the marker raise — concatenation or header corruption cannot
 silently drop records.
 
-With the :mod:`repro.vec` switch on (the default), record deserialization
-runs batched: the reader parses each record span with one
-structured-array gather and builds requests through trusted batch
-construction (see :func:`repro.common.types.request_unchecked`) after
-numpy validates every record at once.  The byte format — and every error
-raised on a malformed trace — is identical to the scalar parser's, which
-remains the reference (``tests/test_vec_engine.py`` round-trips both
-against each other).
+Record deserialization runs batched: the reader parses each record span
+with one structured-array gather and builds requests through trusted
+batch construction (see :func:`repro.common.types.request_unchecked`)
+after numpy validates every record at once.  The byte format — and
+every error raised on a malformed trace — is identical to the scalar
+parser's (:func:`_parse_records`), which remains the batched parser's
+exact-error fallback and the reference the tests compare it against.
 
-The *writer* stays scalar in both modes: packing was prototyped as a
+The *writer* stays scalar: packing was prototyped as a
 numpy structured-array fill plus fancy-indexed scatter and measured
 ~10% slower than the ``struct.pack`` loop — gathering six attributes
 from every Python request object dominates, and no array math removes
@@ -68,7 +67,6 @@ import numpy as np
 from ..common.atomic import atomic_binary_writer
 from ..common.errors import TraceFormatError
 from ..common.types import CACHE_LINE_SIZE, AccessType, MemoryRequest
-from ..vec import flags as _vec
 
 MAGIC = b"ESDTRACE"
 VERSION = 1
@@ -97,7 +95,7 @@ assert _FIXED_DTYPE.itemsize == _RECORD_FIXED.size
 
 _FIXED_COLS = np.arange(_RECORD_FIXED.size)
 
-#: Records per decode/construction chunk of the vectorized parser.  The
+#: Records per decode/construction chunk of the batched parser.  The
 #: decoded field lists hold one boxed Python object per field per record;
 #: chunking bounds that transient population (5 x chunk) so the garbage
 #: collector's pauses stay flat on 10^5+-record traces.
@@ -297,7 +295,7 @@ def _batch_invariants_ok(rec: np.ndarray, offs: np.ndarray,
                          total: int) -> bool:
     """Batch-check every ``MemoryRequest.__post_init__`` invariant.
 
-    The vectorized parser bypasses dataclass validation via trusted
+    The batched parser bypasses dataclass validation via trusted
     construction, so the full invariant set — alignment, address sign,
     and write-payload length — must hold for the whole batch first.  Any
     violation sends the caller to the scalar replay, which raises the
@@ -408,13 +406,11 @@ def _parse_records_vectorized(buf: bytes,
         yield from requests
 
 
-def _read_records_v2(fh: BinaryIO, flags: int,
-                     vec: bool) -> Iterator[MemoryRequest]:
+def _read_records_v2(fh: BinaryIO, flags: int) -> Iterator[MemoryRequest]:
     """Chunk-by-chunk v2 decoder; validates the marker frame and footer."""
     if flags & ~_KNOWN_FLAGS:
         raise TraceFormatError(f"unknown trace flags {flags:#06x}")
     compressed = bool(flags & FLAG_ZLIB)
-    parse = _parse_records_vectorized if vec else _parse_records
     total = 0
     chunk_index = 0
     while True:
@@ -452,7 +448,7 @@ def _read_records_v2(fh: BinaryIO, flags: int,
             raise TraceFormatError(
                 f"chunk {chunk_index} length mismatch: frame declares "
                 f"{raw_len} bytes, stored payload is {len(payload)}")
-        yield from parse(payload, count)
+        yield from _parse_records_vectorized(payload, count)
         total += count
         chunk_index += 1
         _IO_COUNTERS["chunks_read"] += 1
@@ -462,10 +458,9 @@ def _read_records_v2(fh: BinaryIO, flags: int,
 def read_trace(source: Union[str, Path, BinaryIO]) -> Iterator[MemoryRequest]:
     """Deserialize a trace, yielding requests in order.
 
-    Version-1 files are read into memory with one ``read`` and parsed
-    with ``unpack_from`` offsets — or, with :mod:`repro.vec` enabled,
-    decoded by the batched numpy parser.  Version-2 files decode chunk by
-    chunk in bounded memory (same parser dispatch per chunk).  Like the
+    Version-1 files are read into memory with one ``read`` and decoded
+    by the batched numpy parser.  Version-2 files decode chunk by chunk
+    in bounded memory (the same parser per chunk).  Like the
     per-record reader both replaced, this is a generator: nothing is read
     until the first request is drawn, and the file handle stays open only
     while the generator is live.
@@ -485,16 +480,12 @@ def read_trace(source: Union[str, Path, BinaryIO]) -> Iterator[MemoryRequest]:
             raise TraceFormatError(f"bad magic {magic!r}")
         if version == VERSION:
             buf = fh.read()
-            vec = _vec.ENABLED
-            if vec:
-                yield from _parse_records_vectorized(buf, count)
-            else:
-                yield from _parse_records(buf, count)
+            yield from _parse_records_vectorized(buf, count)
             _IO_COUNTERS["traces_read"] += 1
             _IO_COUNTERS["chunks_read"] += 1
             _IO_COUNTERS["records_read"] += count
         elif version == VERSION_V2:
-            yield from _read_records_v2(fh, flags, _vec.ENABLED)
+            yield from _read_records_v2(fh, flags)
         else:
             raise TraceFormatError(f"unsupported version {version}")
     finally:

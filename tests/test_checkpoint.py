@@ -1,16 +1,19 @@
 """Tests for mid-run session checkpoints and bit-exact resume."""
 
+import struct
 from dataclasses import replace
 from itertools import islice
 
 import pytest
 
+from repro.cli import main
 from repro.common import small_test_config
 from repro.common.errors import CheckpointError, SessionError
 from repro.dedup import make_scheme
 from repro.perf import memo
 from repro.sim.checkpoint import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     checkpoint_bytes,
     load_checkpoint,
     write_checkpoint,
@@ -28,9 +31,8 @@ def _cold_caches():
     memo.reset_all()
 
 
-def _mode_config(fast, vec):
-    return replace(small_test_config(), use_fastpath=fast,
-                   use_vectorized=vec)
+def _mode_config(fast):
+    return replace(small_test_config(), use_fastpath=fast)
 
 
 def _trace(n=2_600, app="gcc", seed=7):
@@ -68,11 +70,10 @@ def _resumed_state(trace, scheme_name, config, cut, app="gcc"):
 
 class TestBitExactResume:
     @pytest.mark.parametrize("scheme_name", ["ESD", "NV-Dedup", "DeWrite"])
-    @pytest.mark.parametrize("fast,vec", [(True, True), (True, False),
-                                          (False, False)])
-    def test_resume_matches_direct(self, scheme_name, fast, vec):
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_resume_matches_direct(self, scheme_name, fast):
         trace = _trace()
-        config = _mode_config(fast, vec)
+        config = _mode_config(fast)
         direct = _direct_state(trace, scheme_name, config)
         resumed = _resumed_state(trace, scheme_name, config, cut=1_337)
         assert direct == resumed
@@ -80,7 +81,7 @@ class TestBitExactResume:
     def test_vec_pending_tail_checkpoints(self):
         """A cut inside an epoch must carry the buffered tail."""
         trace = _trace(1_500)
-        config = _mode_config(True, True)
+        config = _mode_config(True)
         engine = SimulationEngine(make_scheme("ESD", config), EngineConfig())
         session = engine.open_session(app="gcc", total_hint=len(trace))
         session.feed(islice(iter(trace), 1_100))
@@ -93,7 +94,7 @@ class TestBitExactResume:
     def test_checkpoint_is_pure_snapshot(self):
         """Checkpointing must not perturb the continuing session."""
         trace = _trace(1_800)
-        config = _mode_config(True, True)
+        config = _mode_config(True)
         engine = SimulationEngine(make_scheme("ESD", config), EngineConfig())
         session = engine.open_session(app="gcc", total_hint=len(trace))
         stream = iter(trace)
@@ -163,3 +164,58 @@ class TestCheckpointContainer:
     def test_short_header(self):
         with pytest.raises(CheckpointError):
             load_checkpoint(CHECKPOINT_MAGIC)
+
+    def test_old_version_rejected(self):
+        """A version-1 checkpoint pickles a session with two execution
+        switches; it must fail typed, naming the version."""
+        assert CHECKPOINT_VERSION == 2
+        blob = bytearray(self._session_blob())
+        magic, _, reserved, crc, length = struct.unpack_from("<8sHHIQ", blob)
+        struct.pack_into("<8sHHIQ", blob, 0, magic, 1, reserved, crc, length)
+        with pytest.raises(CheckpointError, match="version 1"):
+            load_checkpoint(bytes(blob))
+
+
+class TestCliResume:
+    """``repro run --resume`` runs the checkpoint's configuration, so flags
+    that would change it are refused instead of silently dropped."""
+
+    def _checkpoint(self, tmp_path, *flags):
+        ckpt = tmp_path / "run.ckpt"
+        argv = ["run", "--scheme", "ESD", "--app", "gcc", "--requests",
+                "1500", "--seed", "7", "--checkpoint", str(ckpt),
+                "--stop-after", "700", *flags]
+        assert main(argv) == 3
+        return ckpt
+
+    def _resume(self, tmp_path, ckpt, *flags):
+        state = tmp_path / "resumed.json"
+        argv = ["run", "--scheme", "ESD", "--app", "gcc", "--requests",
+                "1500", "--seed", "7", "--resume", str(ckpt),
+                "--export-state", str(state), *flags]
+        return main(argv), state
+
+    @pytest.mark.parametrize("flags,field", [
+        (("--no-fastpath",), "use_fastpath"),
+        (("--efit-kb", "4"), "metadata_cache"),
+    ], ids=["no-fastpath", "efit-kb"])
+    def test_mismatched_flags_rejected(self, tmp_path, capsys, flags,
+                                       field):
+        ckpt = self._checkpoint(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            self._resume(tmp_path, ckpt, *flags)
+        message = str(exc.value)
+        assert "different system configuration" in message
+        assert field in message
+
+    def test_matching_flags_resume_bit_exact(self, tmp_path, capsys):
+        direct = tmp_path / "direct.json"
+        argv = ["run", "--scheme", "ESD", "--app", "gcc", "--requests",
+                "1500", "--seed", "7", "--no-fastpath", "--efit-kb", "4",
+                "--export-state", str(direct)]
+        assert main(argv) == 0
+        ckpt = self._checkpoint(tmp_path, "--no-fastpath", "--efit-kb", "4")
+        code, resumed = self._resume(tmp_path, ckpt, "--no-fastpath",
+                                     "--efit-kb", "4")
+        assert code == 0
+        assert resumed.read_bytes() == direct.read_bytes()

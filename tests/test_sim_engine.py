@@ -107,13 +107,9 @@ class TestIntegrity:
                    total_hint=len(small_trace))  # raises on violation
 
 
-#: (use_fastpath, use_vectorized): the fast, vectorized and reference loops.
-_LOOP_MODES = [(True, False), (True, True), (False, False)]
-
-
-def _throttled_run(config, requests, scheme_name, *, fast, vec,
+def _throttled_run(config, requests, scheme_name, *, fast,
                    max_outstanding=2, seen=None):
-    system = replace(config, use_fastpath=fast, use_vectorized=vec)
+    system = replace(config, use_fastpath=fast)
     scheme = make_scheme(scheme_name, system)
     if seen is not None:
         # Record every request object the scheme is handed.
@@ -128,7 +124,7 @@ def _throttled_run(config, requests, scheme_name, *, fast, vec,
 
 
 class TestThrottledReissue:
-    """A 2-request window re-issues most requests late: the fast loops as
+    """A 2-request window re-issues most requests late: the fast loop as
     trusted copies, the reference loop through ``dataclasses.replace``."""
 
     def test_shared_requests_unchanged_and_rows_match_reference(
@@ -140,27 +136,25 @@ class TestThrottledReissue:
         before = [fields(r) for r in small_trace]
         for scheme_name in ("ESD", "DeWrite"):
             want = _throttled_run(config, small_trace, scheme_name,
-                                  fast=False, vec=False).summary_row()
-            for vec in (False, True):
-                seen = []
-                got = _throttled_run(config, small_trace, scheme_name,
-                                     fast=True, vec=vec, seen=seen)
-                assert got.summary_row() == want
-                assert len(seen) == len(small_trace)
-                late = 0
-                for copy, source in zip(seen, small_trace):
-                    assert type(copy) is MemoryRequest
-                    assert fields(copy)[:3] == fields(source)[:3]
-                    assert fields(copy)[4:] == fields(source)[4:]
-                    late += copy.issue_time_ns > source.issue_time_ns
-                assert late > len(small_trace) // 2
+                                  fast=False).summary_row()
+            seen = []
+            got = _throttled_run(config, small_trace, scheme_name,
+                                 fast=True, seen=seen)
+            assert got.summary_row() == want
+            assert len(seen) == len(small_trace)
+            late = 0
+            for copy, source in zip(seen, small_trace):
+                assert type(copy) is MemoryRequest
+                assert fields(copy)[:3] == fields(source)[:3]
+                assert fields(copy)[4:] == fields(source)[4:]
+                late += copy.issue_time_ns > source.issue_time_ns
+            assert late > len(small_trace) // 2
         assert [fields(r) for r in small_trace] == before
 
-    @pytest.mark.parametrize("fast, vec", _LOOP_MODES)
+    @pytest.mark.parametrize("fast", [True, False])
     @pytest.mark.parametrize("scheme_name", registered_scheme_names())
     def test_short_payload_fails_alike_throttled_or_not(self, config,
-                                                        scheme_name, fast,
-                                                        vec):
+                                                        scheme_name, fast):
         messages = []
         for max_outstanding in (64, 2):
             requests = [MemoryRequest(address=64 * i,
@@ -173,7 +167,7 @@ class TestThrottledReissue:
             requests[3].data = bytes(63)
             with pytest.raises(ValueError) as caught:
                 _throttled_run(config, requests, scheme_name, fast=fast,
-                               vec=vec, max_outstanding=max_outstanding)
+                               max_outstanding=max_outstanding)
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
         assert "64 bytes, got 63" in messages[0]

@@ -83,6 +83,17 @@ class TestSpecWireCodec:
         with pytest.raises(ValueError, match="schema"):
             spec_from_payload(payload)
 
+    @pytest.mark.parametrize("section,cls,field", [
+        ("system", "SystemConfig", "retired_switch"),
+        ("engine", "EngineConfig", "retired_knob"),
+    ])
+    def test_unknown_config_field_rejected(self, section, cls, field):
+        spec = jobs_from_experiment(small_experiment())[0]
+        payload = spec_to_payload(spec)
+        payload[section]["fields"][field] = True
+        with pytest.raises(ValueError, match=f"{cls} has no field '{field}'"):
+            spec_from_payload(payload)
+
 
 class TestQueueParity:
     @pytest.mark.parametrize("store_name", ["store.sqlite", "storedir"])

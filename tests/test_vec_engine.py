@@ -1,11 +1,11 @@
-"""Engine-level tests for the epoch-batched (``repro.vec``) machinery.
+"""Engine-level tests for the fast path's epoch priming (``repro.vec``).
 
-Covers the pieces the parity suite exercises only implicitly: streaming
-epoch draining, per-run :class:`VecStats` accounting and its export
-through result extras and the observability registry, the
-:class:`EpochPrecomputer`'s cache priming and scalar-fallback paths, the
-batched trace deserializer (byte-identical round trips and identical
-errors on malformed streams), and the engine/CLI control surface.
+Covers the pieces the parity suite exercises only implicitly: per-run
+:class:`VecStats` accounting and its export through result extras and
+the observability registry, the :class:`EpochPrecomputer`'s cache
+priming and scalar-fallback paths, and the batched trace deserializer
+against the scalar reference parser (identical requests and identical
+errors on malformed streams).
 """
 
 import io
@@ -15,31 +15,23 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cli import main
 from repro.common import small_test_config
 from repro.common.config import ObservabilityConfig
 from repro.common.types import AccessType, MemoryRequest, request_unchecked
 from repro.crypto.fingerprints import SHA1Engine, TruncatedEngine
 from repro.dedup import make_scheme
-from repro.perf import memo
-from repro.sim.engine import EngineConfig
+from repro.perf import fastpath, memo
+from repro.sim import session as session_mod
 from repro.sim.runner import run_app
-from repro.vec import (
-    begin_run,
-    default_enabled,
-    end_run,
-    set_vectorized,
-    vectorized,
-    vectorized_enabled,
-)
-from repro.vec.epoch import (
-    DEFAULT_EPOCH_SIZE,
-    EpochPrecomputer,
-    VecStats,
-    iter_epochs,
-)
+from repro.vec.epoch import EPOCH_SIZE, EpochPrecomputer, VecStats
 from repro.workloads.generator import TraceGenerator
-from repro.workloads.trace import read_trace_list, write_trace
+from repro.workloads.trace import (
+    _pack_records,
+    _parse_records,
+    _parse_records_vectorized,
+    read_trace_list,
+    write_trace,
+)
 
 REQUESTS = 600
 
@@ -59,39 +51,6 @@ def _write(seq, content, address=0):
 def _read(seq, address=0):
     return MemoryRequest(address=address, access=AccessType.READ,
                          issue_time_ns=float(seq), seq=seq)
-
-
-class TestIterEpochs:
-    def test_chunking_and_order(self):
-        requests = [_read(i, address=i * 64) for i in range(10)]
-        epochs = list(iter_epochs(requests, 4))
-        assert [len(e) for e in epochs] == [4, 4, 2]
-        assert [r.seq for epoch in epochs for r in epoch] == list(range(10))
-
-    def test_streaming_consumes_lazily(self):
-        consumed = []
-
-        def stream():
-            for i in range(10):
-                consumed.append(i)
-                yield _read(i, address=i * 64)
-
-        epochs = iter_epochs(stream(), 4)
-        assert consumed == []  # nothing drawn yet
-        next(epochs)
-        assert len(consumed) == 4  # exactly one epoch ahead
-
-    def test_exact_multiple(self):
-        requests = [_read(i, address=i * 64) for i in range(8)]
-        assert [len(e) for e in iter_epochs(requests, 4)] == [4, 4]
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            list(iter_epochs([], 0))
-
-    def test_engine_default_matches_module_constant(self):
-        assert DEFAULT_EPOCH_SIZE == 1024
-        assert EngineConfig().vec_epoch_size == DEFAULT_EPOCH_SIZE
 
 
 class TestVecStats:
@@ -212,7 +171,7 @@ class TestPrimeBatchEngines:
         hits_before = cache.hits
         values = [engine.fingerprint(d) for d in contents]
         assert cache.hits == hits_before + 6
-        with vectorized(False):
+        with fastpath(False):
             assert values == [engine.fingerprint(d) for d in contents]
 
     def test_truncated_engine_delegates_to_inner(self):
@@ -224,53 +183,38 @@ class TestPrimeBatchEngines:
 
 
 class TestEngineIntegration:
-    def _run(self, *, vec, system=None, engine=None, requests=REQUESTS):
-        system = replace(system or small_test_config(), use_vectorized=vec)
-        return run_app("gcc", ["ESD"], system=system, engine=engine,
+    def _run(self, *, fast, requests=REQUESTS):
+        system = replace(small_test_config(), use_fastpath=fast)
+        return run_app("gcc", ["ESD"], system=system,
                        requests=requests)["ESD"]
 
     def test_extras_exported_when_on(self):
-        result = self._run(vec=True)
-        assert result.extras["vectorized_enabled"] == 1.0
-        assert result.extras["vec_epochs"] == 1.0  # 600 < default epoch
+        result = self._run(fast=True)
+        assert result.extras["fastpath_enabled"] == 1.0
+        assert result.extras["vec_epochs"] == 1.0  # 600 < EPOCH_SIZE
         assert result.extras["vec_requests"] == float(REQUESTS)
         assert result.extras["vec_kernel_occupancy"] == 1.0
         assert result.extras["vec_scalar_fallback_lines"] == 0.0
 
     def test_extras_absent_when_off(self):
-        result = self._run(vec=False)
-        assert result.extras["vectorized_enabled"] == 0.0
+        result = self._run(fast=False)
+        assert result.extras["fastpath_enabled"] == 0.0
         assert not [k for k in result.extras if k.startswith("vec_")]
 
-    def test_epoch_size_shapes_stats_not_results(self):
-        small = self._run(vec=True,
-                          engine=EngineConfig(vec_epoch_size=128))
-        large = self._run(vec=True,
-                          engine=EngineConfig(vec_epoch_size=4096))
+    def test_epoch_size_shapes_stats_not_results(self, monkeypatch):
+        assert EPOCH_SIZE == 1024
+        monkeypatch.setattr(session_mod, "EPOCH_SIZE", 128)
+        small = self._run(fast=True)
+        monkeypatch.setattr(session_mod, "EPOCH_SIZE", 4096)
+        large = self._run(fast=True)
         assert small.extras["vec_epochs"] == 5.0  # ceil(600 / 128)
         assert large.extras["vec_epochs"] == 1.0
         assert small.extras["vec_min_epoch_size"] == 88.0  # 600 - 4*128
         assert small.summary_row() == large.summary_row()
 
-    def test_fallback_counted_with_fastpath_off(self):
-        system = replace(small_test_config(), use_fastpath=False)
-        result = self._run(vec=True, system=system)
-        assert result.extras["vec_kernel_occupancy"] == 0.0
-        assert result.extras["vec_scalar_fallback_lines"] == \
-            result.extras["vec_writes"]
-
-    def test_engine_config_rejects_bad_epoch_size(self):
-        with pytest.raises(ValueError):
-            EngineConfig(vec_epoch_size=0)
-
-    def test_run_restores_global_switch(self):
-        before = vectorized_enabled()
-        self._run(vec=not before, requests=50)
-        assert vectorized_enabled() is before
-
     def test_obs_registry_carries_vec_metrics(self):
         system = replace(
-            small_test_config(), use_vectorized=True,
+            small_test_config(), use_fastpath=True,
             observability=ObservabilityConfig(enabled=True,
                                               trace_capacity=64,
                                               sample_every=3))
@@ -284,96 +228,72 @@ class TestEngineIntegration:
             result.extras["vec_epochs"]
 
 
-class TestControlSurface:
-    def test_begin_run_override_and_restore(self):
-        baseline = vectorized_enabled()
-        previous, active = begin_run(override=not baseline)
-        assert previous is baseline
-        assert active is (not baseline)
-        assert vectorized_enabled() is active
-        end_run(previous)
-        assert vectorized_enabled() is baseline
-
-    def test_begin_run_defers_to_default(self):
-        set_vectorized(not default_enabled())
-        try:
-            previous, active = begin_run(override=None)
-            assert active is default_enabled()
-            end_run(previous)
-        finally:
-            set_vectorized(default_enabled())
-
-
 class TestVectorizedTraceIO:
+    """The batched parser against the scalar reference parser."""
+
     def _requests(self, count=800):
         return TraceGenerator("gcc", seed=9).generate_list(count)
 
     def test_roundtrip_byte_identical_both_modes(self):
         requests = self._requests()
-        blobs = {}
-        for enabled in (False, True):
-            with vectorized(enabled):
-                buffer = io.BytesIO()
-                write_trace(requests, buffer)
-                blobs[enabled] = buffer.getvalue()
-                buffer.seek(0)
-                assert read_trace_list(buffer) == requests
-        assert blobs[False] == blobs[True]
+        payload, count = _pack_records(requests)
+        assert list(_parse_records(payload, count)) == requests
+        assert list(_parse_records_vectorized(payload, count)) == requests
 
     def test_cross_mode_roundtrip(self):
+        # The file reader's decode equals the reference parser's decode
+        # of the same records.
         requests = self._requests(200)
         buffer = io.BytesIO()
-        with vectorized(False):
-            write_trace(requests, buffer)
+        write_trace(requests, buffer)
         buffer.seek(0)
-        with vectorized(True):
-            assert read_trace_list(buffer) == requests
+        payload, count = _pack_records(requests)
+        assert read_trace_list(buffer) == list(_parse_records(payload,
+                                                              count))
 
-    def _blob(self, requests, version=2):
+    def _blob(self, requests):
+        """A v1 trace's record bytes (after its 20-byte header)."""
         buffer = io.BytesIO()
-        write_trace(requests, buffer, version=version)
-        return buffer.getvalue()
+        write_trace(requests, buffer, version=1)
+        return buffer.getvalue()[20:]
 
-    def _error(self, payload):
+    def _error(self, payload, count):
         outcomes = []
-        for enabled in (False, True):
-            with vectorized(enabled):
-                try:
-                    read_trace_list(io.BytesIO(payload))
-                    outcomes.append(None)
-                except Exception as exc:  # noqa: BLE001 - parity capture
-                    outcomes.append((type(exc), str(exc)))
+        for parse in (_parse_records, _parse_records_vectorized):
+            try:
+                list(parse(payload, count))
+                outcomes.append(None)
+            except Exception as exc:  # noqa: BLE001 - parity capture
+                outcomes.append((type(exc), str(exc)))
         return outcomes
 
     def test_error_parity_truncated_payload(self):
         blob = self._blob(self._requests(50))
-        ref, vec = self._error(blob[:-10])
+        ref, vec = self._error(blob[:-10], 50)
         assert ref == vec and ref is not None
         assert "truncated" in ref[1]
 
     def test_error_parity_unknown_kind(self):
-        # Pinned to v1: the poked offsets assume the flat record layout.
-        blob = bytearray(self._blob(self._requests(50), version=1))
-        blob[20] = 9  # first record's kind byte (header is 20 bytes)
-        ref, vec = self._error(bytes(blob))
+        blob = bytearray(self._blob(self._requests(50)))
+        blob[0] = 9  # first record's kind byte
+        ref, vec = self._error(bytes(blob), 50)
         assert ref == vec and ref is not None
         assert "unknown record kind 9" in ref[1]
 
     def test_error_parity_misaligned_address(self):
-        # Pinned to v1: the poked offsets assume the flat record layout.
-        blob = bytearray(self._blob(self._requests(50), version=1))
-        struct.pack_into("<Q", blob, 20 + 8, 65)  # unaligned address
-        ref, vec = self._error(bytes(blob))
+        blob = bytearray(self._blob(self._requests(50)))
+        struct.pack_into("<Q", blob, 8, 65)  # unaligned address
+        ref, vec = self._error(bytes(blob), 50)
         assert ref == vec and ref is not None
         assert ref[0] is ValueError
 
     def test_empty_trace(self):
-        for enabled in (False, True):
-            with vectorized(enabled):
-                buffer = io.BytesIO()
-                assert write_trace([], buffer) == 0
-                buffer.seek(0)
-                assert read_trace_list(buffer) == []
+        assert list(_parse_records(b"", 0)) == []
+        assert list(_parse_records_vectorized(b"", 0)) == []
+        buffer = io.BytesIO()
+        assert write_trace([], buffer) == 0
+        buffer.seek(0)
+        assert read_trace_list(buffer) == []
 
 
 class TestRequestUnchecked:
@@ -389,23 +309,3 @@ class TestRequestUnchecked:
         trusted = request_unchecked(0, AccessType.READ, None, 0.0, 0, 0)
         assert trusted == MemoryRequest(address=0, access=AccessType.READ)
 
-
-class TestCliFlag:
-    @staticmethod
-    def _simulated(out):
-        # Keep only the simulated statistics: host-side accounting (memo
-        # cache traffic, vec epoch stats, the mode flags themselves)
-        # legitimately differs between modes and across warm caches.
-        return [line for line in out.splitlines()
-                if not any(tag in line
-                           for tag in ("memo_", "vec", "fastpath"))]
-
-    def test_no_vectorized_flag_matches_default(self, capsys):
-        argv = ["run", "--scheme", "ESD", "--app", "gcc",
-                "--requests", "400"]
-        assert main(argv) == 0
-        default_out = self._simulated(capsys.readouterr().out)
-        memo.reset_all()
-        assert main(argv + ["--no-vectorized"]) == 0
-        assert self._simulated(capsys.readouterr().out) == default_out
-        assert default_out  # the filter must leave the statistics table

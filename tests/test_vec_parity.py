@@ -1,13 +1,14 @@
-"""Vectorized-engine parity: batch on vs off must be bit-exact.
+"""Fast-path parity: epoch priming plus memo caches vs the reference loop.
 
-The :mod:`repro.vec` epoch-batched engine carries the same contract as
-the memo fast path (DESIGN.md §10): for every registered scheme, the
-``SimulationResult`` summary row must be **byte-identical** with
-``use_vectorized`` on or off.  Property-style random request streams —
-duplicate-rich and duplicate-free contents, read- and write-heavy mixes,
-short and epoch-straddling lengths — exercise the epoch front end against
-the scalar loops, and a fault-injection section checks that batch-primed
-ECC caches can never mask a corrupted line.
+The fast path (memo caches primed one epoch at a time by
+:mod:`repro.vec`) carries one contract (DESIGN.md §10): for every
+registered scheme, the ``SimulationResult`` summary row must be
+**byte-identical** with ``use_fastpath`` on or off.  Property-style
+random request streams — duplicate-rich and duplicate-free contents,
+read- and write-heavy mixes, short and epoch-straddling lengths —
+exercise the epoch front end against the reference loop, and a
+fault-injection section checks that batch-primed ECC caches can never
+mask a corrupted line.
 """
 
 import random
@@ -28,7 +29,6 @@ from repro.ecc.faults import flip_bit, flip_bits
 from repro.perf import memo
 from repro.registry import registered_scheme_names
 from repro.sim.runner import run_app, scaled_system_config
-from repro.vec import vectorized
 from repro.workloads.generator import TraceGenerator
 
 REQUESTS = 600
@@ -73,9 +73,8 @@ def _random_trace(seed, count, write_frac=0.6, dup_rate=0.5, pool=24,
     return requests
 
 
-def _rows(trace, schemes, *, vec, fastpath=True, system=None):
-    system = replace(system or scaled_system_config(),
-                     use_fastpath=fastpath, use_vectorized=vec)
+def _rows(trace, schemes, *, fast, system=None):
+    system = replace(system or scaled_system_config(), use_fastpath=fast)
     results = run_app("gcc", schemes, system=system, trace=trace)
     return {name: r.summary_row() for name, r in results.items()}
 
@@ -86,16 +85,16 @@ class TestAllSchemesParity:
     def test_generated_trace_all_schemes(self):
         trace = TraceGenerator("gcc", seed=7).generate_list(REQUESTS)
         schemes = registered_scheme_names()
-        off = _rows(trace, schemes, vec=False)
-        on = _rows(trace, schemes, vec=True)
+        off = _rows(trace, schemes, fast=False)
+        on = _rows(trace, schemes, fast=True)
         assert set(off) == set(schemes) and len(schemes) == 8
         assert off == on
 
     def test_random_mixed_trace_all_schemes(self):
         trace = _random_trace(seed=11, count=REQUESTS)
         schemes = registered_scheme_names()
-        assert _rows(trace, schemes, vec=False) == \
-            _rows(trace, schemes, vec=True)
+        assert _rows(trace, schemes, fast=False) == \
+            _rows(trace, schemes, fast=True)
 
 
 class TestPropertyStyleMixes:
@@ -113,22 +112,15 @@ class TestPropertyStyleMixes:
     def test_random_mix_parity(self, seed, write_frac, dup_rate):
         trace = _random_trace(seed=seed, count=400, write_frac=write_frac,
                               dup_rate=dup_rate)
-        assert _rows(trace, self.SCHEMES, vec=False) == \
-            _rows(trace, self.SCHEMES, vec=True)
+        assert _rows(trace, self.SCHEMES, fast=False) == \
+            _rows(trace, self.SCHEMES, fast=True)
 
     @pytest.mark.parametrize("count", [1, 3, 1023, 1024, 1025])
     def test_epoch_boundary_lengths(self, count):
         # Streams shorter than, equal to, and one past the default epoch.
         trace = _random_trace(seed=5, count=count)
-        assert _rows(trace, ["ESD"], vec=False) == \
-            _rows(trace, ["ESD"], vec=True)
-
-    def test_parity_with_fastpath_off(self):
-        # vec on + memo off: every epoch falls back to scalar kernels and
-        # must still match the reference loop bit-for-bit.
-        trace = _random_trace(seed=6, count=400)
-        assert _rows(trace, self.SCHEMES, vec=True, fastpath=False) == \
-            _rows(trace, self.SCHEMES, vec=False, fastpath=False)
+        assert _rows(trace, ["ESD"], fast=False) == \
+            _rows(trace, ["ESD"], fast=True)
 
 
 class TestBatchPrimingNeverMasksFaults:
@@ -183,11 +175,3 @@ class TestBatchPrimingNeverMasksFaults:
         finally:
             memo.ENABLED = previous
 
-
-class TestContextManagerScope:
-    def test_vectorized_context_restores_state(self):
-        from repro.vec import vectorized_enabled
-        before = vectorized_enabled()
-        with vectorized(not before):
-            assert vectorized_enabled() is (not before)
-        assert vectorized_enabled() is before

@@ -142,12 +142,13 @@ class TestV2Container:
         assert trace_record_count(path) == 300
 
     @pytest.mark.parametrize("vec", [False, True])
-    def test_parser_parity_across_modes(self, monkeypatch, vec):
-        from repro.vec import flags as vec_flags
+    def test_parser_parity_across_modes(self, vec):
         original = TraceGenerator("gcc", seed=11).generate_list(257)
         blob = _v2_blob(original, compress=True, chunk_records=50)
-        monkeypatch.setattr(vec_flags, "ENABLED", vec)
         assert _keys(read_trace_list(io.BytesIO(blob))) == _keys(original)
+        parse = _parse_records_vectorized if vec else _parse_records
+        payload, count = _pack_records(original)
+        assert _keys(parse(payload, count)) == _keys(original)
 
     def test_bad_chunk_records(self):
         with pytest.raises(TraceFormatError):
@@ -259,12 +260,13 @@ class TestTrailingBytes:
         return buf.getvalue()
 
     @pytest.mark.parametrize("vec", [False, True])
-    def test_v1_trailing_bytes(self, monkeypatch, vec):
-        from repro.vec import flags as vec_flags
-        monkeypatch.setattr(vec_flags, "ENABLED", vec)
+    def test_v1_trailing_bytes(self, vec):
         blob = self._v1_blob(sample_requests()) + b"\x00" * 7
         with pytest.raises(TraceFormatError, match="trailing bytes"):
             read_trace_list(io.BytesIO(blob))
+        parse = _parse_records_vectorized if vec else _parse_records
+        with pytest.raises(TraceFormatError, match="trailing bytes"):
+            list(parse(blob[20:], 2))
 
     def test_v1_error_parity_between_parsers(self):
         blob = self._v1_blob(sample_requests())[20:] + b"\xff" * 3
@@ -275,12 +277,16 @@ class TestTrailingBytes:
         assert str(scalar_err.value) == str(vec_err.value)
 
     @pytest.mark.parametrize("vec", [False, True])
-    def test_v2_trailing_bytes(self, monkeypatch, vec):
-        from repro.vec import flags as vec_flags
-        monkeypatch.setattr(vec_flags, "ENABLED", vec)
+    def test_v2_trailing_bytes(self, vec):
+        # Past the end-of-trace marker (the container's check) and inside
+        # a chunk payload (the parser's).
         blob = _v2_blob(sample_requests()) + b"junk"
         with pytest.raises(TraceFormatError, match="trailing bytes"):
             read_trace_list(io.BytesIO(blob))
+        parse = _parse_records_vectorized if vec else _parse_records
+        payload, count = _pack_records(sample_requests())
+        with pytest.raises(TraceFormatError, match="trailing bytes"):
+            list(parse(payload + b"junk", count))
 
 
 class TestV2FormatErrors:
