@@ -362,6 +362,20 @@ def _canonical(obj):
         f"cannot canonicalize {type(obj).__name__} for digesting")
 
 
+def canonical_json(obj) -> str:
+    """The canonical JSON text of one object, as :func:`config_digest`
+    encodes it: ``config_digest(a, b)`` equals
+    ``digest_canonical(canonical_json(a), canonical_json(b))``."""
+    return json.dumps(_canonical(obj), sort_keys=True, separators=(",", ":"))
+
+
+def digest_canonical(*texts: str) -> str:
+    """:func:`config_digest` over objects already reduced by
+    :func:`canonical_json`, so a caller can reduce a shared object once."""
+    payload = "[" + ",".join(texts) + "]"
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def config_digest(*objects) -> str:
     """A stable SHA-256 hex digest of one or more configuration objects.
 
@@ -371,9 +385,7 @@ def config_digest(*objects) -> str:
     (job parameters, SystemConfig, EngineConfig, CryptoCosts), so any
     configuration change invalidates exactly the affected cells.
     """
-    payload = json.dumps([_canonical(obj) for obj in objects],
-                         sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return digest_canonical(*map(canonical_json, objects))
 
 
 def default_config() -> SystemConfig:

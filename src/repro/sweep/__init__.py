@@ -6,12 +6,13 @@ run.  This subsystem turns the grid into content-addressed jobs:
 
 * :class:`JobSpec` — one (app, scheme) cell with a stable content hash
   over every input that affects its result.
-* :class:`Scheduler` — cache pass, shared trace seeding, manifest; hands
-  cache misses to a pluggable execution backend.
+* :class:`Scheduler` — cache pass, manifest; hands cache misses to a
+  pluggable execution backend.
 * :class:`ProcessPoolBackend` / :class:`WorkQueueBackend` — how misses
-  execute: a local process pool with retries and timeouts, or a
-  lease-based distributed work queue any number of ``repro worker``
-  processes can serve through the shared store.
+  execute, seeding each application's shared trace on first use: a
+  local process pool with retries and timeouts, or a lease-based
+  distributed work queue any number of ``repro worker`` processes can
+  serve through the shared store.
 * :class:`ResultStore` — persists full-fidelity results keyed by job
   hash, over a pluggable :class:`StorageBackend` (JSON directory or a
   single concurrent-safe SQLite file), so re-runs and interrupted sweeps

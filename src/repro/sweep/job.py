@@ -11,9 +11,11 @@ resumable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import List, Tuple
+from functools import cached_property
+from typing import Dict, List, Tuple
 
-from ..common.config import SystemConfig, config_digest
+from ..common.config import SystemConfig, canonical_json, digest_canonical
+from ..common.errors import ConfigError
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..registry import registered_scheme_names
 from ..sim.engine import EngineConfig
@@ -27,6 +29,30 @@ from ..workloads.trace import VERSION as TRACE_VERSION
 #: v3: the system config's vectorized switch and the engine config's
 #: epoch size are gone (one execution switch).
 SWEEP_SCHEMA_VERSION = 3
+
+#: Canonical JSON of the frozen config objects digested most recently,
+#: keyed by identity.  Every job of a sweep shares one SystemConfig,
+#: EngineConfig and CryptoCosts, so each is reduced once per sweep, not
+#: once per job.  Equality would be the wrong key: a config holding the
+#: int 75 equals (and hashes like) one holding 75.0, yet the two reduce
+#: to different text and so digest differently.  Each entry holds its
+#: object, so the id cannot be reused while the entry lives.
+_CONFIG_JSON: Dict[int, Tuple[object, str]] = {}
+_CONFIG_JSON_CAP = 16
+
+
+def _config_json(config) -> str:
+    """:func:`canonical_json` of ``config``, memoized for the frozen
+    config types a :class:`JobSpec` embeds."""
+    entry = _CONFIG_JSON.get(id(config))
+    if entry is not None:
+        return entry[1]
+    text = canonical_json(config)
+    if isinstance(config, (SystemConfig, EngineConfig, CryptoCosts)):
+        while len(_CONFIG_JSON) >= _CONFIG_JSON_CAP:
+            _CONFIG_JSON.pop(next(iter(_CONFIG_JSON)))
+        _CONFIG_JSON[id(config)] = (config, text)
+    return text
 
 
 @dataclass(frozen=True)
@@ -72,15 +98,26 @@ class JobSpec:
         return f"{self.app}-s{self.seed}-n{self.requests}-v{TRACE_VERSION}"
 
     def digest(self) -> str:
-        """Stable content hash identifying this job across processes."""
-        return config_digest({
-            "schema": SWEEP_SCHEMA_VERSION,
-            "trace_version": TRACE_VERSION,
-            "app": self.app,
-            "scheme": self.scheme,
-            "requests": self.requests,
-            "seed": self.seed,
-        }, self.system, self.engine, self.costs)
+        """Stable content hash identifying this job across processes.
+
+        Equal to :func:`~repro.common.config.config_digest` of the job
+        parameters, system, engine and costs; computed once per instance.
+        """
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
+        return digest_canonical(
+            canonical_json({
+                "schema": SWEEP_SCHEMA_VERSION,
+                "trace_version": TRACE_VERSION,
+                "app": self.app,
+                "scheme": self.scheme,
+                "requests": self.requests,
+                "seed": self.seed,
+            }),
+            _config_json(self.system), _config_json(self.engine),
+            _config_json(self.costs))
 
     def describe(self) -> str:
         return f"{self.app}/{self.scheme} ({self.requests} req, seed {self.seed})"
@@ -134,19 +171,31 @@ def _encode_value(value):
 def _decode_value(payload, registry):
     if isinstance(payload, dict):
         if "__class__" in payload:
-            cls = registry.get(payload["__class__"])
+            cls_name = payload["__class__"]
+            cls = registry.get(cls_name) if isinstance(cls_name, str) \
+                else None
             if cls is None:
+                raise ValueError(f"unknown config class {cls_name!r}")
+            raw = payload.get("fields")
+            if not isinstance(raw, dict):
                 raise ValueError(
-                    f"unknown config class {payload['__class__']!r}")
+                    f"config class {cls.__name__} payload has no 'fields' "
+                    f"object")
             known = {f.name for f in fields(cls) if f.init}
-            unknown = sorted(set(payload["fields"]) - known)
+            unknown = sorted(set(raw) - known)
             if unknown:
                 raise ValueError(
                     f"config class {cls.__name__} has no field "
                     f"{', '.join(map(repr, unknown))}")
             kwargs = {name: _decode_value(value, registry)
-                      for name, value in payload["fields"].items()}
-            return cls(**kwargs)
+                      for name, value in raw.items()}
+            try:
+                return cls(**kwargs)
+            except (TypeError, ConfigError) as exc:
+                # A missing field, or a value of the wrong type that the
+                # class's own validation trips over.
+                raise ValueError(
+                    f"config class {cls.__name__}: {exc}") from exc
         if "__bytes__" in payload:
             return bytes.fromhex(payload["__bytes__"])
         return {k: _decode_value(v, registry) for k, v in payload.items()}
@@ -171,20 +220,39 @@ def spec_to_payload(spec: JobSpec) -> dict:
     }
 
 
+#: Keys of a queue payload (besides ``schema``) and the JSON type of each.
+#: Any process sharing the store can write the queue, so a payload is
+#: outside input and is checked before it is decoded.
+_PAYLOAD_KEYS = (("app", str), ("scheme", str), ("requests", int),
+                 ("seed", int), ("digest", str), ("system", dict),
+                 ("engine", dict), ("costs", dict))
+
+
 def spec_from_payload(payload: dict) -> JobSpec:
     """Rebuild a :class:`JobSpec` from a queue payload.
 
     Raises:
-        ValueError: when the payload's schema is incompatible, a config
-            carries a field this build does not know, or the rebuilt
-            spec's digest differs from the recorded one (a corrupted or
-            cross-version payload must never execute under the wrong
-            identity).
+        ValueError: when the payload's schema is incompatible, a key is
+            missing or has the wrong type, a config carries a field this
+            build does not know, or the rebuilt spec's digest differs
+            from the recorded one (a corrupted or cross-version payload
+            must never execute under the wrong identity).
     """
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"queue payload must be an object, not {type(payload).__name__}")
     if payload.get("schema") != SWEEP_SCHEMA_VERSION:
         raise ValueError(
             f"queue payload schema {payload.get('schema')!r} does not "
             f"match this build's schema {SWEEP_SCHEMA_VERSION}")
+    for key, kind in _PAYLOAD_KEYS:
+        if key not in payload:
+            raise ValueError(f"queue payload has no {key!r}")
+        value = payload[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(
+                f"queue payload field {key!r} must be {kind.__name__}, "
+                f"not {type(value).__name__}")
     registry = _config_class_registry()
     spec = JobSpec(
         app=payload["app"],

@@ -1,13 +1,10 @@
-"""Sweep scheduler: cache pass, trace seeding, backend dispatch, manifest.
+"""Sweep scheduler: cache pass, backend dispatch, manifest.
 
 Execution model:
 
 * Jobs are first checked against the :class:`~repro.sweep.store.ResultStore`
   — a hit skips simulation entirely, which is what makes interrupted sweeps
   resumable and repeat sweeps (new figures over the same grid) free.
-* One trace per application is generated once in the parent and shared
-  through the store; scheme jobs replay it, preserving the paper's
-  paired-trace methodology and the serial runner's exact request streams.
 * Misses are handed to a pluggable
   :class:`~repro.sweep.backends.ExecutionBackend`:
 
@@ -21,6 +18,13 @@ Execution model:
   - ``queue``: lease-based distributed execution through the shared
     store's work queue — local worker processes plus any external
     ``repro worker`` processes pointed at the same store.
+
+* One trace per application is shared through the store; scheme jobs
+  replay it, preserving the paper's paired-trace methodology and the
+  serial runner's exact request streams.  It is seeded on first use, so
+  simulation starts once the first application's trace exists: the pool
+  seeds an application just before submitting its jobs, a queue worker
+  seeds the trace of the job it claims.
 
 * ``KeyboardInterrupt`` is a clean shutdown, not a crash: worker processes
   are terminated, the manifest is written with ``interrupted: true``, and
@@ -41,8 +45,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from ..common.errors import SweepError
 from ..sim.metrics import SimulationResult
-from ..workloads.generator import TraceGenerator
-from ..workloads.profiles import get_profile
 from .backends import (
     ExecutionBackend,
     ExecutionContext,
@@ -119,24 +121,25 @@ class Scheduler:
     def _run_with_store(self, specs: Sequence[JobSpec], store: ResultStore,
                         reporter: ProgressReporter
                         ) -> Dict[Tuple[str, str], SimulationResult]:
+        cells: set = set()
+        for spec in specs:
+            if spec.key in cells:
+                raise SweepError(
+                    f"duplicate grid cell {spec.app}/{spec.scheme}")
+            cells.add(spec.key)
         results: Dict[Tuple[str, str], SimulationResult] = {}
-        digests = {spec: spec.digest() for spec in specs}
         pending: list = []
         for spec in specs:
-            if spec.key in results:
-                raise SweepError(f"duplicate grid cell {spec.key}")
-            cached = store.get(digests[spec])
+            cached = store.get(spec.digest())
             if cached is not None:
                 results[spec.key] = cached
                 reporter.job_done(spec, STATUS_CACHED)
             else:
                 pending.append(spec)
 
-        trace_paths = self._ensure_traces(pending, store)
         ctx = ExecutionContext(
-            pending=pending, trace_paths=trace_paths, digests=digests,
-            store=store, reporter=reporter, results=results,
-            worker=self._worker, jobs=self.jobs,
+            pending=pending, store=store, reporter=reporter,
+            results=results, worker=self._worker, jobs=self.jobs,
             job_timeout_s=self.job_timeout_s, retries=self.retries)
 
         try:
@@ -178,23 +181,6 @@ class Scheduler:
             # a distributed run leaves an auditable execution record.
             manifest["obs"] = self.backend.metrics.snapshot()
         return manifest
-
-    def _ensure_traces(self, pending: Sequence[JobSpec],
-                       store: ResultStore) -> Dict[str, str]:
-        """Generate each application's shared trace once, in the parent."""
-        paths: Dict[str, str] = {}
-        for spec in pending:
-            if spec.trace_id in paths:
-                continue
-            profile = get_profile(spec.app)
-
-            def generate(spec=spec, profile=profile):
-                return TraceGenerator(profile, seed=spec.seed).generate_list(
-                    spec.requests)
-
-            paths[spec.trace_id] = str(store.ensure_trace(spec.trace_id,
-                                                          generate))
-        return paths
 
 
 def run_sweep(config=None, *,

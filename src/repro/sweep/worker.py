@@ -5,11 +5,15 @@ common filesystem, or a SQLite file).  It scans the store's work queue,
 claims one job at a time via the storage backend's atomic lease protocol
 (keyed on the job's content-hash digest, so two racing workers can never
 both own a cell), heartbeats the lease from a background thread while
-the simulation runs, and atomically writes the full-fidelity result row
+the job runs, and atomically writes the full-fidelity result row
 on completion.  Because every job is deterministic, a worker that is
 SIGKILLed mid-job costs nothing but time: its lease expires, the next
 claimant reruns the job, and the rerun's row is byte-identical to what
 the dead worker would have written.
+
+The claimant of an application's first job also seeds that
+application's trace into the store; later jobs of the application read
+it back.
 
 Entry points: :func:`worker_loop` (library; also what
 ``repro worker --store ...`` runs) and
@@ -128,10 +132,11 @@ class _Heartbeat:
 def _ensure_local_trace(store: ResultStore, spec: JobSpec) -> str:
     """Materialize the job's shared trace locally, generating on miss.
 
-    The coordinator normally seeds traces before enqueueing, but a
-    standalone ``repro worker`` pointed at a store mid-build may win the
-    race — trace generation is deterministic and the write atomic, so
-    regenerating is always safe.
+    The one place a sweep seeds a trace, on first use: a queue worker
+    for the job it claimed, a pool coordinator just before it submits an
+    application's jobs.  Two processes that race to seed one trace store
+    identical bytes — generation is deterministic and the write atomic —
+    so regenerating is always safe.
     """
     def generate():
         profile = get_profile(spec.app)
@@ -228,16 +233,19 @@ def _run_claimed(store: ResultStore, digest: str, attempts: int,
     try:
         if payload is None:
             raise ValueError(f"queue payload missing for {digest[:12]}")
-        spec = spec_from_payload(payload["spec"])
-        trace_path = _ensure_local_trace(store, spec)
+        spec = spec_from_payload(payload.get("spec"))
     except Exception as exc:
+        # Decoding is deterministic, so a retry would fail the same way.
         store.mark_failed(digest, repr(exc), attempts)
         store.release(digest, worker_id)
         emit(f"[worker {worker_id}] bad queue entry {digest[:12]}: {exc!r}")
         return False
-    started = time.monotonic()
     try:
         with _Heartbeat(store, digest, worker_id, lease_s):
+            # Seeding is part of the job: it runs under the lease and
+            # spends the job's retry budget when it fails.
+            trace_path = _ensure_local_trace(store, spec)
+            started = time.monotonic()
             result = worker(spec, trace_path)
     except KeyboardInterrupt:
         store.release(digest, worker_id)

@@ -2,13 +2,15 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from repro.common import config_digest, small_test_config
+from repro.common import SystemConfig, config_digest, small_test_config
 from repro.sim.engine import EngineConfig
 from repro.sim.runner import ExperimentConfig
-from repro.sweep import JobSpec, jobs_from_experiment
+from repro.sweep import SWEEP_SCHEMA_VERSION, JobSpec, jobs_from_experiment
+from repro.workloads.trace import VERSION as TRACE_VERSION
 
 
 def make_spec(**overrides):
@@ -70,6 +72,46 @@ class TestDigest:
                              cwd=str(__import__('pathlib').Path(
                                  __file__).parent.parent))
         assert out.stdout.strip() == spec.digest()
+
+
+def digest_of_parts(spec):
+    """``config_digest`` of the parts a job digest covers."""
+    return config_digest({
+        "schema": SWEEP_SCHEMA_VERSION,
+        "trace_version": TRACE_VERSION,
+        "app": spec.app,
+        "scheme": spec.scheme,
+        "requests": spec.requests,
+        "seed": spec.seed,
+    }, spec.system, spec.engine, spec.costs)
+
+
+class TestDigestIdentity:
+    def test_digest_is_config_digest_of_its_parts(self):
+        spec = make_spec()
+        assert spec.digest() == digest_of_parts(spec)
+        assert spec.digest() == spec.digest()
+
+    def test_pinned_sweep_roster_digest(self):
+        """A job of the benchmark's sweep (20 apps x 4 schemes, 1,000
+        requests, seed 7) keeps the digest its stored rows carry."""
+        spec = jobs_from_experiment(
+            ExperimentConfig(requests_per_app=1_000, seed=7))[0]
+        assert spec.key == ("cactuBSSN", "Baseline")
+        assert spec.digest() == (
+            "6097d1cf47138d842df4b49ecc3d225e2e58615dd7082eeb22e403ca39560036")
+
+    def test_equal_configs_of_other_types_keep_their_digests(self):
+        """An int field equals (and hashes like) its float value, but the
+        two configs reduce to different text, so they digest apart even
+        when digested one after the other."""
+        system = SystemConfig()
+        as_int = SystemConfig(pcm=replace(system.pcm, read_latency_ns=75))
+        assert as_int == system and hash(as_int) == hash(system)
+        floats, ints = make_spec(system=system), make_spec(system=as_int)
+        assert floats.digest() != ints.digest()
+        assert floats.digest() == digest_of_parts(floats)
+        assert ints.digest() == digest_of_parts(ints)
 
 
 class TestConfigDigest:
