@@ -167,6 +167,24 @@ class TestBackendRoundTrips:
         by_digest = {row["digest"]: row for row in rows}
         assert by_digest[DIGEST]["worker"] == "w1"
         assert by_digest[OTHER]["attempts"] == 2
+        assert [row["worker"] for row in backend.completions([OTHER])] \
+            == ["w2"]
+        assert backend.completions(["c" * 64]) == []
+
+    def test_lookups_among_digests(self, backend):
+        """``results_among``/``failures_among`` answer for the digests
+        asked about only, also for more digests than SQLite binds as
+        separate query parameters."""
+        asked = [f"{i:064x}" for i in range(1200)]
+        assert backend.results_among(asked) == set()
+        assert backend.failures_among(asked) == set()
+        for digest in (asked[3], asked[700], DIGEST):
+            backend.write_result(digest, "{}")
+        backend.mark_failed(asked[1100], "boom", 1)
+        backend.mark_failed(OTHER, "boom", 1)
+        assert backend.results_among(asked) == {asked[3], asked[700]}
+        assert backend.failures_among(asked) == {asked[1100]}
+        assert backend.results_among([]) == set()
 
 
 class TestLeaseProtocol:
