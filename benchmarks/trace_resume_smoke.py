@@ -52,9 +52,9 @@ from repro.sim.export import result_state_bytes
 from repro.sim.session import Session
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.trace import (
-    _pack_records,
     _parse_records,
-    _parse_records_vectorized,
+    pack_records,
+    parse_records,
     read_trace_list,
     roundtrip_bytes,
     trace_record_count,
@@ -107,9 +107,9 @@ def check_container_parity() -> None:
             fail(f"container parity {label}")
         else:
             ok(f"container parity {label} ({len(blob)} bytes)")
-    payload, count = _pack_records(original)
+    payload, count = pack_records(original)
     for label, parse in (("scalar", _parse_records),
-                         ("batched", _parse_records_vectorized)):
+                         ("batched", parse_records)):
         if _keys(parse(payload, count)) != truth:
             fail(f"parser parity {label}")
         else:

@@ -24,6 +24,8 @@ WORDS_PER_LINE = CACHE_LINE_SIZE // 8
 #: applications in the paper (e.g. deepsjeng, roms).
 ZERO_LINE = bytes(CACHE_LINE_SIZE)
 
+_INF = float("inf")
+
 
 class AccessType(enum.Enum):
     """Direction of a memory-controller access."""
@@ -76,7 +78,7 @@ class MemoryRequest:
         access: Read or write.
         data: Payload for writes (exactly 64 bytes); ``None`` for reads.
         issue_time_ns: Simulated time at which the request reaches the memory
-            controller.
+            controller; finite and non-negative.
         core: Index of the issuing core (used by the IPC model).
         seq: Monotonically increasing sequence number within a trace.
     """
@@ -94,6 +96,13 @@ class MemoryRequest:
         if self.address % CACHE_LINE_SIZE != 0:
             raise ValueError(
                 f"address {self.address:#x} is not {CACHE_LINE_SIZE}-byte aligned"
+            )
+        # The chained compare rejects NaN too: a bank cannot schedule a
+        # request at a time that is negative, infinite or not a number.
+        if not 0.0 <= self.issue_time_ns < _INF:
+            raise ValueError(
+                f"issue_time_ns must be finite and non-negative, "
+                f"got {self.issue_time_ns!r}"
             )
         if self.access is AccessType.WRITE:
             if self.data is None:
@@ -125,8 +134,8 @@ def request_unchecked(address: int, access: AccessType,
     validates whole record arrays with numpy before constructing requests,
     and re-running the per-object checks would dominate deserialization
     time.  The caller guarantees the dataclass invariants: non-negative
-    aligned address, writes carry exactly 64 ``bytes`` of data, reads carry
-    ``None``.
+    aligned address, a finite non-negative issue time, writes carry exactly
+    64 ``bytes`` of data, reads carry ``None``.
     """
     request = MemoryRequest.__new__(MemoryRequest)
     # One dict display beats six attribute stores; plain (non-slots)

@@ -14,11 +14,13 @@ in-process path, with per-worker crash containment (DESIGN.md §14).
 
 Layers (one module each):
 
-* :mod:`~repro.serve.protocol` — the NDJSON wire protocol.
+* :mod:`~repro.serve.protocol` — the NDJSON wire protocol; batches
+  travel as trace records (:mod:`repro.workloads.trace`).
 * :mod:`~repro.serve.session_mgr` — session lifecycle, tenancy,
-  micro-batching onto the engine's incremental session API.
+  whole-batch queues, micro-batching onto the engine's incremental
+  session API.
 * :mod:`~repro.serve.pool` — the multi-process worker pool: affinity,
-  pickle IPC, inflight credit, crash detection + respawn.
+  record-byte IPC, inflight credit, crash detection + respawn.
 * :mod:`~repro.serve.worker` — the engine worker process entry.
 * :mod:`~repro.serve.server` — the asyncio server, drain-on-signal,
   and the in-process :class:`BackgroundServer` harness.

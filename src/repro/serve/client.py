@@ -29,9 +29,10 @@ from ..sim.export import result_from_state
 from ..sim.metrics import SimulationResult
 from .protocol import (
     MAX_LINE_BYTES,
+    PROTOCOL_VERSION,
     WireReader,
+    encode_batch,
     encode_message,
-    encode_requests,
 )
 
 __all__ = ["AsyncServeClient", "ServeClient"]
@@ -50,6 +51,13 @@ def _chunked(requests: Iterable[MemoryRequest],
             batch = []
     if batch:
         yield batch
+
+
+def _hello(scheme: str, tenant: str, app: str, total_hint: Optional[int],
+           options: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    return {"verb": "hello", "protocol": PROTOCOL_VERSION, "scheme": scheme,
+            "tenant": tenant, "app": app, "total_hint": total_hint,
+            "options": options or {}}
 
 
 def _check(reply: Optional[Dict[str, Any]]) -> Dict[str, Any]:
@@ -125,10 +133,8 @@ class ServeClient:
                      app: str = "served",
                      total_hint: Optional[int] = None,
                      options: Optional[Dict[str, Any]] = None) -> str:
-        reply = _check(self._call({
-            "verb": "hello", "scheme": scheme, "tenant": tenant,
-            "app": app, "total_hint": total_hint,
-            "options": options or {}}))
+        reply = _check(self._call(_hello(scheme, tenant, app, total_hint,
+                                         options)))
         self._session = _SessionState(reply)
         return self._session.sid
 
@@ -143,8 +149,7 @@ class ServeClient:
         """Send one batch, resending through backpressure; returns the
         credits left after admission."""
         state = self.session
-        wire = encode_requests(requests)
-        message = {"verb": "batch", "session": state.sid, "requests": wire}
+        message = encode_batch(state.sid, requests)
         for _ in range(_MAX_BACKPRESSURE_RETRIES):
             reply = self._call(message)
             if reply.get("ok"):
@@ -255,17 +260,14 @@ class AsyncServeClient:
                            app: str = "served",
                            total_hint: Optional[int] = None,
                            options: Optional[Dict[str, Any]] = None) -> str:
-        reply = _check(await self._call({
-            "verb": "hello", "scheme": scheme, "tenant": tenant,
-            "app": app, "total_hint": total_hint,
-            "options": options or {}}))
+        reply = _check(await self._call(_hello(scheme, tenant, app,
+                                               total_hint, options)))
         self._session = _SessionState(reply)
         return self._session.sid
 
     async def send(self, requests: Sequence[MemoryRequest]) -> int:
         state = self.session
-        message = {"verb": "batch", "session": state.sid,
-                   "requests": encode_requests(requests)}
+        message = encode_batch(state.sid, requests)
         for _ in range(_MAX_BACKPRESSURE_RETRIES):
             reply = await self._call(message)
             if reply.get("ok"):

@@ -10,12 +10,14 @@ engine world each.  This module owns the parent half (DESIGN.md §14):
   with the same worker count — lands on the same worker and its
   ``open``/``feed``/``finalize`` stream never migrates mid-session.
 * **IPC.**  One duplex :func:`multiprocessing.Pipe` per worker carrying
-  length-prefixed pickle frames.  Each worker gets a writer thread (the
-  pipe blocks when full — never on the event loop) and a reader thread
-  (blocking ``recv``); the worker answers strictly in receive order, so
-  replies match pending futures FIFO.
+  length-prefixed pickle frames.  A ``feed`` carries trace record bytes
+  (:class:`RecordSpan`): the parent checks each batch at admission
+  without building requests, and the worker parses it.  Each worker
+  gets a writer thread (the pipe blocks when full — never on the event
+  loop) and a reader thread (blocking ``recv``); the worker answers
+  strictly in receive order, so replies match pending futures FIFO.
 * **Credit.**  An :class:`asyncio.Semaphore` of ``worker_inflight``
-  commands per worker bounds how many pickled batches can sit in a
+  commands per worker bounds how many record batches can sit in a
   worker's pipe, so one fast admitter cannot buffer unbounded memory
   into a slow worker.
 * **Crash containment.**  A dead pipe fails the crashed worker's pending
@@ -38,11 +40,12 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..common.errors import ServeError, WorkerCrashError
 from ..sim.engine import EngineConfig
+from ..workloads.trace import check_records
 from .config import ServeConfig
 from .obs import ServeMetrics
 from .worker import engine_worker_main
 
-__all__ = ["WorkerPool", "worker_for_tenant"]
+__all__ = ["RecordSpan", "WorkerPool", "worker_for_tenant"]
 
 #: One IPC exchange: the command tuple and the future its reply resolves.
 _Exchange = Tuple[Tuple[Any, ...], "asyncio.Future[Any]"]
@@ -61,6 +64,52 @@ def worker_for_tenant(tenant: str, workers: int) -> int:
     """
     digest = hashlib.sha256(tenant.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % workers
+
+
+class RecordSpan:
+    """A run of checked trace records bound for a pool worker.
+
+    The pool-mode item of a session queue.  The parent validates a
+    batch once, at admission, with
+    :func:`~repro.workloads.trace.check_records` (the parser's offset
+    scan and numpy invariant check; no request objects), and keeps the
+    record offsets it found, so cutting a queued batch at the
+    micro-batch cap is a byte slice.  Sliced like the request list it
+    stands for — ``len(span)``, ``span[:n]``, ``span[n:]``; contiguous
+    slices only.
+    """
+
+    __slots__ = ("_records", "_offsets", "_start", "_stop")
+
+    def __init__(self, records: bytes, offsets: List[int], start: int,
+                 stop: int) -> None:
+        self._records = records
+        self._offsets = offsets
+        self._start = start
+        self._stop = stop
+
+    @classmethod
+    def checked(cls, records: bytes, count: int) -> "RecordSpan":
+        """Check ``count`` records; raises what ``parse_records`` would."""
+        return cls(records, check_records(records, count), 0, count)
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    def __getitem__(self, index: slice) -> "RecordSpan":
+        start, stop, _ = index.indices(len(self))
+        return RecordSpan(self._records, self._offsets, self._start + start,
+                          self._start + max(start, stop))
+
+    def _offset(self, record: int) -> int:
+        offsets = self._offsets
+        return offsets[record] if record < len(offsets) \
+            else len(self._records)
+
+    def payload(self) -> bytes:
+        """The span's record bytes."""
+        return self._records[self._offset(self._start):
+                             self._offset(self._stop)]
 
 
 class _WorkerHandle:

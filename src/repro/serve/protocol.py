@@ -1,4 +1,4 @@
-"""Wire protocol of the dedup-as-a-service front end.
+"""Wire protocol of the dedup-as-a-service front end (protocol 2).
 
 Newline-delimited JSON over a byte stream: every message is one JSON
 object on one line (LF-terminated, UTF-8).  The framing needs nothing
@@ -8,19 +8,29 @@ and keeps the protocol greppable on the wire.
 Client → server messages carry a ``verb``:
 
 ``hello``
-    Open a session.  Fields: ``scheme`` (any token
+    Open a session.  Fields: ``protocol`` (required, must equal
+    :data:`PROTOCOL_VERSION`; anything else gets a ``protocol`` error
+    naming the supported version), ``scheme`` (any token
     :func:`repro.registry.resolve_scheme_name` accepts), optional
-    ``tenant`` label, ``app``, ``total_hint``, and ``options`` — a flat
-    dotted-path mapping applied to the base system configuration via
+    ``tenant`` label, ``app``, ``total_hint`` (``null`` or an integer
+    >= 0), and ``options`` — a flat dotted-path mapping applied to the
+    base system configuration via
     :meth:`~repro.common.config.SystemConfig.with_options` (the
     per-tenant configuration surface).  Reply: ``{"ok": true, "session":
-    id, "protocol": 1, "credits": n, "batch_hint": m}``.
+    id, "protocol": 2, "credits": n, "batch_hint": m}``.
 ``batch``
-    Feed requests.  ``requests`` is a list of compact positional arrays
-    (see :func:`encode_request`).  Reply: an ack with the remaining
-    queue ``credits``, or a backpressure rejection ``{"ok": false,
-    "error": "backpressure", "retry_after_ms": m}`` — nothing from the
-    rejected batch is enqueued; the client waits and resends.
+    Feed requests: ``{"verb": "batch", "session": id, "count": n,
+    "records": "<base64>"}``.  ``records`` is ``n`` trace records in the
+    layout of :mod:`repro.workloads.trace` (packed by
+    :func:`~repro.workloads.trace.pack_records`, parsed by
+    :func:`~repro.workloads.trace.parse_records`), base64-encoded, so a
+    served batch and a trace-file chunk share one codec.  Bad base64, a
+    ``count`` the records disagree with, or any record the parser
+    rejects answers ``bad_request`` and enqueues nothing.  Reply: an ack
+    with the remaining queue ``credits``, or a backpressure rejection
+    ``{"ok": false, "error": "backpressure", "retry_after_ms": m}`` —
+    nothing from the rejected batch is enqueued; the client waits and
+    resends.
 ``finalize``
     Drain the session's queue, finalize the engine session, reply with
     ``{"ok": true, "summary": {...}, "state": {...}}`` where ``state``
@@ -39,30 +49,32 @@ from :data:`ERROR_CODES`) and a human ``"detail"``.
 
 from __future__ import annotations
 
+import base64
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-from ..common.errors import ServeError
-from ..common.types import AccessType, MemoryRequest, request_unchecked
+from ..common.errors import ServeError, TraceFormatError
+from ..common.types import MemoryRequest
+from ..workloads.trace import pack_records
 
 __all__ = [
     "ERROR_CODES",
     "MAX_LINE_BYTES",
     "PROTOCOL_VERSION",
+    "decode_batch",
     "decode_message",
-    "decode_request",
-    "decode_requests",
+    "encode_batch",
     "encode_message",
-    "encode_request",
     "error_reply",
     "ok_reply",
 ]
 
-#: Bumped on incompatible wire changes; ``hello`` replies carry it.
-PROTOCOL_VERSION = 1
+#: Bumped on incompatible wire changes; ``hello`` must carry it and its
+#: reply echoes it.  Version 2: ``batch`` frames carry trace records.
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one NDJSON line.  The dominant message is a ``batch``
-#: of compact request arrays (~150 bytes each hex-encoded); 8 MiB admits
+#: (base64 records: 32 characters a read, 120 a write); 8 MiB admits
 #: tens of thousands of requests per batch while bounding a hostile or
 #: corrupt peer's memory demand.
 MAX_LINE_BYTES = 8 * 1024 * 1024
@@ -70,8 +82,8 @@ MAX_LINE_BYTES = 8 * 1024 * 1024
 #: Machine-readable error codes a reply's ``error`` field may carry.
 ERROR_CODES = (
     "backpressure",      # session ingest queue full; retry after delay
-    "bad_request",       # malformed message or request array
-    "protocol",          # framing violation (overlong/non-JSON line)
+    "bad_request",       # malformed message or batch records
+    "protocol",          # framing violation or unsupported version
     "unknown_scheme",    # hello named an unregistered scheme
     "unknown_session",   # verb referenced a session this server lacks
     "session_limit",     # max concurrent sessions reached
@@ -81,97 +93,47 @@ ERROR_CODES = (
     "internal",          # unexpected server error
 )
 
-_KIND_TO_ACCESS = {"W": AccessType.WRITE, "R": AccessType.READ}
-_ACCESS_TO_KIND = {AccessType.WRITE: "W", AccessType.READ: "R"}
-
-
-def encode_request(request: MemoryRequest) -> List[Any]:
-    """Compact positional form of one request.
-
-    ``[kind, address, issue_ns, core, seq, data]`` with ``kind`` one of
-    ``"W"``/``"R"`` and ``data`` the 64-byte payload hex-encoded (writes)
-    or ``None`` (reads).  Positional arrays rather than objects because a
-    trace is millions of these: the keys would dominate the wire.
-    """
-    return [_ACCESS_TO_KIND[request.access], request.address,
-            request.issue_time_ns, request.core, request.seq,
-            request.data.hex() if request.data is not None else None]
-
-
-def decode_request(wire: Sequence[Any]) -> MemoryRequest:
-    """Validate and rebuild one request from its wire array.
-
-    Uses the validating :class:`MemoryRequest` constructor — the server
-    must not trust the peer's framing (alignment, payload length, read
-    vs write invariants all re-checked).
+def encode_batch(sid: str,
+                 requests: Sequence[MemoryRequest]) -> Dict[str, Any]:
+    """The ``batch`` message of one request batch (client side).
 
     Raises:
-        ServeError: (code ``bad_request``) on any malformed array.
+        ServeError: (code ``bad_request``) when a request does not fit
+            a record (see :func:`~repro.workloads.trace.pack_records`),
+            the same code the server answers a bad record with.
     """
     try:
-        kind, address, issue_ns, core, seq, data_hex = wire
-        access = _KIND_TO_ACCESS[kind]
-        data = bytes.fromhex(data_hex) if data_hex is not None else None
-        return MemoryRequest(address=address, access=access, data=data,
-                             issue_time_ns=float(issue_ns), core=int(core),
-                             seq=int(seq))
-    except ServeError:
-        raise
-    except Exception as exc:
-        raise ServeError(f"malformed request array: {exc}",
+        records, count = pack_records(requests)
+    except TraceFormatError as exc:
+        raise ServeError(f"request cannot be sent: {exc}",
                          code="bad_request") from exc
+    return {"verb": "batch", "session": sid, "count": count,
+            "records": base64.b64encode(records).decode("ascii")}
 
 
-def decode_requests(wire: Sequence[Sequence[Any]]) -> List[MemoryRequest]:
-    """Decode a batch of wire arrays (see :func:`decode_request`).
+def decode_batch(message: Dict[str, Any]) -> Tuple[bytes, int]:
+    """The record bytes and declared record count of a ``batch``.
 
-    The hot-loop form: the kind table, the hex decoder, the constructor,
-    and the output append are hoisted into locals and the whole batch
-    shares one try block, so per-request cost is the validating
-    constructor and nothing else.  Error behavior matches the per-item
-    form — any malformed array rejects the whole batch with
-    ``bad_request`` (all-or-nothing, like admission itself).
+    Only the envelope is checked here; the records themselves are
+    checked when the session admits them.
+
+    Raises:
+        ServeError: (code ``bad_request``) when ``count`` is not an
+            integer >= 0 or ``records`` is not a base64 string.
     """
-    out: List[MemoryRequest] = []
-    append = out.append
-    kind_to_access = _KIND_TO_ACCESS
-    from_hex = bytes.fromhex
-    make = MemoryRequest
+    count = message.get("count")
+    if type(count) is not int or count < 0:
+        raise ServeError(f"batch count must be an integer >= 0, got "
+                         f"{count!r}", code="bad_request")
+    records = message.get("records")
+    if not isinstance(records, str):
+        raise ServeError("batch requires a base64 records string",
+                         code="bad_request")
     try:
-        for kind, address, issue_ns, core, seq, data_hex in wire:
-            append(make(
-                address=address, access=kind_to_access[kind],
-                data=from_hex(data_hex) if data_hex is not None else None,
-                issue_time_ns=float(issue_ns), core=int(core),
-                seq=int(seq)))
-    except ServeError:
-        raise
-    except Exception as exc:
-        raise ServeError(f"malformed request array: {exc}",
+        return base64.b64decode(records, validate=True), count
+    except ValueError as exc:
+        raise ServeError(f"batch records are not valid base64: {exc}",
                          code="bad_request") from exc
-    return out
-
-
-def encode_requests(requests: Sequence[MemoryRequest]) -> List[List[Any]]:
-    """Encode a batch of requests (client side)."""
-    return [encode_request(request) for request in requests]
-
-
-def trusted_decode_requests(
-        wire: Sequence[Sequence[Any]]) -> List[MemoryRequest]:
-    """Decode a batch skipping per-object validation.
-
-    For loopback/bench use where the producer is this process's own
-    :func:`encode_requests`; uses :func:`request_unchecked`.
-    """
-    out: List[MemoryRequest] = []
-    append = out.append
-    for kind, address, issue_ns, core, seq, data_hex in wire:
-        append(request_unchecked(
-            address, _KIND_TO_ACCESS[kind],
-            bytes.fromhex(data_hex) if data_hex is not None else None,
-            float(issue_ns), core, seq))
-    return out
 
 
 def encode_message(message: Dict[str, Any]) -> bytes:
@@ -216,9 +178,9 @@ def error_reply(code: str, detail: str,
 class WireReader:
     """Incremental NDJSON splitter for blocking (socket-file) readers.
 
-    The asyncio path uses ``StreamReader.readline`` directly; the sync
-    client shares this helper to enforce the same :data:`MAX_LINE_BYTES`
-    bound.
+    The asyncio server and client read lines from their
+    ``StreamReader`` directly; the sync client shares this helper to
+    enforce the same :data:`MAX_LINE_BYTES` bound.
     """
 
     def __init__(self, fh: Any) -> None:

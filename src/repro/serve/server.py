@@ -32,8 +32,8 @@ from .config import ServeConfig
 from .protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
+    decode_batch,
     decode_message,
-    decode_requests,
     encode_message,
     error_reply,
     ok_reply,
@@ -51,6 +51,24 @@ _BATCH_OK_TEMPLATE = b'{"ok":true,"accepted":%d,"credits":%d}\n'
 #: A dispatch result: either a reply dict to encode or pre-encoded
 #: NDJSON bytes from a fast path.
 Reply = Union[Dict[str, Any], bytes]
+
+
+async def _skip_frame(reader: asyncio.StreamReader, consumed: int) -> bool:
+    """Discard an overlong frame through its LF; False at EOF.
+
+    ``consumed`` is the :class:`asyncio.LimitOverrunError`'s count of
+    buffered bytes that hold no LF.  The frame is dropped as it arrives,
+    so memory stays bounded by the stream limit.
+    """
+    while True:
+        try:
+            await reader.readexactly(consumed)
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+        except asyncio.IncompleteReadError:
+            return False
 
 
 class DedupServer:
@@ -139,12 +157,19 @@ class DedupServer:
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF; serve a final unterminated line
+                except asyncio.LimitOverrunError as exc:
+                    # Reply, then resynchronize at the next LF, so one
+                    # oversized frame does not cost the connection (and
+                    # the sessions it owns).
                     writer.write(encode_message(error_reply(
-                        "protocol", "frame too long or unterminated")))
+                        "protocol", f"frame exceeds {MAX_LINE_BYTES} bytes")))
                     await writer.drain()
-                    break
+                    if not await _skip_frame(reader, exc.consumed):
+                        break
+                    continue
                 if not line:
                     break
                 try:
@@ -188,14 +213,10 @@ class DedupServer:
             # reply is formatted straight into bytes.
             started = time.monotonic()
             session = self.manager.get(message.get("session"))
-            wire = message.get("requests")
-            if not isinstance(wire, list):
-                raise ServeError("batch requires a requests list",
-                                 code="bad_request")
-            requests = decode_requests(wire)
-            credits = session.admit(requests)
-            session.note_admitted(started, len(requests), time.monotonic())
-            return _BATCH_OK_TEMPLATE % (len(requests), credits)
+            records, count = decode_batch(message)
+            credits = session.admit(records, count)
+            session.note_admitted(started, count, time.monotonic())
+            return _BATCH_OK_TEMPLATE % (count, credits)
         if verb == "hello":
             session, credits = await self.manager.open(message)
             owned[session.sid] = session

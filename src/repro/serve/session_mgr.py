@@ -2,14 +2,18 @@
 
 One :class:`ServeSession` pairs a network-facing ingest queue with one
 engine session.  The connection handler (:mod:`repro.serve.server`)
-admits decoded request batches into the queue (or rejects them with
-backpressure when they do not fit); a per-session drain task pulls
-queued requests in epoch-sized micro-batches and feeds the engine.
+hands each ``batch`` frame's trace records to the session, which admits
+the batch whole — checked and queued as one item — or rejects it whole
+with ``bad_request`` or backpressure.  A per-session drain task joins
+queued batches into micro-batches of at most one epoch
+(:data:`~repro.vec.epoch.EPOCH_SIZE` requests), splitting only the batch
+that crosses the cap, and feeds the engine.
 
 Where the engine lives depends on ``ServeConfig.workers``:
 
-* ``workers == 1`` — the in-process fast path, unchanged from the
-  single-process server: the engine :class:`~repro.sim.session.Session`
+* ``workers == 1`` — the in-process fast path: admission parses the
+  records into requests (:func:`~repro.workloads.trace.parse_records`)
+  and the engine :class:`~repro.sim.session.Session`
   runs on an executor thread under the manager's *engine lock* (the
   fast-path/observability switches each ``feed`` installs are
   process-global, so two sessions must never be inside ``feed``
@@ -17,8 +21,10 @@ Where the engine lives depends on ``ServeConfig.workers``:
   GIL bounds the engine to one core.
 * ``workers > 1`` — the engine session lives inside one of N spawned
   worker processes (:mod:`repro.serve.pool`), selected once at open by
-  consistent tenant-hash affinity; the drain task becomes a dispatch
-  loop awaiting IPC round trips.  Sessions on distinct workers simulate
+  consistent tenant-hash affinity; admission checks the records without
+  building requests (:class:`~repro.serve.pool.RecordSpan`), the drain
+  task becomes a dispatch loop sending record bytes, and the worker
+  parses them.  Sessions on distinct workers simulate
   in true parallel, each worker owning its own process-global engine
   state.  A crashed worker fails exactly the sessions routed to it with
   :class:`~repro.common.errors.WorkerCrashError`; everyone else keeps
@@ -32,13 +38,24 @@ import itertools
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Union,
+    cast,
+)
 
 from ..common.config import SystemConfig
 from ..common.errors import (
     ConfigError,
     ReproError,
     ServeError,
+    TraceFormatError,
     WorkerCrashError,
 )
 from ..common.types import MemoryRequest
@@ -49,11 +66,17 @@ from ..sim.export import result_to_state
 from ..sim.runner import scaled_system_config
 from ..sim.session import Session
 from ..vec.epoch import EPOCH_SIZE
+from ..workloads.trace import parse_records
 from .config import ServeConfig
 from .obs import ServeMetrics
-from .pool import WorkerPool
+from .pool import RecordSpan, WorkerPool
+from .protocol import PROTOCOL_VERSION
 
 __all__ = ["ServeSession", "SessionManager"]
+
+#: One admitted batch as queued: parsed requests (in-process mode) or
+#: checked record bytes (pool mode).
+Batch = Union[List[MemoryRequest], RecordSpan]
 
 #: Executor threads of the in-process path.  Engine work is serialized
 #: by the engine lock regardless, so two threads only overlap an engine
@@ -71,7 +94,12 @@ class ServeSession:
     Exactly one of ``engine`` (in-process mode) or ``worker >= 0``
     (pool mode: the worker index its engine session lives on) is set.
     Hot-loop collaborators — the queue limit, the tenant's metric
-    instruments — are resolved once here, not per admitted batch.
+    instruments, the mode's batch decoder — are resolved once here, not
+    per admitted batch.
+
+    The ingest queue holds admitted batches whole, never single
+    requests; ``_queued`` counts the requests in it and feeds the
+    credits and the queue-depth gauge.
     """
 
     def __init__(self, sid: str, tenant: str, manager: "SessionManager", *,
@@ -83,7 +111,13 @@ class ServeSession:
         self.worker = worker
         self.state = "open"
         self._manager = manager
-        self._pending: Deque[MemoryRequest] = deque()
+        self._pending: Deque[Batch] = deque()
+        self._queued = 0
+        self._decode: Callable[[bytes, int], Batch]
+        if worker < 0:
+            self._decode = parse_records
+        else:
+            self._decode = RecordSpan.checked
         self._wakeup = asyncio.Event()
         self._error: Optional[ServeError] = None
         self._finalize_requested = False
@@ -103,19 +137,22 @@ class ServeSession:
     @property
     def credits(self) -> int:
         """Free slots in the ingest queue."""
-        return self._queue_limit - len(self._pending)
+        return self._queue_limit - self._queued
 
-    def admit(self, requests: List[MemoryRequest]) -> int:
-        """Enqueue a whole batch or reject it; returns remaining credits.
+    def admit(self, records: bytes, count: int) -> int:
+        """Enqueue a whole batch of ``count`` trace records or reject
+        it; returns remaining credits.
 
         All-or-nothing: a batch larger than the remaining credits raises
         ``backpressure`` and enqueues nothing, so the client can resend
-        the identical batch after the advertised delay.
+        the identical batch after the advertised delay.  Capacity is
+        checked before the records, so a rejected resend costs no parse.
 
         Raises:
             ServeError: ``backpressure`` when the batch does not fit;
                 the session's own error when it already failed;
-                ``bad_request`` when the session is past ``open``.
+                ``bad_request`` when the session is past ``open`` or a
+                record is malformed.
         """
         if self._error is not None:
             raise self._error
@@ -124,22 +161,28 @@ class ServeSession:
                 f"session {self.sid} is {self.state}, not accepting "
                 f"batches", code="bad_request")
         limit = self._queue_limit
-        pending = self._pending
-        if len(requests) > limit:
+        if count > limit:
             # Would never fit an empty queue either — backpressure would
             # have the client retrying forever.
             raise ServeError(
-                f"batch of {len(requests)} exceeds the queue limit "
+                f"batch of {count} exceeds the queue limit "
                 f"({limit}); split it", code="bad_request")
-        if len(requests) > limit - len(pending):
+        if count > limit - self._queued:
             self._rejected_counter.inc()
             raise ServeError(
-                f"ingest queue full ({len(pending)}/{limit} queued)",
+                f"ingest queue full ({self._queued}/{limit} queued)",
                 code="backpressure")
-        pending.extend(requests)
-        self._queue_gauge.set(float(len(pending)))
-        self._wakeup.set()
-        return limit - len(pending)
+        try:
+            batch = self._decode(records, count)
+        except (TraceFormatError, ValueError) as exc:
+            raise ServeError(f"malformed batch records: {exc}",
+                             code="bad_request") from exc
+        if count:
+            self._pending.append(batch)
+            self._queued += count
+            self._queue_gauge.set(float(self._queued))
+            self._wakeup.set()
+        return limit - self._queued
 
     def note_admitted(self, started_s: float, accepted: int,
                       now_s: float) -> None:
@@ -190,6 +233,27 @@ class ServeSession:
 
     # -- drain (event-loop task) ---------------------------------------
 
+    def _take(self, cap: int) -> Tuple[List[Batch], int]:
+        """Pop queued batches holding up to ``cap`` requests; returns
+        them and their request count.  Only a batch that crosses the cap
+        is split, its tail staying at the queue's head."""
+        pending = self._pending
+        parts: List[Batch] = []
+        room = cap
+        while pending and room:
+            batch = pending[0]
+            if len(batch) <= room:
+                pending.popleft()
+                room -= len(batch)
+                parts.append(batch)
+            else:
+                parts.append(batch[:room])
+                pending[0] = batch[room:]
+                room = 0
+        taken = cap - room
+        self._queued -= taken
+        return parts, taken
+
     async def _drain_loop(self) -> None:
         manager = self._manager
         batch_hint = manager.batch_hint
@@ -203,11 +267,10 @@ class ServeSession:
                     # Micro-batch: everything queued, capped at one vec
                     # epoch, so the engine session's epoch former stays
                     # busy without one tenant monopolizing a worker.
-                    take = min(len(pending), batch_hint)
-                    batch = [pending.popleft() for _ in range(take)]
-                    self._queue_gauge.set(float(len(pending)))
-                    self._occupancy_hist.observe(float(take))
-                    await manager.feed_session(self, batch)
+                    parts, taken = self._take(batch_hint)
+                    self._queue_gauge.set(float(self._queued))
+                    self._occupancy_hist.observe(float(taken))
+                    await manager.feed_session(self, parts, taken)
                 else:
                     payload = await manager.finalize_session(self)
                     self.state = "done"
@@ -322,16 +385,22 @@ class SessionManager:
 
     # -- engine dispatch (event-loop side; both modes) ------------------
 
-    async def feed_session(self, session: ServeSession,
-                           batch: List[MemoryRequest]) -> None:
-        """Feed one micro-batch into the session's engine."""
+    async def feed_session(self, session: ServeSession, parts: List[Batch],
+                           count: int) -> None:
+        """Feed one micro-batch — ``parts`` joined, ``count`` requests —
+        into the session's engine."""
         if session.worker >= 0:
             assert self.pool is not None
-            self._worker_req_counters[session.worker].inc(float(len(batch)))
+            self._worker_req_counters[session.worker].inc(float(count))
+            spans = cast(List[RecordSpan], parts)
+            records = b"".join(span.payload() for span in spans)
             await self.pool.request(session.worker,
-                                    ("feed", session.sid, batch))
+                                    ("feed", session.sid, records, count))
         else:
             assert session.engine is not None
+            lists = cast(List[List[MemoryRequest]], parts)
+            batch = lists[0] if len(lists) == 1 else [
+                request for part in lists for request in part]
             await asyncio.get_running_loop().run_in_executor(
                 self.executor, self.feed_locked, session.engine, batch)
 
@@ -375,11 +444,18 @@ class SessionManager:
         """Open a session from a ``hello``; returns it plus its credits.
 
         Raises:
-            ServeError: ``shutting_down`` during drain, ``session_limit``
-                at capacity, ``unknown_scheme`` / ``bad_request`` on a
-                bad scheme token or tenant options, ``worker_crash``
-                when the affinity worker died and is still respawning.
+            ServeError: ``protocol`` unless the hello carries this
+                server's protocol version, ``shutting_down`` during
+                drain, ``session_limit`` at capacity, ``unknown_scheme``
+                / ``bad_request`` on a bad scheme token, tenant options
+                or ``total_hint``, ``worker_crash`` when the affinity
+                worker died and is still respawning.
         """
+        version = message.get("protocol")
+        if type(version) is not int or version != PROTOCOL_VERSION:
+            raise ServeError(
+                f"unsupported protocol {version!r}; this server speaks "
+                f"protocol {PROTOCOL_VERSION}", code="protocol")
         if self.draining:
             raise ServeError("server is draining; no new sessions",
                              code="shutting_down")
@@ -403,8 +479,10 @@ class SessionManager:
         tenant = str(message.get("tenant", "default"))
         app = str(message.get("app", "served"))
         total_hint = message.get("total_hint")
-        if total_hint is not None:
-            total_hint = int(total_hint)
+        if total_hint is not None and (type(total_hint) is not int
+                                       or total_hint < 0):
+            raise ServeError(f"total_hint must be null or an integer >= 0, "
+                             f"got {total_hint!r}", code="bad_request")
 
         sid = f"s{next(self._ids)}"
         if self.pool is not None:

@@ -10,15 +10,17 @@ affinity), so within a worker the engine session API is driven exactly
 as the in-process path drives it and results stay bit-exact.
 
 IPC is the parent's :class:`multiprocessing.connection.Connection`
-(length-prefixed pickle frames — the stdlib codec, chosen over NDJSON
-because batches are already-validated :class:`MemoryRequest` objects).
-Commands are positional tuples headed by a verb; every command gets
-exactly one reply, in order:
+(length-prefixed pickle frames, the stdlib codec).  Batches cross it as
+trace record bytes, the wire's own encoding: the parent checked them at
+admission, and the worker parses them with
+:func:`~repro.workloads.trace.parse_records`, so no request object is
+ever pickled.  Commands are positional tuples headed by a verb; every
+command gets exactly one reply, in order:
 
 ``("open", sid, scheme_name, system_config, app, total_hint)``
     Construct the scheme + engine and open the session.
-``("feed", sid, requests)``
-    Feed one micro-batch (decoded, validated requests).
+``("feed", sid, records, count)``
+    Parse ``count`` records and feed them as one micro-batch.
 ``("finalize", sid)``
     Finalize; replies with the ``{"summary", "state"}`` payload.
 ``("close", sid)``
@@ -50,6 +52,7 @@ from ..registry import make_scheme
 from ..sim.engine import EngineConfig, SimulationEngine
 from ..sim.export import result_to_state
 from ..sim.session import Session
+from ..workloads.trace import parse_records
 
 __all__ = ["EngineWorker", "engine_worker_main"]
 
@@ -97,15 +100,16 @@ class EngineWorker:
         try:
             if verb == "feed":
                 # The hot verb: one micro-batch into one session.
-                _, sid, requests = message
+                _, sid, records, count = message
                 session = self.sessions.get(sid)
                 if session is None:
                     return self._unknown(sid)
+                requests = parse_records(records, count)
                 started = time.perf_counter()
                 session.feed(requests)
                 self._feed_seconds.observe(time.perf_counter() - started)
                 self._feeds.inc()
-                self._fed_requests.inc(float(len(requests)))
+                self._fed_requests.inc(float(count))
                 return ("ok", None)
             if verb == "open":
                 _, sid, scheme_name, system_config, app, total_hint = message

@@ -35,13 +35,20 @@ frame (a capture killed mid-write) never parses as complete, and bytes
 after the marker raise — concatenation or header corruption cannot
 silently drop records.
 
-Record deserialization runs batched: the reader parses each record span
-with one structured-array gather and builds requests through trusted
-batch construction (see :func:`repro.common.types.request_unchecked`)
-after numpy validates every record at once.  The byte format — and
-every error raised on a malformed trace — is identical to the scalar
+The record encoding is public — :func:`pack_records` and
+:func:`parse_records` — because it is also the serve wire format: a
+``batch`` frame of :mod:`repro.serve.protocol` carries the same records
+base64-encoded, so trace files and served batches share one codec.
+
+Record deserialization runs batched: the parser finds the record offsets
+with one cheap scan, gathers the fixed fields of all records with one
+structured-array gather, checks every request invariant with numpy, and
+only then builds requests through trusted construction (see
+:func:`repro.common.types.request_unchecked`).  The byte format — and
+every error raised on malformed records — is identical to the scalar
 parser's (:func:`_parse_records`), which remains the batched parser's
 exact-error fallback and the reference the tests compare it against.
+:func:`check_records` runs the same checks without building requests.
 
 The *writer* stays scalar: packing was prototyped as a
 numpy structured-array fill plus fancy-indexed scatter and measured
@@ -56,11 +63,13 @@ from __future__ import annotations
 
 import gc
 import io
+import operator
 import struct
 import zlib
 from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Dict, Iterable, Iterator, List, Tuple, Union
+from typing import (BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -129,46 +138,71 @@ def reset_trace_io_stats() -> None:
         _IO_COUNTERS[key] = 0
 
 
-def _pack_records(requests: Iterable[MemoryRequest]) -> Tuple[bytes, int]:
-    """Record packer: one ``struct.pack`` per record.
+def _unpackable(request: MemoryRequest) -> TraceFormatError:
+    """The typed error for a request whose fields do not fit a record."""
+    for name, bits in (("core", 8), ("seq", 32), ("address", 64)):
+        value = getattr(request, name)
+        try:
+            fits = 0 <= operator.index(value) < 1 << bits
+        except TypeError:
+            fits = False
+        if not fits:
+            return TraceFormatError(
+                f"request seq={request.seq!r}: {name} {value!r} does not "
+                f"fit the record's u{bits} field")
+    return TraceFormatError(
+        f"request seq={request.seq!r}: issue_time_ns "
+        f"{request.issue_time_ns!r} is not a float")
 
-    Used in both modes — see the module docstring for why a batched
-    numpy packer measured slower.
+
+def pack_records(requests: Iterable[MemoryRequest]) -> Tuple[bytes, int]:
+    """Pack requests as records; returns the bytes and the record count.
+
+    The one record encoder: trace containers store its output, and the
+    serve wire carries it in ``batch`` frames.  One ``struct.pack`` per
+    record — see the module docstring for why a batched numpy packer
+    measured slower.
 
     Raises:
         TraceFormatError: when a write request carries no 64-byte payload
-            or a read request carries one — a malformed request must fail
-            loudly here, not as an opaque ``TypeError`` inside the join
-            (and must keep failing under ``python -O``, which strips
-            ``assert``).
+            or a read request carries one, or a field does not fit its
+            record slot (core u8, seq u32, address u64) — a malformed
+            request must fail loudly here, not as an opaque ``TypeError``
+            or ``struct.error`` (and must keep failing under ``python
+            -O``, which strips ``assert``).
     """
     pack_record = _RECORD_FIXED.pack
     chunks = []
+    append = chunks.append
     count = 0
     for req in requests:
+        data = req.data
         if req.is_write:
-            data = req.data
             if not isinstance(data, (bytes, bytearray)) \
                     or len(data) != CACHE_LINE_SIZE:
                 raise TraceFormatError(
                     f"write request seq={req.seq} has no "
                     f"{CACHE_LINE_SIZE}-byte payload")
-            chunks.append(pack_record(1, req.core, 0, req.seq,
-                                      req.address, req.issue_time_ns))
-            chunks.append(bytes(data))
+            kind = 1
+        elif data is not None:
+            raise TraceFormatError(
+                f"read request seq={req.seq} carries a payload")
         else:
-            if req.data is not None:
-                raise TraceFormatError(
-                    f"read request seq={req.seq} carries a payload")
-            chunks.append(pack_record(0, req.core, 0, req.seq,
-                                      req.address, req.issue_time_ns))
+            kind = 0
+        try:
+            append(pack_record(kind, req.core, 0, req.seq, req.address,
+                               req.issue_time_ns))
+        except struct.error as exc:
+            raise _unpackable(req) from exc
+        if kind:
+            append(bytes(data))
         count += 1
     return b"".join(chunks), count
 
 
 def _write_trace_v1(requests: Iterable[MemoryRequest], fh: BinaryIO) -> int:
     """Legacy single-buffer writer: header with final count, then records."""
-    payload, count = _pack_records(requests)
+    payload, count = pack_records(requests)
     fh.write(_HEADER.pack(MAGIC, VERSION, 0, count))
     fh.write(payload)
     _IO_COUNTERS["traces_written"] += 1
@@ -190,7 +224,7 @@ def _write_trace_v2(requests: Iterable[MemoryRequest], fh: BinaryIO, *,
     source = iter(requests)
     total = 0
     while True:
-        payload, count = _pack_records(islice(source, chunk_records))
+        payload, count = pack_records(islice(source, chunk_records))
         if count == 0:
             break
         stored = zlib.compress(payload, 6) if compress else payload
@@ -291,43 +325,14 @@ def _parse_records(buf: bytes, count: int) -> Iterator[MemoryRequest]:
             f"trailing bytes: {total - offset} after {count} records")
 
 
-def _batch_invariants_ok(rec: np.ndarray, offs: np.ndarray,
-                         total: int) -> bool:
-    """Batch-check every ``MemoryRequest.__post_init__`` invariant.
+def _scan_records(buf: bytes, count: int) -> List[int]:
+    """Record offsets; raises the reference parser's structural errors.
 
-    The batched parser bypasses dataclass validation via trusted
-    construction, so the full invariant set — alignment, address sign,
-    and write-payload length — must hold for the whole batch first.  Any
-    violation sends the caller to the scalar replay, which raises the
-    exact per-record error.  (Record kinds are already pinned to {0, 1}
-    by the offset scan.)
-    """
-    address = rec["address"]
-    if np.any(address % CACHE_LINE_SIZE):
-        return False
-    # u64 addresses >= 2**63 read back as huge Python ints the dataclass
-    # would accept, but keep the trusted path conservative: anything that
-    # looks negative in a signed view goes through the reference parser.
-    if np.any(address.astype(np.int64, copy=False) < 0):
-        return False
-    writes = rec["kind"] == 1
-    if np.any(offs[writes] + _RECORD_FIXED.size + CACHE_LINE_SIZE > total):
-        return False
-    return True
-
-
-def _parse_records_vectorized(buf: bytes,
-                              count: int) -> Iterator[MemoryRequest]:
-    """Batched parser: offset scan, one structured gather, trusted builds.
-
-    Record offsets depend on every preceding record's kind (variable-length
-    records), so a cheap sequential scan walks the kinds first — raising
-    the same :class:`TraceFormatError` at the same record as the reference
-    parser — then the fixed fields of *all* records are gathered and
-    decoded in one numpy pass.  Dataclass invariants are batch-checked
-    (see :func:`_batch_invariants_ok`); any violation falls back to the
-    reference parser so the error (type, message, failing record) matches
-    exactly.
+    Record offsets depend on every preceding record's kind (records are
+    variable-length), so this cheap sequential walk over the kind bytes
+    comes first — raising the same :class:`TraceFormatError` at the same
+    record as :func:`_parse_records` for a truncated record or payload,
+    an unknown kind, or trailing bytes.
     """
     total = len(buf)
     fixed_size = _RECORD_FIXED.size
@@ -351,59 +356,147 @@ def _parse_records_vectorized(buf: bytes,
     if offset != total:
         raise TraceFormatError(
             f"trailing bytes: {total - offset} after {count} records")
+    return offsets
+
+
+def _checked_fields(buf: bytes, offsets: List[int]) -> Optional[np.ndarray]:
+    """The fixed fields of every record, or ``None`` if one breaks an
+    invariant of :class:`MemoryRequest`.
+
+    One structured-array gather decodes all records; the batched builder
+    bypasses dataclass validation via trusted construction, so the full
+    invariant set — alignment, address sign, a finite non-negative issue
+    time — must hold for the whole batch first.  (The offset scan already
+    pinned kinds to {0, 1} and payload lengths to 64 bytes.)  ``None``
+    sends the caller to the reference parser, which raises the exact
+    per-record error.
+    """
     offs = np.asarray(offsets, dtype=np.int64)
     arr = np.frombuffer(buf, dtype=np.uint8)
     rec = arr[offs[:, None] + _FIXED_COLS].reshape(-1).view(_FIXED_DTYPE)
-    if not _batch_invariants_ok(rec, offs, total):
-        # A record violates the request invariants; let the reference
-        # parser raise the exact per-record ValueError.  Nothing has been
-        # yielded yet, so the scalar replay reproduces the whole stream up
-        # to the failing record.
-        yield from _parse_records(buf, count)
-        return
+    address = rec["address"]
+    if np.any(address % CACHE_LINE_SIZE):
+        return None
+    # u64 addresses >= 2**63 read back as huge Python ints the dataclass
+    # would accept, but keep the trusted path conservative: anything that
+    # looks negative in a signed view goes through the reference parser.
+    if np.any(address.astype(np.int64, copy=False) < 0):
+        return None
+    issue = rec["issue"]
+    if not np.all((issue >= 0.0) & (issue < np.inf)):
+        return None
+    return rec
+
+
+def _build_requests(buf: bytes, rec: np.ndarray,
+                    offsets: List[int]) -> List[MemoryRequest]:
+    """Trusted construction of records :func:`_checked_fields` passed."""
+    fixed_size = _RECORD_FIXED.size
+    payload_end = fixed_size + CACHE_LINE_SIZE
     read_access = AccessType.READ
     write_access = AccessType.WRITE
-    payload_end = record_size
     new = MemoryRequest.__new__
     cls = MemoryRequest
-    for chunk_start in range(0, count, _PARSE_CHUNK):
-        chunk = rec[chunk_start:chunk_start + _PARSE_CHUNK]
-        requests = [None] * len(chunk)
-        index = 0
-        # Defer garbage collection across the chunk's bulk construction:
-        # tens of thousands of container allocations in a tight loop
-        # otherwise trigger repeated young-generation passes over objects
-        # that are all live, which costs more than the decode itself on
-        # 10^5+-record traces.  The window never spans a yield, so
-        # consumer code always runs with the collector in its prior state.
-        gc_was_enabled = gc.isenabled()
+    requests = [None] * len(offsets)
+    index = 0
+    # Defer garbage collection across the bulk construction: tens of
+    # thousands of container allocations in a tight loop otherwise trigger
+    # repeated young-generation passes over objects that are all live,
+    # which costs more than the decode itself on 10^5+-record traces.
+    gc_was_enabled = gc.isenabled()
+    if gc_was_enabled:
+        gc.disable()
+    try:
+        # Inlined trusted construction (the loop body of
+        # request_unchecked): one __new__ plus one dict display per record
+        # is the pure-Python floor for building the objects.
+        for kind, core, seq, address, issue, offset in zip(
+                rec["kind"].tolist(), rec["core"].tolist(),
+                rec["seq"].tolist(), rec["address"].tolist(),
+                rec["issue"].tolist(), offsets):
+            if kind:
+                data = buf[offset + fixed_size:offset + payload_end]
+                access = write_access
+            else:
+                data = None
+                access = read_access
+            request = new(cls)
+            request.__dict__ = {"address": address, "access": access,
+                                "data": data, "issue_time_ns": issue,
+                                "core": core, "seq": seq}
+            requests[index] = request
+            index += 1
+    finally:
         if gc_was_enabled:
-            gc.disable()
-        try:
-            # Inlined trusted construction (the loop body of
-            # request_unchecked): one __new__ plus one dict display per
-            # record is the pure-Python floor for building the objects.
-            for kind, core, seq, address, issue, offset in zip(
-                    chunk["kind"].tolist(), chunk["core"].tolist(),
-                    chunk["seq"].tolist(), chunk["address"].tolist(),
-                    chunk["issue"].tolist(),
-                    offsets[chunk_start:chunk_start + _PARSE_CHUNK]):
-                if kind:
-                    data = buf[offset + fixed_size:offset + payload_end]
-                    access = write_access
-                else:
-                    data = None
-                    access = read_access
-                request = new(cls)
-                request.__dict__ = {"address": address, "access": access,
-                                    "data": data, "issue_time_ns": issue,
-                                    "core": core, "seq": seq}
-                requests[index] = request
-                index += 1
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        yield from requests
+            gc.enable()
+    return requests
+
+
+def _stream_records(buf: bytes, count: int) -> Iterator[MemoryRequest]:
+    """Batched parse of a whole v1 record buffer, streamed in chunks.
+
+    Requests are built at most ``_PARSE_CHUNK`` at a time, which bounds
+    the transient decoded field lists (5 x chunk boxed objects) and hands
+    each chunk to the consumer before the next is built.  Every check
+    runs before the first chunk; on a record that breaks an invariant the
+    reference parser streams the records before it, then raises its
+    exact error (or, for a u64 address past 2**63, streams the requests
+    the constructor accepts).
+    """
+    offsets = _scan_records(buf, count)
+    rec = _checked_fields(buf, offsets)
+    if rec is None:
+        yield from _parse_records(buf, count)
+        return
+    for start in range(0, count, _PARSE_CHUNK):
+        stop = start + _PARSE_CHUNK
+        yield from _build_requests(buf, rec[start:stop], offsets[start:stop])
+
+
+def parse_records(buf: bytes, count: int) -> List[MemoryRequest]:
+    """Parse ``count`` records packed by :func:`pack_records`.
+
+    The one record decoder: the trace readers parse each container chunk
+    with it and the serve server parses each ``batch`` frame with it.
+    Batched: an offset scan, one structured numpy gather and invariant
+    check, then trusted construction, ``_PARSE_CHUNK`` requests at a
+    time.  Every error — type, message and failing record — is the
+    reference parser's (:func:`_parse_records`), which stays its
+    exact-error fallback.
+
+    Raises:
+        TraceFormatError: on a truncated record, an unknown record kind,
+            or trailing bytes.
+        ValueError: on a record that breaks a :class:`MemoryRequest`
+            invariant (misaligned address, bad issue time).
+    """
+    offsets = _scan_records(buf, count)
+    rec = _checked_fields(buf, offsets)
+    if rec is None:
+        return list(_parse_records(buf, count))
+    if count <= _PARSE_CHUNK:
+        return _build_requests(buf, rec, offsets)
+    requests: List[MemoryRequest] = []
+    for start in range(0, count, _PARSE_CHUNK):
+        stop = start + _PARSE_CHUNK
+        requests += _build_requests(buf, rec[start:stop], offsets[start:stop])
+    return requests
+
+
+def check_records(buf: bytes, count: int) -> List[int]:
+    """Validate records as :func:`parse_records` would, building no
+    requests; returns each record's byte offset.
+
+    For callers that forward record bytes instead of parsing them (the
+    serve pool's parent process): the offsets let them cut a batch at
+    any record boundary.  Raises exactly what :func:`parse_records`
+    raises.
+    """
+    offsets = _scan_records(buf, count)
+    if _checked_fields(buf, offsets) is None:
+        for _ in _parse_records(buf, count):
+            pass
+    return offsets
 
 
 def _read_records_v2(fh: BinaryIO, flags: int) -> Iterator[MemoryRequest]:
@@ -448,7 +541,7 @@ def _read_records_v2(fh: BinaryIO, flags: int) -> Iterator[MemoryRequest]:
             raise TraceFormatError(
                 f"chunk {chunk_index} length mismatch: frame declares "
                 f"{raw_len} bytes, stored payload is {len(payload)}")
-        yield from _parse_records_vectorized(payload, count)
+        yield from parse_records(payload, count)
         total += count
         chunk_index += 1
         _IO_COUNTERS["chunks_read"] += 1
@@ -480,7 +573,7 @@ def read_trace(source: Union[str, Path, BinaryIO]) -> Iterator[MemoryRequest]:
             raise TraceFormatError(f"bad magic {magic!r}")
         if version == VERSION:
             buf = fh.read()
-            yield from _parse_records_vectorized(buf, count)
+            yield from _stream_records(buf, count)
             _IO_COUNTERS["traces_read"] += 1
             _IO_COUNTERS["chunks_read"] += 1
             _IO_COUNTERS["records_read"] += count

@@ -78,6 +78,12 @@ class TestMemoryRequest:
         with pytest.raises(ValueError):
             MemoryRequest(address=-64, access=AccessType.READ)
 
+    @pytest.mark.parametrize("issue", [float("nan"), float("inf"), -5.0])
+    def test_unschedulable_issue_time_rejected(self, issue):
+        with pytest.raises(ValueError, match="issue_time_ns"):
+            MemoryRequest(address=0, access=AccessType.READ,
+                          issue_time_ns=issue)
+
     def test_line_index(self):
         req = MemoryRequest(address=640, access=AccessType.READ)
         assert req.line_index == 10

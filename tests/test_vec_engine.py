@@ -26,9 +26,9 @@ from repro.sim.runner import run_app
 from repro.vec.epoch import EPOCH_SIZE, EpochPrecomputer, VecStats
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.trace import (
-    _pack_records,
     _parse_records,
-    _parse_records_vectorized,
+    pack_records,
+    parse_records,
     read_trace_list,
     write_trace,
 )
@@ -236,9 +236,9 @@ class TestVectorizedTraceIO:
 
     def test_roundtrip_byte_identical_both_modes(self):
         requests = self._requests()
-        payload, count = _pack_records(requests)
+        payload, count = pack_records(requests)
         assert list(_parse_records(payload, count)) == requests
-        assert list(_parse_records_vectorized(payload, count)) == requests
+        assert list(parse_records(payload, count)) == requests
 
     def test_cross_mode_roundtrip(self):
         # The file reader's decode equals the reference parser's decode
@@ -247,7 +247,7 @@ class TestVectorizedTraceIO:
         buffer = io.BytesIO()
         write_trace(requests, buffer)
         buffer.seek(0)
-        payload, count = _pack_records(requests)
+        payload, count = pack_records(requests)
         assert read_trace_list(buffer) == list(_parse_records(payload,
                                                               count))
 
@@ -259,7 +259,7 @@ class TestVectorizedTraceIO:
 
     def _error(self, payload, count):
         outcomes = []
-        for parse in (_parse_records, _parse_records_vectorized):
+        for parse in (_parse_records, parse_records):
             try:
                 list(parse(payload, count))
                 outcomes.append(None)
@@ -289,7 +289,7 @@ class TestVectorizedTraceIO:
 
     def test_empty_trace(self):
         assert list(_parse_records(b"", 0)) == []
-        assert list(_parse_records_vectorized(b"", 0)) == []
+        assert list(parse_records(b"", 0)) == []
         buffer = io.BytesIO()
         assert write_trace([], buffer) == 0
         buffer.seek(0)

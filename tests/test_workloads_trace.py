@@ -12,13 +12,17 @@ from repro.common.types import (
     MemoryRequest,
     request_unchecked,
 )
+from repro.workloads import trace as trace_module
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.trace import (
     MAGIC,
-    _pack_records,
+    _PARSE_CHUNK,
     _parse_records,
-    _parse_records_vectorized,
     capture_trace,
+    check_records,
+    pack_records,
+    parse_records,
+    read_trace,
     read_trace_list,
     roundtrip_bytes,
     trace_record_count,
@@ -146,8 +150,8 @@ class TestV2Container:
         original = TraceGenerator("gcc", seed=11).generate_list(257)
         blob = _v2_blob(original, compress=True, chunk_records=50)
         assert _keys(read_trace_list(io.BytesIO(blob))) == _keys(original)
-        parse = _parse_records_vectorized if vec else _parse_records
-        payload, count = _pack_records(original)
+        parse = parse_records if vec else _parse_records
+        payload, count = pack_records(original)
         assert _keys(parse(payload, count)) == _keys(original)
 
     def test_bad_chunk_records(self):
@@ -214,17 +218,17 @@ class TestPackRecordErrors:
     def test_write_without_payload(self):
         bad = request_unchecked(0, AccessType.WRITE, None, 1.0, 0, 1)
         with pytest.raises(TraceFormatError, match="no 64-byte payload"):
-            _pack_records([bad])
+            pack_records([bad])
 
     def test_write_with_short_payload(self):
         bad = request_unchecked(0, AccessType.WRITE, b"\x01" * 8, 1.0, 0, 1)
         with pytest.raises(TraceFormatError, match="no 64-byte payload"):
-            _pack_records([bad])
+            pack_records([bad])
 
     def test_read_with_payload(self):
         bad = request_unchecked(0, AccessType.READ, bytes(64), 1.0, 0, 1)
         with pytest.raises(TraceFormatError, match="carries a payload"):
-            _pack_records([bad])
+            pack_records([bad])
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_surfaces_through_write_trace(self, version):
@@ -239,16 +243,143 @@ class TestPackRecordErrors:
         code = ("from repro.common.types import AccessType, "
                 "request_unchecked\n"
                 "from repro.common.errors import TraceFormatError\n"
-                "from repro.workloads.trace import _pack_records\n"
+                "from repro.workloads.trace import pack_records\n"
                 "bad = request_unchecked(0, AccessType.WRITE, None, "
                 "1.0, 0, 1)\n"
                 "try:\n"
-                "    _pack_records([bad])\n"
+                "    pack_records([bad])\n"
                 "except TraceFormatError:\n"
                 "    raise SystemExit(0)\n"
                 "raise SystemExit(1)\n")
         proc = subprocess.run([sys.executable, "-O", "-c", code])
         assert proc.returncode == 0
+
+
+class TestFieldRanges:
+    """Record fields the format cannot hold fail typed, naming the field;
+    issue times the engine cannot schedule never read back."""
+
+    @pytest.mark.parametrize("field, value, width", [
+        ("core", 300, "u8"),
+        ("core", -1, "u8"),
+        ("seq", 2 ** 32, "u32"),
+        ("seq", -1, "u32"),
+        ("address", 2 ** 64, "u64"),
+    ])
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_unpackable_field(self, field, value, width, version):
+        request = sample_requests()[1]
+        setattr(request, field, value)
+        with pytest.raises(TraceFormatError) as excinfo:
+            write_trace([request], io.BytesIO(), version=version)
+        message = str(excinfo.value)
+        assert f"seq={request.seq}" in message
+        assert f"{field} {value}" in message and width in message
+
+    @staticmethod
+    def _gcc_with_issue(issue):
+        trace = TraceGenerator("gcc", seed=3).generate_list(3000)
+        request = trace[1500]
+        trace[1500] = request_unchecked(
+            request.address, request.access, request.data, issue,
+            request.core, request.seq)
+        return trace
+
+    @pytest.mark.parametrize("issue", [float("nan"), float("inf"), -5.0])
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_unschedulable_issue_time_never_reads_back(self, issue,
+                                                       version):
+        trace = self._gcc_with_issue(issue)
+        with pytest.raises(ValueError, match="issue_time_ns"):
+            roundtrip_bytes(trace, version=version)
+
+    @pytest.mark.parametrize("issue", [float("nan"), float("inf"), -5.0])
+    def test_batched_check_falls_back_to_exact_error(self, issue):
+        payload, count = pack_records(self._gcc_with_issue(issue))
+        errors = []
+        for parse in (_parse_records, parse_records, check_records):
+            with pytest.raises(ValueError) as excinfo:
+                list(parse(payload, count))
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1] == errors[2]
+
+
+class TestV1FallbackStreams:
+    """A v1 file whose records send the batched check to the reference
+    parser still streams: a u64 address past 2**63 reads back without
+    the whole trace being built first, and the records before a bad one
+    reach the consumer before its error."""
+
+    @staticmethod
+    def _reads(count):
+        return [MemoryRequest(address=64 * i, access=AccessType.READ,
+                              issue_time_ns=float(i), seq=i)
+                for i in range(count)]
+
+    @staticmethod
+    def _v1_blob(requests):
+        buf = io.BytesIO()
+        write_trace(requests, buf, version=1)
+        return buf.getvalue()
+
+    def test_high_address_reads_back_lazily(self, monkeypatch):
+        count = _PARSE_CHUNK + 100
+        requests = self._reads(count)
+        requests[-1] = MemoryRequest(address=2 ** 63, access=AccessType.READ,
+                                     issue_time_ns=1.0, seq=count - 1)
+        blob = self._v1_blob(requests)
+        built = []
+        reference = trace_module._parse_records
+
+        def counting(buf, records):
+            for request in reference(buf, records):
+                built.append(request)
+                yield request
+
+        monkeypatch.setattr(trace_module, "_parse_records", counting)
+        stream = read_trace(io.BytesIO(blob))
+        first = next(stream)
+        assert len(built) <= _PARSE_CHUNK
+        assert _keys([first, *stream]) == _keys(requests)
+
+    def test_records_before_a_bad_one_reach_the_consumer(self):
+        requests = self._reads(50)
+        blob = bytearray(self._v1_blob(requests))
+        # Header 20 bytes, 24-byte read records; misalign record 40's
+        # address (offset 8 in the record).
+        struct.pack_into("<Q", blob, 20 + 40 * 24 + 8, 65)
+        got = []
+        with pytest.raises(ValueError, match="aligned"):
+            for request in read_trace(io.BytesIO(bytes(blob))):
+                got.append(request)
+        assert _keys(got) == _keys(requests[:40])
+
+
+class TestCheckRecords:
+    """The build-free check raises exactly what the parser raises."""
+
+    def test_offsets(self):
+        requests = sample_requests() * 3
+        payload, count = pack_records(requests)
+        offsets = check_records(payload, count)
+        assert offsets == [0, 88, 112, 200, 224, 312]
+        assert [payload[o] for o in offsets] == [1, 0, 1, 0, 1, 0]
+
+    def test_agrees_with_parser_on_corruptions(self):
+        payload, count = pack_records(
+            TraceGenerator("gcc", seed=3).generate_list(40))
+        rng = random.Random(7)
+        for pos in rng.sample(range(len(payload)), 120):
+            mutated = bytearray(payload)
+            mutated[pos] ^= 0xFF
+            outcomes = []
+            for check in (parse_records, check_records):
+                try:
+                    check(bytes(mutated), count)
+                    outcomes.append(None)
+                except (TraceFormatError, ValueError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], pos
 
 
 class TestTrailingBytes:
@@ -264,7 +395,7 @@ class TestTrailingBytes:
         blob = self._v1_blob(sample_requests()) + b"\x00" * 7
         with pytest.raises(TraceFormatError, match="trailing bytes"):
             read_trace_list(io.BytesIO(blob))
-        parse = _parse_records_vectorized if vec else _parse_records
+        parse = parse_records if vec else _parse_records
         with pytest.raises(TraceFormatError, match="trailing bytes"):
             list(parse(blob[20:], 2))
 
@@ -273,7 +404,7 @@ class TestTrailingBytes:
         with pytest.raises(TraceFormatError) as scalar_err:
             list(_parse_records(blob, 2))
         with pytest.raises(TraceFormatError) as vec_err:
-            list(_parse_records_vectorized(blob, 2))
+            list(parse_records(blob, 2))
         assert str(scalar_err.value) == str(vec_err.value)
 
     @pytest.mark.parametrize("vec", [False, True])
@@ -283,8 +414,8 @@ class TestTrailingBytes:
         blob = _v2_blob(sample_requests()) + b"junk"
         with pytest.raises(TraceFormatError, match="trailing bytes"):
             read_trace_list(io.BytesIO(blob))
-        parse = _parse_records_vectorized if vec else _parse_records
-        payload, count = _pack_records(sample_requests())
+        parse = parse_records if vec else _parse_records
+        payload, count = pack_records(sample_requests())
         with pytest.raises(TraceFormatError, match="trailing bytes"):
             list(parse(payload + b"junk", count))
 
@@ -338,7 +469,7 @@ class TestMalformedRecordFuzz:
 
     def test_single_byte_corruptions_agree(self):
         original = TraceGenerator("gcc", seed=3).generate_list(40)
-        payload, count = _pack_records(original)
+        payload, count = pack_records(original)
         rng = random.Random(20230)
         positions = rng.sample(range(len(payload)), 120)
         for pos in positions:
@@ -346,15 +477,15 @@ class TestMalformedRecordFuzz:
             mutated[pos] ^= 0xFF
             mutated = bytes(mutated)
             scalar = self._outcome(_parse_records, mutated, count)
-            vec = self._outcome(_parse_records_vectorized, mutated, count)
+            vec = self._outcome(parse_records, mutated, count)
             assert scalar == vec, (
                 f"parser divergence at byte {pos}: {scalar} != {vec}")
 
     def test_truncations_agree(self):
         original = TraceGenerator("lbm", seed=5).generate_list(12)
-        payload, count = _pack_records(original)
+        payload, count = pack_records(original)
         for cut in range(0, len(payload), 41):
             mutated = payload[:cut]
             scalar = self._outcome(_parse_records, mutated, count)
-            vec = self._outcome(_parse_records_vectorized, mutated, count)
+            vec = self._outcome(parse_records, mutated, count)
             assert scalar == vec, f"divergence at truncation {cut}"
