@@ -169,7 +169,7 @@ def ablate_comparison_read(app: str = "gcc", requests: int = 12_000,
     class TrustingESD(ESDScheme):
         name = "ESD_no_verify"
 
-        def _read_and_decrypt(self, frame, timeline, *, read_stage=None,
+        def _read_and_decrypt(self, frame, timeline, read_stage=None,
                               decrypt_stage=None):
             # Trust the fingerprint: skip the PCM read, return the stored
             # plaintext functionally (so integrity checking still passes

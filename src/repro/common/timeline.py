@@ -16,7 +16,10 @@ vocabulary:
   the portion of the branch that *outlasts* it (DeWrite's encryption
   hiding the CRC, ESD's integrity-tree walk hiding under the PCM read).
   A branch that is never joined is wasted speculative work: its energy was
-  spent but its time never reaches the critical path;
+  spent but its time never reaches the critical path.  Only a branch leg
+  logs its ``(stage, begin, end)`` segments, because :meth:`join` reads
+  them to attribute the exposed tail; a spine (a timeline built directly,
+  as every request's is) keeps per-stage totals only;
 * :meth:`overlap_with` / :meth:`parallel` — sugar over branch/join for the
   two common shapes.
 
@@ -30,7 +33,7 @@ latency profile depends on.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..obs import runtime as _obs
 from ..perf import memo as _memo
@@ -77,7 +80,10 @@ class StageTimeline:
         self._exposure: Dict[WritePathStage, float] = {}
         #: (stage, begin, end) spans in absolute time, used by join() to
         #: attribute a branch's exposed tail to the stages that ran in it.
-        self._segments: List[Tuple[WritePathStage, float, float]] = []
+        #: Only a leg built by branch() keeps the log (join() reads the
+        #: leg's log, never the spine's); a spine holds None.
+        self._segments: Optional[List[Tuple[WritePathStage, float,
+                                            float]]] = None
         self._sealed = False
 
     # ------------------------------------------------------------------
@@ -109,7 +115,9 @@ class StageTimeline:
         now = self.now
         exposure = self._exposure
         exposure[stage] = exposure.get(stage, 0.0) + duration_ns
-        self._segments.append((stage, now, now + duration_ns))
+        segments = self._segments
+        if segments is not None:
+            segments.append((stage, now, now + duration_ns))
         self.now = now + duration_ns
 
     def advance_to(self, stage: WritePathStage, completion_ns: float) -> None:
@@ -143,14 +151,18 @@ class StageTimeline:
             duration = 0.0
         exposure = self._exposure
         exposure[stage] = exposure.get(stage, 0.0) + duration
-        self._segments.append((stage, now, now + duration))
+        segments = self._segments
+        if segments is not None:
+            segments.append((stage, now, now + duration))
         if completion_ns > now:
             self.now = completion_ns
 
     def branch(self) -> "StageTimeline":
-        """Fork a concurrent leg starting at the current clock."""
+        """Fork a concurrent leg (it logs segments for :meth:`join`)."""
         self._check_open()
-        return StageTimeline(self.now)
+        leg = StageTimeline(self.now)
+        leg._segments = []
+        return leg
 
     def join(self, leg: "StageTimeline") -> None:
         """Merge a branch back; only its exposed tail reaches this clock.
@@ -160,7 +172,10 @@ class StageTimeline:
         fully hidden and charges nothing.  Otherwise the window
         ``[now, leg.now]`` is the branch's exposed tail: each of the
         branch's stage segments is charged for its overlap with that
-        window, and the clock advances to ``leg.now``.
+        window, and the clock advances to ``leg.now``.  A timeline that
+        was not forked by :meth:`branch` has no segments to charge, so
+        joining one leaves its tail unattributed (and :meth:`seal`'s
+        conservation check fails).
         """
         self._check_open()
         leg._sealed = True  # a joined leg must not be mutated further
@@ -168,7 +183,7 @@ class StageTimeline:
         window_end = leg.now
         if window_end <= window_start:
             return
-        for stage, begin, end in leg._segments:
+        for stage, begin, end in leg._segments or ():
             lo = begin if begin > window_start else window_start
             hi = end if end < window_end else window_end
             if hi > lo:
@@ -265,8 +280,9 @@ class StageTimeline:
                 by_stage[stage] = by_stage.get(stage, 0.0) + ns
 
     def segments(self) -> Iterator[Tuple[WritePathStage, float, float]]:
-        """The declared (stage, begin, end) spans, in declaration order."""
-        return iter(self._segments)
+        """A leg's declared (stage, begin, end) spans, in declaration
+        order; a spine keeps no segment log and yields nothing."""
+        return iter(self._segments or ())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         stages = ", ".join(f"{stage}={ns:.1f}"
@@ -285,7 +301,8 @@ class StageTimeline:
 
     def _charge(self, stage: WritePathStage, duration_ns: float,
                 begin: float = -1.0, end: float = -1.0) -> None:
-        if begin < 0.0:
-            begin, end = self.now, self.now + duration_ns
         self._exposure[stage] = self._exposure.get(stage, 0.0) + duration_ns
-        self._segments.append((stage, begin, end))
+        if self._segments is not None:
+            if begin < 0.0:
+                begin, end = self.now, self.now + duration_ns
+            self._segments.append((stage, begin, end))

@@ -45,6 +45,9 @@ from ..registry import register_scheme
 from .amt import AddressMappingTable
 from .efit import EFIT, EFIT_ENTRY_SIZE
 
+_READ_FILL = WritePathStage.READ_FILL
+_DECRYPTION = WritePathStage.DECRYPTION
+
 
 @register_scheme("ESD", evaluation=True, code="3")
 class ESDScheme(DedupScheme):
@@ -86,7 +89,6 @@ class ESDScheme(DedupScheme):
                       timeline: StageTimeline,
                       *, index_in_efit: bool) -> WriteResult:
         """Encrypt + write a non-duplicate line, then update metadata."""
-        assert request.data is not None
         self._release_previous(request.line_index)
         frame = self.allocator.allocate()
         self._encrypt_and_write(frame, request.data, timeline)
@@ -106,8 +108,10 @@ class ESDScheme(DedupScheme):
     # ------------------------------------------------------------------
 
     def handle_write(self, request: MemoryRequest) -> WriteResult:
-        assert request.data is not None
-        self.counters.incr("writes")
+        if request.data is None:
+            raise ValueError("write request requires data")
+        values = self._counter_values
+        values["writes"] = values.get("writes", 0) + 1
         timeline = self._timeline(request)
 
         # 1. ECC fingerprint: already computed by the controller — free.
@@ -161,7 +165,7 @@ class ESDScheme(DedupScheme):
         # releasing the old mapping — when the line rewrites the content it
         # already references, releasing first would free the frame (and its
         # EFIT entry) mid-commit.
-        self.counters.incr("dedup_hits")
+        values["dedup_hits"] = values.get("dedup_hits", 0) + 1
         obs = _obs.RUN
         if obs is not None:
             obs.record(timeline.now, "esd", "dedup_hit", frame=entry.frame)
@@ -174,17 +178,16 @@ class ESDScheme(DedupScheme):
                                     deduplicated=True, wrote_line=False)
 
     def handle_read(self, request: MemoryRequest) -> ReadResult:
-        self.counters.incr("reads")
+        values = self._counter_values
+        values["reads"] = values.get("reads", 0) + 1
         timeline = self._timeline(request)
         frame, t, _hit = self.amt.lookup(request.line_index, timeline.now)
         timeline.advance_to(WritePathStage.METADATA, t)
         if frame is None:
             return self._finalize_read(request, timeline,
                                        bytes(CACHE_LINE_SIZE))
-        plaintext = self._read_and_decrypt(
-            frame, timeline,
-            read_stage=WritePathStage.READ_FILL,
-            decrypt_stage=WritePathStage.DECRYPTION)
+        plaintext = self._read_and_decrypt(frame, timeline, _READ_FILL,
+                                           _DECRYPTION)
         return self._finalize_read(request, timeline, plaintext)
 
     # ------------------------------------------------------------------

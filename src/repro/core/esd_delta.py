@@ -46,6 +46,9 @@ from ..ecc.codec import line_ecc
 from ..registry import register_scheme
 from .esd import ESDScheme
 
+_READ_FILL = WritePathStage.READ_FILL
+_DECRYPTION = WritePathStage.DECRYPTION
+
 
 def word_ecc_bytes(ecc: int) -> Tuple[int, ...]:
     """The eight per-word ECC bytes of a line ECC."""
@@ -158,7 +161,8 @@ class ESDDeltaScheme(ESDScheme):
     # ------------------------------------------------------------------
 
     def handle_write(self, request: MemoryRequest) -> WriteResult:
-        assert request.data is not None
+        if request.data is None:
+            raise ValueError("write request requires data")
         ecc = line_ecc(request.data)
         entry, _probe = self.efit.lookup(ecc)
         if entry is not None:
@@ -173,7 +177,8 @@ class ESDDeltaScheme(ESDScheme):
                     self._index_words(ecc, frame)
             return result
 
-        self.counters.incr("writes")
+        values = self._counter_values
+        values["writes"] = values.get("writes", 0) + 1
         timeline = self._timeline(request)
         timeline.serial(WritePathStage.METADATA, self.efit.probe_latency_ns)
 
@@ -202,11 +207,11 @@ class ESDDeltaScheme(ESDScheme):
                       diff: Dict[int, bytes],
                       timeline: StageTimeline) -> WriteResult:
         """Store the line as base + differing words."""
-        assert request.data is not None
         self.counters.incr("delta_hits")
         # A delta hit eliminates the full-line write, so it counts toward
         # the scheme's overall dedup effectiveness.
-        self.counters.incr("dedup_hits")
+        values = self._counter_values
+        values["dedup_hits"] = values.get("dedup_hits", 0) + 1
         self.delta_writes += 1
         record = DeltaRecord(base_frame=base_frame, words=dict(diff))
         self.delta_bytes_written += record.delta_bytes
@@ -238,13 +243,12 @@ class ESDDeltaScheme(ESDScheme):
         record = self._deltas.get(request.line_index)
         if record is None:
             return super().handle_read(request)
-        self.counters.incr("reads")
+        values = self._counter_values
+        values["reads"] = values.get("reads", 0) + 1
         timeline = self._timeline(request)
         # Base read + delta-region read.
-        base_plain = self._read_and_decrypt(
-            record.base_frame, timeline,
-            read_stage=WritePathStage.READ_FILL,
-            decrypt_stage=WritePathStage.DECRYPTION)
+        base_plain = self._read_and_decrypt(record.base_frame, timeline,
+                                            _READ_FILL, _DECRYPTION)
         delta_access = self.controller.metadata_read(
             request.line_index ^ 0x5DE17A, timeline.now)
         timeline.advance_to(WritePathStage.READ_FILL,

@@ -155,7 +155,10 @@ class CounterModeEngine:
             raise ValueError("key must be at least 16 bytes")
         self._key = bytes(key)
         self._counters = CounterTable()
-        # Counter-overflow limit hoisted for the fast-path encrypt branch.
+        # The table's dict and its overflow limit, hoisted for the
+        # fast-path encrypt and decrypt branches (the dict is never
+        # reassigned, only mutated).
+        self._line_counters = self._counters.counters
         self._counter_limit = 1 << self._counters.width_bits
         self.costs = costs
         #: Number of encrypt operations performed (for energy accounting).
@@ -184,7 +187,7 @@ class CounterModeEngine:
                 validate_line(plaintext)
             if line_number < 0:
                 raise ValueError("line number must be non-negative")
-            counters = self._counters.counters
+            counters = self._line_counters
             counter = counters.get(line_number, 0) + 1
             if counter >= self._counter_limit:
                 raise OverflowError(f"counter overflow on line {line_number}")
@@ -240,7 +243,7 @@ class CounterModeEngine:
             # Counter lookup, pad memo (with its hit/miss accounting), and
             # XOR inlined — this is the hottest crypto entry point (every
             # read fill and every ESD read-for-comparison).
-            counter = self._counters.counters.get(line_number, 0)
+            counter = self._line_counters.get(line_number, 0)
             memo_key = (self._key, line_number, counter)
             pad = _PAD_DATA.get(memo_key)
             if pad is None:

@@ -79,10 +79,21 @@ class _HashEngineBase:
         if cache is None:
             cache = self._cache = _memo.get_cache(f"fp_{self.name}",
                                                   _FP_CACHE_CAPACITY)
-        value = cache.get(data)
+        # MemoCache.get/put inlined, as the counter-pad memo is in
+        # counter_mode (same hit, miss and eviction counts; a digest is
+        # never None, so None marks a miss).
+        entries = cache._data
+        value = entries.get(data)
         if value is None:
+            cache.misses += 1
             value = self._digest(data)
-            cache.put(data, value)
+            if len(entries) >= cache.capacity:
+                entries.popitem(last=False)
+                cache.evictions += 1
+            entries[data] = value
+        else:
+            cache.hits += 1
+            entries.move_to_end(data)
         return value
 
     def prime_batch(self, contents) -> int:

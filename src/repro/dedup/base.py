@@ -50,6 +50,7 @@ if TYPE_CHECKING:
 # cheaper than two-level attribute lookups on per-request paths).
 _ENCRYPTION = WritePathStage.ENCRYPTION
 _WRITE_UNIQUE = WritePathStage.WRITE_UNIQUE
+_READ_FOR_COMPARISON = WritePathStage.READ_FOR_COMPARISON
 _new_tuple = tuple.__new__
 
 
@@ -117,6 +118,10 @@ class DedupScheme(abc.ABC):
         self.breakdown = LatencyBreakdown()
         self.read_breakdown = LatencyBreakdown()
         self.counters = Counter()
+        #: The tallies' dict, for the per-request counts the handlers bump
+        #: inline (``writes``, ``reads``, ``dedup_hits``); ``Counter.incr``
+        #: would be a method call with two checks per request.
+        self._counter_values = self.counters.values
         # Cost scalars hoisted out of the (frozen) cost table: the shared
         # write/read helpers below run once or more per request, and each
         # ``self.crypto.encrypt_latency_ns`` there is a property call plus
@@ -297,12 +302,15 @@ class DedupScheme(abc.ABC):
             buckets = self.crypto_energy.buckets
             buckets[EnergyCategory.ENCRYPTION] = buckets.get(
                 EnergyCategory.ENCRYPTION, 0.0) + self._encrypt_energy_nj
+            # Only a branch leg logs segments (StageTimeline.join reads
+            # them); a request's spine keeps per-stage totals only.
             exposure = timeline._exposure
             segments = timeline._segments
             now = timeline.now
             enc_ns = self._encrypt_latency_ns
             exposure[_ENCRYPTION] = exposure.get(_ENCRYPTION, 0.0) + enc_ns
-            segments.append((_ENCRYPTION, now, now + enc_ns))
+            if segments is not None:
+                segments.append((_ENCRYPTION, now, now + enc_ns))
             now += enc_ns
             timeline.now = now
             if self.integrity_tree is not None:
@@ -317,7 +325,8 @@ class DedupScheme(abc.ABC):
                 duration = 0.0
             exposure[_WRITE_UNIQUE] = (exposure.get(_WRITE_UNIQUE, 0.0)
                                        + duration)
-            segments.append((_WRITE_UNIQUE, now, now + duration))
+            if segments is not None:
+                segments.append((_WRITE_UNIQUE, now, now + duration))
             if completion > now:
                 timeline.now = completion
             return
@@ -335,12 +344,15 @@ class DedupScheme(abc.ABC):
                             result.completion_ns)
 
     def _read_and_decrypt(
-            self, frame: int, timeline: StageTimeline, *,
-            read_stage: WritePathStage = WritePathStage.READ_FOR_COMPARISON,
+            self, frame: int, timeline: StageTimeline,
+            read_stage: WritePathStage = _READ_FOR_COMPARISON,
             decrypt_stage: Optional[WritePathStage] = None) -> bytes:
         """Read a frame and decrypt it, declaring the work on ``timeline``.
 
-        With ``protect_counters`` enabled, the counter's integrity path is
+        The read is charged to ``read_stage`` and the decrypt to
+        ``decrypt_stage`` (``read_stage`` when None).  Callers pass the
+        stages positionally: this runs once per read.  With
+        ``protect_counters`` enabled, the counter's integrity path is
         verified as a METADATA branch overlapping the (usually slower) PCM
         array access; joining the branch exposes only its excess.
         """
@@ -361,17 +373,23 @@ class DedupScheme(abc.ABC):
             if duration < 0.0:
                 duration = 0.0
             exposure[read_stage] = exposure.get(read_stage, 0.0) + duration
-            segments.append((read_stage, now, now + duration))
+            if segments is not None:
+                # A leg: DeWrite's predicted-unique pipeline compares on
+                # its fingerprint leg.
+                segments.append((read_stage, now, now + duration))
             if completion > now:
                 now = completion
             buckets = self.crypto_energy.buckets
             buckets[EnergyCategory.DECRYPTION] = buckets.get(
                 EnergyCategory.DECRYPTION, 0.0) + self._decrypt_energy_nj
             plaintext = self.crypto.decrypt_at(ciphertext, frame)
-            dec_stage = decrypt_stage or read_stage
+            if decrypt_stage is None:
+                decrypt_stage = read_stage
             dec_ns = self._decrypt_latency_ns
-            exposure[dec_stage] = exposure.get(dec_stage, 0.0) + dec_ns
-            segments.append((dec_stage, now, now + dec_ns))
+            exposure[decrypt_stage] = (exposure.get(decrypt_stage, 0.0)
+                                       + dec_ns)
+            if segments is not None:
+                segments.append((decrypt_stage, now, now + dec_ns))
             timeline.now = now + dec_ns
             return plaintext
         ciphertext, access = self.controller.read(frame, timeline.now)

@@ -20,6 +20,9 @@ from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..registry import register_scheme
 from .base import DedupScheme, MetadataFootprint, ReadResult, WriteResult
 
+_READ_FILL = WritePathStage.READ_FILL
+_DECRYPTION = WritePathStage.DECRYPTION
+
 
 @register_scheme("Baseline", evaluation=True, code="0")
 class BaselineScheme(DedupScheme):
@@ -38,8 +41,10 @@ class BaselineScheme(DedupScheme):
         return frame
 
     def handle_write(self, request: MemoryRequest) -> WriteResult:
-        assert request.data is not None
-        self.counters.incr("writes")
+        if request.data is None:
+            raise ValueError("write request requires data")
+        values = self._counter_values
+        values["writes"] = values.get("writes", 0) + 1
         timeline = self._timeline(request)
         frame = self._frame_for(request.line_index)
         self._encrypt_and_write(frame, request.data, timeline)
@@ -47,7 +52,8 @@ class BaselineScheme(DedupScheme):
                                     deduplicated=False, wrote_line=True)
 
     def handle_read(self, request: MemoryRequest) -> ReadResult:
-        self.counters.incr("reads")
+        values = self._counter_values
+        values["reads"] = values.get("reads", 0) + 1
         timeline = self._timeline(request)
         frame = self._frames.get(request.line_index)
         if frame is None:
@@ -55,14 +61,11 @@ class BaselineScheme(DedupScheme):
             # logical line onto a frame so repeated reads hit the same bank.
             frame = self._frame_for(request.line_index)
             _, access = self.controller.read(frame, timeline.now)
-            timeline.advance_to(WritePathStage.READ_FILL,
-                                access.completion_ns)
+            timeline.advance_to(_READ_FILL, access.completion_ns)
             return self._finalize_read(request, timeline,
                                        bytes(CACHE_LINE_SIZE))
-        plaintext = self._read_and_decrypt(
-            frame, timeline,
-            read_stage=WritePathStage.READ_FILL,
-            decrypt_stage=WritePathStage.DECRYPTION)
+        plaintext = self._read_and_decrypt(frame, timeline, _READ_FILL,
+                                           _DECRYPTION)
         return self._finalize_read(request, timeline, plaintext)
 
     def metadata_footprint(self) -> MetadataFootprint:

@@ -58,8 +58,10 @@ class DaEScheme(FullDedupScheme):
         return ()
 
     def handle_write(self, request: MemoryRequest) -> WriteResult:
-        assert request.data is not None
-        self.counters.incr("writes")
+        if request.data is None:
+            raise ValueError("write request requires data")
+        values = self._counter_values
+        values["writes"] = values.get("writes", 0) + 1
         timeline = self._timeline(request)
 
         # 1. Encrypt first (DaE's defining order).  The frame must be
@@ -125,8 +127,10 @@ class PDEScheme(FullDedupScheme):
         self.engine = SHA1Engine(costs)
 
     def handle_write(self, request: MemoryRequest) -> WriteResult:
-        assert request.data is not None
-        self.counters.incr("writes")
+        if request.data is None:
+            raise ValueError("write request requires data")
+        values = self._counter_values
+        values["writes"] = values.get("writes", 0) + 1
         timeline = self._timeline(request)
 
         # Fingerprint and encryption start together as concurrent branches;

@@ -40,8 +40,10 @@ class DedupSHA1Scheme(FullDedupScheme):
         self.engine = SHA1Engine(costs)
 
     def handle_write(self, request: MemoryRequest) -> WriteResult:
-        assert request.data is not None
-        self.counters.incr("writes")
+        if request.data is None:
+            raise ValueError("write request requires data")
+        values = self._counter_values
+        values["writes"] = values.get("writes", 0) + 1
         timeline = self._timeline(request)
 
         # 1. Serial fingerprint computation on the critical path.

@@ -59,8 +59,6 @@ class DeWriteScheme(FullDedupScheme):
     def _write_predicted_duplicate(self, request: MemoryRequest,
                                    timeline: StageTimeline) -> WriteResult:
         """Serial pipeline: CRC -> lookup -> read-and-compare -> commit."""
-        assert request.data is not None
-
         fingerprint = self.engine.fingerprint(request.data)
         self._charge_fingerprint(self.engine.energy_nj)
         timeline.serial(WritePathStage.FINGERPRINT_COMPUTE,
@@ -97,8 +95,6 @@ class DeWriteScheme(FullDedupScheme):
     def _write_predicted_unique(self, request: MemoryRequest,
                                 timeline: StageTimeline) -> WriteResult:
         """Parallel pipeline: CRC overlaps encryption; lookup gates commit."""
-        assert request.data is not None
-
         # CRC and encryption start together as concurrent branches.  Only
         # the portion of the fingerprint leg that outlasts the encryption
         # is exposed.  The speculative encryption's energy is spent
@@ -152,8 +148,10 @@ class DeWriteScheme(FullDedupScheme):
                                     deduplicated=False, wrote_line=True)
 
     def handle_write(self, request: MemoryRequest) -> WriteResult:
-        assert request.data is not None
-        self.counters.incr("writes")
+        if request.data is None:
+            raise ValueError("write request requires data")
+        values = self._counter_values
+        values["writes"] = values.get("writes", 0) + 1
         timeline = self._timeline(request)
         if self.predictor.predict(request.line_index):
             return self._write_predicted_duplicate(request, timeline)

@@ -21,6 +21,9 @@ from .base import DedupScheme, MetadataFootprint, ReadResult
 from .fingerprint_store import FullFingerprintStore
 from .mapping import FrameRefcounts, MappingTable
 
+_READ_FILL = WritePathStage.READ_FILL
+_DECRYPTION = WritePathStage.DECRYPTION
+
 
 class FullDedupScheme(DedupScheme):
     """Base for schemes that index every unique line's fingerprint."""
@@ -73,7 +76,8 @@ class FullDedupScheme(DedupScheme):
         new frame, refcount 1), releasing first would free the frame — and
         drop its fingerprint — mid-commit.
         """
-        self.counters.incr("dedup_hits")
+        values = self._counter_values
+        values["dedup_hits"] = values.get("dedup_hits", 0) + 1
         self.refcounts.acquire(frame)
         self._release_previous(logical_line)
         t = self.mapping.update(logical_line, frame, timeline.now)
@@ -120,7 +124,8 @@ class FullDedupScheme(DedupScheme):
     # ------------------------------------------------------------------
 
     def handle_read(self, request: MemoryRequest) -> ReadResult:
-        self.counters.incr("reads")
+        values = self._counter_values
+        values["reads"] = values.get("reads", 0) + 1
         timeline = self._timeline(request)
         frame, t, _hit = self.mapping.lookup(request.line_index,
                                              timeline.now)
@@ -128,10 +133,8 @@ class FullDedupScheme(DedupScheme):
         if frame is None:
             return self._finalize_read(request, timeline,
                                        bytes(CACHE_LINE_SIZE))
-        plaintext = self._read_and_decrypt(
-            frame, timeline,
-            read_stage=WritePathStage.READ_FILL,
-            decrypt_stage=WritePathStage.DECRYPTION)
+        plaintext = self._read_and_decrypt(frame, timeline, _READ_FILL,
+                                           _DECRYPTION)
         return self._finalize_read(request, timeline, plaintext)
 
     # ------------------------------------------------------------------

@@ -60,8 +60,10 @@ class NVDedupScheme(FullDedupScheme):
             self._strong.pop(old_frame, None)
 
     def handle_write(self, request: MemoryRequest) -> WriteResult:
-        assert request.data is not None
-        self.counters.incr("writes")
+        if request.data is None:
+            raise ValueError("write request requires data")
+        values = self._counter_values
+        values["writes"] = values.get("writes", 0) + 1
         timeline = self._timeline(request)
 
         # 1. Weak fingerprint on every line (cheap).

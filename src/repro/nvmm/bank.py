@@ -79,7 +79,10 @@ class Bank:
     # ------------------------------------------------------------------
 
     def access_row(self, row: Hashable) -> bool:
-        """Open ``row``; returns True when it was already open (row hit)."""
+        """Open ``row``; returns True when it was already open (row hit).
+
+        ``MemoryController``'s fast branches inline this update.
+        """
         if self.open_row == row:
             self.row_hits += 1
             return True

@@ -99,7 +99,9 @@ class MemoryController:
     # comparison beat tuple construction on a once-per-access path.  Both
     # encodings are injective over (kind, row), so the row-buffer hit/miss
     # pattern is identical; the fast-path switch is fixed for the lifetime
-    # of a run, so a bank never sees a mix of the two encodings.
+    # of a run, so a bank never sees a mix of the two encodings.  They
+    # also inline ``Bank.access_row`` (same open-row update and hit/miss
+    # counts), which would otherwise be a method call per access.
 
     def read(self, line_number: int,
              at_time_ns: float) -> Tuple[bytes, BankService]:
@@ -127,10 +129,14 @@ class MemoryController:
                            line=line_number, latency_ns=service.latency_ns)
             return data, service
         bank = self.banks[line_number % self._num_banks]
-        if bank.access_row(line_number // self._row_size_lines):
+        row = line_number // self._row_size_lines
+        if bank.open_row == row:
+            bank.row_hits += 1
             latency = self._row_hit_read_latency_ns
             energy = self._row_hit_read_energy_nj
         else:
+            bank.open_row = row
+            bank.row_misses += 1
             latency = self._read_latency_ns
             energy = self._read_energy_nj
         service = bank.service(at_time_ns, latency)
@@ -173,7 +179,12 @@ class MemoryController:
                            line=line_number, latency_ns=service.latency_ns)
             return service
         bank = self.banks[line_number % self._num_banks]
-        bank.access_row(line_number // self._row_size_lines)
+        row = line_number // self._row_size_lines
+        if bank.open_row == row:
+            bank.row_hits += 1
+        else:
+            bank.open_row = row
+            bank.row_misses += 1
         service = bank.service(at_time_ns, self._write_latency_ns)
         self.device.write_line(line_number, data)
         buckets = self._energy_buckets
@@ -212,7 +223,12 @@ class MemoryController:
                            latency_ns=service.latency_ns)
             return service
         bank = self.banks[(key * 2654435761 >> 8) % self._num_banks]
-        bank.access_row(~(key >> 3))
+        row = ~(key >> 3)
+        if bank.open_row == row:
+            bank.row_hits += 1
+        else:
+            bank.open_row = row
+            bank.row_misses += 1
         service = bank.service(at_time_ns, self._write_latency_ns)
         buckets = self._energy_buckets
         buckets[_PCM_WRITE] = (buckets.get(_PCM_WRITE, 0.0)
@@ -256,10 +272,14 @@ class MemoryController:
                            latency_ns=service.latency_ns)
             return service
         bank = self.banks[(key * 2654435761 >> 8) % self._num_banks]
-        if bank.access_row(~(key >> 3)):
+        row = ~(key >> 3)
+        if bank.open_row == row:
+            bank.row_hits += 1
             latency = self._row_hit_read_latency_ns
             energy = self._row_hit_read_energy_nj
         else:
+            bank.open_row = row
+            bank.row_misses += 1
             latency = self._read_latency_ns
             energy = self._read_energy_nj
         service = bank.service(at_time_ns, latency)
@@ -290,7 +310,12 @@ class MemoryController:
                            latency_ns=service.latency_ns)
             return service
         bank = self.banks[(key * 2654435761 >> 8) % self._num_banks]
-        bank.access_row(~(key >> 3))
+        row = ~(key >> 3)
+        if bank.open_row == row:
+            bank.row_hits += 1
+        else:
+            bank.open_row = row
+            bank.row_misses += 1
         service = bank.service(at_time_ns, self._write_latency_ns)
         buckets = self._energy_buckets
         buckets[_PCM_WRITE] = buckets.get(_PCM_WRITE, 0.0) + self._write_energy_nj

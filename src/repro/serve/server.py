@@ -117,8 +117,15 @@ class DedupServer:
         # closed) get a short window to read their final replies.
         if self._conn_tasks:
             await asyncio.wait(self._conn_tasks, timeout=1.0)
-        for task in self._conn_tasks:
+        # Cancel the rest and wait for them to close their streams here:
+        # left to asyncio.run's teardown, a task cancelled again inside
+        # ``writer.wait_closed()`` gets its CancelledError logged as an
+        # unhandled callback error.
+        lingering = list(self._conn_tasks)
+        for task in lingering:
             task.cancel()
+        if lingering:
+            await asyncio.gather(*lingering, return_exceptions=True)
         await self.manager.shutdown()
         assert self._stopped is not None
         self._stopped.set()

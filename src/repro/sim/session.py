@@ -344,13 +344,15 @@ class Session:
         per-sample arithmetic as one end-of-run ``add_many`` (the recorder
         state round-trips through the instance between batches), and also
         runs on an exception mid-chunk so the partial batch is never lost.
+        The retired-instruction count and the return value are derived
+        from ``processed`` once per chunk: both are integer counts of the
+        requests completed, so the sums stay exact.
         """
         scheme = self.scheme
         handle_write = scheme.handle_write
         handle_read = scheme.handle_read
         verify = self._verify
         warmup_after = self._warmup_after
-        instructions_per_access = self.instructions_per_access
         write_lats: List[float] = []
         read_lats: List[float] = []
         write_lat_append = write_lats.append
@@ -365,10 +367,8 @@ class Session:
         cycle_ns = self._cycle_ns
         write_stall_fraction = self._write_stall_fraction
         stall_cycles = self._stall_cycles
-        instructions = self._instructions
-        processed = self._processed
+        processed = start = self._processed
         obs = self._obs_run
-        fed = 0
         try:
             for request in requests:
                 if obs is not None:
@@ -425,21 +425,20 @@ class Session:
                                    address=request.address,
                                    latency_ns=latency)
 
-                instructions += instructions_per_access
                 window_append(completion)
                 processed += 1
-                fed += 1
                 if processed == warmup_after:
                     self._dedup_at_warmup = scheme.counters.get("dedup_hits")
         finally:
             self._stall_cycles = stall_cycles
-            self._instructions = instructions
+            self._instructions += ((processed - start)
+                                   * self.instructions_per_access)
             self._processed = processed
             self._writes += len(write_lats)
             self._reads += len(read_lats)
             self._write_rec.add_many(write_lats)
             self._read_rec.add_many(read_lats)
-        return fed
+        return processed - start
 
     def _feed_reference(self, requests: Iterable[MemoryRequest]) -> int:
         """Reference chunk processor (the former ``_loop_reference``,

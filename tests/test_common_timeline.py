@@ -172,11 +172,19 @@ class TestReporting:
         assert S.METADATA not in breakdown.by_stage
 
     def test_segments_in_declaration_order(self):
+        # Only a branch leg logs segments (join() reads them); a spine
+        # keeps per-stage totals and yields none.
         tl = StageTimeline(0.0)
-        tl.serial(S.FINGERPRINT_COMPUTE, 40.0)
-        tl.serial(S.ENCRYPTION, 100.0)
-        assert [s for s, _, _ in tl.segments()] == [
-            S.FINGERPRINT_COMPUTE, S.ENCRYPTION]
+        leg = tl.branch()
+        leg.serial(S.FINGERPRINT_COMPUTE, 40.0)
+        leg.advance_to(S.FINGERPRINT_NVMM_LOOKUP, 100.0)
+        leg.serial(S.ENCRYPTION, 100.0)
+        assert list(leg.segments()) == [
+            (S.FINGERPRINT_COMPUTE, 0.0, 40.0),
+            (S.FINGERPRINT_NVMM_LOOKUP, 40.0, 100.0),
+            (S.ENCRYPTION, 100.0, 200.0)]
+        tl.serial(S.READ_FOR_COMPARISON, 30.0)
+        assert list(tl.segments()) == []
 
     def test_timeline_error_is_repro_error(self):
         assert issubclass(TimelineError, ReproError)

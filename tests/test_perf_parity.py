@@ -9,6 +9,7 @@ on and demands byte-identical summary rows.
 """
 
 import io
+import json
 import random
 from dataclasses import replace
 
@@ -34,6 +35,7 @@ from repro.nvmm.bank import BankService
 from repro.nvmm.controller import MemoryController
 from repro.perf import fastpath, memo, reset_caches
 from repro.registry import make_scheme, registered_scheme_names
+from repro.sim.export import result_to_state
 from repro.sim.runner import run_app, scaled_system_config
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.trace import read_trace_list, write_trace
@@ -193,6 +195,33 @@ class TestEndToEndParity:
         assert set(rows_off) == set(registered_scheme_names())
         assert rows_off == rows_on
 
+    def test_result_state_identical_across_all_schemes(self):
+        """The whole lossless result state, not only the summary rows:
+        latency recorders, energy buckets, both stage breakdowns (in
+        insertion order, which ``LatencyBreakdown.total`` sums in),
+        controller and scheme tallies and the IPC.  Only the extras that
+        exist in one mode alone (memo and epoch-priming statistics, the
+        mode flag) are left out.  3,000 requests span several epochs."""
+        def states(fast):
+            system = replace(scaled_system_config(), use_fastpath=fast)
+            results = run_app("gcc", registered_scheme_names(),
+                              requests=3_000, system=system, seed=7)
+            out = {}
+            for name, result in results.items():
+                state = result_to_state(result)
+                state["extras"] = {
+                    key: value for key, value in state["extras"].items()
+                    if not key.startswith(("memo_", "vec_"))
+                    and key != "fastpath_enabled"}
+                out[name] = json.dumps(state)
+            return out
+
+        reference = states(fast=False)
+        fast = states(fast=True)
+        assert set(reference) == set(registered_scheme_names())
+        for name in reference:
+            assert fast[name] == reference[name], name
+
     def test_extras_export_cache_stats(self):
         system_on = replace(scaled_system_config(), use_fastpath=True)
         result = run_app("gcc", ["ESD"], requests=self.REQUESTS,
@@ -265,6 +294,15 @@ class TestPerRequestParity:
                 if field != "timeline":
                     assert getattr(fast, field) == getattr(ref, field), (
                         i, field)
+            # The per-request timeline: per-stage exposures in charge
+            # order (the fold into the breakdown follows it), the critical
+            # path, and the seal the fast finalize sets inline.
+            fast_tl, ref_tl = fast.timeline, ref.timeline
+            assert (list(fast_tl.exposures.items())
+                    == list(ref_tl.exposures.items())), i
+            assert fast_tl.critical_path_ns == ref_tl.critical_path_ns, i
+            assert fast_tl.start_ns == ref_tl.start_ns, i
+            assert fast_tl.sealed and ref_tl.sealed, i
         writes = [r for r in results[False] if hasattr(r, "deduplicated")]
         assert any(r.wrote_line for r in writes)
         # DaE fingerprints ciphertext, which counter mode never repeats.

@@ -13,6 +13,7 @@ contents another session already cached) — may differ; everything else
 exactly.  ``_comparable`` strips exactly those keys.
 """
 
+import logging
 import os
 import re
 import signal
@@ -182,6 +183,24 @@ def test_session_limit():
             first.finalize()
         finally:
             first.close()
+
+
+def test_stop_with_idle_connection_logs_no_error(caplog):
+    """An idle client still connected at stop: its connection task is
+    cancelled and awaited inside the drain, so asyncio logs no error."""
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    server = BackgroundServer().start()
+    client = ServeClient("127.0.0.1", server.port)
+    try:
+        assert client.ping()["ok"]
+        server.stop()
+        assert not server._thread.is_alive()
+    finally:
+        client.close()
+    assert server.drained_clean is True
+    errors = [r for r in caplog.records
+              if r.name == "asyncio" and r.levelno >= logging.ERROR]
+    assert errors == [], [r.getMessage() for r in errors]
 
 
 def _spawn_serve_cli():
