@@ -4,17 +4,11 @@
 Produces the committed ``BENCH_perf_smoke.json`` artifact with four
 sections:
 
-* **grid** — end-to-end timing of the 3-app x 4-scheme evaluation grid,
-  run back-to-back in two modes per round: *reference* (the reference
-  loop) and *fast* (``repro.perf`` memo caches primed per epoch by
-  ``repro.vec``).  Rounds interleave the modes so machine noise hits
-  both sides equally; speedups are medians over per-round ratios.  The
-  section carries the correctness gate: ``grids_identical`` is true iff
-  every summary row (latencies, p99, write reduction, energy, IPC, PCM
-  writes) is bit-identical across the two modes.
-* **roster_parity** — the same bit-exactness gate over **all eight**
-  registered schemes (the grid times only the paper's four headliners),
-  fast vs reference.
+* **grid** — end-to-end timing of the 3-app x 4-scheme evaluation grid
+  on the simulator's one execution path (``repro.perf`` memo caches
+  primed per epoch by ``repro.vec``); medians over rounds.  Its results
+  are gated elsewhere: ``tests/test_perf_parity.py`` pins the digests of
+  these 12 cells and of all eight schemes' whole runs.
 * **long_trace** — serialization of a long request trace (write + read
   round trip), timed with the batched reader the trace module uses
   against the same write plus a scalar-parser decode, with equality of
@@ -25,9 +19,10 @@ sections:
   the chunked v2 trace writer vs materializing the full request list
   first.  Report-only: it documents that capture memory is bounded by
   the chunk size, not the trace length.
-* **kernels** — per-kernel memo on/off micro-benchmarks over a
-  content-local working set (a small set of distinct lines cycled many
-  times, the locality regime the memo caches are designed for).
+* **kernels** — per-kernel micro-benchmarks of each memoized kernel
+  against its uncached form, over a content-local working set (a small
+  set of distinct lines cycled many times, the locality regime the memo
+  caches are designed for).
 * **serve_throughput** — requests/sec streaming one trace through the
   :mod:`repro.serve` loopback server vs the same trace run directly
   (report-only; the serve parity hard gate is ``serve_smoke.py``).
@@ -56,9 +51,10 @@ Usage::
     PYTHONPATH=src python benchmarks/perf_smoke.py --quick
     PYTHONPATH=src python benchmarks/perf_smoke.py --output BENCH_perf_smoke.json
 
-Exit status: 0 on success, 2 when the fast grid diverges from the
-reference grid, the roster parity check fails, or the two parsers'
-long-trace decodes differ (correctness regressions, never acceptable).
+Exit status: 0 on success, 2 when the two parsers' long-trace decodes
+differ, a multi-process served session diverges from its direct run, or
+a sweep backend pair diverges from the serial grid (correctness
+regressions, never acceptable).
 """
 
 from __future__ import annotations
@@ -71,7 +67,6 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -81,17 +76,17 @@ except ImportError:  # running from a checkout without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.common.types import CACHE_LINE_SIZE
-from repro.crypto.counter_mode import _derive_pad
+from repro.crypto.counter_mode import _derive_pad, _derive_pad_uncached
 from repro.crypto.fingerprints import make_engine
-from repro.ecc.codec import decode_line, line_ecc, line_ecc_uncached
-from repro.perf import fastpath, reset_caches
-from repro.registry import registered_scheme_names
-from repro.sim.runner import (
-    ExperimentConfig,
-    run_app,
-    run_grid,
-    scaled_system_config,
+from repro.ecc.codec import (
+    decode_line,
+    decode_line_uncached,
+    line_ecc,
+    line_ecc_uncached,
 )
+from repro.perf import reset_caches
+from repro.registry import registered_scheme_names
+from repro.sim.runner import ExperimentConfig, run_grid, scaled_system_config
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.profiles import get_profile
 from repro.workloads.trace import (
@@ -117,88 +112,34 @@ KERNEL_DISTINCT_LINES = 64
 # Grid benchmark
 # ----------------------------------------------------------------------
 
-#: The two timed execution modes: (label, use_fastpath).
-GRID_MODES = (
-    ("reference", False),
-    ("fast", True),
-)
-
-
-def _grid_config(requests: int, fast: bool) -> ExperimentConfig:
-    return ExperimentConfig(
-        apps=list(GRID_APPS),
-        schemes=list(GRID_SCHEMES),
-        requests_per_app=requests,
-        system=replace(scaled_system_config(), use_fastpath=fast),
-        seed=GRID_SEED,
-    )
-
-
-def _run_rows(requests: int, fast: bool) -> Dict[str, Dict[str, float]]:
-    """Run the grid in one mode; returns ``{"app/scheme": summary_row}``."""
-    grid = run_grid(_grid_config(requests, fast))
-    return {f"{app}/{scheme}": result.summary_row()
-            for (app, scheme), result in grid.items()}
-
-
 def bench_grid(requests: int, rounds: int) -> Dict:
-    """Interleaved two-mode grid timing plus the parity check."""
+    """Time the grid ``rounds`` times; medians of CPU and wall seconds."""
+    config = ExperimentConfig(apps=list(GRID_APPS),
+                              schemes=list(GRID_SCHEMES),
+                              requests_per_app=requests, seed=GRID_SEED)
     round_records: List[Dict[str, float]] = []
-    identical = True
     for _ in range(rounds):
-        cpu: Dict[str, float] = {}
-        wall: Dict[str, float] = {}
-        rows: Dict[str, Dict] = {}
-        for label, fast in GRID_MODES:
-            wall0 = time.perf_counter()
-            cpu0 = time.process_time()
-            rows[label] = _run_rows(requests, fast)
-            cpu[label] = time.process_time() - cpu0
-            wall[label] = time.perf_counter() - wall0
-        record = {f"{label}_cpu_s": cpu[label] for label in cpu}
-        record.update({f"{label}_wall_s": wall[label] for label in wall})
-        record["cpu_speedup"] = (cpu["reference"] / cpu["fast"]
-                                 if cpu["fast"] > 0 else 0.0)
-        record["wall_speedup"] = (wall["reference"] / wall["fast"]
-                                  if wall["fast"] > 0 else 0.0)
-        round_records.append(record)
-        identical = identical and rows["fast"] == rows["reference"]
+        wall0 = time.perf_counter()
+        cpu0 = time.process_time()
+        run_grid(config)
+        round_records.append({"cpu_s": time.process_time() - cpu0,
+                              "wall_s": time.perf_counter() - wall0})
     return {
         "apps": list(GRID_APPS),
         "schemes": list(GRID_SCHEMES),
-        "modes": [label for label, _ in GRID_MODES],
         "seed": GRID_SEED,
         "requests_per_app": requests,
         "jobs": 1,  # timed serially; parallel timing would measure the pool
         "rounds": round_records,
-        "median_cpu_speedup": statistics.median(
-            r["cpu_speedup"] for r in round_records),
-        "median_wall_speedup": statistics.median(
-            r["wall_speedup"] for r in round_records),
-        "grids_identical": identical,
+        "median_cpu_s": statistics.median(r["cpu_s"] for r in round_records),
+        "median_wall_s": statistics.median(
+            r["wall_s"] for r in round_records),
     }
 
 
 # ----------------------------------------------------------------------
-# Full-roster parity and the long-trace round
+# The long-trace round
 # ----------------------------------------------------------------------
-
-def bench_roster_parity(requests: int) -> Dict:
-    """Bit-exact summary rows, fast vs reference, for all 8 schemes."""
-    schemes = registered_scheme_names()
-    rows = {}
-    for fast in (False, True):
-        system = replace(scaled_system_config(), use_fastpath=fast)
-        results = run_app(GRID_APPS[0], schemes, requests=requests,
-                          system=system, seed=GRID_SEED)
-        rows[fast] = {name: r.summary_row() for name, r in results.items()}
-    return {
-        "app": GRID_APPS[0],
-        "schemes": list(schemes),
-        "requests": requests,
-        "identical": rows[False] == rows[True],
-    }
-
 
 def _read_scalar(buffer: io.BytesIO) -> List:
     """Decode a version-1 trace with the scalar reference parser."""
@@ -341,91 +282,80 @@ def _kernel_stream(ops: int) -> List[bytes]:
     return [lines[i % len(lines)] for i in range(ops)]
 
 
-def _bench_line_ecc(ops: int) -> Callable[[], None]:
+def _bench_line_ecc(ops: int, cached: bool) -> Callable[[], None]:
     stream = _kernel_stream(ops)
+    kernel = line_ecc if cached else line_ecc_uncached
 
     def run() -> None:
         for data in stream:
-            line_ecc(data)
+            kernel(data)
     return run
 
 
-def _bench_decode_line_clean(ops: int) -> Callable[[], None]:
-    stream = _kernel_stream(ops)
+def _bench_decode_line_clean(ops: int, cached: bool) -> Callable[[], None]:
     # Pair every line with its correct ECC (the clean, no-fault decode that
     # dominates simulation reads); computed uncached so setup cost never
     # warms the caches under test.
     pairs = [(data, line_ecc_uncached(data)) for data in _working_set()]
     stream_pairs = [pairs[i % len(pairs)] for i in range(ops)]
-    del stream
+    kernel = decode_line if cached else decode_line_uncached
 
     def run() -> None:
         for data, ecc in stream_pairs:
-            decode_line(data, ecc)
+            kernel(data, ecc)
     return run
 
 
-def _bench_counter_pad(ops: int) -> Callable[[], None]:
+def _bench_counter_pad(ops: int, cached: bool) -> Callable[[], None]:
     key = b"\x13" * 32
     coords = [(line, 1) for line in range(KERNEL_DISTINCT_LINES)]
     stream = [coords[i % len(coords)] for i in range(ops)]
+    kernel = _derive_pad if cached else _derive_pad_uncached
 
     def run() -> None:
         for line, counter in stream:
-            _derive_pad(key, line, counter)
+            kernel(key, line, counter)
     return run
 
 
-def _bench_fingerprint(name: str, ops: int) -> Callable[[], None]:
+def _bench_fingerprint(name: str, ops: int,
+                       cached: bool) -> Callable[[], None]:
     engine = make_engine(name)
     stream = _kernel_stream(ops)
+    kernel = engine.fingerprint if cached else engine._digest
 
     def run() -> None:
-        fingerprint = engine.fingerprint
         for data in stream:
-            fingerprint(data)
+            kernel(data)
     return run
 
 
-def _bench_trace_roundtrip(ops: int) -> Callable[[], None]:
-    profile = get_profile(GRID_APPS[0])
-    requests = TraceGenerator(profile, seed=GRID_SEED).generate_list(ops)
-
-    def run() -> None:
-        buffer = io.BytesIO()
-        write_trace(requests, buffer)
-        buffer.seek(0)
-        read_trace_list(buffer)
-    return run
-
-
-def _time_kernel(factory: Callable[[int], Callable[[], None]],
-                 ops: int, repeats: int, enabled: bool) -> float:
-    """Median ns/op over ``repeats`` runs in one fast-path mode."""
-    run = factory(ops)
+def _time_kernel(factory: Callable[[int, bool], Callable[[], None]],
+                 ops: int, repeats: int, cached: bool) -> float:
+    """Median ns/op over ``repeats`` runs of the cached or uncached form."""
+    run = factory(ops, cached)
     samples = []
-    with fastpath(enabled):
-        for _ in range(repeats):
-            reset_caches()
-            start = time.process_time()
-            run()
-            samples.append((time.process_time() - start) / ops * 1e9)
+    for _ in range(repeats):
+        reset_caches()
+        start = time.process_time()
+        run()
+        samples.append((time.process_time() - start) / ops * 1e9)
     return statistics.median(samples)
 
 
 def bench_kernels(ops: int, repeats: int) -> Dict[str, Dict[str, float]]:
-    factories: Dict[str, Callable[[int], Callable[[], None]]] = {
+    """Each memoized kernel against its uncached form."""
+    factories: Dict[str, Callable[[int, bool], Callable[[], None]]] = {
         "line_ecc": _bench_line_ecc,
         "decode_line_clean": _bench_decode_line_clean,
         "counter_pad": _bench_counter_pad,
-        "fingerprint_sha1": lambda n: _bench_fingerprint("sha1", n),
-        "fingerprint_crc": lambda n: _bench_fingerprint("crc32", n),
-        "trace_roundtrip": _bench_trace_roundtrip,
+        "fingerprint_sha1": lambda n, c: _bench_fingerprint("sha1", n, c),
+        "fingerprint_crc": lambda n, c: _bench_fingerprint("crc32", n, c),
     }
     report: Dict[str, Dict[str, float]] = {}
     for name, factory in factories.items():
-        off = _time_kernel(factory, ops, repeats, enabled=False)
-        on = _time_kernel(factory, ops, repeats, enabled=True)
+        off = _time_kernel(factory, ops, repeats, cached=False)
+        on = _time_kernel(factory, ops, repeats, cached=True)
         report[name] = {
             "memo_off_ns_per_op": off,
             "memo_on_ns_per_op": on,
@@ -702,7 +632,11 @@ def bench_sweep_backends(requests: int) -> Dict:
 #: v5: the grid times two modes (reference, fast); ``median_cpu_speedup``
 #: is fast over reference and ``median_memo_cpu_speedup`` is gone.  The
 #: long trace times the batched vs the scalar parser on a v1 trace.
-HISTORY_SCHEMA_VERSION = 5
+#: v6: the grid times the one execution path (``median_cpu_s``,
+#: ``median_wall_s`` replace the two-mode speedups), and the
+#: ``grids_identical``/``roster_identical`` gates are gone: the pinned
+#: digests in ``tests/test_perf_parity.py`` check those results.
+HISTORY_SCHEMA_VERSION = 6
 
 
 def history_entry(report: Dict) -> Dict:
@@ -720,8 +654,8 @@ def history_entry(report: Dict) -> Dict:
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "quick": report["quick"],
         "requests_per_app": grid["requests_per_app"],
-        "median_cpu_speedup": grid["median_cpu_speedup"],
-        "median_wall_speedup": grid["median_wall_speedup"],
+        "grid_median_cpu_s": grid["median_cpu_s"],
+        "grid_median_wall_s": grid["median_wall_s"],
         "long_trace_median_cpu_speedup":
             report["long_trace"]["median_cpu_speedup"],
         "streaming_capture_peak_rss_kib":
@@ -743,8 +677,6 @@ def history_entry(report: Dict) -> Dict:
         "sweep_jobs_per_s": {
             pair: stats["jobs_per_s"]
             for pair, stats in report["sweep_throughput"]["pairs"].items()},
-        "grids_identical": grid["grids_identical"],
-        "roster_identical": report["roster_parity"]["identical"],
         "loopback_parity":
             report["serve_throughput"]["loopback_parity"],
         "serve_mp_roster_parity":
@@ -785,7 +717,7 @@ def emit_metrics_report(requests: int, path: Path) -> None:
     The report (``repro.obs`` registry snapshot plus trace-ring stats) is
     a CI artifact: it documents the migrated ``memo_*`` counters and the
     request-latency histograms for the benchmark configuration.  It is
-    informational — the only hard gate stays ``grids_identical``.
+    informational, never a gate.
     """
     from repro.sim.runner import run_app
 
@@ -807,8 +739,9 @@ def emit_metrics_report(requests: int, path: Path) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Fast-path perf smoke: grid timing, kernel micro-"
-                    "benchmarks, and the off/on summary-row parity gate.")
+        description="Perf smoke: grid timing, kernel micro-benchmarks, "
+                    "and the parser, serve-mp and sweep-backend parity "
+                    "gates.")
     parser.add_argument("--quick", action="store_true",
                         help="CI sizing: 2000 requests/app, 1 grid round")
     parser.add_argument("--output", type=Path, default=None,
@@ -816,7 +749,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--requests", type=int, default=None,
                         help="override requests per app")
     parser.add_argument("--rounds", type=int, default=None,
-                        help="override interleaved grid timing rounds")
+                        help="override grid timing rounds")
     parser.add_argument("--metrics-report", type=Path, default=None,
                         help="also run one observed cell and write its "
                              "repro.obs metrics report here")
@@ -833,7 +766,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     kernel_ops = 2000 if args.quick else 20000
     kernel_repeats = 3 if args.quick else 5
     trace_records = 20000 if args.quick else 200000
-    roster_requests = min(requests, 2000)
+    serve_requests = min(requests, 2000)
 
     sweep_requests = min(requests, 1000 if args.quick else 2000)
 
@@ -842,19 +775,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     capture_records = max(trace_records, 200_000)
 
     grid = bench_grid(requests, rounds)
-    roster = bench_roster_parity(roster_requests)
     long_trace = bench_long_trace(trace_records, max(rounds, 3))
     streaming_capture = bench_streaming_capture(capture_records)
     kernels = bench_kernels(kernel_ops, kernel_repeats)
-    serve = bench_serve_throughput(roster_requests)
-    serve_mp = bench_serve_mp(min(roster_requests,
+    serve = bench_serve_throughput(serve_requests)
+    serve_mp = bench_serve_mp(min(serve_requests,
                                   1500 if args.quick else 2000))
     sweep = bench_sweep_backends(sweep_requests)
 
     report = {
         "benchmark": "simulator-performance",
         "grid": grid,
-        "roster_parity": roster,
         "long_trace": long_trace,
         "streaming_capture": streaming_capture,
         "kernels": kernels,
@@ -880,9 +811,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.metrics_report is not None:
         emit_metrics_report(requests, args.metrics_report)
         print(f"wrote {args.metrics_report}")
-    print(f"grid: median cpu speedup fast {grid['median_cpu_speedup']:.2f}x, "
-          f"identical={grid['grids_identical']}; "
-          f"roster identical={roster['identical']}; "
+    print(f"grid: median {grid['median_cpu_s']:.2f} cpu s; "
           f"long-trace {long_trace['median_cpu_speedup']:.2f}x, "
           f"identical={long_trace['roundtrip_identical']}; "
           f"serve {serve['serve_req_per_s']:.0f} req/s "
@@ -900,14 +829,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           f" KiB over {streaming_capture['records']} records (report-only)",
           file=sys.stderr)
     failed = False
-    if not grid["grids_identical"]:
-        print("FAIL: a fast-path grid diverges from the reference grid",
-              file=sys.stderr)
-        failed = True
-    if not roster["identical"]:
-        print("FAIL: full-roster summary rows diverge fast vs reference",
-              file=sys.stderr)
-        failed = True
     if not long_trace["roundtrip_identical"]:
         print("FAIL: long-trace decodes differ between the parsers",
               file=sys.stderr)

@@ -15,9 +15,9 @@ Mao, and Wang.  The package contains:
 * :mod:`repro.sim` — the trace-driven engine and experiment runner.
 * :mod:`repro.sweep` — parallel sweep orchestration: process-pool
   scheduler, content-addressed result store, resumable checkpoints.
-* :mod:`repro.perf` — content-addressed kernel fast path: bounded LRU
-  memoization of the pure ECC/crypto kernels (``REPRO_FASTPATH`` /
-  ``SystemConfig.use_fastpath``), bit-identical to the slow path.
+* :mod:`repro.perf` — content-addressed kernel caches: bounded LRU
+  memoization of the pure ECC/crypto kernels, bit-identical to their
+  uncached forms.
 * :mod:`repro.analysis` — one reproduction function per paper figure.
 
 Quickstart::
@@ -49,13 +49,7 @@ from .dedup import (
     make_scheme,
 )
 from .ecc import decode_line, encode_word, line_ecc
-from .perf import (
-    cache_stats,
-    fastpath,
-    fastpath_enabled,
-    reset_caches,
-    set_fastpath,
-)
+from .perf import cache_stats, reset_caches
 from .sim import (
     EngineConfig,
     ExperimentConfig,
@@ -97,13 +91,10 @@ __all__ = [
     "decode_line",
     "default_config",
     "encode_word",
-    "fastpath",
-    "fastpath_enabled",
     "get_profile",
     "line_ecc",
     "make_scheme",
     "reset_caches",
-    "set_fastpath",
     "run_app",
     "run_grid",
     "run_sweep",

@@ -73,14 +73,11 @@ def _app_choices() -> List[str]:
 
 
 def _system_config(args) -> "SystemConfig":
-    from dataclasses import replace as _replace
     config = scaled_system_config()
     if getattr(args, "efit_kb", None):
         config = config.with_metadata_cache(efit_bytes=kib(args.efit_kb))
     if getattr(args, "amt_kb", None):
         config = config.with_metadata_cache(amt_bytes=kib(args.amt_kb))
-    if getattr(args, "no_fastpath", False):
-        config = _replace(config, use_fastpath=False)
     return config
 
 
@@ -170,8 +167,7 @@ def _open_or_resume_session(args, scheme_name: str):
         raise SystemExit(
             f"checkpoint {args.resume} was taken with a different system "
             f"configuration (differing fields: {', '.join(differing)}); "
-            f"rerun with the original run's --no-fastpath/--efit-kb/"
-            f"--amt-kb flags")
+            f"rerun with the original run's --efit-kb/--amt-kb flags")
     consumed = restored.consumed
     skipped = sum(1 for _ in islice(stream, consumed))
     if skipped < consumed:
@@ -602,10 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="EFIT / fingerprint cache size in KB")
         p.add_argument("--amt-kb", type=int, default=None,
                        help="AMT / mapping cache size in KB")
-        p.add_argument("--no-fastpath", action="store_true",
-                       help="run the reference loop instead of the fast "
-                            "path (memoized kernels primed per epoch); "
-                            "results are bit-identical, only slower")
 
     run_p = sub.add_parser("run", help="run one scheme over one trace")
     add_common(run_p)
@@ -770,9 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--drain-grace", type=float, default=30.0,
                          help="seconds to wait for in-flight sessions on "
                               "SIGTERM before aborting them (default: 30)")
-    serve_p.add_argument("--no-fastpath", action="store_true",
-                         help="run the reference loop instead of the fast "
-                              "path")
     serve_p.set_defaults(func=cmd_serve)
 
     val_p = sub.add_parser("validate",

@@ -248,14 +248,6 @@ class SystemConfig:
     #: Per-level hash latency of the integrity tree walk (on-chip SHA
     #: engine), charged when ``protect_counters`` is enabled.
     integrity_hash_latency_ns: float = 5.0
-    #: Host-CPU fast path: memoize the pure ECC/crypto/fingerprint kernels
-    #: in bounded LRU caches (:mod:`repro.perf`) and prime them one epoch
-    #: at a time with batched numpy kernels (:mod:`repro.vec`); off runs
-    #: the reference loop.  ``None`` defers to the ``REPRO_FASTPATH``
-    #: environment variable (default on); ``True``/``False`` force the
-    #: fast path on/off for runs using this config.  Simulated results are
-    #: bit-identical either way (gated by ``benchmarks/perf_smoke.py``).
-    use_fastpath: Optional[bool] = None
     #: Run-scoped instrumentation (:mod:`repro.obs`): metrics registry,
     #: per-request trace ring, and exporters.  Off by default; enabling it
     #: never changes simulated results (gated by the obs parity tests).

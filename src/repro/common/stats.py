@@ -15,8 +15,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..perf import memo as _memo
-
 
 @dataclass
 class Counter:
@@ -27,13 +25,10 @@ class Counter:
     def incr(self, name: str, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError("counters only increase")
-        if _memo.ENABLED:
-            # Fast path: schemes call incr() several times per request, so
-            # the double ``self.values`` attribute lookup is worth a local.
-            values = self.values
-            values[name] = values.get(name, 0) + amount
-            return
-        self.values[name] = self.values.get(name, 0) + amount
+        # Schemes call incr() several times per request, so the double
+        # ``self.values`` attribute lookup is worth a local.
+        values = self.values
+        values[name] = values.get(name, 0) + amount
 
     def get(self, name: str) -> int:
         return self.values.get(name, 0)
@@ -102,21 +97,6 @@ class LatencyRecorder:
     def add(self, latency_ns: float) -> None:
         if latency_ns < 0:
             raise ValueError("latency must be non-negative")
-        if not _memo.ENABLED:
-            # Reference form (pre-fast-path implementation).
-            self._seen += 1
-            self._running.add(latency_ns)
-            self._total += latency_ns
-            self._min = min(self._min, latency_ns)
-            self._max = max(self._max, latency_ns)
-            if len(self._samples) < self._max_samples:
-                self._samples.append(latency_ns)
-            else:
-                # Reservoir sampling keeps a uniform subsample.
-                j = int(self._rng.integers(0, self._seen))
-                if j < self._max_samples:
-                    self._samples[j] = latency_ns
-            return
         self._seen += 1
         # Welford update inlined (identical arithmetic to RunningMean.add);
         # this is the per-request recording path.
@@ -145,7 +125,7 @@ class LatencyRecorder:
         Performs exactly the same per-sample arithmetic as repeated
         :meth:`add` calls (so the resulting statistics are bit-identical),
         but with the recorder state held in locals across the batch — the
-        engine's fast-path loop collects each run's latencies in a plain
+        session's request loop collects each run's latencies in a plain
         list and flushes them here once.
         """
         running = self._running

@@ -36,7 +36,6 @@ import math
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..obs import runtime as _obs
-from ..perf import memo as _memo
 from .errors import ReproError
 from .types import LatencyBreakdown, WritePathStage
 
@@ -92,17 +91,6 @@ class StageTimeline:
 
     def serial(self, stage: WritePathStage, duration_ns: float) -> None:
         """A fixed-duration step fully exposed on this timeline."""
-        if not _memo.ENABLED:
-            # Reference form (the pre-fast-path implementation, kept
-            # verbatim so the slow path stays the original code).
-            self._check_open()
-            if duration_ns < 0:
-                raise TimelineError(
-                    f"stage {stage} declared with negative duration "
-                    f"{duration_ns!r}")
-            self._charge(stage, duration_ns)
-            self.now = self.now + duration_ns
-            return
         if self._sealed:
             self._check_open()
         if duration_ns < 0:
@@ -128,17 +116,6 @@ class StageTimeline:
         latency is ``completion_ns - now``, i.e. all wall clock between
         the step's start and its completion.
         """
-        if not _memo.ENABLED:
-            # Reference form (the pre-fast-path implementation).
-            self._check_open()
-            if completion_ns < self.now - ABS_TOLERANCE_NS:
-                raise TimelineError(
-                    f"stage {stage} completes at {completion_ns!r}, before "
-                    f"the timeline clock {self.now!r}")
-            self._charge(stage, max(0.0, completion_ns - self.now))
-            if completion_ns > self.now:
-                self.now = completion_ns
-            return
         if self._sealed:
             self._check_open()
         now = self.now
@@ -187,7 +164,7 @@ class StageTimeline:
             lo = begin if begin > window_start else window_start
             hi = end if end < window_end else window_end
             if hi > lo:
-                self._charge(stage, hi - lo, begin=lo, end=hi)
+                self._charge(stage, lo, hi)
         self.now = window_end
 
     def overlap_with(self, stage: WritePathStage,
@@ -217,28 +194,25 @@ class StageTimeline:
     # Sealing and reporting
     # ------------------------------------------------------------------
 
-    def seal(self, validate: bool = True) -> "StageTimeline":
+    def seal(self) -> "StageTimeline":
         """Freeze the timeline after checking stage conservation.
 
-        Args:
-            validate: run the conservation check.  Callers always validate
-                today; the knob exists for paths that have already proven
-                conservation elsewhere.  (The kernel fast path does not call
-                ``seal`` at all — the scheme finalize helpers inline the
-                sealing flag and fold, and their correctness is covered by
-                the off/on parity gate, which still validates on every
-                reference run.)
+        The scheme finalize helpers (``DedupScheme._finalize_write`` /
+        ``_finalize_read``) do not call ``seal``: they set the sealing flag
+        and fold inline, once per request.  Conservation on that path is a
+        test assertion instead (``tests/test_stage_conservation.py`` on
+        every request of every scheme, and the scheme state machine on
+        every step).
         """
         if self._sealed:
             return self
-        if validate:
-            total = math.fsum(self._exposure.values())
-            span = self.now - self.start_ns
-            if not math.isclose(total, span, rel_tol=REL_TOLERANCE,
-                                abs_tol=ABS_TOLERANCE_NS):
-                raise TimelineError(
-                    f"stage conservation violated: exposures sum to "
-                    f"{total!r} ns but the critical path is {span!r} ns")
+        total = math.fsum(self._exposure.values())
+        span = self.now - self.start_ns
+        if not math.isclose(total, span, rel_tol=REL_TOLERANCE,
+                            abs_tol=ABS_TOLERANCE_NS):
+            raise TimelineError(
+                f"stage conservation violated: exposures sum to "
+                f"{total!r} ns but the critical path is {span!r} ns")
         self._sealed = True
         obs = _obs.RUN
         if obs is not None:
@@ -265,12 +239,6 @@ class StageTimeline:
 
     def fold_into(self, breakdown: LatencyBreakdown) -> None:
         """Accumulate this request's exposures into a running breakdown."""
-        if not _memo.ENABLED:
-            # Reference form: route through the validating accessor.
-            for stage, ns in self._exposure.items():
-                if ns > 0.0:
-                    breakdown.add(stage, ns)
-            return
         # Direct dict update: exposures are non-negative by construction,
         # so ``LatencyBreakdown.add``'s validation is redundant here and
         # this is a per-request path.
@@ -299,10 +267,8 @@ class StageTimeline:
             raise TimelineError("timeline is sealed; declare all work "
                                 "before seal()/join()")
 
-    def _charge(self, stage: WritePathStage, duration_ns: float,
-                begin: float = -1.0, end: float = -1.0) -> None:
-        self._exposure[stage] = self._exposure.get(stage, 0.0) + duration_ns
+    def _charge(self, stage: WritePathStage, begin: float,
+                end: float) -> None:
+        self._exposure[stage] = self._exposure.get(stage, 0.0) + (end - begin)
         if self._segments is not None:
-            if begin < 0.0:
-                begin, end = self.now, self.now + duration_ns
             self._segments.append((stage, begin, end))

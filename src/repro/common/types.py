@@ -52,6 +52,20 @@ def validate_line(data: bytes) -> bytes:
     return bytes(data)
 
 
+def check_write_payload(data: Optional[bytes]) -> None:
+    """Raise the ``ValueError`` :class:`MemoryRequest` raises for a write
+    payload it would reject; return for one it accepts.
+
+    Every scheme's ``handle_write`` calls this when its inline check
+    (``data.__class__ is not bytes or len(data) != CACHE_LINE_SIZE``)
+    fails, so a request built unchecked or mutated after construction is
+    rejected before any state changes.
+    """
+    if data is None:
+        raise ValueError("write request requires data")
+    validate_line(data)
+
+
 def is_zero_line(data: bytes) -> bool:
     """True when every byte of the cache line is zero."""
     return data == ZERO_LINE

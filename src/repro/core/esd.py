@@ -35,6 +35,7 @@ from ..common.types import (
     CACHE_LINE_SIZE,
     MemoryRequest,
     WritePathStage,
+    check_write_payload,
 )
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..dedup.base import DedupScheme, MetadataFootprint, ReadResult, WriteResult
@@ -108,8 +109,9 @@ class ESDScheme(DedupScheme):
     # ------------------------------------------------------------------
 
     def handle_write(self, request: MemoryRequest) -> WriteResult:
-        if request.data is None:
-            raise ValueError("write request requires data")
+        payload = request.data
+        if payload.__class__ is not bytes or len(payload) != CACHE_LINE_SIZE:
+            check_write_payload(payload)
         values = self._counter_values
         values["writes"] = values.get("writes", 0) + 1
         timeline = self._timeline(request)

@@ -36,9 +36,10 @@ from ..common.config import SystemConfig
 from ..common.timeline import StageTimeline
 from ..common.types import (
     CACHE_LINE_SIZE,
-    MemoryRequest,
     WORDS_PER_LINE,
+    MemoryRequest,
     WritePathStage,
+    check_write_payload,
 )
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..dedup.base import ReadResult, WriteResult
@@ -161,8 +162,9 @@ class ESDDeltaScheme(ESDScheme):
     # ------------------------------------------------------------------
 
     def handle_write(self, request: MemoryRequest) -> WriteResult:
-        if request.data is None:
-            raise ValueError("write request requires data")
+        payload = request.data
+        if payload.__class__ is not bytes or len(payload) != CACHE_LINE_SIZE:
+            check_write_payload(payload)
         ecc = line_ecc(request.data)
         entry, _probe = self.efit.lookup(ecc)
         if entry is not None:

@@ -68,35 +68,31 @@ def _derive_pad(key: bytes, line_number: int, counter: int) -> bytes:
     even though in any one simulation the key is a per-engine constant and
     the effective key is ``(line, counter)``.
     """
-    if _memo.ENABLED:
-        memo_key = (key, line_number, counter)
-        pad = _PAD_CACHE.get(memo_key)
-        if pad is not None:
-            return pad
-        pad = _derive_pad_uncached(key, line_number, counter)
-        _PAD_CACHE.put(memo_key, pad)
+    memo_key = (key, line_number, counter)
+    pad = _PAD_CACHE.get(memo_key)
+    if pad is not None:
         return pad
-    return _derive_pad_uncached(key, line_number, counter)
+    pad = _derive_pad_uncached(key, line_number, counter)
+    _PAD_CACHE.put(memo_key, pad)
+    return pad
 
 
 def _xor_line_reference(a: bytes, b: bytes) -> bytes:
-    """Reference per-byte XOR (the slow path's obviously-correct form)."""
+    """Reference per-byte XOR (the obviously-correct form, for tests)."""
     return bytes(p ^ q for p, q in zip(a, b))
 
 
 def _xor_line(a: bytes, b: bytes) -> bytes:
     """XOR two 64-byte lines.
 
-    Fast path: one ``int.from_bytes``/XOR/``to_bytes`` round trip over a
-    single 512-bit integer runs in C and is an order of magnitude cheaper
-    than the per-byte generator expression, with bit-identical output
-    (asserted against the reference in ``tests/test_perf_parity.py``).
+    One ``int.from_bytes``/XOR/``to_bytes`` round trip over a single
+    512-bit integer runs in C and is an order of magnitude cheaper than
+    the per-byte generator expression, with bit-identical output
+    (asserted against :func:`_xor_line_reference` in
+    ``tests/test_perf_parity.py``).
     """
-    if _memo.ENABLED:
-        return (int.from_bytes(a, "little")
-                ^ int.from_bytes(b, "little")).to_bytes(CACHE_LINE_SIZE,
-                                                        "little")
-    return _xor_line_reference(a, b)
+    return (int.from_bytes(a, "little")
+            ^ int.from_bytes(b, "little")).to_bytes(CACHE_LINE_SIZE, "little")
 
 
 @dataclass
@@ -133,7 +129,8 @@ class EncryptedLine(NamedTuple):
 
     A ``NamedTuple`` rather than a frozen dataclass: one is built per
     encrypted write.  Its generated ``__new__`` is a Python function, so
-    the fast path builds it with ``tuple.__new__`` (DESIGN.md §8).
+    :meth:`CounterModeEngine.encrypt` builds it with ``tuple.__new__``
+    (DESIGN.md §8).
     """
 
     ciphertext: bytes
@@ -155,9 +152,8 @@ class CounterModeEngine:
             raise ValueError("key must be at least 16 bytes")
         self._key = bytes(key)
         self._counters = CounterTable()
-        # The table's dict and its overflow limit, hoisted for the
-        # fast-path encrypt and decrypt branches (the dict is never
-        # reassigned, only mutated).
+        # The table's dict and its overflow limit, hoisted for encrypt and
+        # decrypt_at (the dict is never reassigned, only mutated).
         self._line_counters = self._counters.counters
         self._counter_limit = 1 << self._counters.width_bits
         self.costs = costs
@@ -176,49 +172,39 @@ class CounterModeEngine:
         Advances the line's write counter, so re-encrypting identical
         plaintext at the same address still produces fresh ciphertext.
         """
-        if _memo.ENABLED:
-            # Fast path: validation narrowed to the hot ``bytes`` case, and
-            # counter advance, pad memo, and XOR inlined (this runs once
-            # per encrypted write).  Encrypt-side pads are always cache
-            # misses — the counter just advanced — but the lookup keeps the
-            # cache warm for the read path's re-derivation.
-            if (plaintext.__class__ is not bytes
-                    or len(plaintext) != CACHE_LINE_SIZE):
-                validate_line(plaintext)
-            if line_number < 0:
-                raise ValueError("line number must be non-negative")
-            counters = self._line_counters
-            counter = counters.get(line_number, 0) + 1
-            if counter >= self._counter_limit:
-                raise OverflowError(f"counter overflow on line {line_number}")
-            counters[line_number] = counter
-            memo_key = (self._key, line_number, counter)
-            pad = _PAD_DATA.get(memo_key)
-            if pad is None:
-                _PAD_CACHE.misses += 1
-                pad = _derive_pad_uncached(self._key, line_number, counter)
-                if len(_PAD_DATA) >= _PAD_CACHE.capacity:
-                    _PAD_DATA.popitem(last=False)
-                    _PAD_CACHE.evictions += 1
-                _PAD_DATA[memo_key] = pad
-            else:
-                _PAD_CACHE.hits += 1
-                _PAD_DATA.move_to_end(memo_key)
-            self.encrypt_count += 1
-            return _new_tuple(EncryptedLine, (
-                (int.from_bytes(plaintext, "little")
-                 ^ int.from_bytes(pad, "little")).to_bytes(CACHE_LINE_SIZE,
-                                                           "little"),
-                line_number, counter))
-        validate_line(plaintext)
+        # Validation narrowed to the hot ``bytes`` case, and counter
+        # advance, pad memo, and XOR inlined (this runs once per encrypted
+        # write).  Encrypt-side pads are always cache misses — the counter
+        # just advanced — but the lookup keeps the cache warm for the read
+        # path's re-derivation.
+        if (plaintext.__class__ is not bytes
+                or len(plaintext) != CACHE_LINE_SIZE):
+            validate_line(plaintext)
         if line_number < 0:
             raise ValueError("line number must be non-negative")
-        counter = self._counters.advance(line_number)
-        pad = _derive_pad(self._key, line_number, counter)
-        ciphertext = _xor_line(plaintext, pad)
+        counters = self._line_counters
+        counter = counters.get(line_number, 0) + 1
+        if counter >= self._counter_limit:
+            raise OverflowError(f"counter overflow on line {line_number}")
+        counters[line_number] = counter
+        memo_key = (self._key, line_number, counter)
+        pad = _PAD_DATA.get(memo_key)
+        if pad is None:
+            _PAD_CACHE.misses += 1
+            pad = _derive_pad_uncached(self._key, line_number, counter)
+            if len(_PAD_DATA) >= _PAD_CACHE.capacity:
+                _PAD_DATA.popitem(last=False)
+                _PAD_CACHE.evictions += 1
+            _PAD_DATA[memo_key] = pad
+        else:
+            _PAD_CACHE.hits += 1
+            _PAD_DATA.move_to_end(memo_key)
         self.encrypt_count += 1
-        return EncryptedLine(ciphertext=ciphertext, line_number=line_number,
-                             counter=counter)
+        return _new_tuple(EncryptedLine, (
+            (int.from_bytes(plaintext, "little")
+             ^ int.from_bytes(pad, "little")).to_bytes(CACHE_LINE_SIZE,
+                                                       "little"),
+            line_number, counter))
 
     def decrypt(self, encrypted: EncryptedLine) -> bytes:
         """Recover the plaintext of a previously encrypted line."""
@@ -234,36 +220,30 @@ class CounterModeEngine:
         Equivalent to :meth:`decrypt` of an :class:`EncryptedLine` built
         from the current counter, minus the wrapper allocation — this is
         the hot decrypt entry point (every read fill and every ESD
-        read-for-comparison lands here).  The slow path keeps the original
-        wrapper-based form.
+        read-for-comparison lands here).
         """
-        if _memo.ENABLED:
-            if len(ciphertext) != CACHE_LINE_SIZE:
-                raise ValueError("ciphertext must be one cache line")
-            # Counter lookup, pad memo (with its hit/miss accounting), and
-            # XOR inlined — this is the hottest crypto entry point (every
-            # read fill and every ESD read-for-comparison).
-            counter = self._line_counters.get(line_number, 0)
-            memo_key = (self._key, line_number, counter)
-            pad = _PAD_DATA.get(memo_key)
-            if pad is None:
-                _PAD_CACHE.misses += 1
-                pad = _derive_pad_uncached(self._key, line_number, counter)
-                if len(_PAD_DATA) >= _PAD_CACHE.capacity:
-                    _PAD_DATA.popitem(last=False)
-                    _PAD_CACHE.evictions += 1
-                _PAD_DATA[memo_key] = pad
-            else:
-                _PAD_CACHE.hits += 1
-                _PAD_DATA.move_to_end(memo_key)
-            self.decrypt_count += 1
-            return (int.from_bytes(ciphertext, "little")
-                    ^ int.from_bytes(pad, "little")).to_bytes(
-                        CACHE_LINE_SIZE, "little")
-        counter = self._counters.current(line_number)
-        return self.decrypt(EncryptedLine(ciphertext=ciphertext,
-                                          line_number=line_number,
-                                          counter=counter))
+        if len(ciphertext) != CACHE_LINE_SIZE:
+            raise ValueError("ciphertext must be one cache line")
+        # Counter lookup, pad memo (with its hit/miss accounting), and
+        # XOR inlined — this is the hottest crypto entry point (every
+        # read fill and every ESD read-for-comparison).
+        counter = self._line_counters.get(line_number, 0)
+        memo_key = (self._key, line_number, counter)
+        pad = _PAD_DATA.get(memo_key)
+        if pad is None:
+            _PAD_CACHE.misses += 1
+            pad = _derive_pad_uncached(self._key, line_number, counter)
+            if len(_PAD_DATA) >= _PAD_CACHE.capacity:
+                _PAD_DATA.popitem(last=False)
+                _PAD_CACHE.evictions += 1
+            _PAD_DATA[memo_key] = pad
+        else:
+            _PAD_CACHE.hits += 1
+            _PAD_DATA.move_to_end(memo_key)
+        self.decrypt_count += 1
+        return (int.from_bytes(ciphertext, "little")
+                ^ int.from_bytes(pad, "little")).to_bytes(
+                    CACHE_LINE_SIZE, "little")
 
     # ---------------------------------------------------------------
     # Cost model accessors

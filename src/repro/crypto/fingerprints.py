@@ -73,8 +73,6 @@ class _HashEngineBase:
         raise NotImplementedError
 
     def fingerprint(self, data: bytes) -> int:
-        if not _memo.ENABLED:
-            return self._digest(data)
         cache = self._cache
         if cache is None:
             cache = self._cache = _memo.get_cache(f"fp_{self.name}",
@@ -99,18 +97,15 @@ class _HashEngineBase:
     def prime_batch(self, contents) -> int:
         """Digest and cache every uncached content (vec epoch priming).
 
-        The fast path hands each epoch's *unique* write contents
-        here before the per-line resolution, so a content repeated across
-        the epoch is digested once and every later ``fingerprint`` call
-        hits.  Batch-computed entries are charged as cache misses — the
-        digest was actually computed — keeping memo statistics truthful.
-        No-op when the fast path is disabled (there is no cache to prime).
+        The session hands each epoch's *unique* write contents here
+        before the per-line resolution, so a content repeated across the
+        epoch is digested once and every later ``fingerprint`` call hits.
+        Batch-computed entries are charged as cache misses — the digest
+        was actually computed — keeping memo statistics truthful.
 
         Returns:
             The number of digests computed and inserted.
         """
-        if not _memo.ENABLED:
-            return 0
         cache = self._cache
         if cache is None:
             cache = self._cache = _memo.get_cache(f"fp_{self.name}",

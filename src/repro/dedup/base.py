@@ -41,13 +41,12 @@ from ..nvmm.allocator import FrameAllocator
 from ..nvmm.controller import MemoryController
 from ..nvmm.energy import EnergyAccount, EnergyCategory
 from ..obs import runtime as _obs
-from ..perf import memo as _memo
 
 if TYPE_CHECKING:
     from ..crypto.integrity import CounterIntegrityTree
 
-# Hoisted enum members for the fast-path branches (module-global loads are
-# cheaper than two-level attribute lookups on per-request paths).
+# Hoisted enum members (module-global loads are cheaper than two-level
+# attribute lookups on per-request paths).
 _ENCRYPTION = WritePathStage.ENCRYPTION
 _WRITE_UNIQUE = WritePathStage.WRITE_UNIQUE
 _READ_FOR_COMPARISON = WritePathStage.READ_FOR_COMPARISON
@@ -58,8 +57,9 @@ class WriteResult(NamedTuple):
     """Timing outcome of one write handled by a scheme.
 
     ``NamedTuple`` rather than a frozen dataclass: one is built per write
-    request.  Its generated ``__new__`` is a Python function, so the fast
-    path builds it with ``tuple.__new__`` (DESIGN.md §8).
+    request.  Its generated ``__new__`` is a Python function, so
+    :meth:`DedupScheme._finalize_write` builds it with ``tuple.__new__``
+    (DESIGN.md §8).
     """
 
     completion_ns: float
@@ -125,8 +125,7 @@ class DedupScheme(abc.ABC):
         # Cost scalars hoisted out of the (frozen) cost table: the shared
         # write/read helpers below run once or more per request, and each
         # ``self.crypto.encrypt_latency_ns`` there is a property call plus
-        # two attribute hops.  Used by the kernel-fast-path branches only;
-        # the reference branches keep the original dotted lookups.
+        # two attribute hops.
         self._encrypt_latency_ns = costs.encrypt.latency_ns
         self._encrypt_energy_nj = costs.encrypt.energy_nj
         self._decrypt_latency_ns = costs.decrypt.latency_ns
@@ -175,8 +174,8 @@ class DedupScheme(abc.ABC):
     def vec_prime_engines(self) -> tuple:
         """Fingerprint engines keyed on *plaintext line content*.
 
-        The fast path's epoch priming batch-digests each epoch's
-        unique write contents through these engines, priming their memo
+        The session's epoch priming batch-digests each epoch's unique
+        write contents through these engines, priming their memo
         caches before the scalar per-line resolution (see
         :mod:`repro.vec.epoch`).  Priming is only sound for engines whose
         ``fingerprint`` is called on ``request.data`` verbatim, so the
@@ -205,71 +204,51 @@ class DedupScheme(abc.ABC):
                         wrote_line: bool) -> WriteResult:
         """Seal a write's timeline and fold it into the running breakdown.
 
-        The single instrumentation point of the write path: sealing checks
-        stage conservation, folding accumulates the Figure 17 profile, and
-        the reported latency is the timeline's critical path by
-        construction.
+        The single instrumentation point of the write path: folding
+        accumulates the Figure 17 profile, and the reported latency is the
+        timeline's critical path by construction.  ``seal`` and
+        ``fold_into`` are inlined (this runs once per write); stage
+        conservation on this path is asserted by the tests on every
+        request (``tests/test_stage_conservation.py`` and the scheme state
+        machine) rather than re-checked here.
         """
-        if _memo.ENABLED:
-            # seal(validate=False) + fold_into inlined: the conservation
-            # check is covered by the slow-path parity gate, and the fold
-            # is a plain dict accumulation.
-            timeline._sealed = True
-            obs = _obs.RUN
-            if obs is not None:
-                # The fast path never calls seal(); this is its seal
-                # point, so the trace sees the same event either way.
-                obs.record(timeline.now, "timeline", "sealed",
-                           critical_path_ns=(timeline.now
-                                             - timeline.start_ns),
-                           stages=len(timeline._exposure))
-            by_stage = self.breakdown.by_stage
-            for stage, ns in timeline._exposure.items():
-                if ns > 0.0:
-                    by_stage[stage] = by_stage.get(stage, 0.0) + ns
-            now = timeline.now
-            return _new_tuple(WriteResult,
-                              (now, now - request.issue_time_ns,
-                               deduplicated, wrote_line, timeline))
-        timeline.seal()
-        timeline.fold_into(self.breakdown)
-        return WriteResult(
-            completion_ns=timeline.now,
-            latency_ns=timeline.now - request.issue_time_ns,
-            deduplicated=deduplicated,
-            wrote_line=wrote_line,
-            timeline=timeline,
-        )
+        timeline._sealed = True
+        obs = _obs.RUN
+        if obs is not None:
+            # The seal point: the trace sees the event seal() records.
+            obs.record(timeline.now, "timeline", "sealed",
+                       critical_path_ns=(timeline.now
+                                         - timeline.start_ns),
+                       stages=len(timeline._exposure))
+        by_stage = self.breakdown.by_stage
+        for stage, ns in timeline._exposure.items():
+            if ns > 0.0:
+                by_stage[stage] = by_stage.get(stage, 0.0) + ns
+        now = timeline.now
+        return _new_tuple(WriteResult,
+                          (now, now - request.issue_time_ns,
+                           deduplicated, wrote_line, timeline))
 
     def _finalize_read(self, request: MemoryRequest,
                        timeline: StageTimeline,
                        data: bytes) -> ReadResult:
         """Seal a read's timeline and fold it into ``read_breakdown``."""
-        if _memo.ENABLED:
-            timeline._sealed = True
-            obs = _obs.RUN
-            if obs is not None:
-                # Fast-path seal point (see _finalize_write).
-                obs.record(timeline.now, "timeline", "sealed",
-                           critical_path_ns=(timeline.now
-                                             - timeline.start_ns),
-                           stages=len(timeline._exposure))
-            by_stage = self.read_breakdown.by_stage
-            for stage, ns in timeline._exposure.items():
-                if ns > 0.0:
-                    by_stage[stage] = by_stage.get(stage, 0.0) + ns
-            now = timeline.now
-            return _new_tuple(ReadResult,
-                              (data, now, now - request.issue_time_ns,
-                               timeline))
-        timeline.seal()
-        timeline.fold_into(self.read_breakdown)
-        return ReadResult(
-            data=data,
-            completion_ns=timeline.now,
-            latency_ns=timeline.now - request.issue_time_ns,
-            timeline=timeline,
-        )
+        timeline._sealed = True
+        obs = _obs.RUN
+        if obs is not None:
+            # The seal point (see _finalize_write).
+            obs.record(timeline.now, "timeline", "sealed",
+                       critical_path_ns=(timeline.now
+                                         - timeline.start_ns),
+                       stages=len(timeline._exposure))
+        by_stage = self.read_breakdown.by_stage
+        for stage, ns in timeline._exposure.items():
+            if ns > 0.0:
+                by_stage[stage] = by_stage.get(stage, 0.0) + ns
+        now = timeline.now
+        return _new_tuple(ReadResult,
+                          (data, now, now - request.issue_time_ns,
+                           timeline))
 
     # ------------------------------------------------------------------
     # Shared building blocks
@@ -277,12 +256,9 @@ class DedupScheme(abc.ABC):
 
     def _charge_fingerprint(self, energy_nj: float) -> None:
         """Account fingerprint energy; its latency lives on the timeline."""
-        if _memo.ENABLED:
-            buckets = self.crypto_energy.buckets
-            buckets[EnergyCategory.FINGERPRINT] = buckets.get(
-                EnergyCategory.FINGERPRINT, 0.0) + energy_nj
-            return
-        self.crypto_energy.charge(EnergyCategory.FINGERPRINT, energy_nj)
+        buckets = self.crypto_energy.buckets
+        buckets[EnergyCategory.FINGERPRINT] = buckets.get(
+            EnergyCategory.FINGERPRINT, 0.0) + energy_nj
 
     def _encrypt_and_write(self, frame: int, plaintext: bytes,
                            timeline: StageTimeline) -> None:
@@ -292,56 +268,42 @@ class DedupScheme(abc.ABC):
         enabled) serially, then advances to the controller's completion,
         charging the full queueing-inclusive access to WRITE_UNIQUE.
         """
-        if _memo.ENABLED:
-            # Fast path: energy charge inlined, cost scalars hoisted, and
-            # the two timeline declarations (serial ENCRYPTION, advance to
-            # the write's completion) folded into direct field updates —
-            # identical arithmetic to serial()/advance_to(), minus two
-            # method calls on a once-per-unique-write path.
-            enc = self.crypto.encrypt(plaintext, frame)
-            buckets = self.crypto_energy.buckets
-            buckets[EnergyCategory.ENCRYPTION] = buckets.get(
-                EnergyCategory.ENCRYPTION, 0.0) + self._encrypt_energy_nj
-            # Only a branch leg logs segments (StageTimeline.join reads
-            # them); a request's spine keeps per-stage totals only.
-            exposure = timeline._exposure
-            segments = timeline._segments
-            now = timeline.now
-            enc_ns = self._encrypt_latency_ns
-            exposure[_ENCRYPTION] = exposure.get(_ENCRYPTION, 0.0) + enc_ns
-            if segments is not None:
-                segments.append((_ENCRYPTION, now, now + enc_ns))
-            now += enc_ns
-            timeline.now = now
-            if self.integrity_tree is not None:
-                tree_ns = self._integrity_update(frame)
-                if tree_ns:
-                    timeline.serial(WritePathStage.METADATA, tree_ns)
-                now = timeline.now
-            completion = self.controller.write(frame, enc.ciphertext,
-                                               now).completion_ns
-            duration = completion - now
-            if duration < 0.0:
-                duration = 0.0
-            exposure[_WRITE_UNIQUE] = (exposure.get(_WRITE_UNIQUE, 0.0)
-                                       + duration)
-            if segments is not None:
-                segments.append((_WRITE_UNIQUE, now, now + duration))
-            if completion > now:
-                timeline.now = completion
-            return
-        # Reference form (pre-fast-path implementation).
+        # Energy charge inlined, cost scalars hoisted, and the two
+        # timeline declarations (serial ENCRYPTION, advance to the
+        # write's completion) folded into direct field updates —
+        # identical arithmetic to serial()/advance_to(), minus two method
+        # calls on a once-per-unique-write path.
         enc = self.crypto.encrypt(plaintext, frame)
-        self.crypto_energy.charge(EnergyCategory.ENCRYPTION,
-                                  self.crypto.encrypt_energy_nj)
-        timeline.serial(WritePathStage.ENCRYPTION,
-                        self.crypto.encrypt_latency_ns)
-        tree_ns = self._integrity_update(frame)
-        if tree_ns:
-            timeline.serial(WritePathStage.METADATA, tree_ns)
-        result = self.controller.write(frame, enc.ciphertext, timeline.now)
-        timeline.advance_to(WritePathStage.WRITE_UNIQUE,
-                            result.completion_ns)
+        buckets = self.crypto_energy.buckets
+        buckets[EnergyCategory.ENCRYPTION] = buckets.get(
+            EnergyCategory.ENCRYPTION, 0.0) + self._encrypt_energy_nj
+        # Only a branch leg logs segments (StageTimeline.join reads
+        # them); a request's spine keeps per-stage totals only.
+        exposure = timeline._exposure
+        segments = timeline._segments
+        now = timeline.now
+        enc_ns = self._encrypt_latency_ns
+        exposure[_ENCRYPTION] = exposure.get(_ENCRYPTION, 0.0) + enc_ns
+        if segments is not None:
+            segments.append((_ENCRYPTION, now, now + enc_ns))
+        now += enc_ns
+        timeline.now = now
+        if self.integrity_tree is not None:
+            tree_ns = self._integrity_update(frame)
+            if tree_ns:
+                timeline.serial(WritePathStage.METADATA, tree_ns)
+            now = timeline.now
+        completion = self.controller.write(frame, enc.ciphertext,
+                                           now).completion_ns
+        duration = completion - now
+        if duration < 0.0:
+            duration = 0.0
+        exposure[_WRITE_UNIQUE] = (exposure.get(_WRITE_UNIQUE, 0.0)
+                                   + duration)
+        if segments is not None:
+            segments.append((_WRITE_UNIQUE, now, now + duration))
+        if completion > now:
+            timeline.now = completion
 
     def _read_and_decrypt(
             self, frame: int, timeline: StageTimeline,
@@ -356,9 +318,9 @@ class DedupScheme(abc.ABC):
         verified as a METADATA branch overlapping the (usually slower) PCM
         array access; joining the branch exposes only its excess.
         """
-        if _memo.ENABLED and self.integrity_tree is None:
-            # Fast path for the common no-integrity-tree configuration:
-            # the advance-to-read-completion and serial-decrypt timeline
+        if self.integrity_tree is None:
+            # The common no-integrity-tree configuration: the
+            # advance-to-read-completion and serial-decrypt timeline
             # declarations are folded into direct field updates (identical
             # arithmetic, minus two method calls on the hottest read path).
             # The bank completion can never precede the timeline clock —
@@ -392,6 +354,7 @@ class DedupScheme(abc.ABC):
                 segments.append((decrypt_stage, now, now + dec_ns))
             timeline.now = now + dec_ns
             return plaintext
+        # With the counter integrity tree: the walk overlaps the read.
         ciphertext, access = self.controller.read(frame, timeline.now)
         tree_ns = self._integrity_verify(frame)
         tree_leg = (timeline.overlap_with(WritePathStage.METADATA, tree_ns)
@@ -408,14 +371,10 @@ class DedupScheme(abc.ABC):
 
     def _charge_compare(self) -> float:
         """Account one byte-by-byte line comparison; returns its latency."""
-        if _memo.ENABLED:
-            buckets = self.crypto_energy.buckets
-            buckets[EnergyCategory.COMPARISON] = buckets.get(
-                EnergyCategory.COMPARISON, 0.0) + self._compare_energy_nj
-            return self._compare_latency_ns
-        self.crypto_energy.charge(EnergyCategory.COMPARISON,
-                                  self.costs.compare.energy_nj)
-        return self.costs.compare.latency_ns
+        buckets = self.crypto_energy.buckets
+        buckets[EnergyCategory.COMPARISON] = buckets.get(
+            EnergyCategory.COMPARISON, 0.0) + self._compare_energy_nj
+        return self._compare_latency_ns
 
     # ------------------------------------------------------------------
     # Reporting

@@ -15,6 +15,7 @@ from ..common.types import (
     CACHE_LINE_SIZE,
     MemoryRequest,
     WritePathStage,
+    check_write_payload,
 )
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..registry import register_scheme
@@ -41,8 +42,9 @@ class BaselineScheme(DedupScheme):
         return frame
 
     def handle_write(self, request: MemoryRequest) -> WriteResult:
-        if request.data is None:
-            raise ValueError("write request requires data")
+        payload = request.data
+        if payload.__class__ is not bytes or len(payload) != CACHE_LINE_SIZE:
+            check_write_payload(payload)
         values = self._counter_values
         values["writes"] = values.get("writes", 0) + 1
         timeline = self._timeline(request)
@@ -66,6 +68,12 @@ class BaselineScheme(DedupScheme):
                                        bytes(CACHE_LINE_SIZE))
         plaintext = self._read_and_decrypt(frame, timeline, _READ_FILL,
                                            _DECRYPTION)
+        if not self.crypto.counters.current(frame):
+            # Mapped by an earlier read but never written: the frame holds
+            # no ciphertext, so decrypting it yields the counter-0 pad.
+            # Unwritten memory reads as zeros; the access is charged as it
+            # was issued.
+            plaintext = bytes(CACHE_LINE_SIZE)
         return self._finalize_read(request, timeline, plaintext)
 
     def metadata_footprint(self) -> MetadataFootprint:

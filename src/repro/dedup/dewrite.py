@@ -27,7 +27,12 @@ from typing import Optional
 
 from ..common.config import SystemConfig
 from ..common.timeline import StageTimeline
-from ..common.types import MemoryRequest, WritePathStage
+from ..common.types import (
+    CACHE_LINE_SIZE,
+    MemoryRequest,
+    WritePathStage,
+    check_write_payload,
+)
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..crypto.fingerprints import CRC32Engine
 from ..nvmm.energy import EnergyCategory
@@ -148,8 +153,9 @@ class DeWriteScheme(FullDedupScheme):
                                     deduplicated=False, wrote_line=True)
 
     def handle_write(self, request: MemoryRequest) -> WriteResult:
-        if request.data is None:
-            raise ValueError("write request requires data")
+        payload = request.data
+        if payload.__class__ is not bytes or len(payload) != CACHE_LINE_SIZE:
+            check_write_payload(payload)
         values = self._counter_values
         values["writes"] = values.get("writes", 0) + 1
         timeline = self._timeline(request)

@@ -64,39 +64,32 @@ def line_ecc_uncached(data: bytes) -> int:
 def line_ecc(data: bytes) -> int:
     """Compute the 64-bit ECC fingerprint of a 64-byte cache line.
 
-    Memoized on the line content when the :mod:`repro.perf` fast path is
-    enabled (cache hits skip re-validation: every cached key is a
-    previously validated 64-byte line, and any invalid input misses).
+    Memoized on the line content (cache hits skip re-validation: every
+    cached key is a previously validated 64-byte line, and any invalid
+    input misses).
     """
-    if _memo.ENABLED:
-        cached = _LINE_ECC_CACHE.get(data)
-        if cached is not None:
-            return cached
-        ecc = line_ecc_uncached(data)
-        _LINE_ECC_CACHE.put(data, ecc)
-        return ecc
-    return line_ecc_uncached(data)
+    cached = _LINE_ECC_CACHE.get(data)
+    if cached is not None:
+        return cached
+    ecc = line_ecc_uncached(data)
+    _LINE_ECC_CACHE.put(data, ecc)
+    return ecc
 
 
 def prime_line_ecc_batch(contents) -> int:
     """Batch-compute and cache line ECCs for uncached contents.
 
-    The fast path's epoch priming calls this with an epoch's
-    unique write contents; the bit-parallel kernel
+    The session's epoch priming calls this with an epoch's unique write
+    contents; the bit-parallel kernel
     (:func:`repro.vec.kernels.line_ecc_batch`) computes every uncached
     value in one numpy pass, and subsequent scalar :func:`line_ecc` calls
     hit the primed entries.  Each batch-computed entry is charged as a
     cache *miss* — the work was done, just not served from the cache — so
     memo statistics keep counting actual computations.
 
-    No-op (returns 0) when the memo caches are disabled: there is no cache
-    to prime, and the scalar kernel would bypass it anyway.
-
     Returns:
         The number of entries computed and inserted.
     """
-    if not _memo.ENABLED:
-        return 0
     cache = _LINE_ECC_CACHE
     fresh = [validate_line(data) for data in contents if data not in cache]
     if not fresh:
@@ -115,14 +108,12 @@ def line_ecc_bytes(data: bytes) -> bytes:
 
 def word_eccs(data: bytes) -> Tuple[int, ...]:
     """Per-word 8-bit ECC values of a cache line (memoized on content)."""
-    if _memo.ENABLED:
-        cached = _WORD_ECCS_CACHE.get(data)
-        if cached is not None:
-            return cached
+    cached = _WORD_ECCS_CACHE.get(data)
+    if cached is not None:
+        return cached
     validate_line(data)
     eccs = tuple(hamming.encode_word(w) for w in _WORD_STRUCT.unpack(data))
-    if _memo.ENABLED:
-        _WORD_ECCS_CACHE.put(data, eccs)
+    _WORD_ECCS_CACHE.put(data, eccs)
     return eccs
 
 
@@ -153,14 +144,12 @@ def decode_line(data: bytes, ecc: int) -> LineDecodeResult:
         UncorrectableError: when any word exhibits a double-bit error; the
             exception's ``word_index`` names the failing word.
     """
-    if _memo.ENABLED:
-        cached = _DECODE_CACHE.get((data, ecc))
-        if cached is not None:
-            return cached
-        result = decode_line_uncached(data, ecc)
-        _DECODE_CACHE.put((data, ecc), result)
-        return result
-    return decode_line_uncached(data, ecc)
+    cached = _DECODE_CACHE.get((data, ecc))
+    if cached is not None:
+        return cached
+    result = decode_line_uncached(data, ecc)
+    _DECODE_CACHE.put((data, ecc), result)
+    return result
 
 
 def decode_line_uncached(data: bytes, ecc: int) -> LineDecodeResult:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..common.errors import UncorrectableError
-from ..perf import memo as _memo
 
 #: Number of check bits of the inner Hamming(71,64) code.
 NUM_CHECK_BITS = 7
@@ -74,7 +73,11 @@ for _i, _p in enumerate(_DATA_POSITIONS):
 
 
 def _encode_word_masks(word: int) -> int:
-    """Reference encoder: compute the ECC byte directly from parity masks."""
+    """Reference encoder: compute the ECC byte directly from parity masks.
+
+    Builds the fast encoder's tables and is the reference the parity
+    tests compare :func:`encode_word` against.
+    """
     ecc = 0
     checks_parity = 0
     for j in range(NUM_CHECK_BITS):
@@ -126,10 +129,6 @@ def encode_word(word: int) -> int:
     """
     if not 0 <= word < (1 << 64):
         raise ValueError("word must be a 64-bit unsigned integer")
-    if not _memo.ENABLED:
-        # Reference path: compute the checks directly from the coverage
-        # masks (the obviously-correct form the tables are derived from).
-        return _encode_word_masks(word)
     t = _ENCODE_TABLES
     return (t[0][word & 0xFF]
             ^ t[1][(word >> 8) & 0xFF]
@@ -154,12 +153,9 @@ def syndrome(word: int, ecc: int) -> Tuple[int, int]:
         returns to 0 under a double-bit error — which is exactly how SEC-DED
         distinguishes the two cases.
 
-    With the :mod:`repro.perf` fast path enabled this runs table-driven
-    (byte-indexed encode + parity lookups); disabled, it falls back to the
-    mask-and-popcount :func:`syndrome_reference`.  Both are bit-identical.
+    Table-driven (byte-indexed encode + parity lookups); bit-identical to
+    the mask-and-popcount :func:`syndrome_reference`.
     """
-    if not _memo.ENABLED:
-        return syndrome_reference(word, ecc)
     if not 0 <= ecc < (1 << ECC_BITS):
         raise ValueError("ecc must be an 8-bit value")
     if not 0 <= word < (1 << 64):

@@ -20,9 +20,7 @@ and would otherwise serialize at full PCM read latency.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Hashable, List, NamedTuple, Optional, Tuple
-
-from ..perf import memo as _memo
+from typing import List, NamedTuple, Optional, Tuple
 
 _NEG_INF = float("-inf")
 _new_tuple = tuple.__new__
@@ -32,8 +30,8 @@ class BankService(NamedTuple):
     """Record of one scheduled bank access.
 
     A ``NamedTuple`` rather than a dataclass: one is built per bank access.
-    Its generated ``__new__`` is a Python function, so the fast path builds
-    it with ``tuple.__new__`` (DESIGN.md §8).
+    Its generated ``__new__`` is a Python function, so :meth:`Bank.service`
+    builds it with ``tuple.__new__`` (DESIGN.md §8).
     """
 
     bank: int
@@ -70,25 +68,9 @@ class Bank:
         self._latest_arrival = 0.0
         self.busy_time_ns = 0.0
         self.services = 0
-        self.open_row: Optional[Hashable] = None
+        self.open_row: Optional[int] = None
         self.row_hits = 0
         self.row_misses = 0
-
-    # ------------------------------------------------------------------
-    # Row buffer
-    # ------------------------------------------------------------------
-
-    def access_row(self, row: Hashable) -> bool:
-        """Open ``row``; returns True when it was already open (row hit).
-
-        ``MemoryController``'s fast branches inline this update.
-        """
-        if self.open_row == row:
-            self.row_hits += 1
-            return True
-        self.open_row = row
-        self.row_misses += 1
-        return False
 
     # ------------------------------------------------------------------
     # Earliest-fit scheduling
@@ -101,76 +83,69 @@ class Bank:
         if arrival_ns > self._latest_arrival:
             self._latest_arrival = arrival_ns
         intervals = self._intervals
-        if _memo.ENABLED:
-            if duration_ns > 0.0 and (not intervals
-                                      or arrival_ns >= intervals[-1][0]):
-                # Common case: the access lands in or after the *last* busy
-                # interval (program-order traces are mostly monotonic, and
-                # a busy bank queues arrivals behind its tail).  The
-                # earliest fit is then ``max(arrival, last_end)`` and the
-                # new interval appends/merges at the tail.  (A 0-ns access
-                # arriving exactly at a busy interval's start fits *before*
-                # it, so zero-duration accesses take the branch below.)
-                if intervals:
-                    last_start, last_end = intervals[-1]
-                    start = last_end if arrival_ns < last_end else arrival_ns
-                else:
-                    last_end = -1.0
-                    start = arrival_ns
-                end = start + duration_ns
-                if end > start:
-                    if start == last_end:
-                        intervals[-1] = (last_start, end)
-                    else:
-                        intervals.append((start, end))
+        if duration_ns > 0.0 and (not intervals
+                                  or arrival_ns >= intervals[-1][0]):
+            # Common case: the access lands in or after the *last* busy
+            # interval (program-order traces are mostly monotonic, and
+            # a busy bank queues arrivals behind its tail).  The
+            # earliest fit is then ``max(arrival, last_end)`` and the
+            # new interval appends/merges at the tail.  (A 0-ns access
+            # arriving exactly at a busy interval's start fits *before*
+            # it, so zero-duration accesses take the branch below.)
+            if intervals:
+                last_start, last_end = intervals[-1]
+                start = last_end if arrival_ns < last_end else arrival_ns
             else:
-                # Out-of-order arrival, typically a few intervals behind
-                # the tail of a saturated bank: ``_find_slot`` and
-                # ``_insert_interval`` inlined, with the same earliest-fit
-                # and merge rules, walking the intervals by index instead
-                # of copying the suffix.
-                n = len(intervals)
-                i = bisect_left(intervals, (arrival_ns, _NEG_INF))
-                if i and intervals[i - 1][1] > arrival_ns:
-                    i -= 1
+                last_end = -1.0
                 start = arrival_ns
-                while i < n:
-                    busy_start, busy_end = intervals[i]
-                    if start + duration_ns <= busy_start:
-                        break
-                    if busy_end > start:
-                        start = busy_end
-                    i += 1
-                end = start + duration_ns
-                # Intervals before ``i`` end at or before ``start`` and
-                # ``intervals[i]`` starts at or after ``end``, so ``i`` is
-                # where ``_insert_interval``'s bisection would land.
-                if end != start:
-                    if i and intervals[i - 1][1] == start:
-                        if i < n and intervals[i][0] == end:
-                            intervals[i - 1] = (intervals[i - 1][0],
-                                                intervals[i][1])
-                            del intervals[i]
-                        else:
-                            intervals[i - 1] = (intervals[i - 1][0], end)
-                    elif i < n and intervals[i][0] == end:
-                        intervals[i] = (start, intervals[i][1])
+            end = start + duration_ns
+            if end > start:
+                if start == last_end:
+                    intervals[-1] = (last_start, end)
+                else:
+                    intervals.append((start, end))
+        else:
+            # Out-of-order arrival, typically a few intervals behind
+            # the tail of a saturated bank: ``_find_slot``'s earliest fit
+            # inlined, walking the intervals by index instead of copying
+            # the suffix, then a sorted insert that merges contiguous
+            # neighbours (``tests/test_nvmm_bank.py`` keeps the
+            # bisect-and-merge reference these steps are checked
+            # against).
+            n = len(intervals)
+            i = bisect_left(intervals, (arrival_ns, _NEG_INF))
+            if i and intervals[i - 1][1] > arrival_ns:
+                i -= 1
+            start = arrival_ns
+            while i < n:
+                busy_start, busy_end = intervals[i]
+                if start + duration_ns <= busy_start:
+                    break
+                if busy_end > start:
+                    start = busy_end
+                i += 1
+            end = start + duration_ns
+            # Intervals before ``i`` end at or before ``start`` and
+            # ``intervals[i]`` starts at or after ``end``, so ``i`` is
+            # where a bisection for ``(start, end)`` would land.
+            if end != start:
+                if i and intervals[i - 1][1] == start:
+                    if i < n and intervals[i][0] == end:
+                        intervals[i - 1] = (intervals[i - 1][0],
+                                            intervals[i][1])
+                        del intervals[i]
                     else:
-                        intervals.insert(i, (start, end))
-            self.busy_time_ns += duration_ns
-            self.services += 1
-            if len(intervals) >= 4096:
-                self._maybe_prune()
-            return _new_tuple(BankService,
-                              (self.index, arrival_ns, start, end))
-        start = self._find_slot(arrival_ns, duration_ns)
-        end = start + duration_ns
-        self._insert_interval(start, end)
+                        intervals[i - 1] = (intervals[i - 1][0], end)
+                elif i < n and intervals[i][0] == end:
+                    intervals[i] = (start, intervals[i][1])
+                else:
+                    intervals.insert(i, (start, end))
         self.busy_time_ns += duration_ns
         self.services += 1
-        self._maybe_prune()
-        return BankService(bank=self.index, arrival_ns=arrival_ns,
-                           start_ns=start, completion_ns=end)
+        if len(intervals) >= 4096:
+            self._prune()
+        return _new_tuple(BankService,
+                          (self.index, arrival_ns, start, end))
 
     def _find_slot(self, arrival: float, duration: float) -> float:
         intervals = self._intervals
@@ -185,31 +160,9 @@ class Bank:
             candidate = max(candidate, end)
         return candidate
 
-    def _insert_interval(self, start: float, end: float) -> None:
-        if end == start:
-            return
-        intervals = self._intervals
-        idx = bisect_left(intervals, (start, end))
-        # Merge with predecessor when contiguous.
-        if idx > 0 and intervals[idx - 1][1] == start:
-            prev_start, _ = intervals[idx - 1]
-            # Merge with successor too, when contiguous on the other side.
-            if idx < len(intervals) and intervals[idx][0] == end:
-                succ_end = intervals[idx][1]
-                intervals[idx - 1] = (prev_start, succ_end)
-                del intervals[idx]
-            else:
-                intervals[idx - 1] = (prev_start, end)
-            return
-        if idx < len(intervals) and intervals[idx][0] == end:
-            intervals[idx] = (start, intervals[idx][1])
-            return
-        intervals.insert(idx, (start, end))
-
-    def _maybe_prune(self) -> None:
-        # Drop intervals safely in the past; amortized via a size trigger.
-        if len(self._intervals) < 4096:
-            return
+    def _prune(self) -> None:
+        # Drop intervals safely in the past; service() calls this once the
+        # interval list reaches 4096 entries, amortizing the scan.
         cutoff = self._latest_arrival - self.prune_margin_ns
         idx = bisect_left(self._intervals, (cutoff, _NEG_INF))
         # Keep the interval straddling the cutoff.

@@ -20,14 +20,13 @@ from typing import List, Optional, Tuple
 from ..common.config import PCMConfig
 from ..common.stats import Counter
 from ..obs import runtime as _obs
-from ..perf import memo as _memo
 from ..common.errors import InvalidAddressError
 from .bank import Bank, BankService
 from .device import _ZERO, PCMDevice
 from .energy import EnergyAccount, EnergyCategory
 
-# Hoisted enum members for the fast-path branches (module-global loads are
-# cheaper than two-level attribute lookups on a per-access path).
+# Hoisted enum members (module-global loads are cheaper than two-level
+# attribute lookups on a per-access path).
 _PCM_READ = EnergyCategory.PCM_READ
 _PCM_WRITE = EnergyCategory.PCM_WRITE
 
@@ -53,8 +52,7 @@ class MemoryController:
         self.counters = Counter()
         # Hot-path scalars hoisted out of the (frozen) config: read() and
         # write() run once per PCM access, and each dotted config lookup
-        # there is a real per-access cost.  Used by the kernel-fast-path
-        # branches only; reference branches keep the original lookups.
+        # there is a real per-access cost.
         self._num_banks = self.config.num_banks
         self._row_size_lines = self.config.row_size_lines
         self._read_latency_ns = self.config.read_latency_ns
@@ -78,30 +76,17 @@ class MemoryController:
     def bank_for_line(self, line_number: int) -> Bank:
         return self.banks[line_number % self.config.num_banks]
 
-    def _bank_for_metadata(self, key: int) -> Bank:
-        # Spread metadata across banks; the multiplier decorrelates metadata
-        # keys from the data lines they describe.
-        return self.banks[(key * 2654435761 >> 8) % self.config.num_banks]
-
     # ------------------------------------------------------------------
     # Data-path accesses
     # ------------------------------------------------------------------
 
-    def _data_row(self, line_number: int) -> Tuple[str, int]:
-        return ("data", line_number // self.config.row_size_lines)
-
-    def _metadata_row(self, key: int) -> Tuple[str, int]:
-        return ("meta", key >> 3)
-
-    # The fast-path branches below identify rows by plain ints instead of
-    # ("data"/"meta", row) tuples — data rows as ``row`` (non-negative),
-    # metadata rows as ``~row`` (negative) — because int construction and
-    # comparison beat tuple construction on a once-per-access path.  Both
-    # encodings are injective over (kind, row), so the row-buffer hit/miss
-    # pattern is identical; the fast-path switch is fixed for the lifetime
-    # of a run, so a bank never sees a mix of the two encodings.  They
-    # also inline ``Bank.access_row`` (same open-row update and hit/miss
-    # counts), which would otherwise be a method call per access.
+    # Rows are plain ints — data rows as ``row`` (non-negative), metadata
+    # rows as ``~row`` (negative) — so one int compare tells a row hit
+    # and the two kinds can never alias.  Each access updates its bank's
+    # open row and hit/miss counts inline: this runs once per access.
+    # Metadata keys hash onto a bank (``key * 2654435761 >> 8``) to
+    # decorrelate them from the data lines they describe, so
+    # fingerprint-table traffic spreads like data traffic does.
 
     def read(self, line_number: int,
              at_time_ns: float) -> Tuple[bytes, BankService]:
@@ -110,24 +95,6 @@ class MemoryController:
         A read hitting the bank's open row is served from the row buffer at
         :attr:`PCMConfig.row_hit_read_latency_ns`.
         """
-        if not _memo.ENABLED:
-            # Reference form (pre-fast-path implementation).
-            bank = self.bank_for_line(line_number)
-            if bank.access_row(self._data_row(line_number)):
-                latency = self.config.row_hit_read_latency_ns
-                energy = self.config.row_hit_read_energy_nj
-            else:
-                latency = self.config.read_latency_ns
-                energy = self.config.read_energy_nj
-            service = bank.service(at_time_ns, latency)
-            data = self.device.read_line(line_number)
-            self.energy.charge(EnergyCategory.PCM_READ, energy)
-            self.counters.incr("data_reads")
-            obs = _obs.RUN
-            if obs is not None:
-                obs.record(service.completion_ns, "controller", "data_read",
-                           line=line_number, latency_ns=service.latency_ns)
-            return data, service
         bank = self.banks[line_number % self._num_banks]
         row = line_number // self._row_size_lines
         if bank.open_row == row:
@@ -164,20 +131,6 @@ class MemoryController:
         PCM cell writes pay full latency/energy regardless of the row
         buffer, but the write loads its row into the buffer.
         """
-        if not _memo.ENABLED:
-            # Reference form (pre-fast-path implementation).
-            bank = self.bank_for_line(line_number)
-            bank.access_row(self._data_row(line_number))
-            service = bank.service(at_time_ns, self.config.write_latency_ns)
-            self.device.write_line(line_number, data)
-            self.energy.charge(EnergyCategory.PCM_WRITE,
-                               self.config.write_energy_nj)
-            self.counters.incr("data_writes")
-            obs = _obs.RUN
-            if obs is not None:
-                obs.record(service.completion_ns, "controller", "data_write",
-                           line=line_number, latency_ns=service.latency_ns)
-            return service
         bank = self.banks[line_number % self._num_banks]
         row = line_number // self._row_size_lines
         if bank.open_row == row:
@@ -208,20 +161,6 @@ class MemoryController:
         """
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        if not _memo.ENABLED:
-            # Reference form (pre-fast-path implementation).
-            bank = self._bank_for_metadata(key)
-            bank.access_row(self._metadata_row(key))
-            service = bank.service(at_time_ns, self.config.write_latency_ns)
-            self.energy.charge(EnergyCategory.PCM_WRITE,
-                               self.config.write_energy_nj * fraction)
-            self.counters.incr("partial_writes")
-            obs = _obs.RUN
-            if obs is not None:
-                obs.record(service.completion_ns, "controller",
-                           "partial_write", key=key, fraction=fraction,
-                           latency_ns=service.latency_ns)
-            return service
         bank = self.banks[(key * 2654435761 >> 8) % self._num_banks]
         row = ~(key >> 3)
         if bank.open_row == row:
@@ -253,24 +192,6 @@ class MemoryController:
         owners (fingerprint stores, AMT); the controller charges the PCM
         read cost and occupies a bank for the duration.
         """
-        if not _memo.ENABLED:
-            # Reference form (pre-fast-path implementation).
-            bank = self._bank_for_metadata(key)
-            if bank.access_row(self._metadata_row(key)):
-                latency = self.config.row_hit_read_latency_ns
-                energy = self.config.row_hit_read_energy_nj
-            else:
-                latency = self.config.read_latency_ns
-                energy = self.config.read_energy_nj
-            service = bank.service(at_time_ns, latency)
-            self.energy.charge(EnergyCategory.PCM_READ, energy)
-            self.counters.incr("metadata_reads")
-            obs = _obs.RUN
-            if obs is not None:
-                obs.record(service.completion_ns, "controller",
-                           "metadata_read", key=key,
-                           latency_ns=service.latency_ns)
-            return service
         bank = self.banks[(key * 2654435761 >> 8) % self._num_banks]
         row = ~(key >> 3)
         if bank.open_row == row:
@@ -295,20 +216,6 @@ class MemoryController:
 
     def metadata_write(self, key: int, at_time_ns: float) -> BankService:
         """Timing/energy of writing one metadata line to NVMM."""
-        if not _memo.ENABLED:
-            # Reference form (pre-fast-path implementation).
-            bank = self._bank_for_metadata(key)
-            bank.access_row(self._metadata_row(key))
-            service = bank.service(at_time_ns, self.config.write_latency_ns)
-            self.energy.charge(EnergyCategory.PCM_WRITE,
-                               self.config.write_energy_nj)
-            self.counters.incr("metadata_writes")
-            obs = _obs.RUN
-            if obs is not None:
-                obs.record(service.completion_ns, "controller",
-                           "metadata_write", key=key,
-                           latency_ns=service.latency_ns)
-            return service
         bank = self.banks[(key * 2654435761 >> 8) % self._num_banks]
         row = ~(key >> 3)
         if bank.open_row == row:

@@ -15,7 +15,6 @@ from typing import Dict, Optional
 from ..common.config import PCMConfig
 from ..common.errors import EnduranceExceededError, InvalidAddressError
 from ..common.types import CACHE_LINE_SIZE, validate_line
-from ..perf import memo as _memo
 
 #: Shared zero line returned for never-written frames (bytes are immutable,
 #: so one instance serves every fresh-cell read).
@@ -66,11 +65,6 @@ class PCMDevice:
 
     def read_line(self, line_number: int) -> bytes:
         """Read the 64-byte content of a physical frame."""
-        if not _memo.ENABLED:
-            # Reference form (pre-fast-path implementation).
-            self._check_line_number(line_number)
-            self.read_ops += 1
-            return self._store.get(line_number, bytes(CACHE_LINE_SIZE))
         # Bounds check inlined (hot path: one call per PCM data read).
         if not 0 <= line_number < self.config.num_lines:
             raise InvalidAddressError(
@@ -81,20 +75,6 @@ class PCMDevice:
 
     def write_line(self, line_number: int, data: bytes) -> None:
         """Write a 64-byte line into a physical frame, recording wear."""
-        if not _memo.ENABLED:
-            # Reference form (pre-fast-path implementation).
-            self._check_line_number(line_number)
-            validate_line(data)
-            count = self._write_counts.get(line_number, 0) + 1
-            if (self.config.fail_on_endurance
-                    and count > self.config.endurance_writes):
-                raise EnduranceExceededError(
-                    f"frame {line_number} exceeded endurance "
-                    f"({self.config.endurance_writes} writes)")
-            self._write_counts[line_number] = count
-            self._store[line_number] = bytes(data)
-            self.write_ops += 1
-            return
         # Checks inlined; ``bytes`` payloads are stored as-is (immutable, and
         # ``bytes(data)`` is an identity for them anyway).
         config = self.config

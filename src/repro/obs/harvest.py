@@ -33,11 +33,10 @@ def harvest_run(run: RunObservation, scheme: "object",
         run: the closed observation scope (after ``end_run``).
         scheme: the :class:`~repro.dedup.base.DedupScheme` that ran
             (typed loosely to avoid an import cycle).
-        memo_stats: the kernel fast path's flat ``memo_*`` mapping from
-            :func:`repro.perf.end_run` (empty when the fast path is off).
-        vec_stats: the fast path's flat ``vec_*`` epoch-priming snapshot
-            (:meth:`repro.vec.epoch.VecStats.snapshot`; empty when the
-            fast path is off).
+        memo_stats: the kernel caches' flat ``memo_*`` mapping
+            (:func:`repro.perf.memo.stats_snapshot`).
+        vec_stats: the flat ``vec_*`` epoch-priming snapshot
+            (:meth:`repro.vec.epoch.VecStats.snapshot`).
     """
     registry = run.registry
 

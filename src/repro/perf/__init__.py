@@ -6,69 +6,30 @@ decode, counter-mode pads, hash fingerprints) in bounded, content-addressed
 LRU caches — see :mod:`repro.perf.memo` for the machinery and the soundness
 rules.
 
-Control surface
----------------
-
-* ``REPRO_FASTPATH`` environment variable: process-wide default (on unless
-  set to ``0/false/off/no``).
-* ``SystemConfig.use_fastpath``: per-run override (``None`` defers to the
-  environment default); applied by ``SimulationEngine.run``.
-* :func:`set_fastpath` / :func:`fastpath` for direct and scoped control in
-  tests and benchmarks.
-
 Run lifecycle
 -------------
 
-``SimulationEngine.run`` brackets every simulation with
-:func:`begin_run` / :func:`end_run`: caches are reset at run start (so each
-grid cell starts cold and its hit/miss statistics depend only on the cell,
+Every :class:`~repro.sim.session.Session` (and so every
+``SimulationEngine.run``) resets the caches when it opens, so each grid
+cell starts cold and its hit/miss statistics depend only on the cell,
 never on worker scheduling — the property that keeps parallel sweeps
-byte-identical to serial runs) and a statistics snapshot is exported through
-``SimulationResult.extras`` at run end.
+byte-identical to serial runs — and exports a statistics snapshot through
+``SimulationResult.extras`` when it finalizes.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict
 
 from . import memo
-from .memo import MemoCache, default_enabled, get_cache
+from .memo import MemoCache, get_cache
 
 __all__ = [
     "MemoCache",
-    "begin_run",
     "cache_stats",
-    "default_enabled",
-    "end_run",
-    "fastpath",
-    "fastpath_enabled",
     "get_cache",
     "reset_caches",
-    "set_fastpath",
 ]
-
-
-def fastpath_enabled() -> bool:
-    """Whether the memoized fast path is currently active."""
-    return memo.ENABLED
-
-
-def set_fastpath(enabled: bool) -> bool:
-    """Set the process-global switch; returns the previous value."""
-    previous = memo.ENABLED
-    memo.ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def fastpath(enabled: bool) -> Iterator[None]:
-    """Scoped enable/disable, restoring the prior state on exit."""
-    previous = set_fastpath(enabled)
-    try:
-        yield
-    finally:
-        memo.ENABLED = previous
 
 
 def reset_caches() -> None:
@@ -80,27 +41,3 @@ def cache_stats(prefix: str = "memo_", *,
                 only_touched: bool = True) -> Dict[str, float]:
     """Flat snapshot of all kernel-cache counters (see ``stats_snapshot``)."""
     return memo.stats_snapshot(prefix, only_touched=only_touched)
-
-
-def begin_run(override: Optional[bool] = None) -> Tuple[bool, bool]:
-    """Start a simulation run's fast-path scope.
-
-    Resolves the run's switch (``override`` wins; ``None`` defers to the
-    environment default), installs it, and resets every cache so the run
-    starts cold.
-
-    Returns:
-        ``(previous, active)`` — the prior global switch (hand it back to
-        :func:`end_run`) and the switch in effect for this run.
-    """
-    active = default_enabled() if override is None else bool(override)
-    previous = set_fastpath(active)
-    memo.reset_all()
-    return previous, active
-
-
-def end_run(previous: bool) -> Dict[str, float]:
-    """End a run's scope: snapshot cache statistics, restore the switch."""
-    stats = memo.stats_snapshot()
-    memo.ENABLED = previous
-    return stats

@@ -13,9 +13,11 @@ This module provides the shared machinery:
 * :class:`MemoCache` — a capped LRU mapping with hit/miss/eviction counters.
 * A process-global registry of named caches (:func:`get_cache`), so the
   simulation engine can reset and snapshot every kernel cache uniformly.
-* The process-global :data:`ENABLED` switch, initialised from the
-  ``REPRO_FASTPATH`` environment variable (default on) and overridable per
-  run through ``SystemConfig.use_fastpath``.
+
+The caches are always on: the uncached kernels stay callable
+(``line_ecc_uncached``, ``decode_line_uncached``, ``_derive_pad_uncached``
+and each engine's ``_digest``) as the references the parity tests compare
+against.
 
 Soundness rules (enforced by the call sites, tested in
 ``tests/test_perf_parity.py``):
@@ -32,14 +34,11 @@ Soundness rules (enforced by the call sites, tested in
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Dict, Hashable, List
 
 __all__ = [
-    "ENABLED",
     "MemoCache",
-    "default_enabled",
     "get_cache",
     "registered_caches",
     "reset_all",
@@ -47,25 +46,6 @@ __all__ = [
     "state_import",
     "stats_snapshot",
 ]
-
-#: Environment variable controlling the process-default switch.  Any of
-#: ``0/false/off/no`` (case-insensitive) disables the fast path.
-ENV_VAR = "REPRO_FASTPATH"
-
-_FALSY = {"0", "false", "off", "no"}
-
-
-def default_enabled() -> bool:
-    """The process default for the fast path, from :data:`ENV_VAR`."""
-    raw = os.environ.get(ENV_VAR)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _FALSY
-
-
-#: Process-global switch consulted by every memoized kernel.  Mutated only
-#: through :func:`repro.perf.set_fastpath` / the engine's run lifecycle.
-ENABLED: bool = default_enabled()
 
 
 class MemoCache:

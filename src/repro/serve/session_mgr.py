@@ -15,7 +15,7 @@ Where the engine lives depends on ``ServeConfig.workers``:
   records into requests (:func:`~repro.workloads.trace.parse_records`)
   and the engine :class:`~repro.sim.session.Session`
   runs on an executor thread under the manager's *engine lock* (the
-  fast-path/observability switches each ``feed`` installs are
+  observability scope each ``feed`` installs and the memo caches are
   process-global, so two sessions must never be inside ``feed``
   concurrently).  Concurrency is interleaving, not parallelism — the
   GIL bounds the engine to one core.

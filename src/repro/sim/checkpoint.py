@@ -3,8 +3,8 @@
 A week-long endurance study must survive host restarts.  The session API
 (:mod:`repro.sim.session`) already carries *all* run state on objects —
 the scheme graph (controller, banks, stores, timelines), the recorders,
-the core-timing model, the integrity shadow, the fast path's epoch buffer
-— so a checkpoint is a pickle of the session graph plus the one piece of
+the core-timing model, the integrity shadow and the epoch buffer — so a
+checkpoint is a pickle of the session graph plus the one piece of
 process-global state the run depends on: the memo-cache registry
 (:mod:`repro.perf.memo`), whose hit/miss counters feed exported extras.
 
@@ -14,7 +14,7 @@ Why this is bit-exact (the property the CI ``trace-resume`` job gates):
   (``_stall_cycles``, the recorders' running state) and pickle restores
   floats, deques, ``OrderedDict`` order, and ``np.random.Generator``
   state exactly.
-* The fast path's epoch buffer (``_pending``) is pickled too, so epoch
+* The session's epoch buffer (``_pending``) is pickled too, so epoch
   boundaries after resume fall exactly where an uninterrupted run would
   have put them.
 * Memo caches are snapshotted with entry order and counters and restored
@@ -61,8 +61,10 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"ESDCKPT1"
-#: v2: the pickled ``Session`` has one execution switch (``_fast_on``).
-CHECKPOINT_VERSION = 2
+#: v3: the pickled ``Session`` has one execution path (no switch, and an
+#: epoch precomputer always); a v2 checkpoint of a reference-mode session
+#: has none, so v2 is rejected at load rather than halfway through a feed.
+CHECKPOINT_VERSION = 3
 
 _HEADER = struct.Struct("<8sHHIQ")
 
@@ -99,7 +101,7 @@ class RestoredCheckpoint:
     #: records before feeding.
     consumed: int
     #: Identifying metadata captured at checkpoint time (app, scheme,
-    #: switch states, counts) for resume-time validation.
+    #: counts) for resume-time validation.
     meta: Dict[str, Any]
 
 
@@ -117,7 +119,6 @@ def checkpoint_bytes(session: "Session") -> bytes:
         "processed": session.processed,
         "pending": session.pending,
         "consumed": session.processed + session.pending,
-        "fastpath": session._fast_on,
     }
     payload = pickle.dumps(
         {

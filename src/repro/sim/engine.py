@@ -76,7 +76,7 @@ class SimulationEngine:
         """Open an incremental simulation session on this engine.
 
         The session owns the run's recorders, core-timing model, and
-        fast-path/observability scope; feed it request chunks
+        observability scope; feed it request chunks
         of any size and :meth:`~repro.sim.session.Session.finalize` it to
         obtain the same :class:`SimulationResult` :meth:`run` returns.
         Sessions on one engine share the integrity-shadow map and the

@@ -17,38 +17,35 @@ Parity contract
 ``run()`` is reimplemented on top of ``open_session``/``feed``/
 ``finalize``, and a session fed in arbitrary chunk sizes produces a
 ``SimulationResult`` **bit-identical** to a one-shot ``run()`` of the
-concatenated stream (``tests/test_serve_session_parity.py``).  The two
-request-loop bodies — reference, and kernel-fast (which the fast path
-runs one epoch at a time) — are the engine's former ``_loop_*``
-implementations carved into resumable chunk processors; the load-bearing
-details are:
+concatenated stream (``tests/test_serve_session_parity.py``).  The one
+request-loop body (:meth:`Session._feed_fast`, run one epoch at a time)
+is the engine's former loop carved into a resumable chunk processor; the
+load-bearing details are:
 
-* **Float accumulation order.**  The fast loop accumulates core stall
-  cycles in a local and flushes once at the end; a session keeps that
-  running float across ``feed`` calls and flushes it to the core in
+* **Float accumulation order.**  The loop accumulates core stall cycles
+  in a local and flushes once at the end; a session keeps that running
+  float across ``feed`` calls and flushes it to the core in
   ``finalize``, so the sequence of float additions is exactly the
   one-shot loop's (chunked partial sums would reassociate and drift).
 * **Recorder batching.**  ``LatencyRecorder.add_many`` performs the same
   per-sample arithmetic as repeated ``add`` with state round-tripping
   through the instance, so flushing per epoch is bit-identical to one
   end-of-run flush.
-* **Epoch formation.**  The fast path drains the stream in epochs of
-  :data:`~repro.vec.epoch.EPOCH_SIZE` requests; a session buffers
-  pending requests and only processes *full* epochs during ``feed``,
-  releasing the short tail epoch in ``finalize`` — the same epochs
-  regardless of how the stream was split across ``feed`` calls.  The
-  reference loop never buffers.
+* **Epoch formation.**  The session drains the stream in epochs of
+  :data:`~repro.vec.epoch.EPOCH_SIZE` requests; it buffers pending
+  requests and only processes *full* epochs during ``feed``, releasing
+  the short tail epoch in ``finalize`` — the same epochs regardless of
+  how the stream was split across ``feed`` calls.
 
 Scope handling
 --------------
 
-The fast-path switch and the observability scope are process-global
-(:mod:`repro.perf.memo`, :mod:`repro.obs.runtime`).  A session resolves
-its switch once at open (config override wins, ``None`` defers to the
-environment default, memo caches are reset — exactly ``run()``'s begin),
-then *activates* it around each ``feed``/``finalize`` call and restores
-the previous globals after, so many sessions can interleave on one
-process.  Memo caches are shared between interleaved sessions — sound,
+The observability scope and the memo caches are process-global
+(:mod:`repro.obs.runtime`, :mod:`repro.perf.memo`).  A session resets
+the memo caches once at open (exactly ``run()``'s begin), then
+*activates* its observation scope around each ``feed``/``finalize`` call
+and restores the previous one after, so many sessions can interleave on
+one process.  Memo caches are shared between interleaved sessions — sound,
 because the caches are content-addressed and pure, but the
 cache-statistics extras (``memo_*`` and the ``vec_batched_*`` priming
 counts, which skip already-cached contents) are only deterministic for
@@ -59,7 +56,6 @@ results on that basis.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from itertools import islice
 from typing import Deque, Dict, Iterable, List, Optional, TYPE_CHECKING
 
@@ -80,8 +76,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["Session"]
 
-#: Power-of-two bucket bounds for the fast path's epoch-size histogram
-#: (epochs are ``EPOCH_SIZE`` except a possibly-short tail).
+#: Power-of-two bucket bounds for the epoch-size histogram (epochs are
+#: ``EPOCH_SIZE`` except a possibly-short tail).
 _EPOCH_SIZE_BOUNDS = tuple(float(1 << i) for i in range(21))
 
 
@@ -103,14 +99,10 @@ class Session:
         self.instructions_per_access = instructions_per_access
         ec = engine.engine_config
 
-        # Run-switch resolution mirrors repro.perf.begin_run: config
-        # override wins, None defers to the environment default.
         cfg = self.config
-        self._fast_on = (_memo.default_enabled() if cfg.use_fastpath is None
-                         else bool(cfg.use_fastpath))
         # Caches start cold per session, the property that makes cache
         # statistics a deterministic function of (trace, scheme, config)
-        # for non-interleaved sessions — exactly run()'s begin_run reset.
+        # for non-interleaved sessions.
         _memo.reset_all()
 
         obs_cfg = cfg.observability
@@ -135,19 +127,16 @@ class Session:
         self._processed = 0
         self._writes = 0
         self._reads = 0
-        #: Running core-timing accumulators (fast loop only); flushed to
-        #: the core once, in finalize — see the module docstring's
-        #: float-order note.
+        #: Running core-timing accumulators; flushed to the core once, in
+        #: finalize — see the module docstring's float-order note.
         self._stall_cycles = 0.0
         self._instructions = 0
 
-        self._vec_stats: Optional[VecStats] = (VecStats() if self._fast_on
-                                               else None)
-        self._precomp = (EpochPrecomputer(self.scheme, self._vec_stats)
-                         if self._fast_on else None)
+        self._vec_stats = VecStats()
+        self._precomp = EpochPrecomputer(self.scheme, self._vec_stats)
         self._pending: List[MemoryRequest] = []
         self._epoch_hist = None
-        if self._obs_run is not None and self._fast_on:
+        if self._obs_run is not None:
             self._epoch_hist = self._obs_run.registry.histogram(
                 "vec_epoch_size", _EPOCH_SIZE_BOUNDS)
 
@@ -169,7 +158,7 @@ class Session:
 
     @property
     def pending(self) -> int:
-        """Requests buffered toward the next epoch (fast path only)."""
+        """Requests buffered toward the next epoch."""
         return len(self._pending)
 
     @property
@@ -185,17 +174,15 @@ class Session:
                 f"scheme={self.scheme.name})")
 
     def _activate(self) -> None:
-        """Install this session's global switches; save the previous."""
-        self._saved = (_memo.ENABLED, _obs_runtime.RUN)
-        _memo.ENABLED = self._fast_on
+        """Install this session's observation scope; save the previous."""
+        self._saved = _obs_runtime.RUN
         _obs_runtime.RUN = self._obs_run
 
     def _deactivate(self) -> None:
-        saved = self._saved
-        # Drop the saved tuple so a checkpoint taken between feeds never
+        _obs_runtime.RUN = self._saved
+        # Drop the saved scope so a checkpoint taken between feeds never
         # pickles another session's observation scope along with this one.
         del self._saved
-        _memo.ENABLED, _obs_runtime.RUN = saved
 
     def feed(self, requests: Iterable[MemoryRequest]) -> int:
         """Process a chunk of the request stream; returns its length.
@@ -208,9 +195,7 @@ class Session:
         self._require_open("feed")
         self._activate()
         try:
-            if self._fast_on:
-                return self._feed_vectorized(requests)
-            return self._feed_reference(requests)
+            return self._feed_vectorized(requests)
         except BaseException:
             self._state = "failed"
             raise
@@ -227,8 +212,7 @@ class Session:
                 tail = self._pending
                 self._pending = []
                 self._process_epoch(tail)
-            memo_stats: Dict[str, float] = (
-                _memo.stats_snapshot() if self._fast_on else {})
+            memo_stats: Dict[str, float] = _memo.stats_snapshot()
         except BaseException:
             self._state = "failed"
             raise
@@ -236,17 +220,14 @@ class Session:
             self._deactivate()
 
         core = self._core
-        if self._fast_on:
-            # One flush of the session-running accumulators — the same
-            # single float addition the fast loop's finally performed.
-            core.stall_cycles += self._stall_cycles
-            core.instructions += self._instructions
+        # One flush of the session-running accumulators — the same single
+        # float addition the one-shot loop's finally performed.
+        core.stall_cycles += self._stall_cycles
+        core.instructions += self._instructions
 
         scheme = self.scheme
         extras = collect_extras(scheme)
-        extras["fastpath_enabled"] = 1.0 if self._fast_on else 0.0
-        vec_stats = (self._vec_stats.snapshot()
-                     if self._vec_stats is not None else {})
+        vec_stats = self._vec_stats.snapshot()
         extras.update(memo_stats)
         extras.update(vec_stats)
 
@@ -333,8 +314,8 @@ class Session:
     # ------------------------------------------------------------------
 
     def _feed_fast(self, requests: Iterable[MemoryRequest]) -> int:
-        """Kernel-fast chunk processor: the fast path's loop body, fed
-        one epoch at a time by :meth:`_process_epoch`.
+        """The request loop body, fed one epoch at a time by
+        :meth:`_process_epoch`.
 
         Bound methods and constants are hoisted because every attribute
         lookup in the body is paid once per request; running accumulators
@@ -378,8 +359,9 @@ class Session:
                 # (request_unchecked's construction) differing only in
                 # issue_time_ns: the source request passed __post_init__
                 # when it was built, and every scheme rejects a malformed
-                # line itself, so re-validating through
-                # dataclasses.replace (the reference loop) only costs time.
+                # payload itself before changing any state, so
+                # re-validating through dataclasses.replace only costs
+                # time.
                 if len(window) >= max_outstanding:
                     oldest = window_popleft()
                     if oldest > request.issue_time_ns:
@@ -440,80 +422,8 @@ class Session:
             self._read_rec.add_many(read_lats)
         return processed - start
 
-    def _feed_reference(self, requests: Iterable[MemoryRequest]) -> int:
-        """Reference chunk processor (the former ``_loop_reference``,
-        kept verbatim apart from chunk-state carry)."""
-        scheme = self.scheme
-        verify = self._verify
-        warmup_after = self._warmup_after
-        core = self._core
-        window = self._window
-        write_rec = self._write_rec
-        read_rec = self._read_rec
-        obs = self._obs_run
-        processed = self._processed
-        fed = 0
-        for request in requests:
-            if obs is not None:
-                obs.begin_request(processed)
-            # Closed-loop throttling: delay the issue until a window slot
-            # frees up.
-            issue = request.issue_time_ns
-            if len(window) >= self._max_outstanding:
-                oldest = window.popleft()
-                if oldest > issue:
-                    issue = oldest
-            if issue != request.issue_time_ns:
-                request = replace(request, issue_time_ns=issue)
-
-            if request.is_write:
-                result = scheme.handle_write(request)
-                latency = result.latency_ns
-                completion = result.completion_ns
-                if verify:
-                    self._shadow[request.address] = request.data
-                if processed >= warmup_after:
-                    write_rec.add(latency)
-                    self._writes += 1
-                core.memory_stall(latency, is_write=True)
-                if obs is not None:
-                    if processed >= warmup_after:
-                        obs.write_latency_hist.observe(latency)
-                    obs.record(completion, "engine", "write_done",
-                               address=request.address,
-                               latency_ns=latency)
-            else:
-                rresult = scheme.handle_read(request)
-                latency = rresult.latency_ns
-                completion = rresult.completion_ns
-                if verify:
-                    expected = self._shadow.get(request.address)
-                    if expected is not None and rresult.data != expected:
-                        raise IntegrityError(
-                            f"read at {request.address:#x} returned stale "
-                            f"or corrupt data under scheme {scheme.name}")
-                if processed >= warmup_after:
-                    read_rec.add(latency)
-                    self._reads += 1
-                core.memory_stall(latency, is_write=False)
-                if obs is not None:
-                    if processed >= warmup_after:
-                        obs.read_latency_hist.observe(latency)
-                    obs.record(completion, "engine", "read_done",
-                               address=request.address,
-                               latency_ns=latency)
-
-            core.retire_instructions(self.instructions_per_access)
-            window.append(completion)
-            processed += 1
-            fed += 1
-            self._processed = processed
-            if processed == warmup_after:
-                self._dedup_at_warmup = scheme.counters.get("dedup_hits")
-        return fed
-
     def _feed_vectorized(self, requests: Iterable[MemoryRequest]) -> int:
-        """Epoch-buffering front end of the fast path.
+        """Epoch-buffering front end of the request loop.
 
         Buffers incoming requests and processes only *full* epochs of
         ``EPOCH_SIZE``; the short tail is released by ``finalize``.  The
@@ -536,8 +446,8 @@ class Session:
                 self._process_epoch(epoch)
 
     def _process_epoch(self, epoch: List[MemoryRequest]) -> None:
-        """Resolve one epoch: prime the kernel caches, then run the fast
-        loop body over it."""
+        """Resolve one epoch: prime the kernel caches, then run the loop
+        body over it."""
         self._precomp.precompute(epoch)
         if self._epoch_hist is not None:
             self._epoch_hist.observe(float(len(epoch)))

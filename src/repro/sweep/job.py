@@ -28,7 +28,9 @@ from ..workloads.trace import VERSION as TRACE_VERSION
 #: v2: results carry a read-path breakdown (timeline refactor).
 #: v3: the system config's vectorized switch and the engine config's
 #: epoch size are gone (one execution switch).
-SWEEP_SCHEMA_VERSION = 3
+#: v4: the system config's execution switch is gone (one execution
+#: path), which changes every job digest.
+SWEEP_SCHEMA_VERSION = 4
 
 #: Canonical JSON of the frozen config objects digested most recently,
 #: keyed by identity.  Every job of a sweep shares one SystemConfig,

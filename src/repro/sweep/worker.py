@@ -30,7 +30,7 @@ import time
 import uuid
 from typing import Callable, Dict, Optional
 
-from ..perf import reset_caches as reset_fastpath_caches
+from ..perf import reset_caches
 from ..sim.metrics import SimulationResult
 from ..sim.runner import run_app
 from ..workloads.generator import TraceGenerator
@@ -74,7 +74,7 @@ def execute_job(spec: JobSpec, trace_path: str) -> SimulationResult:
     results (including the exported ``memo_*`` statistics) stay
     byte-identical to a serial run.
     """
-    reset_fastpath_caches()
+    reset_caches()
     trace = _load_trace(trace_path)
     results = run_app(spec.app, [spec.scheme], requests=spec.requests,
                       system=spec.system, engine=spec.engine,

@@ -1,4 +1,4 @@
-"""Epoch priming for the simulation engine's fast path.
+"""Epoch priming for the simulation engine's session loop.
 
 ``repro.vec`` is the second half of the host-CPU fast path.  The first
 half (:mod:`repro.perf`) memoizes the pure kernels; this half batches
@@ -12,16 +12,17 @@ epoch (:mod:`repro.vec.epoch`).
 Parity contract
 ---------------
 
-Identical to the memo caches': simulated results are **bit-exact** with
-the fast path on or off, for every registered scheme.  The per-line
+Priming never changes a simulated result, for every registered scheme:
+the batch kernels are checked bit-for-bit against the scalar kernels
+(``tests/test_vec_kernels.py``), and whole runs against the digests
+pinned in ``tests/fixtures/pinned_states.json``.  The per-line
 resolution is deliberately kept scalar — bank busy intervals, EFIT/LRCU
 recency, counter state, and the closed-loop issue window are sequential
 feedback loops, and float accumulation order must not change — so
 batching accelerates the pure, order-free work (ECC, digests) and leaves
-the order-sensitive arithmetic byte-for-byte as in the reference loop.
-Lines the batch front end cannot serve (schemes with no batchable
-kernels) fall back to scalar handling and are counted, never guessed.
+the order-sensitive arithmetic alone.  Lines the batch front end cannot
+serve (schemes with no batchable kernels) fall back to scalar handling
+and are counted, never guessed.
 
-There is no separate switch: epoch priming runs exactly when the fast
-path does (``SystemConfig.use_fastpath``, ``REPRO_FASTPATH``).
+Every session primes; there is no switch.
 """

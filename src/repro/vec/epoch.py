@@ -1,4 +1,4 @@
-"""Epoch draining and batched precompute for the fast path.
+"""Epoch draining and batched precompute for the simulation session.
 
 An *epoch* is a fixed-size chunk of the request stream
 (:data:`EPOCH_SIZE` lines), buffered by the session so a 10^7-request
@@ -12,14 +12,13 @@ caches so the scalar per-line resolution that follows hits every one.
 Ordering guarantee: precompute only touches *pure* kernels (content in,
 value out) and the memo caches that front them.  Request order, bank
 state, metadata recency, and every float accumulation are handled by the
-per-line resolution exactly as in the reference loop, which is what keeps
-summary rows bit-identical with the fast path on or off.
+per-line resolution, which is what keeps summary rows bit-identical to a
+run without priming (only the ``memo_*``/``vec_*`` statistics differ).
 
-Scalar fallback: when the memo caches are disabled (nothing to prime)
-or a scheme exposes no content-keyed engines (Baseline has no
-fingerprints; DaE digests ciphertext), the epoch's writes are counted in
-``scalar_fallback_lines`` and resolved entirely by the scalar kernels —
-counted, never guessed.
+Scalar fallback: when a scheme exposes no content-keyed engines
+(Baseline has no fingerprints; DaE digests ciphertext), the epoch's
+writes are counted in ``scalar_fallback_lines`` and resolved entirely by
+the scalar kernels — counted, never guessed.
 """
 
 from __future__ import annotations
@@ -28,11 +27,10 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..common.types import MemoryRequest
-from ..perf import memo as _memo
 
 __all__ = ["EPOCH_SIZE", "EpochPrecomputer", "VecStats"]
 
-#: Requests per epoch of the fast path, and the serve micro-batch hint.
+#: Requests per session epoch, and the serve micro-batch hint.
 #: Epoch boundaries change batching, never simulated arithmetic.
 EPOCH_SIZE = 1024
 
@@ -57,8 +55,8 @@ class VecStats:
     batched_fp_lines: int = 0
     #: Writes resolved with their content kernels primed by a batch.
     covered_writes: int = 0
-    #: Writes resolved entirely by scalar kernels (memo caches off, or
-    #: the scheme exposes no content-keyed engines to prime).
+    #: Writes resolved entirely by scalar kernels (the scheme exposes no
+    #: content-keyed engines to prime).
     scalar_fallback_lines: int = 0
     min_epoch_size: int = 0
     max_epoch_size: int = 0
@@ -121,7 +119,7 @@ class EpochPrecomputer:
         if not writes:
             return
         stats.writes += writes
-        if not _memo.ENABLED or not self._engines:
+        if not self._engines:
             stats.scalar_fallback_lines += writes
             return
         unique = list(dict.fromkeys(contents))

@@ -1,7 +1,6 @@
 """Tests for mid-run session checkpoints and bit-exact resume."""
 
 import struct
-from dataclasses import replace
 from itertools import islice
 
 import pytest
@@ -21,6 +20,7 @@ from repro.sim.checkpoint import (
 from repro.sim.engine import EngineConfig, SimulationEngine
 from repro.sim.export import result_state_bytes
 from repro.sim.session import Session
+from repro.vec.epoch import EPOCH_SIZE
 from repro.workloads.generator import TraceGenerator
 
 
@@ -29,10 +29,6 @@ def _cold_caches():
     memo.reset_all()
     yield
     memo.reset_all()
-
-
-def _mode_config(fast):
-    return replace(small_test_config(), use_fastpath=fast)
 
 
 def _trace(n=2_600, app="gcc", seed=7):
@@ -70,18 +66,20 @@ def _resumed_state(trace, scheme_name, config, cut, app="gcc"):
 
 class TestBitExactResume:
     @pytest.mark.parametrize("scheme_name", ["ESD", "NV-Dedup", "DeWrite"])
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_resume_matches_direct(self, scheme_name, fast):
+    @pytest.mark.parametrize("mid_epoch", [True])
+    def test_resume_matches_direct(self, scheme_name, mid_epoch):
+        """A cut after one full epoch, mid-epoch or on the boundary."""
         trace = _trace()
-        config = _mode_config(fast)
+        config = small_test_config()
+        cut = EPOCH_SIZE + 313 if mid_epoch else EPOCH_SIZE
         direct = _direct_state(trace, scheme_name, config)
-        resumed = _resumed_state(trace, scheme_name, config, cut=1_337)
+        resumed = _resumed_state(trace, scheme_name, config, cut=cut)
         assert direct == resumed
 
     def test_vec_pending_tail_checkpoints(self):
         """A cut inside an epoch must carry the buffered tail."""
         trace = _trace(1_500)
-        config = _mode_config(True)
+        config = small_test_config()
         engine = SimulationEngine(make_scheme("ESD", config), EngineConfig())
         session = engine.open_session(app="gcc", total_hint=len(trace))
         session.feed(islice(iter(trace), 1_100))
@@ -94,7 +92,7 @@ class TestBitExactResume:
     def test_checkpoint_is_pure_snapshot(self):
         """Checkpointing must not perturb the continuing session."""
         trace = _trace(1_800)
-        config = _mode_config(True)
+        config = small_test_config()
         engine = SimulationEngine(make_scheme("ESD", config), EngineConfig())
         session = engine.open_session(app="gcc", total_hint=len(trace))
         stream = iter(trace)
@@ -166,14 +164,19 @@ class TestCheckpointContainer:
             load_checkpoint(CHECKPOINT_MAGIC)
 
     def test_old_version_rejected(self):
-        """A version-1 checkpoint pickles a session with two execution
-        switches; it must fail typed, naming the version."""
-        assert CHECKPOINT_VERSION == 2
-        blob = bytearray(self._session_blob())
-        magic, _, reserved, crc, length = struct.unpack_from("<8sHHIQ", blob)
-        struct.pack_into("<8sHHIQ", blob, 0, magic, 1, reserved, crc, length)
-        with pytest.raises(CheckpointError, match="version 1"):
-            load_checkpoint(bytes(blob))
+        """Versions 1 and 2 pickle sessions with execution switches (a v2
+        reference-mode session has no epoch precomputer); they must fail
+        typed at load, naming the version, never halfway through a
+        feed."""
+        assert CHECKPOINT_VERSION == 3
+        for old in (1, 2):
+            blob = bytearray(self._session_blob())
+            magic, _, reserved, crc, length = struct.unpack_from("<8sHHIQ",
+                                                                 blob)
+            struct.pack_into("<8sHHIQ", blob, 0, magic, old, reserved, crc,
+                             length)
+            with pytest.raises(CheckpointError, match=f"version {old}"):
+                load_checkpoint(bytes(blob))
 
 
 class TestCliResume:
@@ -196,9 +199,8 @@ class TestCliResume:
         return main(argv), state
 
     @pytest.mark.parametrize("flags,field", [
-        (("--no-fastpath",), "use_fastpath"),
         (("--efit-kb", "4"), "metadata_cache"),
-    ], ids=["no-fastpath", "efit-kb"])
+    ], ids=["efit-kb"])
     def test_mismatched_flags_rejected(self, tmp_path, capsys, flags,
                                        field):
         ckpt = self._checkpoint(tmp_path)
@@ -211,11 +213,10 @@ class TestCliResume:
     def test_matching_flags_resume_bit_exact(self, tmp_path, capsys):
         direct = tmp_path / "direct.json"
         argv = ["run", "--scheme", "ESD", "--app", "gcc", "--requests",
-                "1500", "--seed", "7", "--no-fastpath", "--efit-kb", "4",
+                "1500", "--seed", "7", "--efit-kb", "4",
                 "--export-state", str(direct)]
         assert main(argv) == 0
-        ckpt = self._checkpoint(tmp_path, "--no-fastpath", "--efit-kb", "4")
-        code, resumed = self._resume(tmp_path, ckpt, "--no-fastpath",
-                                     "--efit-kb", "4")
+        ckpt = self._checkpoint(tmp_path, "--efit-kb", "4")
+        code, resumed = self._resume(tmp_path, ckpt, "--efit-kb", "4")
         assert code == 0
         assert resumed.read_bytes() == direct.read_bytes()

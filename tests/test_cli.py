@@ -32,6 +32,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--app", "doom"])
 
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_rejects_removed_execution_switch(self, command):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--no-fastpath"])
+        assert excinfo.value.code == 2
+
 
 class TestCommands:
     def test_run_prints_statistics(self, capsys):

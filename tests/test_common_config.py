@@ -81,6 +81,14 @@ class TestCacheLevelConfig:
                              associativity=0, latency_cycles=2)
 
 
+class TestRemovedOptions:
+    def test_execution_switch_is_unknown(self):
+        """There is one execution path: a tenant option naming the removed
+        ``use_fastpath`` switch is an unknown field, a typed error."""
+        with pytest.raises(ConfigError, match="no field 'use_fastpath'"):
+            SystemConfig().with_options({"use_fastpath": False})
+
+
 class TestPCMConfigValidation:
     def test_rejects_negative_latency(self):
         with pytest.raises(ConfigError):

@@ -12,7 +12,7 @@ from repro.crypto.counter_mode import (
     _derive_pad_uncached,
     demonstrate_diffusion,
 )
-from repro.perf import fastpath, memo
+from repro.perf import memo
 
 LINES = st.binary(min_size=CACHE_LINE_SIZE, max_size=CACHE_LINE_SIZE)
 
@@ -165,11 +165,10 @@ class TestPinnedPads:
         if capacity is not None:
             cache.capacity = capacity
         try:
-            with fastpath(True):
-                memo.reset_all()
-                self._encrypt_decrypt_reencrypt()
-                assert cache.stats() == stats
-                assert [key[1:] for key in cache._data] == recency
+            memo.reset_all()
+            self._encrypt_decrypt_reencrypt()
+            assert cache.stats() == stats
+            assert [key[1:] for key in cache._data] == recency
         finally:
             cache.capacity = saved
             memo.reset_all()

@@ -1,11 +1,12 @@
 """Tests for bank-level earliest-fit scheduling and the row buffer."""
 
 import random
+from bisect import bisect_left
 
 import pytest
 
-from repro.nvmm.bank import Bank
-from repro.perf import fastpath
+from repro.nvmm.bank import Bank, BankService
+from repro.nvmm.controller import MemoryController
 
 
 class TestBasicService:
@@ -101,35 +102,96 @@ class TestEarliestFit:
 
 
 class TestRowBuffer:
+    """The banks' open-row buffer, driven through the controller."""
+
+    @staticmethod
+    def _row_line(controller, row, bank=0):
+        """A data line on ``bank`` inside row ``row``."""
+        size = controller.config.row_size_lines
+        return next(line for line in range(row * size, (row + 1) * size)
+                    if line % controller.config.num_banks == bank)
+
     def test_first_access_misses(self):
-        bank = Bank(index=0)
-        assert bank.access_row(("data", 1)) is False
+        controller = MemoryController()
+        _, service = controller.read(self._row_line(controller, 1), 0.0)
+        bank = controller.banks[0]
+        assert (bank.row_hits, bank.row_misses) == (0, 1)
+        assert service.latency_ns == controller.config.read_latency_ns
 
     def test_repeat_access_hits(self):
-        bank = Bank(index=0)
-        bank.access_row(("data", 1))
-        assert bank.access_row(("data", 1)) is True
-        assert bank.row_hits == 1
+        controller = MemoryController()
+        line = self._row_line(controller, 1)
+        controller.read(line, 0.0)
+        _, service = controller.read(line, 1000.0)
+        assert controller.banks[0].row_hits == 1
+        assert (service.latency_ns
+                == controller.config.row_hit_read_latency_ns)
 
     def test_conflicting_row_replaces(self):
-        bank = Bank(index=0)
-        bank.access_row(("data", 1))
-        assert bank.access_row(("data", 2)) is False
-        assert bank.access_row(("data", 1)) is False  # evicted earlier
-        assert bank.row_misses == 3
+        controller = MemoryController()
+        one, two = (self._row_line(controller, row) for row in (1, 2))
+        controller.read(one, 0.0)
+        controller.read(two, 1000.0)
+        _, service = controller.read(one, 2000.0)  # evicted earlier
+        assert service.latency_ns == controller.config.read_latency_ns
+        assert controller.banks[0].row_misses == 3
 
     def test_metadata_and_data_rows_distinct(self):
-        bank = Bank(index=0)
-        bank.access_row(("data", 5))
-        assert bank.access_row(("meta", 5)) is False
+        controller = MemoryController()
+        banks = controller.config.num_banks
+        # A metadata key whose row number (key >> 3) and bank match a
+        # data line's: the two rows still never alias.
+        key = next(k for k in range(1 << 16)
+                   if (k * 2654435761 >> 8) % banks == 0)
+        line = self._row_line(controller, key >> 3)
+        controller.read(line, 0.0)
+        service = controller.metadata_read(key, 1000.0)
+        assert service.latency_ns == controller.config.read_latency_ns
+        assert controller.banks[0].row_misses == 2
+
+
+def insert_interval(intervals, start, end):
+    """The reference insert: bisect, then merge with contiguous
+    neighbours (the form ``Bank.service`` inlines)."""
+    if end == start:
+        return
+    idx = bisect_left(intervals, (start, end))
+    # Merge with predecessor when contiguous.
+    if idx > 0 and intervals[idx - 1][1] == start:
+        prev_start, _ = intervals[idx - 1]
+        # Merge with successor too, when contiguous on the other side.
+        if idx < len(intervals) and intervals[idx][0] == end:
+            intervals[idx - 1] = (prev_start, intervals[idx][1])
+            del intervals[idx]
+        else:
+            intervals[idx - 1] = (prev_start, end)
+        return
+    if idx < len(intervals) and intervals[idx][0] == end:
+        intervals[idx] = (start, intervals[idx][1])
+        return
+    intervals.insert(idx, (start, end))
+
+
+def reference_service(bank, arrival, duration):
+    """One access the reference way: ``Bank._find_slot``, then
+    :func:`insert_interval`, then the same bookkeeping and prune."""
+    if arrival > bank._latest_arrival:
+        bank._latest_arrival = arrival
+    start = bank._find_slot(arrival, duration)
+    end = start + duration
+    insert_interval(bank._intervals, start, end)
+    bank.busy_time_ns += duration
+    bank.services += 1
+    if len(bank._intervals) >= 4096:
+        bank._prune()
+    return BankService(bank=bank.index, arrival_ns=arrival, start_ns=start,
+                       completion_ns=end)
 
 
 def _serve_both(ref, fast, arrival, duration):
-    """One access on a reference-path bank and a fast-path bank."""
-    with fastpath(False):
-        want = ref.service(arrival, duration)
-    with fastpath(True):
-        got = fast.service(arrival, duration)
+    """One access on a reference-driven bank and through ``service``."""
+    want = reference_service(ref, arrival, duration)
+    got = fast.service(arrival, duration)
     assert got == want
     return want
 
@@ -172,8 +234,9 @@ def _behind_tail_access(rng, intervals):
 
 
 class TestFastPathMatchesReference:
-    """The fast branch's tail append and inlined out-of-order placement
-    against the reference ``_find_slot``/``_insert_interval`` path."""
+    """``Bank.service``'s tail append and inlined out-of-order placement
+    against :func:`reference_service` (``_find_slot`` plus
+    :func:`insert_interval`)."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_streams_behind_the_tail(self, seed):
@@ -211,7 +274,6 @@ class TestFastPathMatchesReference:
         # Pruned, and then served thousands more accesses.
         assert pruned_at and pruned_at[0] < 9_000
 
-    @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("arrival, duration, expected", [
         # Exact fit into [100, 200): merges with both neighbours.
         (100.0, 100.0, [(0.0, 300.0), (400.0, 500.0)]),
@@ -224,12 +286,11 @@ class TestFastPathMatchesReference:
         # Zero duration at a busy start fits before it; nothing is added.
         (200.0, 0.0, [(0.0, 100.0), (200.0, 300.0), (400.0, 500.0)]),
     ])
-    def test_out_of_order_merge_rules(self, enabled, arrival, duration,
-                                      expected):
-        bank = Bank(index=0)
-        with fastpath(enabled):
+    def test_out_of_order_merge_rules(self, arrival, duration, expected):
+        for serve in (Bank.service, reference_service):
+            bank = Bank(index=0)
             for start in (0.0, 200.0, 400.0):
-                bank.service(start, 100.0)
-            bank.service(arrival, duration)
-        assert bank._intervals == expected
-        assert bank.services == 4
+                serve(bank, start, 100.0)
+            serve(bank, arrival, duration)
+            assert bank._intervals == expected
+            assert bank.services == 4

@@ -1,19 +1,16 @@
-"""Tests for repro.perf: memo cache machinery and the fast-path switch."""
+"""Tests for repro.perf: the memo cache machinery."""
 
 import pytest
 
-from repro import perf
 from repro.ecc import codec
 from repro.perf import memo
 from repro.perf.memo import MemoCache
 
 
 @pytest.fixture(autouse=True)
-def _restore_fastpath_state():
-    """Every test leaves the global switch and caches as it found them."""
-    previous = memo.ENABLED
+def _reset_caches_after():
+    """Every test leaves the kernel caches cold."""
     yield
-    memo.ENABLED = previous
     memo.reset_all()
 
 
@@ -84,7 +81,6 @@ class TestKernelCacheBound:
         # lines: the LRU bound must hold at the actual call site too.
         cache = codec._LINE_ECC_CACHE
         original_capacity = cache.capacity
-        memo.ENABLED = True
         memo.reset_all()
         try:
             cache.capacity = 16
@@ -127,64 +123,3 @@ class TestRegistry:
         assert snap["memo_test_registry_stats_size"] == 0.0
         custom = memo.stats_snapshot("x_", only_touched=False)
         assert "x_test_registry_stats_misses" in custom
-
-
-class TestSwitch:
-    @pytest.mark.parametrize("raw,expected", [
-        (None, True), ("", True), ("1", True), ("on", True), ("yes", True),
-        ("0", False), ("false", False), ("FALSE", False), ("Off", False),
-        ("no", False), (" no ", False),
-    ])
-    def test_env_parsing(self, monkeypatch, raw, expected):
-        if raw is None:
-            monkeypatch.delenv(memo.ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(memo.ENV_VAR, raw)
-        assert memo.default_enabled() is expected
-
-    def test_set_fastpath_returns_previous(self):
-        perf.set_fastpath(True)
-        assert perf.set_fastpath(False) is True
-        assert perf.fastpath_enabled() is False
-
-    def test_fastpath_scope_restores_on_exit(self):
-        perf.set_fastpath(True)
-        with perf.fastpath(False):
-            assert not perf.fastpath_enabled()
-        assert perf.fastpath_enabled()
-
-    def test_fastpath_scope_restores_on_error(self):
-        perf.set_fastpath(True)
-        with pytest.raises(RuntimeError):
-            with perf.fastpath(False):
-                raise RuntimeError("boom")
-        assert perf.fastpath_enabled()
-
-
-class TestRunLifecycle:
-    def test_begin_run_override_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(memo.ENV_VAR, "0")
-        previous, active = perf.begin_run(True)
-        assert active is True and perf.fastpath_enabled()
-        perf.end_run(previous)
-
-    def test_begin_run_none_defers_to_env(self, monkeypatch):
-        monkeypatch.setenv(memo.ENV_VAR, "0")
-        previous, active = perf.begin_run(None)
-        assert active is False
-        perf.end_run(previous)
-
-    def test_begin_run_resets_caches(self):
-        cache = memo.get_cache("test_lifecycle", 8)
-        cache.put("stale", 1)
-        previous, _ = perf.begin_run(True)
-        assert len(cache) == 0
-        perf.end_run(previous)
-
-    def test_end_run_restores_switch_and_snapshots(self):
-        perf.set_fastpath(False)
-        previous, _ = perf.begin_run(True)
-        memo.get_cache("test_lifecycle", 8).get("miss")
-        stats = perf.end_run(previous)
-        assert perf.fastpath_enabled() is False
-        assert stats["memo_test_lifecycle_misses"] == 1.0

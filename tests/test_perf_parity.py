@@ -1,17 +1,39 @@
-"""Fast-path parity tests: the memoized kernels must be bit-identical to
-the reference implementations, and memo caches must never mask injected
-faults.
+"""Parity of the simulator's one execution path with its oracles.
 
-These are the soundness tests for :mod:`repro.perf` — every memoized or
-rewritten kernel is checked against its uncached/reference form, and the
-end-to-end check runs every registered scheme with the fast path off and
-on and demands byte-identical summary rows.
+Three kinds of oracle check the path:
+
+* **Kernel references.**  Every rewritten or memoized kernel is compared
+  with the reference it replaced: the Hamming tables against the
+  mask-and-popcount encoder (``_encode_word_masks``) and syndrome
+  (``syndrome_reference``), the 512-bit XOR against the per-byte form
+  (``_xor_line_reference``), and the memoized ECC, decode and pad kernels
+  against their uncached forms.  Memo caches must never mask an injected
+  fault.
+* **Pinned whole runs.**  ``fixtures/pinned_states.json`` holds the
+  SHA-256 of the lossless result state (``result_state_bytes``), of the
+  summary row and, where observability is on, of the obs report, for 44
+  cells: the 12 ``grid-paper`` cells, the 8 schemes on
+  ``adv-dedup-worst`` at two issue windows, and the 8 schemes on gcc
+  with the counter integrity tree on and with observability on.  The
+  digests were taken at the commit the fixture records, where the fast
+  and reference execution modes that then existed were first shown to
+  agree on every cell.
+* **Pinned per-request streams.**  A short digest of every access result
+  (every field, and the timeline's stage exposures in charge order) for
+  each scheme and for the controller's bank services, so a divergence
+  names the first request that differs.
+
+There is no regenerate switch.  On a mismatch the tests print the table
+or stream they computed; re-pinning is a deliberate edit of the fixture.
 """
 
+import functools
+import hashlib
 import io
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +42,7 @@ from repro.common.errors import UncorrectableError
 from repro.common.types import AccessType, MemoryRequest
 from repro.crypto.counter_mode import (
     CounterModeEngine,
+    _derive_pad_uncached,
     _xor_line,
     _xor_line_reference,
 )
@@ -33,28 +56,210 @@ from repro.ecc.codec import (
 from repro.ecc.faults import flip_bit, flip_bits
 from repro.nvmm.bank import BankService
 from repro.nvmm.controller import MemoryController
-from repro.perf import fastpath, memo, reset_caches
+from repro.perf import reset_caches
 from repro.registry import make_scheme, registered_scheme_names
-from repro.sim.export import result_to_state
-from repro.sim.runner import run_app, scaled_system_config
+from repro.sim.engine import EngineConfig, SimulationEngine
+from repro.sim.export import result_state_bytes
+from repro.sim.runner import (
+    ExperimentConfig,
+    run_app,
+    run_grid,
+    scaled_system_config,
+)
+from repro.workloads import adversarial_stream, stream_instructions_per_access
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.trace import read_trace_list, write_trace
 
+FIXTURE_PATH = Path(__file__).parent / "fixtures" / "pinned_states.json"
+
+#: The benchmark's paper grid (``grid-paper``): three content-diverse SPEC
+#: apps against the four evaluated schemes.
+GRID_APPS = ("gcc", "deepsjeng", "lbm")
+GRID_SCHEMES = ("Baseline", "Dedup_SHA1", "DeWrite", "ESD")
+SEED = 7
+
 
 @pytest.fixture(autouse=True)
-def _fastpath_on_and_cold():
-    """Run each test with the fast path on and cold caches; restore after."""
-    previous = memo.ENABLED
-    memo.ENABLED = True
-    memo.reset_all()
+def _cold_caches():
+    """Run each test with cold kernel caches and leave them cold."""
+    reset_caches()
     yield
-    memo.ENABLED = previous
-    memo.reset_all()
+    reset_caches()
+
+
+@functools.lru_cache(maxsize=None)
+def pinned():
+    return json.loads(FIXTURE_PATH.read_text())
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _random_lines(count, seed=0xE5D):
     rng = random.Random(seed)
     return [rng.randbytes(64) for _ in range(count)]
+
+
+# ----------------------------------------------------------------------
+# Pinned whole runs
+# ----------------------------------------------------------------------
+
+def pinned_cells():
+    """Yield ``(cell, result)`` for every pinned whole-run cell."""
+    for app in GRID_APPS:
+        grid = run_grid(ExperimentConfig(apps=[app],
+                                         schemes=list(GRID_SCHEMES),
+                                         requests_per_app=10_000,
+                                         seed=SEED))
+        for (cell_app, scheme), result in grid.items():
+            yield f"grid-paper/{cell_app}/{scheme}", result
+
+    stream = "adv-dedup-worst"
+    records = list(adversarial_stream(stream, 4096, seed=SEED))
+    ipa = stream_instructions_per_access(stream)
+    for window in (64, 2):
+        for scheme in registered_scheme_names():
+            engine = SimulationEngine(
+                make_scheme(scheme, scaled_system_config()),
+                EngineConfig(max_outstanding=window))
+            yield (f"{stream}/window-{window}/{scheme}",
+                   engine.run(iter(records), app=stream,
+                              total_hint=len(records),
+                              instructions_per_access=ipa))
+
+    variants = (
+        ("protect-counters",
+         replace(scaled_system_config(), protect_counters=True)),
+        ("observability",
+         scaled_system_config().with_observability(enabled=True)),
+    )
+    for label, system in variants:
+        results = run_app("gcc", registered_scheme_names(), requests=3_000,
+                          system=system, seed=SEED)
+        for scheme, result in results.items():
+            yield f"{label}/gcc/{scheme}", result
+
+
+def cell_digests(result):
+    """The pinned digests of one whole-run result."""
+    digests = {
+        "state": sha256(result_state_bytes(result)),
+        "summary": sha256(json.dumps(result.summary_row(),
+                                     sort_keys=True).encode()),
+    }
+    if result.obs is not None:
+        digests["obs"] = sha256(json.dumps(result.obs,
+                                           sort_keys=True).encode())
+    return digests
+
+
+@functools.lru_cache(maxsize=None)
+def computed_table():
+    return {cell: cell_digests(result) for cell, result in pinned_cells()}
+
+
+def _assert_cells_match(kind):
+    table = computed_table()
+    cells = pinned()["cells"]
+    assert sorted(table) == sorted(cells)
+    wrong = [cell for cell in cells
+             if table[cell].get(kind) != cells[cell].get(kind)]
+    assert not wrong, (
+        f"{kind} digests differ from those pinned at "
+        f"{pinned()['commit']} for {wrong}; computed table:\n"
+        + json.dumps(table, indent=1, sort_keys=True))
+
+
+# ----------------------------------------------------------------------
+# Pinned per-request streams
+# ----------------------------------------------------------------------
+
+#: Characters of each per-request digest in a pinned stream.
+STEP = 8
+
+
+def result_digest(result) -> str:
+    """Short digest of one access result: every field, with the timeline
+    as its stage exposures in charge order, critical path, start and
+    seal."""
+    parts = [type(result).__name__]
+    for name in result._fields:
+        value = getattr(result, name)
+        if name == "timeline":
+            value = (list(value.exposures.items()), value.critical_path_ns,
+                     value.start_ns, value.sealed)
+        parts.append(repr(value))
+    return sha256("\x1f".join(parts).encode())[:STEP]
+
+
+def _assert_stream_matches(name, got):
+    text = pinned()["per_request"][name]
+    want = [text[i:i + STEP] for i in range(0, len(text), STEP)]
+    if got == want:
+        return
+    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+    pytest.fail(f"{name}: access {first} is the first to differ from the "
+                f"stream pinned at {pinned()['commit']} ({len(got)} "
+                f"accesses computed, {len(want)} pinned); computed "
+                f"stream:\n{''.join(got)}")
+
+
+# Small metadata caches (8 EFIT entries, 4-11 fingerprint-cache entries,
+# 16 AMT entries) force evictions and NVMM fingerprint lookups; referH
+# saturates at 4 remaps.
+PER_REQUEST_CONFIG = SystemConfig().with_metadata_cache(
+    efit_bytes=112, amt_bytes=208).with_esd(refer_h_max=4)
+
+
+def per_request_requests(count=600, seed=0xE5D):
+    """Seeded writes (pooled duplicates, fresh lines, rewrites of a few
+    addresses) interleaved with reads, some of never-written lines."""
+    rng = random.Random(seed)
+    pool = [bytes(64)] + _random_lines(11, seed=seed + 1)
+    requests = []
+    now = 0.0
+    for seq in range(count):
+        now += rng.choice((0.0, 5.0, 40.0, 200.0))
+        address = rng.randrange(24) * 64
+        if rng.random() < 0.7:
+            data = (rng.choice(pool) if rng.random() < 0.8
+                    else rng.randbytes(64))
+            requests.append(MemoryRequest(address, AccessType.WRITE,
+                                          data, now, seq=seq))
+        else:
+            requests.append(MemoryRequest(address, AccessType.READ,
+                                          None, now, seq=seq))
+    return requests
+
+
+def scheme_results(name):
+    scheme = make_scheme(name, PER_REQUEST_CONFIG)
+    return [scheme.handle_write(r) if r.is_write else scheme.handle_read(r)
+            for r in per_request_requests()]
+
+
+def controller_stream():
+    """``(op, result)`` for 400 seeded accesses of every controller kind
+    (a read's result is its ``(data, service)`` pair)."""
+    rng = random.Random(0xBA4C)
+    line = _random_lines(1, seed=11)[0]
+    ops = [(rng.choice(("read", "write", "write_partial",
+                        "metadata_read", "metadata_write")),
+            rng.randrange(64), rng.uniform(0.0, 2000.0))
+           for _ in range(400)]
+    controller = MemoryController()
+    out = []
+    for op, key, at in ops:
+        if op == "write":
+            result = controller.write(key, line, at)
+        elif op == "write_partial":
+            result = controller.write_partial(key, 0.5, at)
+        else:
+            result = getattr(controller, op)(key, at)
+        out.append((op, result))
+    return out
 
 
 class TestFaultInjectionNeverMasked:
@@ -115,15 +320,14 @@ class TestKernelParity:
             assert line_ecc(data) == line_ecc_uncached(data)  # cached hit
 
     def test_encode_word_on_off_parity(self):
+        """The table-driven encoder against the mask-and-popcount
+        reference the tables are built from."""
         rng = random.Random(6)
         words = [0, 1, (1 << 64) - 1] + [rng.getrandbits(64)
                                          for _ in range(200)]
         for word in words:
-            with fastpath(True):
-                fast = hamming.encode_word(word)
-            with fastpath(False):
-                ref = hamming.encode_word(word)
-            assert fast == ref
+            assert (hamming.encode_word(word)
+                    == hamming._encode_word_masks(word))
 
     def test_syndrome_matches_reference(self):
         rng = random.Random(7)
@@ -135,207 +339,90 @@ class TestKernelParity:
                      (word ^ (1 << rng.randrange(64)), ecc),
                      (word, ecc ^ (1 << rng.randrange(8)))]
             for w, e in cases:
-                with fastpath(True):
-                    fast = hamming.syndrome(w, e)
-                with fastpath(False):
-                    ref = hamming.syndrome(w, e)
-                assert fast == ref == hamming.syndrome_reference(w, e)
+                assert (hamming.syndrome(w, e)
+                        == hamming.syndrome_reference(w, e))
 
     def test_xor_line_matches_reference(self):
         lines = _random_lines(8, seed=8)
         for a, b in zip(lines[::2], lines[1::2]):
-            with fastpath(True):
-                fast = _xor_line(a, b)
-            assert fast == _xor_line_reference(a, b)
+            assert _xor_line(a, b) == _xor_line_reference(a, b)
 
     def test_counter_mode_roundtrip_on_off_parity(self):
-        plaintexts = _random_lines(8, seed=9)
-        ciphers = {}
-        for enabled in (False, True):
-            with fastpath(enabled):
-                reset_caches()
-                engine = CounterModeEngine()
-                out = []
-                for i, pt in enumerate(plaintexts):
-                    enc = engine.encrypt(pt, i)
-                    assert engine.decrypt_at(enc.ciphertext, i) == pt
-                    out.append((enc.ciphertext, enc.counter))
-                ciphers[enabled] = out
-        assert ciphers[False] == ciphers[True]
+        """Memoized, inlined encrypt/decrypt against the uncached pad and
+        the per-byte XOR."""
+        engine = CounterModeEngine()
+        key = engine._key
+        for i, pt in enumerate(_random_lines(8, seed=9)):
+            enc = engine.encrypt(pt, i)
+            pad = _derive_pad_uncached(key, i, enc.counter)
+            assert enc.ciphertext == _xor_line_reference(pt, pad)
+            assert engine.decrypt_at(enc.ciphertext, i) == pt
+            assert engine.decrypt(enc) == pt
 
     def test_trace_roundtrip_on_off_parity(self):
         requests = TraceGenerator("gcc", seed=7).generate_list(500)
-        streams = {}
-        for enabled in (False, True):
-            with fastpath(enabled):
-                buffer = io.BytesIO()
-                write_trace(requests, buffer)
-                streams[enabled] = buffer.getvalue()
-                buffer.seek(0)
-                assert read_trace_list(buffer) == requests
-        assert streams[False] == streams[True]
+        streams = []
+        for _ in range(2):
+            buffer = io.BytesIO()
+            write_trace(requests, buffer)
+            streams.append(buffer.getvalue())
+            buffer.seek(0)
+            assert read_trace_list(buffer) == requests
+        assert streams[0] == streams[1]
 
 
 class TestEndToEndParity:
-    """Fast-on vs fast-off summary rows, bit-exact, for every registered
-    scheme (the same gate `benchmarks/perf_smoke.py` enforces in CI on the
-    evaluation grid)."""
-
-    REQUESTS = 600
-
-    def _rows(self, fast):
-        system = replace(scaled_system_config(), use_fastpath=fast)
-        results = run_app("gcc", registered_scheme_names(),
-                          requests=self.REQUESTS, system=system, seed=7)
-        return {name: r.summary_row() for name, r in results.items()}
+    """Whole runs against the digests pinned in the fixture."""
 
     def test_summary_rows_bit_exact_across_all_schemes(self):
-        rows_off = self._rows(fast=False)
-        rows_on = self._rows(fast=True)
-        assert set(rows_off) == set(registered_scheme_names())
-        assert rows_off == rows_on
+        _assert_cells_match("summary")
 
     def test_result_state_identical_across_all_schemes(self):
-        """The whole lossless result state, not only the summary rows:
-        latency recorders, energy buckets, both stage breakdowns (in
-        insertion order, which ``LatencyBreakdown.total`` sums in),
-        controller and scheme tallies and the IPC.  Only the extras that
-        exist in one mode alone (memo and epoch-priming statistics, the
-        mode flag) are left out.  3,000 requests span several epochs."""
-        def states(fast):
-            system = replace(scaled_system_config(), use_fastpath=fast)
-            results = run_app("gcc", registered_scheme_names(),
-                              requests=3_000, system=system, seed=7)
-            out = {}
-            for name, result in results.items():
-                state = result_to_state(result)
-                state["extras"] = {
-                    key: value for key, value in state["extras"].items()
-                    if not key.startswith(("memo_", "vec_"))
-                    and key != "fastpath_enabled"}
-                out[name] = json.dumps(state)
-            return out
-
-        reference = states(fast=False)
-        fast = states(fast=True)
-        assert set(reference) == set(registered_scheme_names())
-        for name in reference:
-            assert fast[name] == reference[name], name
+        """The whole lossless result state — latency recorders, energy
+        buckets, both stage breakdowns in insertion order, controller and
+        scheme tallies, the IPC and every extra, memo and epoch-priming
+        statistics included — and the obs reports of the observed
+        cells."""
+        _assert_cells_match("state")
+        _assert_cells_match("obs")
 
     def test_extras_export_cache_stats(self):
-        system_on = replace(scaled_system_config(), use_fastpath=True)
-        result = run_app("gcc", ["ESD"], requests=self.REQUESTS,
-                         system=system_on, seed=7)["ESD"]
-        assert result.extras["fastpath_enabled"] == 1.0
+        result = run_app("gcc", ["ESD"], requests=600,
+                         system=scaled_system_config(), seed=7)["ESD"]
         memo_keys = [k for k in result.extras if k.startswith("memo_")]
-        assert memo_keys, "fast-path run must export memo cache stats"
+        assert memo_keys, "a run must export memo cache stats"
         # Counters come in complete (hits, misses, evictions, size) groups.
         assert any(k.endswith("_hits") for k in memo_keys)
         assert any(k.endswith("_misses") for k in memo_keys)
-
-    def test_extras_flag_off_without_stats(self):
-        system_off = replace(scaled_system_config(), use_fastpath=False)
-        result = run_app("gcc", ["ESD"], requests=self.REQUESTS,
-                         system=system_off, seed=7)["ESD"]
-        assert result.extras["fastpath_enabled"] == 0.0
-        assert not [k for k in result.extras if k.startswith("memo_")]
+        assert result.extras["vec_epochs"] >= 1.0
 
 
 class TestPerRequestParity:
-    """Fast-on vs fast-off results of every single access, field by field.
+    """Every single access, against its pinned per-request digest.
 
-    The fast branches build their result tuples positionally
+    The handlers build their result tuples positionally
     (``tuple.__new__``), so a field-order slip — ``deduplicated`` swapped
     with ``wrote_line``, say — would change no summary row; only a
-    per-result comparison against the keyword-built reference catches it.
+    per-result digest catches it.
     """
-
-    # Small metadata caches (8 EFIT entries, 4-11 fingerprint-cache entries,
-    # 16 AMT entries) force evictions and NVMM fingerprint lookups; referH
-    # saturates at 4 remaps.
-    CONFIG = SystemConfig().with_metadata_cache(
-        efit_bytes=112, amt_bytes=208).with_esd(refer_h_max=4)
-
-    @staticmethod
-    def _requests(count=600, seed=0xE5D):
-        """Seeded writes (pooled duplicates, fresh lines, rewrites of a few
-        addresses) interleaved with reads, some of never-written lines."""
-        rng = random.Random(seed)
-        pool = [bytes(64)] + _random_lines(11, seed=seed + 1)
-        requests = []
-        now = 0.0
-        for seq in range(count):
-            now += rng.choice((0.0, 5.0, 40.0, 200.0))
-            address = rng.randrange(24) * 64
-            if rng.random() < 0.7:
-                data = (rng.choice(pool) if rng.random() < 0.8
-                        else rng.randbytes(64))
-                requests.append(MemoryRequest(address, AccessType.WRITE,
-                                              data, now, seq=seq))
-            else:
-                requests.append(MemoryRequest(address, AccessType.READ,
-                                              None, now, seq=seq))
-        return requests
 
     @pytest.mark.parametrize("name", registered_scheme_names())
     def test_scheme_results_equal_field_by_field(self, name):
-        requests = self._requests()
-        results = {}
-        for enabled in (True, False):
-            with fastpath(enabled):
-                reset_caches()
-                scheme = make_scheme(name, self.CONFIG)
-                results[enabled] = [
-                    scheme.handle_write(r) if r.is_write
-                    else scheme.handle_read(r) for r in requests]
-        for i, (fast, ref) in enumerate(zip(results[True], results[False])):
-            assert type(fast) is type(ref)
-            for field in ref._fields:
-                if field != "timeline":
-                    assert getattr(fast, field) == getattr(ref, field), (
-                        i, field)
-            # The per-request timeline: per-stage exposures in charge
-            # order (the fold into the breakdown follows it), the critical
-            # path, and the seal the fast finalize sets inline.
-            fast_tl, ref_tl = fast.timeline, ref.timeline
-            assert (list(fast_tl.exposures.items())
-                    == list(ref_tl.exposures.items())), i
-            assert fast_tl.critical_path_ns == ref_tl.critical_path_ns, i
-            assert fast_tl.start_ns == ref_tl.start_ns, i
-            assert fast_tl.sealed and ref_tl.sealed, i
-        writes = [r for r in results[False] if hasattr(r, "deduplicated")]
+        results = scheme_results(name)
+        _assert_stream_matches(name, [result_digest(r) for r in results])
+        for result in results:
+            assert result.timeline.sealed
+        writes = [r for r in results if hasattr(r, "deduplicated")]
         assert any(r.wrote_line for r in writes)
         # DaE fingerprints ciphertext, which counter mode never repeats.
         if name not in ("Baseline", "DaE"):
             assert any(r.deduplicated for r in writes)
 
     def test_controller_bank_services_equal(self):
-        rng = random.Random(0xBA4C)
-        line = _random_lines(1, seed=11)[0]
-        ops = [(rng.choice(("read", "write", "write_partial",
-                            "metadata_read", "metadata_write")),
-                rng.randrange(64), rng.uniform(0.0, 2000.0))
-               for _ in range(400)]
-        results = {}
-        for enabled in (True, False):
-            with fastpath(enabled):
-                controller = MemoryController()
-                out = []
-                for op, key, at in ops:
-                    if op == "read":
-                        data, service = controller.read(key, at)
-                        out.append(data)
-                    elif op == "write":
-                        service = controller.write(key, line, at)
-                    elif op == "write_partial":
-                        service = controller.write_partial(key, 0.5, at)
-                    else:
-                        service = getattr(controller, op)(key, at)
-                    assert type(service) is BankService
-                    out.append(service)
-                results[enabled] = out
-        for fast, ref in zip(results[True], results[False]):
-            if isinstance(ref, BankService):
-                assert fast._asdict() == ref._asdict()
-            else:
-                assert fast == ref
+        results = controller_stream()
+        for op, result in results:
+            service = result[1] if op == "read" else result
+            assert type(service) is BankService
+        _assert_stream_matches(
+            "controller",
+            [sha256(repr(r).encode())[:STEP] for _, r in results])

@@ -171,6 +171,15 @@ def test_unknown_scheme_and_session_errors():
             assert excinfo.value.code == "bad_request"
 
 
+def test_removed_execution_switch_option_is_bad_request():
+    with BackgroundServer() as server:
+        with ServeClient("127.0.0.1", server.port) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.open_session("ESD", options={"use_fastpath": False})
+            assert excinfo.value.code == "bad_request"
+            assert "use_fastpath" in str(excinfo.value)
+
+
 def test_session_limit():
     with BackgroundServer(ServeConfig(max_sessions=1)) as server:
         first = ServeClient("127.0.0.1", server.port)

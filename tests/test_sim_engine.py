@@ -107,15 +107,19 @@ class TestIntegrity:
                    total_hint=len(small_trace))  # raises on violation
 
 
-def _throttled_run(config, requests, scheme_name, *, fast,
-                   max_outstanding=2, seen=None):
-    system = replace(config, use_fastpath=fast)
-    scheme = make_scheme(scheme_name, system)
-    if seen is not None:
-        # Record every request object the scheme is handed.
+def _throttled_run(config, requests, scheme_name, *, max_outstanding=2,
+                   seen=None, revalidate=False):
+    scheme = make_scheme(scheme_name, config)
+    if seen is not None or revalidate:
         for name in ("handle_write", "handle_read"):
             def spy(request, inner=getattr(scheme, name)):
-                seen.append(request)
+                # Record every request object the scheme is handed, or
+                # hand it a copy rebuilt through the validating
+                # constructor instead.
+                if seen is not None:
+                    seen.append(request)
+                if revalidate:
+                    request = replace(request)
                 return inner(request)
             setattr(scheme, name, spy)
     engine = SimulationEngine(scheme,
@@ -124,8 +128,9 @@ def _throttled_run(config, requests, scheme_name, *, fast,
 
 
 class TestThrottledReissue:
-    """A 2-request window re-issues most requests late: the fast loop as
-    trusted copies, the reference loop through ``dataclasses.replace``."""
+    """A 2-request window re-issues most requests late, as trusted copies
+    that skip ``__post_init__``; the reference hands the scheme copies
+    re-validated through ``dataclasses.replace`` instead."""
 
     def test_shared_requests_unchanged_and_rows_match_reference(
             self, config, small_trace):
@@ -136,10 +141,10 @@ class TestThrottledReissue:
         before = [fields(r) for r in small_trace]
         for scheme_name in ("ESD", "DeWrite"):
             want = _throttled_run(config, small_trace, scheme_name,
-                                  fast=False).summary_row()
+                                  revalidate=True).summary_row()
             seen = []
             got = _throttled_run(config, small_trace, scheme_name,
-                                 fast=True, seen=seen)
+                                 seen=seen)
             assert got.summary_row() == want
             assert len(seen) == len(small_trace)
             late = 0
@@ -151,10 +156,11 @@ class TestThrottledReissue:
             assert late > len(small_trace) // 2
         assert [fields(r) for r in small_trace] == before
 
-    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("short", [True])
     @pytest.mark.parametrize("scheme_name", registered_scheme_names())
     def test_short_payload_fails_alike_throttled_or_not(self, config,
-                                                        scheme_name, fast):
+                                                        scheme_name, short):
+        payload = bytes(63) if short else bytes(65)
         messages = []
         for max_outstanding in (64, 2):
             requests = [MemoryRequest(address=64 * i,
@@ -164,10 +170,10 @@ class TestThrottledReissue:
                         for i in range(4)]
             # Mutated after construction, so __post_init__ never saw it;
             # with a 2-request window the last two writes are throttled.
-            requests[3].data = bytes(63)
+            requests[3].data = payload
             with pytest.raises(ValueError) as caught:
-                _throttled_run(config, requests, scheme_name, fast=fast,
+                _throttled_run(config, requests, scheme_name,
                                max_outstanding=max_outstanding)
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
-        assert "64 bytes, got 63" in messages[0]
+        assert f"64 bytes, got {len(payload)}" in messages[0]

@@ -99,7 +99,7 @@ class TestDigestIdentity:
             ExperimentConfig(requests_per_app=1_000, seed=7))[0]
         assert spec.key == ("cactuBSSN", "Baseline")
         assert spec.digest() == (
-            "6097d1cf47138d842df4b49ecc3d225e2e58615dd7082eeb22e403ca39560036")
+            "28b544da87cb8a644274fd2f47d7d2ac0161d40c2d6a705a82f1fbc883352d25")
 
     def test_equal_configs_of_other_types_keep_their_digests(self):
         """An int field equals (and hashes like) its float value, but the

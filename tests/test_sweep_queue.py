@@ -97,6 +97,15 @@ class TestSpecWireCodec:
         with pytest.raises(ValueError, match=f"{cls} has no field '{field}'"):
             spec_from_payload(payload)
 
+    def test_removed_execution_switch_rejected(self):
+        """A payload that still names the removed ``use_fastpath`` switch
+        fails typed, naming the field."""
+        payload = spec_to_payload(jobs_from_experiment(small_experiment())[0])
+        payload["system"]["fields"]["use_fastpath"] = None
+        with pytest.raises(ValueError,
+                           match="SystemConfig has no field 'use_fastpath'"):
+            spec_from_payload(payload)
+
     @pytest.mark.parametrize("corrupt,named", [
         (lambda p: p.pop("app"), "no 'app'"),
         (lambda p: p["system"].pop("fields"), "SystemConfig payload has no "

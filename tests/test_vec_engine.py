@@ -20,7 +20,7 @@ from repro.common.config import ObservabilityConfig
 from repro.common.types import AccessType, MemoryRequest, request_unchecked
 from repro.crypto.fingerprints import SHA1Engine, TruncatedEngine
 from repro.dedup import make_scheme
-from repro.perf import fastpath, memo
+from repro.perf import memo
 from repro.sim import session as session_mod
 from repro.sim.runner import run_app
 from repro.vec.epoch import EPOCH_SIZE, EpochPrecomputer, VecStats
@@ -136,21 +136,6 @@ class TestEpochPrecomputer:
         scheme = make_scheme("DaE", small_test_config())
         assert scheme.vec_prime_engines() == ()
 
-    def test_memo_off_falls_back(self):
-        scheme = make_scheme("ESD", small_test_config())
-        stats = VecStats()
-        precomp = EpochPrecomputer(scheme, stats)
-        rng = random.Random(35)
-        contents = [rng.randbytes(64) for _ in range(4)]
-        previous = memo.ENABLED
-        memo.ENABLED = False
-        try:
-            precomp.precompute(self._epoch(contents))
-        finally:
-            memo.ENABLED = previous
-        assert stats.scalar_fallback_lines == 4
-        assert stats.batched_ecc_lines == 0
-
     def test_read_only_epoch_counts_no_writes(self):
         scheme = make_scheme("ESD", small_test_config())
         stats = VecStats()
@@ -171,8 +156,7 @@ class TestPrimeBatchEngines:
         hits_before = cache.hits
         values = [engine.fingerprint(d) for d in contents]
         assert cache.hits == hits_before + 6
-        with fastpath(False):
-            assert values == [engine.fingerprint(d) for d in contents]
+        assert values == [engine._digest(d) for d in contents]
 
     def test_truncated_engine_delegates_to_inner(self):
         engine = TruncatedEngine(SHA1Engine(), bits=128)
@@ -183,30 +167,23 @@ class TestPrimeBatchEngines:
 
 
 class TestEngineIntegration:
-    def _run(self, *, fast, requests=REQUESTS):
-        system = replace(small_test_config(), use_fastpath=fast)
-        return run_app("gcc", ["ESD"], system=system,
+    def _run(self, requests=REQUESTS):
+        return run_app("gcc", ["ESD"], system=small_test_config(),
                        requests=requests)["ESD"]
 
     def test_extras_exported_when_on(self):
-        result = self._run(fast=True)
-        assert result.extras["fastpath_enabled"] == 1.0
+        result = self._run()
         assert result.extras["vec_epochs"] == 1.0  # 600 < EPOCH_SIZE
         assert result.extras["vec_requests"] == float(REQUESTS)
         assert result.extras["vec_kernel_occupancy"] == 1.0
         assert result.extras["vec_scalar_fallback_lines"] == 0.0
 
-    def test_extras_absent_when_off(self):
-        result = self._run(fast=False)
-        assert result.extras["fastpath_enabled"] == 0.0
-        assert not [k for k in result.extras if k.startswith("vec_")]
-
     def test_epoch_size_shapes_stats_not_results(self, monkeypatch):
         assert EPOCH_SIZE == 1024
         monkeypatch.setattr(session_mod, "EPOCH_SIZE", 128)
-        small = self._run(fast=True)
+        small = self._run()
         monkeypatch.setattr(session_mod, "EPOCH_SIZE", 4096)
-        large = self._run(fast=True)
+        large = self._run()
         assert small.extras["vec_epochs"] == 5.0  # ceil(600 / 128)
         assert large.extras["vec_epochs"] == 1.0
         assert small.extras["vec_min_epoch_size"] == 88.0  # 600 - 4*128
@@ -214,7 +191,7 @@ class TestEngineIntegration:
 
     def test_obs_registry_carries_vec_metrics(self):
         system = replace(
-            small_test_config(), use_fastpath=True,
+            small_test_config(),
             observability=ObservabilityConfig(enabled=True,
                                               trace_capacity=64,
                                               sample_every=3))

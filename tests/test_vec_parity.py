@@ -1,18 +1,19 @@
-"""Fast-path parity: epoch priming plus memo caches vs the reference loop.
+"""Epoch-priming parity: priming the memo caches never changes a result.
 
-The fast path (memo caches primed one epoch at a time by
-:mod:`repro.vec`) carries one contract (DESIGN.md §10): for every
-registered scheme, the ``SimulationResult`` summary row must be
-**byte-identical** with ``use_fastpath`` on or off.  Property-style
-random request streams — duplicate-rich and duplicate-free contents,
-read- and write-heavy mixes, short and epoch-straddling lengths —
-exercise the epoch front end against the reference loop, and a
+Each session primes the memo caches one epoch at a time with the batch
+kernels of :mod:`repro.vec` before the scalar per-line resolution walks
+the epoch.  The contract (DESIGN.md §10): for every registered scheme,
+the ``SimulationResult`` summary row is **byte-identical** with the
+priming pass or without it (the scalar kernels then compute every value
+themselves).  Property-style random request streams — duplicate-rich and
+duplicate-free contents, read- and write-heavy mixes, short and
+epoch-straddling lengths — exercise the epoch front end, and a
 fault-injection section checks that batch-primed ECC caches can never
 mask a corrupted line.
 """
 
 import random
-from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.ecc.faults import flip_bit, flip_bits
 from repro.perf import memo
 from repro.registry import registered_scheme_names
 from repro.sim.runner import run_app, scaled_system_config
+from repro.vec.epoch import EpochPrecomputer
 from repro.workloads.generator import TraceGenerator
 
 REQUESTS = 600
@@ -73,9 +75,15 @@ def _random_trace(seed, count, write_frac=0.6, dup_rate=0.5, pool=24,
     return requests
 
 
-def _rows(trace, schemes, *, fast, system=None):
-    system = replace(system or scaled_system_config(), use_fastpath=fast)
-    results = run_app("gcc", schemes, system=system, trace=trace)
+def _rows(trace, schemes, *, primed, system=None):
+    """Summary rows of ``trace``; ``primed=False`` skips the priming pass."""
+    system = system or scaled_system_config()
+    if primed:
+        results = run_app("gcc", schemes, system=system, trace=trace)
+    else:
+        with mock.patch.object(EpochPrecomputer, "precompute",
+                               lambda self, epoch: None):
+            results = run_app("gcc", schemes, system=system, trace=trace)
     return {name: r.summary_row() for name, r in results.items()}
 
 
@@ -85,16 +93,16 @@ class TestAllSchemesParity:
     def test_generated_trace_all_schemes(self):
         trace = TraceGenerator("gcc", seed=7).generate_list(REQUESTS)
         schemes = registered_scheme_names()
-        off = _rows(trace, schemes, fast=False)
-        on = _rows(trace, schemes, fast=True)
+        off = _rows(trace, schemes, primed=False)
+        on = _rows(trace, schemes, primed=True)
         assert set(off) == set(schemes) and len(schemes) == 8
         assert off == on
 
     def test_random_mixed_trace_all_schemes(self):
         trace = _random_trace(seed=11, count=REQUESTS)
         schemes = registered_scheme_names()
-        assert _rows(trace, schemes, fast=False) == \
-            _rows(trace, schemes, fast=True)
+        assert _rows(trace, schemes, primed=False) == \
+            _rows(trace, schemes, primed=True)
 
 
 class TestPropertyStyleMixes:
@@ -112,15 +120,15 @@ class TestPropertyStyleMixes:
     def test_random_mix_parity(self, seed, write_frac, dup_rate):
         trace = _random_trace(seed=seed, count=400, write_frac=write_frac,
                               dup_rate=dup_rate)
-        assert _rows(trace, self.SCHEMES, fast=False) == \
-            _rows(trace, self.SCHEMES, fast=True)
+        assert _rows(trace, self.SCHEMES, primed=False) == \
+            _rows(trace, self.SCHEMES, primed=True)
 
     @pytest.mark.parametrize("count", [1, 3, 1023, 1024, 1025])
     def test_epoch_boundary_lengths(self, count):
         # Streams shorter than, equal to, and one past the default epoch.
         trace = _random_trace(seed=5, count=count)
-        assert _rows(trace, ["ESD"], fast=False) == \
-            _rows(trace, ["ESD"], fast=True)
+        assert _rows(trace, ["ESD"], primed=False) == \
+            _rows(trace, ["ESD"], primed=True)
 
 
 class TestBatchPrimingNeverMasksFaults:
@@ -164,14 +172,4 @@ class TestBatchPrimingNeverMasksFaults:
         assert line_ecc(data) == line_ecc_uncached(data)
         assert line_ecc(corrupt) == line_ecc_uncached(corrupt)
         assert line_ecc(data) != line_ecc(corrupt)
-
-    def test_priming_noop_with_fastpath_off(self):
-        rng = random.Random(24)
-        lines = [rng.randbytes(64) for _ in range(4)]
-        previous = memo.ENABLED
-        memo.ENABLED = False
-        try:
-            assert prime_line_ecc_batch(lines) == 0
-        finally:
-            memo.ENABLED = previous
 
