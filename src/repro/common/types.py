@@ -37,6 +37,9 @@ class AccessType(enum.Enum):
         return self.value
 
 
+_WRITE = AccessType.WRITE
+
+
 def validate_line(data: bytes) -> bytes:
     """Return ``data`` unchanged after checking it is a full cache line.
 
@@ -82,7 +85,7 @@ def line_words(data: bytes) -> list:
     return [data[i * 8 : (i + 1) * 8] for i in range(WORDS_PER_LINE)]
 
 
-@dataclass
+@dataclass(init=False)
 class MemoryRequest:
     """One cache-line access presented to the memory controller.
 
@@ -104,26 +107,40 @@ class MemoryRequest:
     core: int = 0
     seq: int = 0
 
-    def __post_init__(self) -> None:
-        if self.address < 0:
-            raise ValueError(f"address must be non-negative, got {self.address}")
-        if self.address % CACHE_LINE_SIZE != 0:
+    # Hand-written rather than generated plus ``__post_init__``: the trace
+    # generator builds one per request.  ``dataclasses.replace`` calls it
+    # too, so copies are re-validated.
+    def __init__(self, address: int, access: AccessType,
+                 data: Optional[bytes] = None, issue_time_ns: float = 0.0,
+                 core: int = 0, seq: int = 0) -> None:
+        if address < 0:
+            raise ValueError(f"address must be non-negative, got {address}")
+        if address % CACHE_LINE_SIZE != 0:
             raise ValueError(
-                f"address {self.address:#x} is not {CACHE_LINE_SIZE}-byte aligned"
+                f"address {address:#x} is not {CACHE_LINE_SIZE}-byte aligned"
             )
         # The chained compare rejects NaN too: a bank cannot schedule a
         # request at a time that is negative, infinite or not a number.
-        if not 0.0 <= self.issue_time_ns < _INF:
+        if not 0.0 <= issue_time_ns < _INF:
             raise ValueError(
                 f"issue_time_ns must be finite and non-negative, "
-                f"got {self.issue_time_ns!r}"
+                f"got {issue_time_ns!r}"
             )
-        if self.access is AccessType.WRITE:
-            if self.data is None:
+        if access is _WRITE:
+            if data is None:
                 raise ValueError("write request requires data")
-            self.data = validate_line(self.data)
-        elif self.data is not None:
+            if data.__class__ is not bytes or len(data) != CACHE_LINE_SIZE:
+                data = validate_line(data)
+        elif data is not None:
             raise ValueError("read request must not carry data")
+        # Attribute stores in field order keep the instance dict (and so
+        # the pickled form) as the generated __init__ left it.
+        self.address = address
+        self.access = access
+        self.data = data
+        self.issue_time_ns = issue_time_ns
+        self.core = core
+        self.seq = seq
 
     @property
     def line_index(self) -> int:
@@ -142,7 +159,7 @@ class MemoryRequest:
 def request_unchecked(address: int, access: AccessType,
                       data: "Optional[bytes]", issue_time_ns: float,
                       core: int, seq: int) -> MemoryRequest:
-    """Build a :class:`MemoryRequest` bypassing ``__post_init__`` validation.
+    """Build a :class:`MemoryRequest` bypassing the constructor's checks.
 
     For trusted batch producers only — the batched trace reader
     validates whole record arrays with numpy before constructing requests,

@@ -58,22 +58,20 @@ class BaselineScheme(DedupScheme):
         values["reads"] = values.get("reads", 0) + 1
         timeline = self._timeline(request)
         frame = self._frames.get(request.line_index)
-        if frame is None:
-            # Unwritten memory: the access still round-trips to PCM.  Map the
-            # logical line onto a frame so repeated reads hit the same bank.
-            frame = self._frame_for(request.line_index)
+        if frame is None or not self.crypto.counters.current(frame):
+            # Unwritten memory: the access still round-trips to PCM, but the
+            # frame holds no ciphertext, so nothing is decrypted and it
+            # reads as zeros.  The first read maps the logical line onto a
+            # frame so repeated reads hit the same bank; a frame mapped so
+            # keeps counter 0 until its first write.
+            if frame is None:
+                frame = self._frame_for(request.line_index)
             _, access = self.controller.read(frame, timeline.now)
             timeline.advance_to(_READ_FILL, access.completion_ns)
             return self._finalize_read(request, timeline,
                                        bytes(CACHE_LINE_SIZE))
         plaintext = self._read_and_decrypt(frame, timeline, _READ_FILL,
                                            _DECRYPTION)
-        if not self.crypto.counters.current(frame):
-            # Mapped by an earlier read but never written: the frame holds
-            # no ciphertext, so decrypting it yields the counter-0 pad.
-            # Unwritten memory reads as zeros; the access is charged as it
-            # was issued.
-            plaintext = bytes(CACHE_LINE_SIZE)
         return self._finalize_read(request, timeline, plaintext)
 
     def metadata_footprint(self) -> MetadataFootprint:

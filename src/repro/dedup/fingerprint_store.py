@@ -130,11 +130,18 @@ class FullFingerprintStore:
                                                    at_time_ns).completion_ns
         return at_time_ns
 
-    def remove(self, fingerprint: int) -> None:
-        """Drop an entry (its frame was freed).  Functional only —
-        invalidation piggybacks on the frame-free path."""
-        self._home.pop(fingerprint, None)
-        self._cache.pop(fingerprint, None)
+    def remove(self, fingerprint: int, frame: int) -> None:
+        """Drop the entry of a freed ``frame``.  Functional only —
+        invalidation piggybacks on the frame-free path.
+
+        Only an entry that points at ``frame`` goes: after a fingerprint
+        collision the entry may point at the colliding line's frame, which
+        is still live.
+        """
+        if self._home.get(fingerprint) == frame:
+            del self._home[fingerprint]
+        if self._cache.get(fingerprint) == frame:
+            del self._cache[fingerprint]
 
     def contains(self, fingerprint: int) -> bool:
         return fingerprint in self._cache or fingerprint in self._home

@@ -65,7 +65,7 @@ class FullDedupScheme(DedupScheme):
         if remaining == 0:
             fingerprint = self._frame_fingerprint.pop(old_frame, None)
             if fingerprint is not None:
-                self.store.remove(fingerprint)
+                self.store.remove(fingerprint, old_frame)
 
     def _commit_duplicate(self, logical_line: int, frame: int,
                           timeline: StageTimeline) -> None:

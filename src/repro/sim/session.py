@@ -357,11 +357,11 @@ class Session:
                 # Closed-loop throttling: delay the issue until a window
                 # slot frees up.  The delayed request is a trusted copy
                 # (request_unchecked's construction) differing only in
-                # issue_time_ns: the source request passed __post_init__
-                # when it was built, and every scheme rejects a malformed
-                # payload itself before changing any state, so
-                # re-validating through dataclasses.replace only costs
-                # time.
+                # issue_time_ns: the source request passed the
+                # constructor's checks when it was built, and every scheme
+                # rejects a malformed payload itself before changing any
+                # state, so re-validating through dataclasses.replace only
+                # costs time.
                 if len(window) >= max_outstanding:
                     oldest = window_popleft()
                     if oldest > request.issue_time_ns:

@@ -17,6 +17,19 @@ LLC"), and it is the stream every dedup scheme consumes.  For end-to-end
 demonstrations that include the cache hierarchy, see
 :class:`CPUAccessGenerator`, which emits pre-hierarchy load/store traffic
 instead.
+
+**The stream contract.**  A ``(profile, seed)`` pair names one stream,
+bit for bit; ``tests/fixtures/pinned_traces.json`` pins each profile's.
+Its draws are those of numpy's PCG64 ``Generator``, but ``random()``,
+``integers(0, n)`` and the 56-byte tails (``integers(0, 256, 56,
+dtype=uint8)``) are computed by :class:`_WordDraws` from raw 64-bit
+words with numpy's transforms, without numpy's per-call overhead.  The
+last two draw 32-bit halves through PCG64's one-half buffer, which
+``_WordDraws`` takes over after the one-time ``permutation``;
+``exponential()`` (a ziggurat over tables Python cannot reach) stays a
+numpy call and takes whole words, so it never touches the buffer.  The
+buffer belongs to the generator: ``generate(300)`` then ``generate(700)``
+equals ``generate(1000)``.
 """
 
 from __future__ import annotations
@@ -36,6 +49,68 @@ from ..common.types import (
 from ..cache.hierarchy import CPUAccess
 from .profiles import WorkloadProfile, get_profile
 
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+
+#: ``random()`` scales the top 53 bits of a word by 2**-53.
+_TWO_M53 = 1.0 / (1 << 53)
+_HALF_MASK = 0xFFFFFFFF
+_HALF_RANGE = 1 << 32
+#: Unique-line tails are written as little-endian words on every host.
+_LE_U64 = np.dtype("<u8")
+
+
+class _WordDraws:
+    """numpy ``Generator`` draws computed from its raw PCG64 words.
+
+    Each method returns what the named ``Generator`` call returns and
+    consumes the same words.  32-bit draws go through PCG64's one-half
+    buffer, taken over from the bit generator's state at construction, so
+    every half-drawing call on the stream must go through this object.
+    """
+
+    __slots__ = ("_raw", "_has_half", "_half")
+
+    def __init__(self, bit_generator) -> None:
+        self._raw = bit_generator.random_raw
+        state = bit_generator.state
+        self._has_half = state["has_uint32"]
+        self._half = state["uinteger"]
+
+    def random(self) -> float:
+        """``Generator.random()``."""
+        return (self._raw() >> 11) * _TWO_M53
+
+    def integers(self, n: int) -> int:
+        """``Generator.integers(0, n)`` for ``1 <= n <= 2**32``: Lemire's
+        multiply-shift on 32-bit halves, redrawn while biased."""
+        if not 1 < n <= _HALF_RANGE:
+            if n == 1:
+                return 0
+            raise ValueError(f"integers(0, {n}) needs 1 <= n <= 2**32")
+        while True:
+            if self._has_half:
+                self._has_half = 0
+                m = self._half * n
+            else:
+                word = self._raw()
+                self._half = word >> 32
+                self._has_half = 1
+                m = (word & _HALF_MASK) * n
+            low = m & _HALF_MASK
+            if low >= n or low >= (_HALF_RANGE - n) % n:
+                return m >> 32
+
+    def tail56(self) -> bytes:
+        """``Generator.integers(0, 256, 56, dtype=uint8).tobytes()``: 14
+        halves, each written little-endian."""
+        words = self._raw(7).astype(_LE_U64, copy=False).tobytes()
+        if not self._has_half:
+            return words
+        head = self._half.to_bytes(4, "little")
+        self._half = int.from_bytes(words[52:], "little")
+        return head + words[:52]
+
 
 class ZipfSampler:
     """Bounded Zipf sampling over a growing population.
@@ -50,7 +125,8 @@ class ZipfSampler:
         if skew <= 0:
             raise ValueError("skew must be positive")
         self._skew = skew
-        self._rng = rng
+        # A numpy Generator, or the trace generator's _WordDraws.
+        self._random = rng.random
         self._cumweights: List[float] = []
 
     def __len__(self) -> int:
@@ -68,7 +144,7 @@ class ZipfSampler:
         """Draw a 0-based item index with Zipf probabilities."""
         if not self._cumweights:
             raise ValueError("cannot sample from an empty population")
-        u = self._rng.random() * self._cumweights[-1]
+        u = self._random() * self._cumweights[-1]
         return bisect_left(self._cumweights, u)
 
 
@@ -88,7 +164,6 @@ class TraceGenerator:
         self.profile: WorkloadProfile = profile
         name_salt = sum(profile.name.encode())
         self._rng = np.random.default_rng((seed * 1_000_003 + name_salt))
-        self._content_sampler = ZipfSampler(profile.locality_skew, self._rng)
         self._contents: List[bytes] = []
         self._zero_emitted = False
         self._unique_counter = 0
@@ -99,9 +174,15 @@ class TraceGenerator:
         # gives spatially-scattered hot lines.
         self._address_pool = self._rng.permutation(
             profile.working_set_lines).astype(np.int64)
+        # From here on every draw but exponential() goes through _draws,
+        # which takes over the half the permutation may have left buffered.
+        draws = self._draws = _WordDraws(self._rng.bit_generator)
+        self._random = draws.random
+        self._integers = draws.integers
+        self._content_sampler = ZipfSampler(profile.locality_skew, draws)
         self._written_addresses: List[int] = []
         self._written_set: set = set()
-        self._address_sampler = ZipfSampler(0.8, self._rng)
+        self._address_sampler = ZipfSampler(0.8, draws)
 
     # ------------------------------------------------------------------
     # Content synthesis
@@ -114,9 +195,7 @@ class TraceGenerator:
         guaranteed (random tails make the content realistic for hashing).
         """
         self._unique_counter += 1
-        tail = self._rng.integers(0, 256, CACHE_LINE_SIZE - 8,
-                                  dtype=np.uint8).tobytes()
-        return struct.pack("<Q", self._unique_counter) + tail
+        return struct.pack("<Q", self._unique_counter) + self._draws.tail56()
 
     def _register_content(self, content: bytes) -> None:
         self._contents.append(content)
@@ -125,23 +204,23 @@ class TraceGenerator:
     def _next_write_content(self) -> bytes:
         """Choose the next written content per the duplicate-state chain."""
         p = self.profile
-        if self._rng.random() >= p.dup_burstiness:
-            self._prev_was_dup = bool(self._rng.random() < p.duplicate_rate)
+        random = self._random
+        if random() >= p.dup_burstiness:
+            self._prev_was_dup = random() < p.duplicate_rate
         if self._prev_was_dup and self._contents:
-            if self._rng.random() < p.zero_fraction:
+            if random() < p.zero_fraction:
                 if self._zero_emitted:
                     return ZERO_LINE
                 # First zero emission is by definition unique.
                 self._zero_emitted = True
                 self._register_content(ZERO_LINE)
                 return ZERO_LINE
-            if self._rng.random() < p.tail_dup_fraction:
+            if random() < p.tail_dup_fraction:
                 # Long-range recurrence: re-reference a uniformly random old
                 # content.  Only a full NVMM-resident fingerprint index can
                 # deduplicate these; a bounded hot-fingerprint cache misses
                 # them (the selective-dedup trade-off).
-                idx = int(self._rng.integers(0, len(self._contents)))
-                return self._contents[idx]
+                return self._contents[self._integers(len(self._contents))]
             return self._contents[self._content_sampler.sample()]
         content = self._fresh_unique_line()
         self._register_content(content)
@@ -153,12 +232,13 @@ class TraceGenerator:
 
     def _next_write_address(self) -> int:
         """Pick a line address from the working set (mildly skewed)."""
-        can_grow = len(self._address_sampler) < len(self._address_pool)
-        if can_grow and (len(self._address_sampler) == 0
-                         or self._rng.random() < 0.5):
-            idx = self._address_sampler.add_item()
+        sampler = self._address_sampler
+        grown = len(sampler)
+        if grown < len(self._address_pool) and (grown == 0
+                                                or self._random() < 0.5):
+            idx = sampler.add_item()
         else:
-            idx = self._address_sampler.sample()
+            idx = sampler.sample()
         line = int(self._address_pool[idx])
         addr = line * CACHE_LINE_SIZE
         if addr not in self._written_set:
@@ -168,21 +248,15 @@ class TraceGenerator:
 
     def _next_read_address(self) -> int:
         """Read a previously written address when possible."""
-        if self._written_addresses:
-            idx = int(self._rng.integers(0, len(self._written_addresses)))
-            return self._written_addresses[idx]
-        line = int(self._address_pool[
-            int(self._rng.integers(0, len(self._address_pool)))])
-        return line * CACHE_LINE_SIZE
+        written = self._written_addresses
+        if written:
+            return written[self._integers(len(written))]
+        pool = self._address_pool
+        return int(pool[self._integers(len(pool))]) * CACHE_LINE_SIZE
 
     # ------------------------------------------------------------------
     # Stream generation
     # ------------------------------------------------------------------
-
-    def _advance_clock(self) -> float:
-        self._clock_ns += float(
-            self._rng.exponential(self.profile.mean_interarrival_ns))
-        return self._clock_ns
 
     def generate(self, num_requests: int) -> Iterator[MemoryRequest]:
         """Yield ``num_requests`` memory-controller requests."""
@@ -190,21 +264,26 @@ class TraceGenerator:
             raise ValueError("num_requests must be positive")
         p = self.profile
         cores = 8
+        read_fraction = p.read_fraction
+        mean_gap_ns = p.mean_interarrival_ns
+        exponential = self._rng.exponential
+        random = self._random
+        integers = self._integers
+        next_read_address = self._next_read_address
+        next_write_address = self._next_write_address
+        next_write_content = self._next_write_content
         for _ in range(num_requests):
-            self._seq += 1
-            at = self._advance_clock()
-            core = int(self._rng.integers(0, cores))
-            if self._rng.random() < p.read_fraction:
-                yield MemoryRequest(address=self._next_read_address(),
-                                    access=AccessType.READ,
-                                    issue_time_ns=at, core=core,
-                                    seq=self._seq)
+            # Stored every request: a caller may stop early and generate
+            # again.
+            self._seq = seq = self._seq + 1
+            self._clock_ns = at = self._clock_ns + exponential(mean_gap_ns)
+            core = integers(cores)
+            if random() < read_fraction:
+                yield MemoryRequest(next_read_address(), _READ, None, at,
+                                    core, seq)
             else:
-                yield MemoryRequest(address=self._next_write_address(),
-                                    access=AccessType.WRITE,
-                                    data=self._next_write_content(),
-                                    issue_time_ns=at, core=core,
-                                    seq=self._seq)
+                yield MemoryRequest(next_write_address(), _WRITE,
+                                    next_write_content(), at, core, seq)
 
     def generate_list(self, num_requests: int) -> List[MemoryRequest]:
         """Materialize a trace as a list."""

@@ -1,5 +1,9 @@
 """Tests for repro.common.types."""
 
+import dataclasses
+import hashlib
+import pickle
+
 import pytest
 
 from repro.common.types import (
@@ -93,6 +97,102 @@ class TestMemoryRequest:
         w = MemoryRequest(address=0, access=AccessType.WRITE, data=ZERO_LINE)
         assert r.is_read and not r.is_write
         assert w.is_write and not w.is_read
+
+
+def _write(**changes):
+    fields = dict(address=128, access=AccessType.WRITE,
+                  data=bytes(range(64)), issue_time_ns=1.5, core=2, seq=3)
+    fields.update(changes)
+    return MemoryRequest(**fields)
+
+
+class TestMemoryRequestConstruction:
+    """How a request is built and checked: messages, check order, field
+    storage, ``dataclasses.replace``, equality, repr and pickling."""
+
+    @pytest.mark.parametrize("data, message", [
+        (b"x" * 63, "cache line must be 64 bytes, got 63"),
+        (b"x" * 65, "cache line must be 64 bytes, got 65"),
+        ("x" * 64, "cache line must be bytes, got str"),
+        (None, "write request requires data"),
+    ])
+    def test_bad_write_payload_messages(self, data, message):
+        with pytest.raises(ValueError) as info:
+            _write(data=data)
+        assert str(info.value) == message
+
+    def test_read_with_payload_message(self):
+        with pytest.raises(ValueError) as info:
+            MemoryRequest(address=0, access=AccessType.READ, data=ZERO_LINE)
+        assert str(info.value) == "read request must not carry data"
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(address=-64), "address must be non-negative, got -64"),
+        (dict(address=13), "address 0xd is not 64-byte aligned"),
+        (dict(issue_time_ns=-1.0),
+         "issue_time_ns must be finite and non-negative, got -1.0"),
+    ])
+    def test_field_messages(self, changes, message):
+        with pytest.raises(ValueError) as info:
+            _write(**changes)
+        assert str(info.value) == message
+
+    def test_checks_run_in_order(self):
+        # Address before alignment before issue time before payload.
+        cases = [
+            (dict(address=-13, issue_time_ns=-1.0, data=None), "non-negative"),
+            (dict(address=13, issue_time_ns=-1.0, data=None), "aligned"),
+            (dict(issue_time_ns=float("nan"), data=None), "issue_time_ns"),
+        ]
+        for changes, fragment in cases:
+            with pytest.raises(ValueError, match=fragment):
+                _write(**changes)
+
+    def test_bytearray_payload_stored_as_bytes(self):
+        req = _write(data=bytearray(range(64)))
+        assert type(req.data) is bytes
+        assert req.data == bytes(range(64))
+
+    def test_bytes_payload_kept(self):
+        data = bytes(range(64))
+        assert _write(data=data).data is data
+
+    def test_positional_and_default_fields(self):
+        req = MemoryRequest(64, AccessType.READ)
+        assert (req.address, req.access, req.data, req.issue_time_ns,
+                req.core, req.seq) == (64, AccessType.READ, None, 0.0, 0, 0)
+
+    def test_replace_revalidates(self):
+        req = _write()
+        with pytest.raises(ValueError, match="got 63"):
+            dataclasses.replace(req, data=bytes(63))
+        with pytest.raises(ValueError, match="aligned"):
+            dataclasses.replace(req, address=13)
+        copy = dataclasses.replace(req, issue_time_ns=9.0)
+        assert copy.issue_time_ns == 9.0 and copy.data == req.data
+
+    def test_field_order_and_equality(self):
+        req = _write()
+        assert list(vars(req)) == [f.name for f in
+                                   dataclasses.fields(MemoryRequest)]
+        assert req == _write()
+        assert req != _write(seq=4)
+
+    def test_repr(self):
+        assert repr(MemoryRequest(address=64, access=AccessType.READ)) == (
+            "MemoryRequest(address=64, access=<AccessType.READ: 'read'>, "
+            "data=None, issue_time_ns=0.0, core=0, seq=0)")
+        assert repr(_write()).startswith(
+            "MemoryRequest(address=128, access=<AccessType.WRITE: 'write'>, "
+            "data=b'\\x00\\x01")
+        assert repr(_write()).endswith("issue_time_ns=1.5, core=2, seq=3)")
+
+    def test_pickle_round_trip(self):
+        req = _write()
+        assert pickle.loads(pickle.dumps(req)) == req
+        # The pickled form is the instance dict in field order.
+        assert hashlib.sha256(pickle.dumps(req, protocol=4)).hexdigest() == (
+            "24711f5f59fbd07f53da4b18577b8b436366ef3b86fb871430ece852dcc17b9b")
 
 
 class TestPhysicalAddress:

@@ -68,6 +68,17 @@ class TestReads:
         assert result.data == bytes(64)
         assert result.latency_ns >= scheme.config.pcm.row_hit_read_latency_ns
 
+    def test_unwritten_line_never_charges_a_decrypt(self, scheme):
+        from repro.nvmm.energy import EnergyCategory
+        first = scheme.handle_read(rreq(640))
+        second = scheme.handle_read(rreq(640, t=1000.0))
+        for result in (first, second):
+            assert result.data == bytes(64)
+            stages = result.timeline.exposures
+            assert WritePathStage.READ_FILL in stages
+            assert WritePathStage.DECRYPTION not in stages
+        assert scheme.total_energy().get(EnergyCategory.DECRYPTION) == 0
+
     def test_read_after_overwrite(self, scheme):
         scheme.handle_write(wreq(0, LINE))
         new = b"\x55" * 64

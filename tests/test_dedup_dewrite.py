@@ -5,6 +5,8 @@ import pytest
 from repro.common.types import AccessType, MemoryRequest, WritePathStage
 from repro.dedup.dewrite import DeWriteScheme
 
+from .test_scheme_state_machine import crc_collision
+
 
 def wreq(addr, data, t=0.0):
     return MemoryRequest(address=addr, access=AccessType.WRITE, data=data,
@@ -44,6 +46,22 @@ class TestDeduplication:
         r = scheme.handle_write(wreq(0, LINE, t=500.0))
         assert r.deduplicated
         assert scheme.handle_read(rreq(0, t=1000.0)).data == LINE
+
+
+class TestCrcCollisions:
+    def test_freeing_a_twin_keeps_the_other_twins_entry(self, scheme):
+        twin = crc_collision(LINE)
+        scheme.handle_write(wreq(64, LINE))
+        r = scheme.handle_write(wreq(128, twin, t=500.0))
+        assert not r.deduplicated
+        assert scheme.counters.get("crc_collisions") == 1
+        # Overwriting line 1 frees LINE's frame; the CRC entry now points
+        # at the twin's frame and must survive.
+        scheme.handle_write(wreq(64, OTHER, t=1000.0))
+        r = scheme.handle_write(wreq(192, twin, t=1500.0))
+        assert r.deduplicated
+        assert scheme.handle_read(rreq(192, t=2000.0)).data == twin
+        assert scheme.handle_read(rreq(128, t=2500.0)).data == twin
 
 
 class TestPredictionPaths:

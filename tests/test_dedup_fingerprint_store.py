@@ -73,12 +73,24 @@ class TestInsertRemove:
     def test_remove(self, controller):
         store = make_store(controller)
         store.insert(5, 50, 0.0)
-        store.remove(5)
+        store.remove(5, 50)
         assert not store.contains(5)
         assert store.lookup(5, 0.0).where is LookupWhere.ABSENT
 
     def test_remove_absent_is_noop(self, controller):
-        make_store(controller).remove(123)
+        make_store(controller).remove(123, 7)
+
+    def test_remove_keeps_an_entry_re_pointed_elsewhere(self, controller):
+        # A collision re-points the entry at the newer frame; freeing the
+        # older frame must leave the newer frame's entry in place.
+        store = make_store(controller)
+        store.insert(5, 50, 0.0)
+        store.insert(5, 51, 0.0)
+        store.remove(5, 50)
+        assert store.entry_count == 1
+        assert store.lookup(5, 0.0).frame == 51
+        store.remove(5, 51)
+        assert not store.contains(5)
 
     def test_insert_coalescing(self, controller):
         # entry_size 26 -> 2 entries per metadata line.

@@ -129,7 +129,7 @@ def _throttled_run(config, requests, scheme_name, *, max_outstanding=2,
 
 class TestThrottledReissue:
     """A 2-request window re-issues most requests late, as trusted copies
-    that skip ``__post_init__``; the reference hands the scheme copies
+    that skip the constructor's checks; the reference hands the scheme copies
     re-validated through ``dataclasses.replace`` instead."""
 
     def test_shared_requests_unchanged_and_rows_match_reference(
@@ -168,7 +168,7 @@ class TestThrottledReissue:
                                       data=bytes([i + 1]) * 64,
                                       issue_time_ns=0.0, seq=i)
                         for i in range(4)]
-            # Mutated after construction, so __post_init__ never saw it;
+            # Mutated after construction, so the constructor never saw it;
             # with a 2-request window the last two writes are throttled.
             requests[3].data = payload
             with pytest.raises(ValueError) as caught:
