@@ -5,10 +5,11 @@ simulation grid; it is built once per session and shared.  Each benchmark
 prints the figure's rows/series (the paper-shaped output) and also writes
 them to ``benchmarks/output/<figure>.txt`` so results survive the run.
 
-Sweep orchestration: set ``REPRO_SWEEP_STORE`` to a directory to build the
-grid through ``repro.sweep`` — parallel workers plus a content-addressed
-result store, so repeated benchmark sessions (and any CLI sweeps over the
-same configuration) reuse each other's simulations instead of recomputing
+Sweep orchestration: set ``REPRO_SWEEP_STORE`` to a store file (one SQLite
+file, created on demand; a path or ``sqlite://<path>``) to build the grid
+through ``repro.sweep`` — parallel workers plus a content-addressed result
+store, so repeated benchmark sessions (and any CLI sweeps over the same
+configuration) reuse each other's simulations instead of recomputing
 them.  ``REPRO_SWEEP_JOBS`` caps the worker count (default: cpu count).
 
     REPRO_SWEEP_STORE=.sweep_cache REPRO_SWEEP_JOBS=8 \

@@ -32,10 +32,10 @@ sections:
   ``workers=4`` (report-only — the scaling ratio is meaningful only on
   hosts with ≥ 4 free cores; ``cpu_count`` is recorded alongside).
 * **sweep_throughput** — jobs/sec for every (execution, storage) backend
-  pair of the sweep layer (pool/queue x dir/sqlite).  Timings are
-  report-only; each pair's byte-identity to the serial reference grid
-  is a hard gate (the distributed fault-injection gate is
-  ``sweep_distributed_smoke.py``).
+  pair of the sweep layer (pool/queue, each on the one SQLite store).
+  Timings are report-only; each pair's byte-identity to the serial
+  reference grid is a hard gate (the distributed fault-injection gate
+  is ``sweep_distributed_smoke.py``).
 
 Besides overwriting the full report, each run appends one compact,
 timestamped, schema-versioned entry (headline medians plus the gate
@@ -557,9 +557,7 @@ SWEEP_THROUGHPUT_SCHEMA_VERSION = 1
 #: Every (execution backend, storage backend) pair the sweep layer
 #: registers, timed against one identical grid.
 SWEEP_BACKEND_PAIRS = (
-    ("pool", "dir"),
     ("pool", "sqlite"),
-    ("queue", "dir"),
     ("queue", "sqlite"),
 )
 
@@ -590,8 +588,7 @@ def bench_sweep_backends(requests: int) -> Dict:
     for backend_name, storage_name in SWEEP_BACKEND_PAIRS:
         with tempfile.TemporaryDirectory(
                 prefix="repro-bench-sweep-") as tmp:
-            spec = (f"{tmp}/store.sqlite" if storage_name == "sqlite"
-                    else f"{tmp}/store")
+            spec = f"{tmp}/store.sqlite"
             backend = (WorkQueueBackend(lease_s=15.0, poll_s=0.05)
                        if backend_name == "queue" else backend_name)
             wall0 = time.perf_counter()

@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
 """CI smoke gate for the distributed sweep path (queue backend).
 
-Runs the same small experiment grid twice:
+Runs the same small experiment grid twice, each into its own SQLite
+store:
 
-* **Reference** — the serial pool path (``jobs=1``) into a directory
-  store: the byte-exact baseline every other execution mode is judged
-  against.
-* **Distributed** — the lease-based work-queue backend into a single
-  SQLite store (``--storage sqlite``, the default) or a directory store
-  (``--storage dir``), with three local worker processes — one of which
-  is SIGKILLed mid-sweep by a watcher thread the moment the first result
-  lands.  Workers seed the traces of the jobs they claim, so the kill
-  can land while a trace is being generated.  The killed worker's lease
-  must expire, its job must be reclaimed and rerun, and the final grid
-  must come out byte-identical anyway.
+* **Reference** — the serial pool path (``jobs=1``): the byte-exact
+  baseline every other execution mode is judged against.
+* **Distributed** — the lease-based work-queue backend with three local
+  worker processes — one of which is SIGKILLed mid-sweep by a watcher
+  thread the moment the first result lands.  Workers seed the traces of
+  the jobs they claim, so the kill can land while a trace is being
+  generated.  The killed worker's lease must expire, its job must be
+  reclaimed and rerun, and the final grid must come out byte-identical
+  anyway.
 
 Hard gates (exit 2 on violation):
 
@@ -26,7 +25,6 @@ Hard gates (exit 2 on violation):
 Usage::
 
     PYTHONPATH=src python benchmarks/sweep_distributed_smoke.py
-    PYTHONPATH=src python benchmarks/sweep_distributed_smoke.py --storage dir
 """
 
 from __future__ import annotations
@@ -74,16 +72,14 @@ def summary_rows(grid) -> str:
 class WorkerKiller(threading.Thread):
     """SIGKILL one local worker as soon as the first result is stored."""
 
-    def __init__(self, backend: WorkQueueBackend, store_spec: str,
-                 storage: str) -> None:
+    def __init__(self, backend: WorkQueueBackend, store_spec: str) -> None:
         super().__init__(daemon=True)
         self.backend = backend
         self.store_spec = store_spec
-        self.storage = storage
         self.killed_pid = None
 
     def run(self) -> None:
-        store = open_store(self.store_spec, self.storage)
+        store = open_store(self.store_spec)
         try:
             deadline = time.monotonic() + 120.0
             while time.monotonic() < deadline:
@@ -99,33 +95,28 @@ class WorkerKiller(threading.Thread):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--storage", choices=("sqlite", "dir"),
-                        default="sqlite",
-                        help="storage backend of the distributed run")
-    storage = parser.parse_args(argv).storage
+    argparse.ArgumentParser(
+        description=__doc__.splitlines()[0]).parse_args(argv)
     tmp = Path(os.environ.get("SWEEP_SMOKE_DIR", "/tmp")) \
         / f"sweep-distributed-smoke-{os.getpid()}"
     tmp.mkdir(parents=True, exist_ok=True)
     config = experiment()
 
-    print("[smoke] serial reference (pool backend, dir storage)...",
-          file=sys.stderr)
-    serial = run_sweep(config, jobs=1, store=str(tmp / "reference"))
+    print("[smoke] serial reference (pool backend)...", file=sys.stderr)
+    serial = run_sweep(config, jobs=1, store=str(tmp / "reference.sqlite"))
     reference = summary_rows(serial)
 
-    print(f"[smoke] distributed run (queue backend, {storage} storage, "
-          f"{WORKERS} workers, one SIGKILLed mid-run)...", file=sys.stderr)
-    store_spec = str(tmp / ("distributed.sqlite" if storage == "sqlite"
-                            else "distributed"))
+    print(f"[smoke] distributed run (queue backend, {WORKERS} workers, "
+          f"one SIGKILLed mid-run)...", file=sys.stderr)
+    store_spec = str(tmp / "distributed.sqlite")
     backend = WorkQueueBackend(lease_s=LEASE_S, poll_s=0.1)
-    killer = WorkerKiller(backend, store_spec, storage)
+    killer = WorkerKiller(backend, store_spec)
     killer.start()
     distributed = run_sweep(config, jobs=WORKERS, store=store_spec,
-                            backend=backend, storage=storage)
+                            backend=backend)
     killer.join(timeout=5.0)
 
-    store = open_store(store_spec, storage)
+    store = open_store(store_spec)
     reclaims = store.reclaim_count()
     manifest = store.read_manifest()
     store.close()

@@ -386,17 +386,6 @@ def _resolve_execution_backend(args):
     return args.backend
 
 
-def _resolve_storage_name(storage):
-    """Validate ``--storage`` (``None`` means infer from the store spec)."""
-    from .sweep import storage_backend_names
-
-    if storage is not None and storage not in storage_backend_names():
-        raise SystemExit(
-            f"unknown storage backend {storage!r}; registered backends: "
-            f"{', '.join(storage_backend_names())}")
-    return storage
-
-
 def cmd_sweep(args) -> int:
     """Orchestrated parallel grid run with a persistent result store."""
     from .sim.export import write_json
@@ -421,7 +410,6 @@ def cmd_sweep(args) -> int:
     # Backend names are validated up front (before any simulation) and the
     # error lists what IS registered, mirroring the unknown-scheme errors.
     backend = _resolve_execution_backend(args)
-    storage = _resolve_storage_name(args.storage)
     if args.backend == "queue" and args.store is None:
         raise SystemExit("--backend queue needs --store (workers coordinate "
                          "through the shared result store)")
@@ -433,8 +421,7 @@ def cmd_sweep(args) -> int:
     try:
         grid = run_sweep(config, jobs=args.jobs, store=args.store,
                          job_timeout_s=args.timeout, retries=args.retries,
-                         progress=not args.quiet, backend=backend,
-                         storage=storage)
+                         progress=not args.quiet, backend=backend)
     except SweepError as exc:
         raise SystemExit(f"sweep failed: {exc}")
 
@@ -460,6 +447,7 @@ def cmd_worker(args) -> int:
     claimed by exactly one live worker at a time, and jobs of workers
     that die are reclaimed after their lease expires.
     """
+    from .common.errors import SweepError
     from .sweep import worker_loop
 
     if args.lease <= 0:
@@ -470,17 +458,18 @@ def cmd_worker(args) -> int:
         raise SystemExit("--retries must be non-negative")
     if args.max_jobs is not None and args.max_jobs <= 0:
         raise SystemExit("--max-jobs must be positive")
-    _resolve_storage_name(args.storage)
     log = None if args.quiet else (
         lambda line: print(line, file=sys.stderr, flush=True))
     try:
         completed = worker_loop(
-            args.store, storage=args.storage, worker_id=args.worker_id,
+            args.store, worker_id=args.worker_id,
             lease_s=args.lease, poll_s=args.poll, retries=args.retries,
             max_jobs=args.max_jobs, wait=args.wait, log=log)
     except KeyboardInterrupt:
         print("worker interrupted", file=sys.stderr)
         return 130
+    except SweepError as exc:
+        raise SystemExit(f"worker failed: {exc}")
     print(f"worker done: {completed} job(s) completed")
     return 0
 
@@ -661,16 +650,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--jobs", type=int, default=None,
                          help="worker processes (default: cpu count)")
     sweep_p.add_argument("--store", default=None,
-                         help="result store: a directory, a .sqlite/.db "
-                              "path, or sqlite://<path>; re-runs resume "
-                              "from it (cache hit = no simulation)")
+                         help="result store file (SQLite; a path or "
+                              "sqlite://<path>); re-runs resume from it "
+                              "(cache hit = no simulation)")
     sweep_p.add_argument("--backend", default="pool",
                          help="execution backend: pool (local process "
                               "pool) or queue (lease-based work queue "
                               "shared with 'repro worker' processes)")
-    sweep_p.add_argument("--storage", default=None,
-                         help="storage backend: dir or sqlite (default: "
-                              "inferred from --store)")
     sweep_p.add_argument("--lease", type=float, default=15.0,
                          help="queue backend: lease TTL in seconds before "
                               "a dead worker's job is reclaimed")
@@ -689,11 +675,8 @@ def build_parser() -> argparse.ArgumentParser:
     worker_p = sub.add_parser(
         "worker", help="serve a shared result store's sweep work queue")
     worker_p.add_argument("--store", required=True,
-                          help="shared result store: a directory, a "
-                               ".sqlite/.db path, or sqlite://<path>")
-    worker_p.add_argument("--storage", default=None,
-                          help="storage backend: dir or sqlite (default: "
-                               "inferred from --store)")
+                          help="shared result store file (SQLite; a "
+                               "path or sqlite://<path>)")
     worker_p.add_argument("--worker-id", default=None,
                           help="lease-ownership identity (default: "
                                "host-pid-random)")

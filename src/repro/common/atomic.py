@@ -1,16 +1,16 @@
 """Crash-safe file replacement primitives.
 
-Every durable artifact in the repo — sweep result rows, captured trace
-files, mid-run checkpoints — goes through the same discipline: write to a
-temp file in the destination directory, fsync the data, ``os.replace``
-onto the final name, then fsync the directory so the rename itself is on
-stable storage.  A reader can then trust any file it finds under the
-final name: it is either the complete old content or the complete new
-content, never a torn write, even across SIGKILL or power loss mid-write.
+Every durable file in the repo — captured trace files, mid-run
+checkpoints, the trace files a sweep store materializes — goes through
+the same discipline: write to a temp file in the destination directory,
+fsync the data, ``os.replace`` onto the final name, then fsync the
+directory so the rename itself is on stable storage.  A reader can then
+trust any file it finds under the final name: it is either the complete
+old content or the complete new content, never a torn write, even across
+SIGKILL or power loss mid-write.
 
 :func:`fsync_atomic_write` covers the common "replace with these bytes"
-case (historically it lived in :mod:`repro.sweep.storage`, which still
-re-exports it).  :func:`atomic_binary_writer` is the streaming variant:
+case.  :func:`atomic_binary_writer` is the streaming variant:
 it hands the caller an open temp-file handle so arbitrarily large content
 (a multi-gigabyte trace capture) can be produced in bounded memory and
 still finalized atomically.

@@ -22,6 +22,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
@@ -294,14 +295,34 @@ class SystemConfig:
         ``__post_init__`` validation re-runs on every rebuilt level.
 
         Raises:
-            ConfigError: when a path names no field or descends into a
-                non-dataclass value.
+            ConfigError: when a path names no field, descends into a
+                non-dataclass value, names a whole section, or sets a
+                value of another kind than the field holds (bools only
+                for bools, ints for ints, finite ints or floats for
+                floats, strings for strings).
         """
         config: "SystemConfig" = self
         for key in sorted(options):
             config = _replace_path(config, key, key.split("."),
                                    options[key])
         return config
+
+
+def _same_kind(current, value) -> bool:
+    """Whether a JSON ``value`` may replace the field value ``current``."""
+    if isinstance(current, bool) or isinstance(value, bool):
+        return type(value) is type(current)
+    if isinstance(current, float):
+        return isinstance(value, (int, float))
+    return type(value) is type(current)
+
+
+def _finite(number) -> bool:
+    """Whether ``number`` converts to a finite float."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _replace_path(obj, path: str, parts, value):
@@ -316,6 +337,19 @@ def _replace_path(obj, path: str, parts, value):
             f"config option {path!r}: {type(obj).__name__} has no field "
             f"{name!r}")
     if len(parts) == 1:
+        current = getattr(obj, name)
+        if dataclasses.is_dataclass(current):
+            raise ConfigError(
+                f"config option {path!r}: {name!r} is a "
+                f"{type(current).__name__} section; set its fields by "
+                f"dotted path")
+        if not _same_kind(current, value):
+            raise ConfigError(
+                f"config option {path!r}: expected "
+                f"{type(current).__name__}, got {type(value).__name__}")
+        if isinstance(current, float) and not _finite(value):
+            raise ConfigError(
+                f"config option {path!r}: expected a finite float")
         try:
             return replace(obj, **{name: value})
         except (TypeError, ValueError) as exc:

@@ -74,18 +74,19 @@ class SweepError(ReproError):
 class UnknownBackendError(SweepError):
     """A sweep execution or storage backend name is not registered.
 
-    Raised by the :mod:`repro.sweep` backend registries when ``--backend``
-    or ``--storage`` (or their library equivalents) name no registered
-    backend; the message lists the registered names, mirroring the
-    unknown-scheme error from the scheme registry.
+    Raised by the :mod:`repro.sweep` execution-backend registry when
+    ``--backend`` (or its library equivalent) names no registered backend,
+    and by :func:`repro.sweep.run_sweep` when ``storage`` names another
+    backend than ``"sqlite"``; the message lists what is accepted,
+    mirroring the unknown-scheme error from the scheme registry.
     """
 
 
 class LeaseError(SweepError):
     """A distributed-sweep lease operation violated the claims protocol.
 
-    Raised by storage backends when a worker renews or releases a lease
-    it does not hold, or when claim state is internally inconsistent.
+    Raised by the result store when a worker releases a lease it does
+    not hold, or when claim state is internally inconsistent.
     """
 
 

@@ -36,6 +36,7 @@ import queue
 import threading
 from collections import deque
 from multiprocessing.context import SpawnContext
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..common.errors import ServeError, WorkerCrashError
@@ -200,13 +201,23 @@ class _WorkerHandle:
                 self._drain_outbox()
                 return
             message, future = item
+            try:
+                # Pickled here, not inside ``send``: a message that cannot
+                # be pickled fails alone instead of ending this thread,
+                # which would leave every later request unanswered.
+                payload = ForkingPickler.dumps(message)
+            except Exception as exc:
+                self._resolve_error(future, ServeError(
+                    f"request cannot be sent to engine worker "
+                    f"{self.index}: {exc!r}", code="bad_request"))
+                continue
             with self._lock:
                 if not self.alive:
                     self._reject(future)
                     continue
                 self._pending.append(future)
             try:
-                self._conn.send(message)
+                self._conn.send_bytes(payload)
             except (BrokenPipeError, OSError, ValueError):
                 self._mark_crashed()
                 self._drain_outbox()

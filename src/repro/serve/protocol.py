@@ -150,7 +150,8 @@ def decode_message(line: bytes) -> Dict[str, Any]:
     """
     try:
         message = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's stack.
         raise ServeError(f"frame is not valid JSON: {exc}",
                          code="protocol") from exc
     if not isinstance(message, dict):

@@ -3,9 +3,7 @@
 from .checkpoint import (
     RestoredCheckpoint,
     checkpoint_bytes,
-    checkpoint_stats,
     load_checkpoint,
-    reset_checkpoint_stats,
     write_checkpoint,
 )
 from .engine import EngineConfig, SimulationEngine
@@ -42,14 +40,12 @@ __all__ = [
     "SimulationEngine",
     "SimulationResult",
     "checkpoint_bytes",
-    "checkpoint_stats",
     "collect_extras",
     "csv_string",
     "grid_to_dict",
     "grid_metric",
     "iter_apps",
     "load_checkpoint",
-    "reset_checkpoint_stats",
     "result_state_bytes",
     "result_to_dict",
     "run_app",

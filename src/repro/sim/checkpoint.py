@@ -54,9 +54,7 @@ __all__ = [
     "CHECKPOINT_VERSION",
     "RestoredCheckpoint",
     "checkpoint_bytes",
-    "checkpoint_stats",
     "load_checkpoint",
-    "reset_checkpoint_stats",
     "write_checkpoint",
 ]
 
@@ -67,27 +65,6 @@ CHECKPOINT_MAGIC = b"ESDCKPT1"
 CHECKPOINT_VERSION = 3
 
 _HEADER = struct.Struct("<8sHHIQ")
-
-#: Process-global checkpoint-IO counters (mirrors the trace-IO counters in
-#: :mod:`repro.workloads.trace`; checkpoints are written outside any run's
-#: obs scope).
-_IO_COUNTERS: Dict[str, int] = {
-    "checkpoints_written": 0,
-    "checkpoints_loaded": 0,
-    "bytes_written": 0,
-    "bytes_loaded": 0,
-}
-
-
-def checkpoint_stats() -> Dict[str, int]:
-    """Snapshot of the process-global checkpoint-IO counters."""
-    return dict(_IO_COUNTERS)
-
-
-def reset_checkpoint_stats() -> None:
-    """Zero the checkpoint-IO counters (testing/benchmark helper)."""
-    for key in _IO_COUNTERS:
-        _IO_COUNTERS[key] = 0
 
 
 @dataclass(frozen=True)
@@ -143,8 +120,6 @@ def write_checkpoint(session: "Session",
     """
     data = checkpoint_bytes(session)
     fsync_atomic_write(Path(path), data)
-    _IO_COUNTERS["checkpoints_written"] += 1
-    _IO_COUNTERS["bytes_written"] += len(data)
     return len(data)
 
 
@@ -198,7 +173,5 @@ def load_checkpoint(
             f"sessions can resume")
     _memo.state_import(state["memo"])
     meta = state["meta"]
-    _IO_COUNTERS["checkpoints_loaded"] += 1
-    _IO_COUNTERS["bytes_loaded"] += len(data)
     return RestoredCheckpoint(session=session, consumed=meta["consumed"],
                               meta=meta)

@@ -115,8 +115,7 @@ def run_grid(config: Optional[ExperimentConfig] = None, *,
              jobs: Optional[int] = None,
              store=None,
              progress: bool = False,
-             backend=None,
-             storage: Optional[str] = None) -> ResultGrid:
+             backend=None) -> ResultGrid:
     """Run the full (apps x schemes) grid of an experiment config.
 
     Configuration default: the grid's ``ExperimentConfig`` defaults to
@@ -133,19 +132,19 @@ def run_grid(config: Optional[ExperimentConfig] = None, *,
     Args:
         parallel: route through the sweep scheduler.
         jobs: worker processes (implies ``parallel``); default cpu count.
-        store: result-store path/URL or ``ResultStore`` (implies
-            ``parallel``); ``None`` runs without persistence.
+        store: the result-store file's path (bare or ``sqlite://<path>``)
+            or a ``ResultStore`` (implies ``parallel``); ``None`` runs
+            without persistence.
         progress: emit live progress lines (parallel path only).
         backend: sweep execution backend name or instance (``"pool"`` /
             ``"queue"``; implies ``parallel``).
-        storage: storage backend name forced for a string ``store`` spec.
     """
     config = config or ExperimentConfig()
     if parallel or jobs is not None or store is not None \
             or backend is not None:
         from ..sweep import run_sweep  # local import: sweep imports runner
         return run_sweep(config, jobs=jobs, store=store, progress=progress,
-                         backend=backend, storage=storage)
+                         backend=backend)
     grid: ResultGrid = {}
     for app in config.apps:
         per_app = run_app(app, config.schemes,

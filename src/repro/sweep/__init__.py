@@ -14,9 +14,8 @@ run.  This subsystem turns the grid into content-addressed jobs:
   distributed work queue any number of ``repro worker`` processes can
   serve through the shared store.
 * :class:`ResultStore` — persists full-fidelity results keyed by job
-  hash, over a pluggable :class:`StorageBackend` (JSON directory or a
-  single concurrent-safe SQLite file), so re-runs and interrupted sweeps
-  resume instantly.
+  hash in one concurrent-safe SQLite file, so re-runs and interrupted
+  sweeps resume instantly.
 * :class:`ProgressReporter` — live completed/failed/ETA lines plus a
   machine-readable sweep manifest.
 
@@ -49,21 +48,10 @@ from .progress import (
     ProgressReporter,
 )
 from .scheduler import Scheduler, run_sweep
-from .storage import (
-    DirStorageBackend,
-    LeaseClaim,
-    SqliteStorageBackend,
-    StorageBackend,
-    fsync_atomic_write,
-    make_storage_backend,
-    parse_store_spec,
-    storage_backend_names,
-)
-from .store import ResultStore, job_meta, migrate_store, open_store
+from .store import LeaseClaim, ResultStore, job_meta, open_store
 from .worker import default_worker_id, execute_job, worker_loop
 
 __all__ = [
-    "DirStorageBackend",
     "ExecutionBackend",
     "ExecutionContext",
     "JobSpec",
@@ -76,23 +64,16 @@ __all__ = [
     "STATUS_SIMULATED",
     "SWEEP_SCHEMA_VERSION",
     "Scheduler",
-    "SqliteStorageBackend",
-    "StorageBackend",
     "SweepMetrics",
     "WorkQueueBackend",
     "default_worker_id",
     "execute_job",
     "execution_backend_names",
-    "fsync_atomic_write",
     "job_meta",
     "jobs_from_experiment",
     "make_execution_backend",
-    "make_storage_backend",
-    "migrate_store",
     "open_store",
-    "parse_store_spec",
     "spec_from_payload",
     "spec_to_payload",
-    "storage_backend_names",
     "worker_loop",
 ]

@@ -28,8 +28,7 @@ starts as soon as the first trace exists:
     for the manifest.
 
 Backends are registered by name (``EXECUTION_BACKENDS``) so the CLI can
-enumerate them, mirroring the storage-backend registry in
-:mod:`repro.sweep.storage`.
+enumerate them.
 """
 
 from __future__ import annotations
@@ -128,9 +127,9 @@ class ProcessPoolBackend(ExecutionBackend):
                 duration: float) -> None:
         ctx.store.put(spec.digest(), result, job=job_meta(spec))
         if result.obs is not None:
-            # Observability reports live beside the result rows (store
-            # ``obs/`` directory) — they are diagnostic artifacts, not part
-            # of a cell's cache identity, so result digests stay stable
+            # Observability reports live beside the result rows (the
+            # store's ``obs`` table) — they are diagnostic artifacts, not
+            # part of a cell's cache identity, so result digests stay stable
             # whether or not a run carried instrumentation.
             ctx.store.put_obs(spec.digest(), result.obs)
         ctx.results[spec.key] = result
@@ -408,9 +407,8 @@ class WorkQueueBackend(ExecutionBackend):
 class _CompletionFold:
     """Folds a sweep's completion rows into its metrics, each row once.
 
-    Backends list completion rows in their own order (the directory
-    backend by file name, which is digest order), so a row is told apart
-    by its content, never by its offset in the listing.  A worker writes
+    The store lists completion rows in no fixed order, so a row is told
+    apart by its content, never by its offset in the listing.  A worker writes
     a job's completion row just after its result row, so a simulated job
     is reported once its row has been read — the manifest then names the
     worker — or, failing that, when the sweep ends.

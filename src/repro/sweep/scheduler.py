@@ -41,9 +41,10 @@ from __future__ import annotations
 
 import os
 import tempfile
+from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
-from ..common.errors import SweepError
+from ..common.errors import SweepError, UnknownBackendError
 from ..sim.metrics import SimulationResult
 from .backends import (
     ExecutionBackend,
@@ -116,7 +117,11 @@ class Scheduler:
         if self.store is not None:
             return self._run_with_store(specs, self.store, reporter)
         with tempfile.TemporaryDirectory(prefix="repro-sweep-") as tmp:
-            return self._run_with_store(specs, ResultStore(tmp), reporter)
+            store = ResultStore(Path(tmp) / "store.sqlite")
+            try:
+                return self._run_with_store(specs, store, reporter)
+            finally:
+                store.close()
 
     def _run_with_store(self, specs: Sequence[JobSpec], store: ResultStore,
                         reporter: ProgressReporter
@@ -173,8 +178,7 @@ class Scheduler:
         manifest = reporter.manifest()
         manifest["jobs_flag"] = self.jobs
         manifest["backend"] = self.backend.name
-        if self.store is not None:
-            manifest["storage"] = self.store.backend.name
+        manifest["storage"] = "sqlite"
         if self.backend.metrics is not None:
             # Fleet-health observability (worker liveness, lease
             # reclaims, per-worker throughput) rides in the manifest so
@@ -198,26 +202,40 @@ def run_sweep(config=None, *,
         config: an :class:`~repro.sim.runner.ExperimentConfig` (defaults to
             the full paper grid, identical to ``run_grid()``).
         jobs: worker processes (default ``os.cpu_count()``).
-        store: result-store path/URL (created on demand) or a
-            :class:`ResultStore`; ``None`` runs without persistence.
+        store: the store file's path, bare or as ``sqlite://<path>``
+            (created on demand), or a :class:`ResultStore`; ``None`` runs
+            without persistence.
         progress: emit live progress lines to stderr.
         backend: execution backend name or instance (default ``"pool"``).
-        storage: storage backend name forced when ``store`` is a string
-            spec (default: inferred from the spec; see
-            :func:`repro.sweep.store.open_store`).
+        storage: ``None`` or ``"sqlite"``, the one storage backend.
 
     Returns:
         A :data:`~repro.sim.runner.ResultGrid` byte-identical to the serial
         runner's output for the same config.
+
+    Raises:
+        UnknownBackendError: when ``storage`` names another backend.
+        SweepError: when ``store`` names an existing directory, or when
+            jobs still fail after their retry budget.
     """
     from ..sim.runner import ExperimentConfig  # deferred: avoids cycle
+    if storage not in (None, "sqlite"):
+        raise UnknownBackendError(
+            f"unknown storage backend {storage!r}: a sweep store is one "
+            f"SQLite file, and the 'dir' backend was removed; pass "
+            f"storage='sqlite' or leave it out")
     config = config or ExperimentConfig()
     specs = jobs_from_experiment(config)
-    if isinstance(store, (str, os.PathLike)):
-        store = open_store(store, storage)
     if reporter is None:
         reporter = ProgressReporter(len(specs), enabled=progress)
+    opened = isinstance(store, (str, os.PathLike))
+    if opened:
+        store = open_store(store)
     scheduler = Scheduler(store, jobs=jobs, job_timeout_s=job_timeout_s,
                           retries=retries, reporter=reporter,
                           backend=backend)
-    return scheduler.run(specs)
+    try:
+        return scheduler.run(specs)
+    finally:
+        if opened:
+            store.close()

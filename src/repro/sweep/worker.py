@@ -1,15 +1,15 @@
 """Lease-based sweep worker: the claim → simulate → record loop.
 
-A worker is any process pointed at a shared result store (directory on a
-common filesystem, or a SQLite file).  It scans the store's work queue,
-claims one job at a time via the storage backend's atomic lease protocol
-(keyed on the job's content-hash digest, so two racing workers can never
-both own a cell), heartbeats the lease from a background thread while
-the job runs, and atomically writes the full-fidelity result row
-on completion.  Because every job is deterministic, a worker that is
-SIGKILLed mid-job costs nothing but time: its lease expires, the next
-claimant reruns the job, and the rerun's row is byte-identical to what
-the dead worker would have written.
+A worker is any process pointed at a shared result store (one SQLite
+file).  It scans the store's work queue, claims one job at a time via
+the store's atomic lease protocol (keyed on the job's content-hash
+digest, so two racing workers can never both own a cell), heartbeats
+the lease from a background thread while the job runs, and atomically
+writes the full-fidelity result row on completion.  Because every job
+is deterministic, a worker that is SIGKILLed mid-job costs nothing but
+time: its lease expires, the next claimant reruns the job, and the
+rerun's row is byte-identical to what the dead worker would have
+written.
 
 The claimant of an application's first job also seeds that
 application's trace into the store; later jobs of the application read
@@ -30,7 +30,6 @@ import time
 import uuid
 from typing import Callable, Dict, Optional
 
-from ..perf import reset_caches
 from ..sim.metrics import SimulationResult
 from ..sim.runner import run_app
 from ..workloads.generator import TraceGenerator
@@ -66,15 +65,7 @@ def execute_job(spec: JobSpec, trace_path: str) -> SimulationResult:
 
     Deliberately funnels through :func:`~repro.sim.runner.run_app` so the
     orchestrated path exercises the exact code the serial runner does.
-
-    Kernel-cache lifecycle: ``SimulationEngine.run`` resets the
-    :mod:`repro.perf` memo caches at the start of every run, but a pool
-    worker serves many jobs, so reset here too — worker-side kernel-cache
-    state is then provably independent of job scheduling order, and cached
-    results (including the exported ``memo_*`` statistics) stay
-    byte-identical to a serial run.
     """
-    reset_caches()
     trace = _load_trace(trace_path)
     results = run_app(spec.app, [spec.scheme], requests=spec.requests,
                       system=spec.system, engine=spec.engine,
@@ -147,7 +138,6 @@ def _ensure_local_trace(store: ResultStore, spec: JobSpec) -> str:
 
 
 def worker_loop(store_spec: str, *,
-                storage: Optional[str] = None,
                 worker_id: Optional[str] = None,
                 lease_s: float = 15.0,
                 poll_s: float = 0.25,
@@ -159,10 +149,7 @@ def worker_loop(store_spec: str, *,
     """Serve a store's work queue until it drains; returns jobs completed.
 
     Args:
-        store_spec: store path or URL (``dir`` path or ``sqlite://...``).
-        storage: storage backend name forced for the spec (default:
-            inferred — ``sqlite://`` URLs and ``.sqlite``/``.db`` paths
-            open the SQLite backend, anything else the directory layout).
+        store_spec: the store file's path, bare or as ``sqlite://<path>``.
         worker_id: lease-ownership identity (default: host-pid-random).
         lease_s: lease TTL; renewal runs at a third of this.
         poll_s: sleep between scans when nothing was claimable.
@@ -174,7 +161,7 @@ def worker_loop(store_spec: str, *,
         worker: job-execution callable, injectable for tests.
         log: optional line sink for human-readable progress.
     """
-    store = open_store(store_spec, storage)
+    store = open_store(store_spec)
     worker_id = worker_id or default_worker_id()
     emit = log or (lambda _line: None)
     completed = 0
@@ -190,8 +177,7 @@ def worker_loop(store_spec: str, *,
             all_terminal = True
             progressed = False
             for digest in digests:
-                if store.backend.has_result(digest) \
-                        or store.get_failure(digest) is not None:
+                if digest in store or store.get_failure(digest) is not None:
                     continue
                 all_terminal = False
                 claim = store.claim(digest, worker_id, lease_s)

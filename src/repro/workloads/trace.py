@@ -68,7 +68,7 @@ import struct
 import zlib
 from itertools import islice
 from pathlib import Path
-from typing import (BinaryIO, Dict, Iterable, Iterator, List, Optional, Tuple,
+from typing import (BinaryIO, Iterable, Iterator, List, Optional, Tuple,
                     Union)
 
 import numpy as np
@@ -109,34 +109,6 @@ _FIXED_COLS = np.arange(_RECORD_FIXED.size)
 #: chunking bounds that transient population (5 x chunk) so the garbage
 #: collector's pauses stay flat on 10^5+-record traces.
 _PARSE_CHUNK = 1 << 15
-
-#: Module-level trace-IO counters (process-global, like the memo-cache
-#: stats): trace files are read and written outside any simulation run,
-#: so these cannot live on the per-run obs registry.  Snapshot with
-#: :func:`trace_io_stats`.
-_IO_COUNTERS: Dict[str, int] = {
-    "traces_written": 0,
-    "traces_read": 0,
-    "records_written": 0,
-    "records_read": 0,
-    "chunks_written": 0,
-    "chunks_read": 0,
-    "payload_bytes_written": 0,
-    "stored_bytes_written": 0,
-    "captures_finalized": 0,
-}
-
-
-def trace_io_stats() -> Dict[str, int]:
-    """Snapshot of the process-global trace-IO counters."""
-    return dict(_IO_COUNTERS)
-
-
-def reset_trace_io_stats() -> None:
-    """Zero the trace-IO counters (testing/benchmark helper)."""
-    for key in _IO_COUNTERS:
-        _IO_COUNTERS[key] = 0
-
 
 def _unpackable(request: MemoryRequest) -> TraceFormatError:
     """The typed error for a request whose fields do not fit a record."""
@@ -205,11 +177,6 @@ def _write_trace_v1(requests: Iterable[MemoryRequest], fh: BinaryIO) -> int:
     payload, count = pack_records(requests)
     fh.write(_HEADER.pack(MAGIC, VERSION, 0, count))
     fh.write(payload)
-    _IO_COUNTERS["traces_written"] += 1
-    _IO_COUNTERS["records_written"] += count
-    _IO_COUNTERS["chunks_written"] += 1
-    _IO_COUNTERS["payload_bytes_written"] += len(payload)
-    _IO_COUNTERS["stored_bytes_written"] += len(payload)
     return count
 
 
@@ -231,13 +198,8 @@ def _write_trace_v2(requests: Iterable[MemoryRequest], fh: BinaryIO, *,
         fh.write(_CHUNK_FRAME.pack(count, len(payload), len(stored)))
         fh.write(stored)
         total += count
-        _IO_COUNTERS["chunks_written"] += 1
-        _IO_COUNTERS["payload_bytes_written"] += len(payload)
-        _IO_COUNTERS["stored_bytes_written"] += len(stored)
     fh.write(_CHUNK_FRAME.pack(0, 0, _FOOTER.size))
     fh.write(_FOOTER.pack(total))
-    _IO_COUNTERS["traces_written"] += 1
-    _IO_COUNTERS["records_written"] += total
     return total
 
 
@@ -291,7 +253,6 @@ def capture_trace(requests: Iterable[MemoryRequest],
     with atomic_binary_writer(path) as fh:
         count = write_trace(requests, fh, version=version,
                             compress=compress, chunk_records=chunk_records)
-    _IO_COUNTERS["captures_finalized"] += 1
     return count
 
 
@@ -527,7 +488,6 @@ def _read_records_v2(fh: BinaryIO, flags: int) -> Iterator[MemoryRequest]:
             if fh.read(1):
                 raise TraceFormatError(
                     "trailing bytes: data after end-of-trace marker")
-            _IO_COUNTERS["traces_read"] += 1
             return
         if compressed:
             try:
@@ -544,8 +504,6 @@ def _read_records_v2(fh: BinaryIO, flags: int) -> Iterator[MemoryRequest]:
         yield from parse_records(payload, count)
         total += count
         chunk_index += 1
-        _IO_COUNTERS["chunks_read"] += 1
-        _IO_COUNTERS["records_read"] += count
 
 
 def read_trace(source: Union[str, Path, BinaryIO]) -> Iterator[MemoryRequest]:
@@ -574,9 +532,6 @@ def read_trace(source: Union[str, Path, BinaryIO]) -> Iterator[MemoryRequest]:
         if version == VERSION:
             buf = fh.read()
             yield from _stream_records(buf, count)
-            _IO_COUNTERS["traces_read"] += 1
-            _IO_COUNTERS["chunks_read"] += 1
-            _IO_COUNTERS["records_read"] += count
         elif version == VERSION_V2:
             yield from _read_records_v2(fh, flags)
         else:

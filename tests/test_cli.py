@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main, resolve_scheme
+from repro.sweep import open_store
 
 
 class TestResolveScheme:
@@ -122,10 +123,11 @@ class TestSweepCommand:
         assert (tmp_path / "grid.json").exists()
         # Second invocation resumes entirely from the store.
         assert main(argv[:-2]) == 0
-        manifest = (tmp_path / "store" / "manifest.json").read_text()
-        import json
-        assert json.loads(manifest)["cached"] == 2
-        assert json.loads(manifest)["simulated"] == 0
+        store = open_store(tmp_path / "store")
+        manifest = store.read_manifest()
+        store.close()
+        assert manifest["cached"] == 2
+        assert manifest["simulated"] == 0
 
     def test_numeric_scheme_codes_and_dedupe(self, tmp_path):
         rc = main(["sweep", "--apps", "gcc", "--schemes", "3,ESD",

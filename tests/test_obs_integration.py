@@ -7,6 +7,7 @@ soundness rule).
 """
 
 import json
+import sqlite3
 
 from dataclasses import replace
 
@@ -108,21 +109,27 @@ class TestSweepPersistence:
         config = ExperimentConfig(apps=["gcc"],
                                   schemes=["Baseline", "ESD"],
                                   requests_per_app=REQUESTS, system=system)
-        store_dir = tmp_path / "store"
-        run_sweep(config, jobs=1, store=store_dir)
-        store = ResultStore(store_dir)
+        store_path = tmp_path / "store.sqlite"
+        run_sweep(config, jobs=1, store=store_path)
+        store = ResultStore(store_path)
         for spec in jobs_from_experiment(config):
             report = store.get_obs(spec.digest())
             assert report is not None
             assert report["obs_schema_version"] == 1
+        store.close()
 
     def test_disabled_sweep_creates_no_obs_dir(self, tmp_path):
+        """A sweep without observability stores no obs report."""
         config = ExperimentConfig(apps=["gcc"], schemes=["Baseline"],
                                   requests_per_app=REQUESTS,
                                   system=small_test_config())
-        store_dir = tmp_path / "store"
-        run_sweep(config, jobs=1, store=store_dir)
-        assert not (store_dir / "obs").exists()
+        store_path = tmp_path / "store.sqlite"
+        run_sweep(config, jobs=1, store=store_path)
+        with sqlite3.connect(store_path) as conn:
+            assert conn.execute("SELECT COUNT(*) FROM obs").fetchone() \
+                == (0,)
+            assert conn.execute("SELECT COUNT(*) FROM results").fetchone() \
+                == (1,)
 
 
 class TestCLI:

@@ -19,6 +19,11 @@ structures the scheme exposes:
   fingerprint collision is counted;
 * every result's stage exposures sum to its critical path.
 
+A ``checkpoint`` step swaps the scheme for a pickle round trip of
+itself — the scheme graph :meth:`repro.sim.session.Session.checkpoint`
+pickles — so every later step and invariant runs on the restored copy,
+against the same oracle.
+
 The crafted collisions are exact, not probabilistic.  Hamming(72,64) is
 GF(2)-linear and the weight-4 word ``0x413`` encodes to a zero ECC, so
 XOR-ing it into one word of a line keeps ``line_ecc``.  CRC-32 is affine
@@ -27,6 +32,7 @@ part over 64-byte inputs, so XOR-ing it into any line keeps the CRC.
 """
 
 import math
+import pickle
 import zlib
 
 import pytest
@@ -203,6 +209,11 @@ class SchemeMachine(RuleBasedStateMachine):
         fresh = [line for line in range(ADDRESSES)
                  if line not in self.oracle]
         self._read(fresh[pick % len(fresh)])
+
+    @rule()
+    def checkpoint(self):
+        self.scheme = pickle.loads(
+            pickle.dumps(self.scheme, pickle.HIGHEST_PROTOCOL))
 
     # ------------------------------------------------------------------
     # Functional views of the scheme's state

@@ -13,6 +13,7 @@ worker mid-feed and its sessions must fail with the typed
 bit-exact, and the pool respawns back to N workers.
 """
 
+import asyncio
 import os
 import re
 import signal
@@ -237,6 +238,26 @@ def test_worker_crash_fails_only_its_sessions_and_pool_respawns():
         assert flat["serve_workers_alive"] == workers
 
     assert server.drained_clean is True
+
+
+def test_unpicklable_request_fails_alone():
+    """A request the pool cannot pickle fails with ``bad_request``; the
+    worker's writer thread survives and serves the next session."""
+    tenant = _tenant_on_worker(0, 2, "pickle-")
+    trace = _trace("gcc", 600, 61)
+    with BackgroundServer(ServeConfig(workers=2)) as server:
+        assert server.server is not None
+        pool = server.server.manager.pool
+        assert pool is not None
+        sent = asyncio.run_coroutine_threadsafe(
+            pool.request(0, ("metrics", lambda: None)), server._loop)
+        with pytest.raises(ServeError) as excinfo:
+            sent.result(timeout=60)
+        assert excinfo.value.code == "bad_request"
+        with ServeClient("127.0.0.1", server.port) as client:
+            payload = client.run_trace(iter(trace), "ESD", tenant=tenant,
+                                       app="gcc", total_hint=len(trace))
+        assert payload["state"] == _direct_state("ESD", trace, "gcc")
 
 
 # ---------------------------------------------------------------------------

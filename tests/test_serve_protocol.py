@@ -1,15 +1,19 @@
 """Wire-protocol robustness of the serving front end (protocol 2).
 
-Malformed frames, hello validation and a frame fuzzer, driven over raw
-sockets at both engine back ends (in-process and a 2-worker pool).  Each
+Malformed frames, hello validation and fuzzers, driven over raw sockets
+at both engine back ends (in-process and a 2-worker pool).  Each
 malformed frame must get its typed error code, enqueue nothing, and leave
 the connection serving: the same connection then admits a valid batch,
 answers a ``ping``, and finalizes bit-identical to a direct run of just
-the valid batches.
+the valid batches.  The fuzzers (batch records, whole frames, hello
+fields, session ids) require every reply to be ``ok`` or to carry a
+typed code other than ``internal``, on a connection that still answers
+``ping`` afterwards.
 """
 
 import asyncio
 import base64
+import dataclasses
 import json
 import math
 import socket
@@ -29,7 +33,7 @@ from repro.serve import (
     ServeConfig,
 )
 from repro.serve.pool import RecordSpan
-from repro.serve.protocol import MAX_LINE_BYTES, PROTOCOL_VERSION
+from repro.serve.protocol import ERROR_CODES, MAX_LINE_BYTES, PROTOCOL_VERSION
 from repro.sim.engine import EngineConfig, SimulationEngine
 from repro.sim.export import result_to_state
 from repro.sim.runner import scaled_system_config
@@ -148,6 +152,8 @@ MALFORMED = [
     ("json_array", lambda sid: b'["batch", 1]', "protocol"),
     ("overlong_line", lambda sid: b"x" * (MAX_LINE_BYTES + 4096),
      "protocol"),
+    # Nesting past the JSON parser's recursion limit (found by fuzzing).
+    ("deeply_nested_json", lambda sid: b"[" * 100_000, "protocol"),
 ]
 
 
@@ -170,6 +176,35 @@ def test_malformed_frame_gets_typed_code(wire, build, code):
     final = wire.call({"verb": "finalize", "session": sid})
     assert final["ok"] is True
     assert final["state"] == _direct_state(TRACE)
+
+
+#: (row id, tenant options, expected error code) of hellos whose options
+#: must be refused.
+BAD_OPTIONS = [
+    # A section set to a value, and a float field set to a non-finite
+    # value or an int past the float range (found by fuzzing; these
+    # failed the run at finalize or at open).
+    ("section_set_to_a_value", {"metadata_cache": 3}, "bad_request"),
+    ("infinite_clock", {"processor.clock_ghz": math.inf}, "bad_request"),
+    ("nan_latency", {"pcm.read_latency_ns": math.nan}, "bad_request"),
+    ("int_beyond_float_range", {"pcm.read_latency_ns": 10 ** 400},
+     "bad_request"),
+    # A value of another kind than the field holds.
+    ("string_for_int", {"seed": "7"}, "bad_request"),
+    ("float_for_int", {"metadata_cache.efit_bytes": 1.5}, "bad_request"),
+    ("bool_for_int", {"esd.decay_period": True}, "bad_request"),
+    ("string_for_bool", {"verify_integrity": "yes"}, "bad_request"),
+    ("list_for_int", {"seed": [[7]]}, "bad_request"),
+]
+
+
+@pytest.mark.parametrize("options, code", [(row[1], row[2])
+                                           for row in BAD_OPTIONS],
+                         ids=[row[0] for row in BAD_OPTIONS])
+def test_hello_rejects_bad_options(wire, options, code):
+    reply = wire.hello(options=options)
+    assert reply["ok"] is False and reply["error"] == code, reply
+    assert wire.call({"verb": "ping"})["ok"] is True
 
 
 @pytest.mark.parametrize("version", [None, 1, 3, "2", 2.5, True])
@@ -305,3 +340,111 @@ def test_fuzzed_records_answer_ok_or_bad_request(wire):
     final = wire.call({"verb": "finalize", "session": sid})
     assert final["ok"] is True
     assert final["state"] == _direct_state(admitted)
+
+
+#: Every reply code a fuzzed input may get.
+TYPED_CODES = set(ERROR_CODES) - {"internal"}
+
+
+def _assert_typed(reply):
+    assert reply["ok"] is True or reply["error"] in TYPED_CODES, reply
+
+
+_FUZZ_SETTINGS = settings(max_examples=60, deadline=None, database=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+#: JSON documents that are not objects.
+_NOT_OBJECTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=8)
+
+#: Whole frames: arbitrary bytes, bytes that are not UTF-8 (0xFF occurs
+#: in no UTF-8 text), and JSON that is not an object.  A frame is one
+#: line, so LF bytes become spaces.
+_FRAMES = st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=64).map(lambda tail: b"\xff" + tail),
+    _NOT_OBJECTS.map(lambda value: json.dumps(value).encode("utf-8")),
+).map(lambda frame: frame.replace(b"\n", b" "))
+
+
+def _option_paths(config, prefix=""):
+    """Every dotted option path of ``config``, sections included."""
+    for spec in dataclasses.fields(config):
+        yield prefix + spec.name
+        value = getattr(config, spec.name)
+        if dataclasses.is_dataclass(value):
+            yield from _option_paths(value, f"{prefix}{spec.name}.")
+
+
+#: JSON scalars.  Integers stay small, so no fuzzed size option asks the
+#: server for a large table.
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 300)
+            | st.floats() | st.text(max_size=8))
+_VALUES = st.recursive(
+    _SCALARS, lambda inner: (st.lists(inner, max_size=3)
+                             | st.dictionaries(st.text(max_size=6), inner,
+                                               max_size=3)),
+    max_leaves=5)
+_OPTION_PATHS = sorted(_option_paths(scaled_system_config()))
+_HELLO_FIELDS = st.fixed_dictionaries({}, optional={
+    "options": st.one_of(
+        _VALUES,
+        st.dictionaries(st.sampled_from(_OPTION_PATHS)
+                        | st.text(max_size=10), _VALUES, max_size=3),
+        st.dictionaries(st.sampled_from(_OPTION_PATHS), _SCALARS,
+                        min_size=1, max_size=3)),
+    "scheme": _VALUES | st.sampled_from(["ESD", "esd", "0", "3", "DaE"]),
+    "tenant": _VALUES,
+    "app": _VALUES,
+})
+
+
+def test_fuzzed_frames_get_typed_replies(wire):
+    @_FUZZ_SETTINGS
+    @given(frame=_FRAMES)
+    def send(frame):
+        _assert_typed(wire.call(frame))
+
+    send()
+    assert wire.call({"verb": "ping"})["ok"] is True
+
+
+def test_fuzzed_hello_fields_get_typed_replies(wire):
+    """A hello with mutated ``options``, ``scheme``, ``tenant`` and
+    ``app`` gets a typed reply; a session it opens answers a batch and
+    its finalize with typed replies too."""
+    @_FUZZ_SETTINGS
+    @given(fields=_HELLO_FIELDS)
+    def open_session(fields):
+        reply = wire.hello(**fields)
+        _assert_typed(reply)
+        if reply["ok"]:
+            _assert_typed(wire.batch(reply["session"]))
+            _assert_typed(wire.call({"verb": "finalize",
+                                     "session": reply["session"]}))
+
+    open_session()
+    assert wire.call({"verb": "ping"})["ok"] is True
+
+
+def test_fuzzed_session_ids_get_typed_replies(wire):
+    """``batch`` and ``finalize`` naming mutated session ids — edits of
+    a live id, other types, unknown strings — get typed replies."""
+    sid = wire.hello(tenant="fuzz-session-ids")["session"]
+    edits = st.one_of(
+        st.text(max_size=4).map(lambda tail: sid + tail),
+        st.integers(0, len(sid)).map(lambda cut: sid[:cut]),
+        st.just(sid.upper()),
+        st.text(max_size=6).map(lambda tail: "s" + tail),
+        _VALUES)
+
+    @_FUZZ_SETTINGS
+    @given(verb=st.sampled_from(["batch", "finalize"]), session=edits)
+    def send(verb, session):
+        _assert_typed(wire.call({"verb": verb, "session": session,
+                                 "count": COUNT, "records": _b64(RECORDS)}))
+
+    send()
+    assert wire.call({"verb": "ping"})["ok"] is True
+    _assert_typed(wire.call({"verb": "finalize", "session": sid}))

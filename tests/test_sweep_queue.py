@@ -10,6 +10,7 @@ import collections
 import json
 import os
 import pathlib
+import sqlite3
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.sim.export import grid_to_dict
 from repro.sim.runner import ExperimentConfig, run_grid
 from repro.sweep import (
     ProgressReporter,
+    ResultStore,
     Scheduler,
     WorkQueueBackend,
     execute_job,
@@ -123,7 +125,7 @@ class TestSpecWireCodec:
 
 
 class TestQueueParity:
-    @pytest.mark.parametrize("store_name", ["store.sqlite", "storedir"])
+    @pytest.mark.parametrize("store_name", ["store.sqlite", "store"])
     def test_queue_grid_byte_identical_to_serial(self, tmp_path,
                                                  store_name):
         config = small_experiment()
@@ -181,22 +183,25 @@ class TestSeeding:
 
 
 class TestPolling:
-    @pytest.mark.parametrize("storage", ["sqlite", "dir"])
+    @pytest.mark.parametrize("form", ["sqlite", "path"])
     def test_poll_reads_only_this_sweeps_rows(self, tmp_path, monkeypatch,
-                                             storage):
+                                             form):
         """The coordinator looks up its own unfinished jobs and never
         lists the store's other rows, so a poll costs the same in a
         large store as in a fresh one."""
-        store_spec = str(tmp_path / "store")
-        store = open_store(store_spec, storage)
+        path = tmp_path / "store.sqlite"
+        store_spec = f"sqlite://{path}" if form == "sqlite" else str(path)
+        config = small_experiment(apps=["gcc"], requests=400)
+        old = run_grid(small_experiment(apps=["gcc"], schemes=["Baseline"],
+                                        requests=300))[("gcc", "Baseline")]
+        store = open_store(store_spec)
         for i in range(50):
-            store.backend.write_result(f"{i:064x}", "{}")
+            store.put(f"{i:064x}", old)
             store.record_completion(f"{i:064x}", "old-worker", 1.0, 1)
         store.mark_failed("f" * 64, "boom", 1)
         store.close()
 
-        backend_cls = type(store.backend)
-        completions = backend_cls.completions
+        completions = ResultStore.completions
 
         def scoped_completions(self, digests=None):
             assert digests is not None, "listed every completion row"
@@ -205,11 +210,11 @@ class TestPolling:
         def no_listing(self):
             raise AssertionError("listed every result row")
 
-        monkeypatch.setattr(backend_cls, "completions", scoped_completions)
-        monkeypatch.setattr(backend_cls, "iter_result_digests", no_listing)
-        config = small_experiment(apps=["gcc"], requests=400)
+        monkeypatch.setattr(ResultStore, "completions", scoped_completions)
+        monkeypatch.setattr(ResultStore, "iter_digests", no_listing)
+        monkeypatch.setattr(ResultStore, "__len__", no_listing)
         reporter = ProgressReporter(2, enabled=False)
-        store = open_store(store_spec, storage)
+        store = open_store(store_spec)
         try:
             grid = Scheduler(store, jobs=1, reporter=reporter,
                              backend=WorkQueueBackend(lease_s=10.0,
@@ -300,25 +305,34 @@ class TestWorkerLoop:
                             {"spec": spec_to_payload(spec)})
         worker_loop(queue_store.spec, poll_s=0.01)
 
-        digest = spec.digest()
-        assert queue_store.backend.read_result(digest) == \
-            pool_store.backend.read_result(digest)
+        def row(store):
+            with sqlite3.connect(store.path) as conn:
+                return conn.execute(
+                    "SELECT payload FROM results WHERE digest = ?",
+                    (spec.digest(),)).fetchone()[0]
+
+        assert row(queue_store) == row(pool_store)
+        pool_store.close()
+        queue_store.close()
 
 
 class TestManifest:
-    @pytest.mark.parametrize("storage", ["sqlite", "dir"])
+    @pytest.mark.parametrize("storage", ["sqlite", None])
     def test_manifest_records_backend_storage_and_workers(self, tmp_path,
                                                           storage):
+        """The manifest names the backend, the storage and the
+        completing workers, whether or not the sweep passes
+        ``storage="sqlite"``."""
         config = small_experiment(apps=["gcc", "lbm", "mcf"], requests=400)
         store_spec = str(tmp_path / "store")
         run_sweep(config, jobs=2, store=store_spec, storage=storage,
                   backend=WorkQueueBackend(lease_s=10.0, poll_s=0.05))
-        store = open_store(store_spec, storage)
+        store = open_store(store_spec)
         manifest = store.read_manifest()
         rows = store.completions()
         store.close()
         assert manifest["backend"] == "queue"
-        assert manifest["storage"] == storage
+        assert manifest["storage"] == "sqlite"
         simulated = [row for row in manifest["jobs"]
                      if row["status"] == "simulated"]
         assert simulated and all(row.get("worker") for row in simulated)
@@ -336,8 +350,9 @@ class TestManifest:
         store = open_store(str(tmp_path / "store"))
         run_sweep(config, jobs=1, store=store)
         manifest = store.read_manifest()
+        store.close()
         assert manifest["backend"] == "pool"
-        assert manifest["storage"] == "dir"
+        assert manifest["storage"] == "sqlite"
         assert "obs" not in manifest  # the pool keeps no fleet metrics
         assert all("worker" not in row for row in manifest["jobs"])
 
@@ -368,14 +383,26 @@ class TestCli:
         assert "pool" in str(excinfo.value)
         assert "queue" in str(excinfo.value)
 
-    def test_sweep_unknown_storage_exits_with_names(self, tmp_path):
-        from repro.cli import main
+    @pytest.mark.parametrize("command", ["sweep", "worker"])
+    def test_storage_flag_removed(self, tmp_path, command):
+        from repro.cli import build_parser
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--apps", "gcc", "--schemes", "Baseline",
-                  "--requests", "300", "--storage", "bogus",
-                  "--store", str(tmp_path / "s")])
-        assert "dir" in str(excinfo.value)
-        assert "sqlite" in str(excinfo.value)
+            build_parser().parse_args([command, "--storage", "sqlite",
+                                       "--store", str(tmp_path / "s")])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "worker"])
+    def test_directory_store_exits_naming_the_removal(self, tmp_path,
+                                                      command):
+        from repro.cli import main
+        (tmp_path / "old" / "results").mkdir(parents=True)
+        argv = [command, "--store", str(tmp_path / "old"), "--quiet"]
+        if command == "sweep":
+            argv += ["--apps", "gcc", "--schemes", "Baseline",
+                     "--requests", "300", "--jobs", "1"]
+        with pytest.raises(SystemExit, match="directory store layout"):
+            main(argv)
+        assert [p.name for p in (tmp_path / "old").iterdir()] == ["results"]
 
     def test_queue_backend_requires_store(self):
         from repro.cli import main

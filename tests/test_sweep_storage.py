@@ -1,85 +1,153 @@
-"""Tests for the pluggable storage layer: backends, leases, migration."""
+"""Tests for the sweep store's storage: store specs, rows, traces, leases."""
 
+import io
 import json
 import os
+import sqlite3
 import threading
 import time
 
 import pytest
 
-from repro.common import LeaseError, UnknownBackendError
-from repro.sweep import (
-    DirStorageBackend,
-    ResultStore,
-    SqliteStorageBackend,
-    fsync_atomic_write,
-    make_storage_backend,
-    migrate_store,
-    open_store,
-    parse_store_spec,
-    storage_backend_names,
+from repro.common import (
+    LeaseError,
+    SweepError,
+    UnknownBackendError,
+    small_test_config,
 )
+from repro.common.atomic import fsync_atomic_write
+from repro.sim.export import result_to_dict, result_to_state
+from repro.sim.runner import ExperimentConfig, run_app
+from repro.sweep import ResultStore, open_store, run_sweep
+from repro.workloads import TraceGenerator
+from repro.workloads.trace import write_trace
 
 DIGEST = "a" * 64
 OTHER = "b" * 64
 
+#: The first 16 bytes of every SQLite database file.
+SQLITE_HEADER = b"SQLite format 3\x00"
 
-@pytest.fixture(params=["dir", "sqlite"])
-def backend(request, tmp_path):
-    if request.param == "dir":
-        be = DirStorageBackend(tmp_path / "store")
-    else:
-        be = SqliteStorageBackend(tmp_path / "store.sqlite")
-    yield be
-    be.close()
+
+@pytest.fixture(scope="module")
+def result():
+    """One real simulated result to store (module-scoped)."""
+    return run_app("gcc", ["Baseline"], requests=300,
+                   system=small_test_config(), seed=7)["Baseline"]
+
+
+@pytest.fixture(params=["sqlite", "path"])
+def store(request, tmp_path):
+    """A fresh store, opened from either spec form: ``sqlite://<path>``
+    or the bare path."""
+    path = tmp_path / "store.sqlite"
+    opened = open_store(f"sqlite://{path}" if request.param == "sqlite"
+                        else path)
+    yield opened
+    opened.close()
+
+
+def tiny_experiment():
+    return ExperimentConfig(apps=["gcc"], schemes=["Baseline"],
+                            requests_per_app=200,
+                            system=small_test_config(), seed=7)
+
+
+def row_text(store, digest):
+    """The raw result-row text, read past the store's parser."""
+    with sqlite3.connect(store.path) as conn:
+        row = conn.execute("SELECT payload FROM results WHERE digest = ?",
+                           (digest,)).fetchone()
+    return row[0] if row else None
 
 
 class TestRegistry:
-    def test_names(self):
-        assert storage_backend_names() == ["dir", "sqlite"]
-
     def test_unknown_name_lists_registered(self, tmp_path):
+        """A storage name other than ``sqlite`` fails typed, naming the
+        one backend and the removed one, before any store exists."""
         with pytest.raises(UnknownBackendError) as excinfo:
-            make_storage_backend("bogus", tmp_path / "x")
-        assert "dir" in str(excinfo.value)
+            run_sweep(tiny_experiment(), jobs=1,
+                      store=str(tmp_path / "s"), storage="bogus")
         assert "sqlite" in str(excinfo.value)
-
-    def test_make_by_name(self, tmp_path):
-        assert isinstance(make_storage_backend("dir", tmp_path / "d"),
-                          DirStorageBackend)
-        sq = make_storage_backend("sqlite", tmp_path / "s.sqlite")
-        assert isinstance(sq, SqliteStorageBackend)
-        sq.close()
+        assert "'dir' backend was removed" in str(excinfo.value)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParseStoreSpec:
-    def test_plain_path_is_dir(self, tmp_path):
-        be = parse_store_spec(str(tmp_path / "store"))
-        assert isinstance(be, DirStorageBackend)
+    def test_plain_path_opens_sqlite_file(self, tmp_path):
+        """A path without a suffix (the old directory-store spelling)
+        now names one SQLite file."""
+        store = open_store(str(tmp_path / "store"))
+        store.close()
+        assert (tmp_path / "store").is_file()
+        assert (tmp_path / "store").read_bytes()[:16] == SQLITE_HEADER
 
     def test_sqlite_url_forces_sqlite(self, tmp_path):
-        be = parse_store_spec(f"sqlite://{tmp_path / 'x.bin'}")
-        assert isinstance(be, SqliteStorageBackend)
-        be.close()
+        store = open_store(f"sqlite://{tmp_path / 'x.bin'}")
+        store.close()
+        assert store.path == tmp_path / "x.bin"
+        assert store.path.read_bytes()[:16] == SQLITE_HEADER
 
     def test_sqlite_suffix_infers_sqlite(self, tmp_path):
-        be = parse_store_spec(str(tmp_path / "x.sqlite"))
-        assert isinstance(be, SqliteStorageBackend)
-        be.close()
+        store = open_store(str(tmp_path / "x.sqlite"))
+        store.close()
+        assert store.path.read_bytes()[:16] == SQLITE_HEADER
 
     def test_explicit_storage_wins(self, tmp_path):
-        be = parse_store_spec(str(tmp_path / "plain"), storage="sqlite")
-        assert isinstance(be, SqliteStorageBackend)
-        be.close()
+        """``storage="sqlite"``, what the benchmark passes, still runs a
+        sweep into the one store file."""
+        grid = run_sweep(tiny_experiment(), jobs=1,
+                         store=str(tmp_path / "plain"), storage="sqlite")
+        assert list(grid) == [("gcc", "Baseline")]
+        store = open_store(tmp_path / "plain")
+        try:
+            assert len(store) == 1
+        finally:
+            store.close()
 
     def test_conflicting_url_and_storage_rejected(self, tmp_path):
-        with pytest.raises(UnknownBackendError):
-            parse_store_spec(f"sqlite://{tmp_path / 'x'}", storage="dir")
+        with pytest.raises(UnknownBackendError, match="removed"):
+            run_sweep(tiny_experiment(), jobs=1,
+                      store=f"sqlite://{tmp_path / 'x'}", storage="dir")
+        assert list(tmp_path.iterdir()) == []
 
-    def test_spec_round_trip_reopens_same_backend(self, backend):
-        reopened = parse_store_spec(backend.spec)
-        assert type(reopened) is type(backend)
-        reopened.close()
+    @pytest.mark.parametrize("form", ["path", "url"])
+    def test_existing_directory_rejected(self, tmp_path, form):
+        """A spec naming a directory (a store of the removed directory
+        layout) fails typed and creates nothing."""
+        old = tmp_path / "old_store"
+        (old / "results").mkdir(parents=True)
+        spec = str(old) if form == "path" else f"sqlite://{old}"
+        with pytest.raises(SweepError, match="directory store layout"):
+            open_store(spec)
+        with pytest.raises(SweepError, match="directory store layout"):
+            run_sweep(tiny_experiment(), jobs=1, store=spec)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old_store"]
+        assert [p.name for p in old.iterdir()] == ["results"]
+
+    def test_spec_round_trip_reopens_same_backend(self, store):
+        store.write_manifest({"total": 4})
+        reopened = open_store(store.spec)
+        try:
+            assert reopened.path == store.path
+            assert reopened.read_manifest() == {"total": 4}
+        finally:
+            reopened.close()
+
+    def test_open_store_passes_result_store_through(self, tmp_path):
+        store = ResultStore(tmp_path / "store.sqlite")
+        assert open_store(store) is store
+        store.close()
+
+    def test_store_is_one_file_plus_trace_sidecar(self, tmp_path, result):
+        store = open_store(tmp_path / "store.sqlite")
+        store.put(DIGEST, result)
+        store.write_manifest({"total": 1})
+        store.ensure_trace(
+            "t1", lambda: TraceGenerator("gcc", seed=7).generate_list(10))
+        store.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["store.sqlite", "store.sqlite.traces"]
 
 
 class TestFsyncDurability:
@@ -107,145 +175,154 @@ class TestFsyncDurability:
 
 
 class TestBackendRoundTrips:
-    def test_result_text_round_trip(self, backend):
-        assert backend.read_result(DIGEST) is None
-        assert not backend.has_result(DIGEST)
-        text = '{"z": 1, "a": 2}'  # deliberate non-sorted key order
-        backend.write_result(DIGEST, text)
-        assert backend.read_result(DIGEST) == text
-        assert backend.has_result(DIGEST)
-        assert list(backend.iter_result_digests()) == [DIGEST]
+    def test_result_text_round_trip(self, store, result):
+        assert store.get(DIGEST) is None
+        assert DIGEST not in store
+        job = {"z": 1, "a": 2}  # deliberate non-sorted key order
+        store.put(DIGEST, result, job=job)
+        # The row is the JSON of the payload in insertion order.
+        assert row_text(store, DIGEST) == json.dumps(
+            {"job": job, "result": result_to_state(result)})
+        assert result_to_dict(store.get(DIGEST)) == result_to_dict(result)
+        assert DIGEST in store
+        assert list(store.iter_digests()) == [DIGEST]
+        assert len(store) == 1
 
-    def test_obs_round_trip(self, backend):
-        assert backend.read_obs(DIGEST) is None
-        backend.write_obs(DIGEST, '{"m": 3}')
-        assert backend.read_obs(DIGEST) == '{"m": 3}'
+    def test_obs_round_trip(self, store):
+        assert store.get_obs(DIGEST) is None
+        store.put_obs(DIGEST, {"m": 3})
+        assert store.get_obs(DIGEST) == {"m": 3}
 
-    def test_manifest_round_trip(self, backend):
-        assert backend.read_manifest() is None
-        backend.write_manifest('{"total": 4}')
-        assert backend.read_manifest() == '{"total": 4}'
-        backend.write_manifest('{"total": 5}')
-        assert backend.read_manifest() == '{"total": 5}'
+    def test_manifest_round_trip(self, store):
+        assert store.read_manifest() is None
+        store.write_manifest({"total": 4})
+        assert store.read_manifest() == {"total": 4}
+        store.write_manifest({"total": 5})
+        assert store.read_manifest() == {"total": 5}
 
-    def test_trace_round_trip(self, backend):
-        payload = bytes(range(256)) * 4
-        assert not backend.has_trace("t1")
+    def test_trace_round_trip(self, store):
+        requests = TraceGenerator("gcc", seed=7).generate_list(64)
+        expected = io.BytesIO()
+        write_trace(requests, expected)
+        assert not store.has_trace("t1")
         with pytest.raises(FileNotFoundError):
-            backend.trace_local_path("t1")
-        path = backend.ensure_trace("t1", lambda fh: fh.write(payload))
-        assert backend.has_trace("t1")
-        assert path.read_bytes() == payload
-        assert backend.trace_local_path("t1").read_bytes() == payload
-        # Second ensure must not re-invoke the writer.
-        again = backend.ensure_trace(
-            "t1", lambda fh: (_ for _ in ()).throw(AssertionError))
-        assert again.read_bytes() == payload
+            store.trace_path("t1")
+        path = store.ensure_trace("t1", lambda: requests)
+        assert store.has_trace("t1")
+        assert path.read_bytes() == expected.getvalue()
+        # Second ensure must not re-invoke the generator.
+        again = store.ensure_trace(
+            "t1", lambda: (_ for _ in ()).throw(AssertionError))
+        assert again == path
+        # The sidecar file is a cache: once gone, the blob is
+        # materialized again.
+        path.unlink()
+        assert store.trace_path("t1").read_bytes() == expected.getvalue()
 
-    def test_queue_round_trip(self, backend):
-        assert backend.iter_queue() == []
-        backend.enqueue(DIGEST, '{"spec": 1}')
-        backend.enqueue(OTHER, '{"spec": 2}')
-        backend.enqueue(DIGEST, '{"spec": 1}')  # idempotent
-        assert backend.iter_queue() == sorted([DIGEST, OTHER])
-        assert backend.queue_payload(DIGEST) == '{"spec": 1}'
-        assert backend.queue_payload("c" * 64) is None
+    def test_queue_round_trip(self, store):
+        assert store.iter_queue() == []
+        store.enqueue(DIGEST, {"spec": 1})
+        store.enqueue(OTHER, {"spec": 2})
+        store.enqueue(DIGEST, {"spec": 1})  # idempotent
+        assert store.iter_queue() == sorted([DIGEST, OTHER])
+        assert store.queue_payload(DIGEST) == {"spec": 1}
+        assert store.queue_payload("c" * 64) is None
 
-    def test_failure_round_trip(self, backend):
-        assert backend.get_failure(DIGEST) is None
-        backend.mark_failed(DIGEST, "ValueError('boom')", 3)
-        failure = backend.get_failure(DIGEST)
+    def test_failure_round_trip(self, store):
+        assert store.get_failure(DIGEST) is None
+        store.mark_failed(DIGEST, "ValueError('boom')", 3)
+        failure = store.get_failure(DIGEST)
         assert failure["error"] == "ValueError('boom')"
         assert failure["attempts"] == 3
 
-    def test_completions_round_trip(self, backend):
-        assert backend.completions() == []
-        backend.record_completion(DIGEST, "w1", 1.5, 1)
-        backend.record_completion(OTHER, "w2", 0.5, 2)
-        rows = backend.completions()
+    def test_completions_round_trip(self, store):
+        assert store.completions() == []
+        store.record_completion(DIGEST, "w1", 1.5, 1)
+        store.record_completion(OTHER, "w2", 0.5, 2)
+        rows = store.completions()
         assert len(rows) == 2
         by_digest = {row["digest"]: row for row in rows}
         assert by_digest[DIGEST]["worker"] == "w1"
         assert by_digest[OTHER]["attempts"] == 2
-        assert [row["worker"] for row in backend.completions([OTHER])] \
+        assert [row["worker"] for row in store.completions([OTHER])] \
             == ["w2"]
-        assert backend.completions(["c" * 64]) == []
+        assert store.completions(["c" * 64]) == []
 
-    def test_lookups_among_digests(self, backend):
+    def test_lookups_among_digests(self, store, result):
         """``results_among``/``failures_among`` answer for the digests
         asked about only, also for more digests than SQLite binds as
         separate query parameters."""
         asked = [f"{i:064x}" for i in range(1200)]
-        assert backend.results_among(asked) == set()
-        assert backend.failures_among(asked) == set()
+        assert store.results_among(asked) == set()
+        assert store.failures_among(asked) == set()
         for digest in (asked[3], asked[700], DIGEST):
-            backend.write_result(digest, "{}")
-        backend.mark_failed(asked[1100], "boom", 1)
-        backend.mark_failed(OTHER, "boom", 1)
-        assert backend.results_among(asked) == {asked[3], asked[700]}
-        assert backend.failures_among(asked) == {asked[1100]}
-        assert backend.results_among([]) == set()
+            store.put(digest, result)
+        store.mark_failed(asked[1100], "boom", 1)
+        store.mark_failed(OTHER, "boom", 1)
+        assert store.results_among(asked) == {asked[3], asked[700]}
+        assert store.failures_among(asked) == {asked[1100]}
+        assert store.results_among([]) == set()
 
 
 class TestLeaseProtocol:
-    def test_claim_is_exclusive(self, backend):
-        backend.enqueue(DIGEST, "{}")
-        claim = backend.claim(DIGEST, "w1", ttl_s=30.0)
+    def test_claim_is_exclusive(self, store):
+        store.enqueue(DIGEST, {})
+        claim = store.claim(DIGEST, "w1", ttl_s=30.0)
         assert claim is not None and claim.worker == "w1"
         assert claim.attempts == 1
-        assert backend.claim(DIGEST, "w2", ttl_s=30.0) is None
+        assert store.claim(DIGEST, "w2", ttl_s=30.0) is None
 
-    def test_claim_refused_for_terminal_jobs(self, backend):
-        backend.write_result(DIGEST, "{}")
-        assert backend.claim(DIGEST, "w1", ttl_s=30.0) is None
-        backend.mark_failed(OTHER, "boom", 1)
-        assert backend.claim(OTHER, "w1", ttl_s=30.0) is None
+    def test_claim_refused_for_terminal_jobs(self, store, result):
+        store.put(DIGEST, result)
+        assert store.claim(DIGEST, "w1", ttl_s=30.0) is None
+        store.mark_failed(OTHER, "boom", 1)
+        assert store.claim(OTHER, "w1", ttl_s=30.0) is None
 
-    def test_renew_only_by_owner(self, backend):
-        backend.claim(DIGEST, "w1", ttl_s=30.0)
-        assert backend.renew(DIGEST, "w1", ttl_s=30.0)
-        assert not backend.renew(DIGEST, "w2", ttl_s=30.0)
-        assert not backend.renew(OTHER, "w1", ttl_s=30.0)
+    def test_renew_only_by_owner(self, store):
+        store.claim(DIGEST, "w1", ttl_s=30.0)
+        assert store.renew(DIGEST, "w1", ttl_s=30.0)
+        assert not store.renew(DIGEST, "w2", ttl_s=30.0)
+        assert not store.renew(OTHER, "w1", ttl_s=30.0)
 
-    def test_release_guards_ownership(self, backend):
-        backend.claim(DIGEST, "w1", ttl_s=30.0)
+    def test_release_guards_ownership(self, store):
+        store.claim(DIGEST, "w1", ttl_s=30.0)
         with pytest.raises(LeaseError):
-            backend.release(DIGEST, "w2")
-        backend.release(DIGEST, "w1")
+            store.release(DIGEST, "w2")
+        store.release(DIGEST, "w1")
         # Released (not expired): a new claim succeeds, attempts carry on,
         # and a clean hand-off is not counted as a reclaim.
-        claim = backend.claim(DIGEST, "w2", ttl_s=30.0)
+        claim = store.claim(DIGEST, "w2", ttl_s=30.0)
         assert claim is not None and claim.attempts == 2
-        assert backend.reclaim_count() == 0
+        assert store.reclaim_count() == 0
 
-    def test_expired_lease_is_reclaimed(self, backend):
-        first = backend.claim(DIGEST, "w1", ttl_s=0.05)
+    def test_expired_lease_is_reclaimed(self, store):
+        first = store.claim(DIGEST, "w1", ttl_s=0.05)
         assert first is not None
         time.sleep(0.1)
-        stolen = backend.claim(DIGEST, "w2", ttl_s=30.0)
+        stolen = store.claim(DIGEST, "w2", ttl_s=30.0)
         assert stolen is not None and stolen.worker == "w2"
         # Attempts survive the reclaim (retry budgeting for poison jobs)
         # and the protocol records that a dead worker's lease was taken.
         assert stolen.attempts == 2
-        assert backend.reclaim_count() == 1
+        assert store.reclaim_count() == 1
 
-    def test_live_claims_view(self, backend):
-        backend.claim(DIGEST, "w1", ttl_s=30.0)
-        backend.claim(OTHER, "w2", ttl_s=0.01)
+    def test_live_claims_view(self, store):
+        store.claim(DIGEST, "w1", ttl_s=30.0)
+        store.claim(OTHER, "w2", ttl_s=0.01)
         time.sleep(0.05)
-        live = backend.live_claims()
+        live = store.live_claims()
         assert [c.worker for c in live] == ["w1"]
-        info = backend.claim_info(DIGEST)
+        info = store.claim_info(DIGEST)
         assert info.worker == "w1" and info.attempts == 1
 
-    def test_racing_claims_have_exactly_one_winner(self, backend):
-        backend.enqueue(DIGEST, "{}")
+    def test_racing_claims_have_exactly_one_winner(self, store):
+        store.enqueue(DIGEST, {})
         barrier = threading.Barrier(8)
         wins = []
 
         def contend(i):
             barrier.wait()
-            claim = backend.claim(DIGEST, f"w{i}", ttl_s=30.0)
+            claim = store.claim(DIGEST, f"w{i}", ttl_s=30.0)
             if claim is not None:
                 wins.append(claim.worker)
 
@@ -256,63 +333,3 @@ class TestLeaseProtocol:
         for t in threads:
             t.join()
         assert len(wins) == 1
-
-
-class TestDirLayoutCompatibility:
-    def test_plain_store_keeps_original_layout(self, tmp_path):
-        """No queue subdirectories appear unless a distributed sweep runs."""
-        store = ResultStore(tmp_path / "store")
-        store.backend.write_result(DIGEST, "{}")
-        store.write_manifest({"total": 1})
-        entries = sorted(p.name for p in (tmp_path / "store").iterdir())
-        assert entries == ["manifest.json", "results", "traces"]
-
-    def test_open_store_passes_result_store_through(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        assert open_store(store) is store
-
-
-class TestMigration:
-    def _populate(self, store):
-        # Deliberately unsorted keys: migration must preserve raw bytes,
-        # including key order a JSON re-encode would destroy.
-        store.backend.write_result(DIGEST, '{"z": 1, "a": [1, 2]}')
-        store.backend.write_result(OTHER, '{"y": {"n": 0.1}}')
-        store.backend.write_obs(DIGEST, '{"metrics": []}')
-        store.backend.write_manifest('{"total_jobs": 2}')
-        store.backend.ensure_trace(
-            "gcc-s7", lambda fh: fh.write(b"\x00trace\xff" * 16))
-
-    def _assert_identical(self, src, dst):
-        assert list(dst.backend.iter_result_digests()) == \
-            list(src.backend.iter_result_digests())
-        for digest in src.backend.iter_result_digests():
-            assert dst.backend.read_result(digest) == \
-                src.backend.read_result(digest)
-        assert dst.backend.read_obs(DIGEST) == src.backend.read_obs(DIGEST)
-        assert dst.backend.read_manifest() == src.backend.read_manifest()
-        assert dst.backend.trace_local_path("gcc-s7").read_bytes() == \
-            src.backend.trace_local_path("gcc-s7").read_bytes()
-
-    def test_dir_to_sqlite_to_dir_round_trip(self, tmp_path):
-        a = ResultStore(tmp_path / "a")
-        self._populate(a)
-        b = open_store(f"sqlite://{tmp_path / 'b.sqlite'}")
-        counts = migrate_store(a, b)
-        assert counts == {"results": 2, "obs": 1, "traces": 1,
-                          "manifest": 1}
-        self._assert_identical(a, b)
-        c = ResultStore(tmp_path / "c")
-        migrate_store(b, c)
-        self._assert_identical(a, c)
-        b.close()
-
-    def test_migrated_rows_load_as_results(self, tmp_path):
-        """A migrated store serves cache hits exactly like the original."""
-        src = ResultStore(tmp_path / "src")
-        payload = json.dumps({"job": {}, "result": {"v": 1}})
-        src.backend.write_result(DIGEST, payload)
-        dst = open_store(str(tmp_path / "dst.sqlite"))
-        migrate_store(src, dst)
-        assert dst.backend.read_result(DIGEST) == payload
-        dst.close()

@@ -1,6 +1,7 @@
 """Tests for the content-addressed result store."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -9,6 +10,27 @@ from repro.sim.export import result_to_dict, result_to_state, result_from_state
 from repro.sim.runner import run_app
 from repro.sweep import ResultStore, job_meta, JobSpec
 from repro.workloads import TraceGenerator
+from repro.workloads.trace import read_trace_list
+
+
+@pytest.fixture
+def store(tmp_path):
+    opened = ResultStore(tmp_path / "store.sqlite")
+    yield opened
+    opened.close()
+
+
+def _write_row(store, digest, text):
+    """Overwrite a result row with raw text, past the store's writer."""
+    with sqlite3.connect(store.path) as conn:
+        conn.execute("UPDATE results SET payload = ? WHERE digest = ?",
+                     (text, digest))
+
+
+def _read_row(store, digest):
+    with sqlite3.connect(store.path) as conn:
+        return conn.execute("SELECT payload FROM results WHERE digest = ?",
+                            (digest,)).fetchone()[0]
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +72,7 @@ class TestStateRoundTrip:
 
 
 class TestResultStore:
-    def test_miss_then_hit(self, tmp_path, result):
-        store = ResultStore(tmp_path)
+    def test_miss_then_hit(self, store, result):
         assert store.get("0" * 64) is None
         store.put("0" * 64, result)
         hit = store.get("0" * 64)
@@ -60,46 +81,44 @@ class TestResultStore:
         assert "0" * 64 in store
         assert len(store) == 1
 
-    def test_energy_sum_identical_after_round_trip(self, tmp_path, result):
+    def test_energy_sum_identical_after_round_trip(self, store, result):
         # Float addition is order-sensitive; the store must preserve the
         # energy dict's insertion order so derived sums match exactly.
-        store = ResultStore(tmp_path)
         store.put("e" * 64, result)
         assert store.get("e" * 64).total_energy_nj == result.total_energy_nj
 
-    def test_corrupt_row_reads_as_miss(self, tmp_path, result):
-        store = ResultStore(tmp_path)
-        path = store.put("f" * 64, result)
-        path.write_text("{not json")
+    def test_corrupt_row_reads_as_miss(self, store, result):
+        store.put("f" * 64, result)
+        _write_row(store, "f" * 64, "{not json")
         assert store.get("f" * 64) is None
-        path.write_text(json.dumps({"result": {"version": 999}}))
+        _write_row(store, "f" * 64, json.dumps({"result": {"version": 999}}))
         assert store.get("f" * 64) is None
 
-    def test_atomic_write_leaves_no_temp_files(self, tmp_path, result):
-        store = ResultStore(tmp_path)
+    def test_atomic_write_leaves_no_temp_files(self, tmp_path, store,
+                                               result):
         store.put("a" * 64, result)
-        assert [p.name for p in store.results_dir.iterdir()] \
-            == [f"{'a' * 64}.json"]
+        # Only the store file and its open WAL-mode companions.
+        assert {p.name for p in tmp_path.iterdir()} <= {
+            "store.sqlite", "store.sqlite-wal", "store.sqlite-shm"}
+        store.close()
+        assert [p.name for p in tmp_path.iterdir()] == ["store.sqlite"]
 
-    def test_job_meta_header_persisted(self, tmp_path, result):
-        store = ResultStore(tmp_path)
+    def test_job_meta_header_persisted(self, store, result):
         spec = JobSpec(app="gcc", scheme="ESD", requests=1_200, seed=7,
                        system=small_test_config())
-        path = store.put(spec.digest(), result, job=job_meta(spec))
-        payload = json.loads(path.read_text())
+        store.put(spec.digest(), result, job=job_meta(spec))
+        payload = json.loads(_read_row(store, spec.digest()))
         assert payload["job"]["app"] == "gcc"
         assert payload["job"]["digest"] == spec.digest()
 
-    def test_manifest_round_trip(self, tmp_path):
-        store = ResultStore(tmp_path)
+    def test_manifest_round_trip(self, store):
         assert store.read_manifest() is None
         store.write_manifest({"total_jobs": 4})
         assert store.read_manifest() == {"total_jobs": 4}
 
 
 class TestTraceSharing:
-    def test_trace_generated_once_and_replayed_exactly(self, tmp_path):
-        store = ResultStore(tmp_path)
+    def test_trace_generated_once_and_replayed_exactly(self, store):
         calls = []
 
         def generate():
@@ -110,7 +129,7 @@ class TestTraceSharing:
         path2 = store.ensure_trace("gcc-s7-n500-v1", generate)
         assert path1 == path2
         assert len(calls) == 1
-        replayed = store.load_trace("gcc-s7-n500-v1")
+        replayed = read_trace_list(store.trace_path("gcc-s7-n500-v1"))
         original = TraceGenerator("gcc", seed=7).generate_list(500)
         assert len(replayed) == len(original)
         assert all(a.address == b.address and a.data == b.data
