@@ -12,7 +12,9 @@ Hard-gates three properties this repo's long-run story depends on:
   run at an arbitrary cut (checkpoint, dirty the process with an
   unrelated run, restore in the same interpreter, finish) must produce a
   result whose lossless state bytes (:func:`result_state_bytes`) equal
-  the uninterrupted run's.
+  the uninterrupted run's.  A second leg runs with observability on and
+  also compares the obs report's bytes: the session's run scope is
+  bound to the scheme graph, so the checkpoint must carry it.
 * **CLI resume** — the actual ``repro run --checkpoint/--stop-after``
   (exit code 3) followed by ``repro run --resume`` in a *fresh process*
   must export state bytes identical to a direct run's.
@@ -28,6 +30,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import subprocess
 import sys
 import tempfile
@@ -117,12 +120,19 @@ def check_container_parity() -> None:
         fail("default-version roundtrip")
 
 
+def _result_bytes(result) -> bytes:
+    """Lossless state bytes, plus the obs report's when there is one."""
+    report = (b"" if result.obs is None
+              else json.dumps(result.obs, sort_keys=True).encode("utf-8"))
+    return result_state_bytes(result) + report
+
+
 def _direct(trace, scheme_name, config) -> bytes:
     memo.reset_all()
     engine = SimulationEngine(make_scheme(scheme_name, config),
                               EngineConfig())
     result = engine.run(iter(trace), app="gate", total_hint=len(trace))
-    return result_state_bytes(result)
+    return _result_bytes(result)
 
 
 def _resumed(trace, scheme_name, config, cut: int) -> bytes:
@@ -143,23 +153,31 @@ def _resumed(trace, scheme_name, config, cut: int) -> bytes:
     for _ in range(restored.consumed):
         next(replay)
     restored.feed(replay)
-    return result_state_bytes(restored.finalize())
+    return _result_bytes(restored.finalize())
 
 
-def check_resume_parity(quick: bool) -> None:
+def check_resume_parity(quick: bool, observed: bool = False) -> None:
+    """Every scheme resumes bit-exact; with ``observed``, observability is
+    on, every cut is the mid-epoch one and the obs report must match."""
     schemes = list(registered_scheme_names())
     if quick:
         schemes = ["ESD", "NV-Dedup"]
     trace = TraceGenerator("gcc", seed=13).generate_list(REQUESTS)
     config = small_test_config()
+    cuts = CUTS
+    label = "resume parity"
+    if observed:
+        config = config.with_observability(enabled=True)
+        cuts = CUTS[:1]
+        label = "observed resume parity"
     for cell, scheme_name in enumerate(schemes):
-        cut = CUTS[cell % len(CUTS)]
+        cut = cuts[cell % len(cuts)]
         direct = _direct(trace, scheme_name, config)
         resumed = _resumed(trace, scheme_name, config, cut)
         if direct != resumed:
-            fail(f"resume parity {scheme_name} [cut={cut}]")
+            fail(f"{label} {scheme_name} [cut={cut}]")
         else:
-            ok(f"resume parity {scheme_name} [cut={cut}]")
+            ok(f"{label} {scheme_name} [cut={cut}]")
 
 
 def check_cli_resume() -> None:
@@ -205,12 +223,13 @@ def check_cli_resume() -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
-                        help="2 schemes instead of all 8 in the resume "
+                        help="2 schemes instead of all 8 in each resume "
                              "gate")
     args = parser.parse_args()
 
     check_container_parity()
     check_resume_parity(args.quick)
+    check_resume_parity(args.quick, observed=True)
     check_cli_resume()
 
     if failures:

@@ -30,6 +30,15 @@ from .errors import ConfigError
 from .types import CACHE_LINE_SIZE
 from .units import gib, is_power_of_two, kib, mib
 
+#: Bounds on sizes a served tenant can set.  The controller builds one
+#: ``Bank`` per bank and DeWrite preallocates its predictor table, so
+#: unbounded they let one ``hello`` ask for gigabytes (the ablations use
+#: up to 32 banks and 65,536 entries); the trace ring's capacity must fit
+#: a C ``ssize_t``.
+MAX_NUM_BANKS = 1024
+MAX_PREDICTOR_ENTRIES = 1 << 20
+MAX_TRACE_CAPACITY = 1 << 24
+
 
 @dataclass(frozen=True)
 class CacheLevelConfig:
@@ -118,14 +127,18 @@ class PCMConfig:
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
             raise ConfigError("PCM capacity must be positive")
+        if self.line_size <= 0 or not is_power_of_two(self.line_size):
+            raise ConfigError("PCM line size must be a power of two")
         if self.capacity_bytes % self.line_size != 0:
             raise ConfigError("PCM capacity must be line-aligned")
         if self.read_latency_ns <= 0 or self.write_latency_ns <= 0:
             raise ConfigError("PCM latencies must be positive")
         if self.read_energy_nj < 0 or self.write_energy_nj < 0:
             raise ConfigError("PCM energies must be non-negative")
-        if self.num_banks <= 0 or not is_power_of_two(self.num_banks):
-            raise ConfigError("num_banks must be a positive power of two")
+        if not (0 < self.num_banks <= MAX_NUM_BANKS
+                and is_power_of_two(self.num_banks)):
+            raise ConfigError(
+                f"num_banks must be a power of two in 1..{MAX_NUM_BANKS}")
         if self.row_size_lines <= 0 or not is_power_of_two(self.row_size_lines):
             raise ConfigError("row_size_lines must be a positive power of two")
         if self.row_hit_read_latency_ns <= 0:
@@ -196,8 +209,9 @@ class DeWriteConfig:
     predictor_bits: int = 2
 
     def __post_init__(self) -> None:
-        if self.predictor_entries <= 0:
-            raise ConfigError("predictor_entries must be positive")
+        if not 0 < self.predictor_entries <= MAX_PREDICTOR_ENTRIES:
+            raise ConfigError(
+                f"predictor_entries must be 1..{MAX_PREDICTOR_ENTRIES}")
         if not 1 <= self.predictor_bits <= 8:
             raise ConfigError("predictor_bits must be 1..8")
 
@@ -206,14 +220,15 @@ class DeWriteConfig:
 class ObservabilityConfig:
     """Run-scoped instrumentation knobs (:mod:`repro.obs`).
 
-    Disabled by default: with ``enabled=False`` no run scope is opened,
-    every hook site reduces to one module-global ``is None`` check, and
-    simulated results are bit-identical to an uninstrumented build (the
-    obs parity property tests gate this).
+    Disabled by default: with ``enabled=False`` a session creates no run
+    scope, every hook site reduces to an ``is None`` test of the scope
+    bound to its object, and simulated results are bit-identical to an
+    uninstrumented build (the obs parity property tests gate this).
     """
 
-    #: Open a run scope (metrics registry + trace ring) around each
-    #: engine run and attach the collected report to the result.
+    #: Give each session a run scope (metrics registry + trace ring),
+    #: bound to its scheme graph, and attach the collected report to the
+    #: result.
     enabled: bool = False
     #: Maximum trace events retained; older events are evicted (the ring
     #: reports how many were dropped).
@@ -223,8 +238,9 @@ class ObservabilityConfig:
     sample_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.trace_capacity <= 0:
-            raise ConfigError("trace_capacity must be positive")
+        if not 0 < self.trace_capacity <= MAX_TRACE_CAPACITY:
+            raise ConfigError(
+                f"trace_capacity must be 1..{MAX_TRACE_CAPACITY}")
         if self.sample_every <= 0:
             raise ConfigError("sample_every must be positive")
 

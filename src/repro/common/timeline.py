@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..obs import runtime as _obs
 from .errors import ReproError
 from .types import LatencyBreakdown, WritePathStage
 
@@ -214,11 +213,6 @@ class StageTimeline:
                 f"stage conservation violated: exposures sum to "
                 f"{total!r} ns but the critical path is {span!r} ns")
         self._sealed = True
-        obs = _obs.RUN
-        if obs is not None:
-            obs.record(self.now, "timeline", "sealed",
-                       critical_path_ns=self.now - self.start_ns,
-                       stages=len(self._exposure))
         return self
 
     @property

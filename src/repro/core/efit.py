@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from ..common.config import ESDConfig, MetadataCacheConfig
 from ..common.types import PhysicalAddress, check_physical_line
-from ..obs import runtime as _obs
+from ..obs.runtime import RunObservation
 
 #: Bytes per EFIT entry: 8 (ECC) + 4 (Addr_base) + 1 (Addr_offsets) + 1 (referH).
 EFIT_ENTRY_SIZE = 14
@@ -69,6 +69,12 @@ class EFIT:
             use_lrcu=esd_config.use_lrcu)
         self.hits = 0
         self.misses = 0
+        #: Run scope the hooks record into; see bind_observation.
+        self._obs: Optional[RunObservation] = None
+
+    def bind_observation(self, obs: Optional[RunObservation]) -> None:
+        """Record this table's and its LRCU cache's events into ``obs``."""
+        self._obs = self._cache._obs = obs
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -80,7 +86,7 @@ class EFIT:
         line is treated as non-duplicate immediately, with no NVMM access.
         """
         frame = self._cache.get(ecc)
-        obs = _obs.RUN
+        obs = self._obs
         if frame is None:
             self.misses += 1
             if obs is not None:

@@ -41,7 +41,7 @@ from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..dedup.base import DedupScheme, MetadataFootprint, ReadResult, WriteResult
 from ..dedup.mapping import FrameRefcounts
 from ..ecc.codec import line_ecc
-from ..obs import runtime as _obs
+from ..obs.runtime import RunObservation
 from ..registry import register_scheme
 from .amt import AddressMappingTable
 from .efit import EFIT, EFIT_ENTRY_SIZE
@@ -63,6 +63,11 @@ class ESDScheme(DedupScheme):
         self.refcounts = FrameRefcounts(self.allocator)
         #: frame -> ECC, to invalidate EFIT entries of recycled frames.
         self._frame_ecc: Dict[int, int] = {}
+
+    def bind_observation(self, obs: Optional[RunObservation]) -> None:
+        super().bind_observation(obs)
+        self.efit.bind_observation(obs)
+        self.amt._obs = obs
 
     def vec_prime_engines(self) -> tuple:
         # ESD's fingerprint is the line ECC itself (handle_write calls
@@ -138,7 +143,7 @@ class ESDScheme(DedupScheme):
             # entry keeps its frame; the incoming line is written fresh
             # (and is not indexed — its ECC slot is taken).
             self.counters.incr("ecc_collisions")
-            obs = _obs.RUN
+            obs = self._obs
             if obs is not None:
                 obs.emit(timeline.now, obs.request_id, "esd",
                          "ecc_collision", {"frame": entry.frame})
@@ -150,7 +155,7 @@ class ESDScheme(DedupScheme):
             # line as new and re-points the EFIT entry at the fresh frame
             # (Section III-D).
             self.counters.incr("referh_overflows")
-            obs = _obs.RUN
+            obs = self._obs
             if obs is not None:
                 obs.emit(timeline.now, obs.request_id, "esd",
                          "referh_overflow", {"frame": entry.frame})
@@ -168,7 +173,7 @@ class ESDScheme(DedupScheme):
         # already references, releasing first would free the frame (and its
         # EFIT entry) mid-commit.
         values["dedup_hits"] = values.get("dedup_hits", 0) + 1
-        obs = _obs.RUN
+        obs = self._obs
         if obs is not None:
             obs.record(timeline.now, "esd", "dedup_hit", frame=entry.frame)
         self.refcounts.acquire(entry.frame)

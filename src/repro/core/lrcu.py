@@ -25,7 +25,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Generic, Hashable, Iterator, Optional, Tuple, TypeVar
 
-from ..obs import runtime as _obs
+from ..obs.runtime import RunObservation
 
 #: Valid decay-epoch drivers for :class:`LRCUCache`.
 DECAY_MODES = ("ops", "insert")
@@ -85,6 +85,8 @@ class LRCUCache(Generic[K, V]):
         self.decay_passes = 0
         self._touch_counter = 0
         self._touch_ordinals: Dict[K, int] = {}
+        #: Run scope the hooks record into; set by the owning EFIT.
+        self._obs: Optional[RunObservation] = None
 
     # ------------------------------------------------------------------
     # Bucket plumbing
@@ -210,7 +212,7 @@ class LRCUCache(Generic[K, V]):
             self._touch_ordinals.pop(victim, None)
             self.evictions += 1
             evicted = (victim, victim_node.value)
-            obs = _obs.RUN
+            obs = self._obs
             if obs is not None:
                 obs.record(-1.0, "lrcu", "evict",
                            victim_count=victim_node.count,
@@ -264,7 +266,7 @@ class LRCUCache(Generic[K, V]):
                 target[key] = None
         self._buckets = new_buckets
         self._min_count = min(new_buckets) if new_buckets else 1
-        obs = _obs.RUN
+        obs = self._obs
         if obs is not None:
             obs.emit(-1.0, obs.request_id, "lrcu", "decay_pass",
                      {"pass": self.decay_passes,

@@ -17,7 +17,6 @@ Every value is a dataclass field, so experiments can sweep them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
 
 from ..common.errors import ConfigError
 
@@ -67,17 +66,6 @@ class CryptoCosts:
     #: XOR/compare logic; effectively one controller cycle.
     compare: OperationCostModel = field(
         default_factory=lambda: OperationCostModel(latency_ns=2.0, energy_nj=0.05))
-
-    def by_name(self) -> Dict[str, OperationCostModel]:
-        return {
-            "sha1": self.sha1,
-            "md5": self.md5,
-            "crc32": self.crc32,
-            "ecc": self.ecc,
-            "encrypt": self.encrypt,
-            "decrypt": self.decrypt,
-            "compare": self.compare,
-        }
 
 
 #: Module-level default cost table used when a scheme is not handed one.

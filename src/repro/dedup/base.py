@@ -40,7 +40,7 @@ from ..crypto.counter_mode import CounterModeEngine
 from ..nvmm.allocator import FrameAllocator
 from ..nvmm.controller import MemoryController
 from ..nvmm.energy import EnergyAccount, EnergyCategory
-from ..obs import runtime as _obs
+from ..obs.runtime import RunObservation
 
 if TYPE_CHECKING:
     from ..crypto.integrity import CounterIntegrityTree
@@ -132,12 +132,23 @@ class DedupScheme(abc.ABC):
         self._decrypt_energy_nj = costs.decrypt.energy_nj
         self._compare_latency_ns = costs.compare.latency_ns
         self._compare_energy_nj = costs.compare.energy_nj
+        #: Run scope the hooks record into; see bind_observation.
+        self._obs: Optional[RunObservation] = None
         #: Optional counter-integrity tree (Section III-E trust model).
         self.integrity_tree: Optional["CounterIntegrityTree"] = None
         if self.config.protect_counters:
             from ..crypto.integrity import CounterIntegrityTree
             self.integrity_tree = CounterIntegrityTree(
                 self.crypto.counters, self.config.pcm.num_lines)
+
+    def bind_observation(self, obs: Optional[RunObservation]) -> None:
+        """Record this scheme's events, and those of the structures it
+        owns, into ``obs`` (``None`` turns every hook off).
+
+        The session calls this once at open; schemes that own more hooked
+        structures than the memory controller extend it.
+        """
+        self._obs = self.controller._obs = obs
 
     def _integrity_update(self, frame: int) -> float:
         """Maintain the counter tree after a write; returns its latency."""
@@ -213,9 +224,9 @@ class DedupScheme(abc.ABC):
         machine) rather than re-checked here.
         """
         timeline._sealed = True
-        obs = _obs.RUN
+        obs = self._obs
         if obs is not None:
-            # The seal point: the trace sees the event seal() records.
+            # The seal point: one ``sealed`` event per traced request.
             obs.record(timeline.now, "timeline", "sealed",
                        critical_path_ns=(timeline.now
                                          - timeline.start_ns),
@@ -234,7 +245,7 @@ class DedupScheme(abc.ABC):
                        data: bytes) -> ReadResult:
         """Seal a read's timeline and fold it into ``read_breakdown``."""
         timeline._sealed = True
-        obs = _obs.RUN
+        obs = self._obs
         if obs is not None:
             # The seal point (see _finalize_write).
             obs.record(timeline.now, "timeline", "sealed",

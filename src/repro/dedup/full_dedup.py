@@ -17,6 +17,7 @@ from ..common.config import SystemConfig
 from ..common.timeline import StageTimeline
 from ..common.types import CACHE_LINE_SIZE, MemoryRequest, WritePathStage
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
+from ..obs.runtime import RunObservation
 from .base import DedupScheme, MetadataFootprint, ReadResult
 from .fingerprint_store import FullFingerprintStore
 from .mapping import FrameRefcounts, MappingTable
@@ -51,6 +52,10 @@ class FullDedupScheme(DedupScheme):
         self.refcounts = FrameRefcounts(self.allocator)
         #: frame -> fingerprint, for invalidating index entries of freed frames.
         self._frame_fingerprint: Dict[int, int] = {}
+
+    def bind_observation(self, obs: Optional[RunObservation]) -> None:
+        super().bind_observation(obs)
+        self.mapping._obs = obs
 
     # ------------------------------------------------------------------
     # Commit helpers shared by the concrete write pipelines

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 
 from ..nvmm.allocator import FrameAllocator
 from ..nvmm.controller import MemoryController
-from ..obs import runtime as _obs
+from ..obs.runtime import RunObservation
 
 
 @dataclass
@@ -64,6 +64,8 @@ class MappingTable:
         # write-combining buffer.
         self._entries_per_line = max(1, 64 // entry_size)
         self._pending_dirty = 0
+        #: Run scope the hooks record into; set by the owning scheme.
+        self._obs: Optional[RunObservation] = None
 
     # ------------------------------------------------------------------
     # Internal cache plumbing
@@ -110,7 +112,7 @@ class MappingTable:
         """
         t = at_time_ns + self.probe_latency_ns
         cached = self._cache.get(logical_line)
-        obs = _obs.RUN
+        obs = self._obs
         if cached is not None:
             self._cache.move_to_end(logical_line)
             self.cache_hits += 1

@@ -19,8 +19,8 @@ from typing import List, Optional, Tuple
 
 from ..common.config import PCMConfig
 from ..common.stats import Counter
-from ..obs import runtime as _obs
 from ..common.errors import InvalidAddressError
+from ..obs.runtime import RunObservation
 from .bank import Bank, BankService
 from .device import _ZERO, PCMDevice
 from .energy import EnergyAccount, EnergyCategory
@@ -68,6 +68,8 @@ class MemoryController:
         # dict is created once in PCMDevice.__init__ and only ever mutated,
         # so holding a reference is safe.
         self._device_store = self.device._store
+        #: Run scope the hooks record into; set by the owning scheme.
+        self._obs: Optional[RunObservation] = None
 
     # ------------------------------------------------------------------
     # Bank plumbing
@@ -118,7 +120,7 @@ class MemoryController:
         buckets[_PCM_READ] = buckets.get(_PCM_READ, 0.0) + energy
         values = self._counter_values
         values["data_reads"] = values.get("data_reads", 0) + 1
-        obs = _obs.RUN
+        obs = self._obs
         if obs is not None:
             obs.record(service.completion_ns, "controller", "data_read",
                        line=line_number, latency_ns=service.latency_ns)
@@ -144,7 +146,7 @@ class MemoryController:
         buckets[_PCM_WRITE] = buckets.get(_PCM_WRITE, 0.0) + self._write_energy_nj
         values = self._counter_values
         values["data_writes"] = values.get("data_writes", 0) + 1
-        obs = _obs.RUN
+        obs = self._obs
         if obs is not None:
             obs.record(service.completion_ns, "controller", "data_write",
                        line=line_number, latency_ns=service.latency_ns)
@@ -174,7 +176,7 @@ class MemoryController:
                                + self._write_energy_nj * fraction)
         values = self._counter_values
         values["partial_writes"] = values.get("partial_writes", 0) + 1
-        obs = _obs.RUN
+        obs = self._obs
         if obs is not None:
             obs.record(service.completion_ns, "controller", "partial_write",
                        key=key, fraction=fraction,
@@ -208,7 +210,7 @@ class MemoryController:
         buckets[_PCM_READ] = buckets.get(_PCM_READ, 0.0) + energy
         values = self._counter_values
         values["metadata_reads"] = values.get("metadata_reads", 0) + 1
-        obs = _obs.RUN
+        obs = self._obs
         if obs is not None:
             obs.record(service.completion_ns, "controller", "metadata_read",
                        key=key, latency_ns=service.latency_ns)
@@ -228,7 +230,7 @@ class MemoryController:
         buckets[_PCM_WRITE] = buckets.get(_PCM_WRITE, 0.0) + self._write_energy_nj
         values = self._counter_values
         values["metadata_writes"] = values.get("metadata_writes", 0) + 1
-        obs = _obs.RUN
+        obs = self._obs
         if obs is not None:
             obs.record(service.completion_ns, "controller", "metadata_write",
                        key=key, latency_ns=service.latency_ns)

@@ -11,17 +11,19 @@ Three pieces (see DESIGN.md §9):
   reports, surfaced by the ``repro trace`` / ``repro report`` CLI
   subcommands and persisted per-job by the sweep ``ResultStore``.
 
-Everything is gated by ``SystemConfig.observability`` and scoped to one
-engine run by :mod:`repro.obs.runtime`; with observability off the whole
-layer reduces to a module-global ``is None`` test per hook site and
-simulated results are bit-identical (property-tested).
+Everything is gated by ``SystemConfig.observability``: a session
+creates one :class:`~repro.obs.runtime.RunObservation` at open and binds
+it to the objects of its scheme graph that record into it.  With
+observability off the whole layer reduces to an ``is None`` test of that
+binding per hook site, and simulated results are bit-identical
+(property-tested).
 """
 
 from .export import (OBS_SCHEMA_VERSION, build_report, metrics_to_csv,
                      read_trace_jsonl, write_trace_jsonl)
 from .metrics import (DEFAULT_LATENCY_BOUNDS_NS, MetricsRegistry, ObsCounter,
                       ObsGauge, ObsHistogram)
-from .runtime import RunObservation, begin_run, current, end_run
+from .runtime import RunObservation
 from .tracing import TraceEvent, TraceRing
 
 __all__ = [
@@ -34,10 +36,7 @@ __all__ = [
     "RunObservation",
     "TraceEvent",
     "TraceRing",
-    "begin_run",
     "build_report",
-    "current",
-    "end_run",
     "metrics_to_csv",
     "read_trace_jsonl",
     "write_trace_jsonl",

@@ -41,8 +41,8 @@ PathOrIO = Union[str, Path, IO[str]]
 def build_report(run: "object") -> Dict[str, object]:
     """The JSON-serializable report for one closed run scope.
 
-    Takes the :class:`~repro.obs.runtime.RunObservation` returned by
-    ``end_run`` (typed loosely to avoid an import cycle with runtime).
+    Takes the session's :class:`~repro.obs.runtime.RunObservation` once
+    it is harvested (typed loosely to avoid an import cycle with runtime).
     """
     registry = run.registry  # type: ignore[attr-defined]
     ring = run.ring  # type: ignore[attr-defined]

@@ -30,7 +30,7 @@ def harvest_run(run: RunObservation, scheme: "object",
     """Populate the run's registry from a finished scheme's tallies.
 
     Args:
-        run: the closed observation scope (after ``end_run``).
+        run: the session's observation scope, after its last request.
         scheme: the :class:`~repro.dedup.base.DedupScheme` that ran
             (typed loosely to avoid an import cycle).
         memo_stats: the kernel caches' flat ``memo_*`` mapping

@@ -1,25 +1,22 @@
-"""Process-global, run-scoped observation lifecycle.
+"""Run-scoped observation state, owned by the session that records it.
 
-Mirrors the :mod:`repro.perf.memo` pattern: a module global (``RUN``)
-holds the active scope, :func:`begin_run` installs a new scope and
-returns the previous one, :func:`end_run` restores it.  Hook sites all
-over the simulator read the global directly::
+A :class:`~repro.sim.session.Session` creates one
+:class:`RunObservation` at open from ``SystemConfig.observability`` (or
+none when it is disabled) and binds it to every object of its scheme
+graph that has a hook site: the scheme, its memory controller and, where
+present, its EFIT, the EFIT's LRCU cache and its AMT or mapping table
+(:meth:`~repro.dedup.base.DedupScheme.bind_observation`).  Each of those
+holds the binding in ``self._obs`` and tests it at the hook::
 
-    from repro.obs import runtime as _obs
-
-    obs = _obs.RUN
+    obs = self._obs
     if obs is not None:
-        obs.record(tick, "controller", "pcm_write", bank=bank)
+        obs.record(tick, "controller", "data_write", line=line_number)
 
-so with observability disabled (``RUN is None``, the default) each hook
-costs one module-attribute load and an ``is None`` test — close enough
-to zero that the perf-smoke gate cannot see it.
-
-A scope is **run-scoped**: the engine opens one per
-:meth:`~repro.sim.engine.SimulationEngine.run` from
-``SystemConfig.observability`` and harvests it into the result when the
-run ends.  Nested runs (a sweep worker warming up, a test driving two
-engines) stack correctly because begin/end save and restore.
+so with observability disabled (``_obs is None``, the default) each
+hook costs one attribute load and an ``is None`` test.  No process
+global is involved: interleaved sessions share no observation state,
+and a checkpoint pickles the binding with the scheme graph.  The
+session harvests the scope into its result at finalize.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from ..common.config import ObservabilityConfig
 from .metrics import DEFAULT_LATENCY_BOUNDS_NS, MetricsRegistry, ObsHistogram
 from .tracing import TraceEvent, TraceRing
 
-__all__ = ["RUN", "RunObservation", "begin_run", "current", "end_run"]
+__all__ = ["RunObservation"]
 
 
 class RunObservation:
@@ -81,40 +78,3 @@ class RunObservation:
         """
         self.ring.record(TraceEvent(
             tick, request_id, component, event, payload or {}))
-
-
-#: The active run scope, or None when observability is disabled (the
-#: default).  Hook sites read this directly; only begin_run/end_run
-#: assign it.
-RUN: Optional[RunObservation] = None
-
-
-def current() -> Optional[RunObservation]:
-    """The active run scope, if any."""
-    return RUN
-
-
-def begin_run(
-        config: Optional[ObservabilityConfig]) -> Optional[RunObservation]:
-    """Open a run scope; returns the previous scope for :func:`end_run`.
-
-    With ``config`` absent or disabled the scope is ``None`` and every
-    hook site stays on its no-op branch.
-    """
-    global RUN
-    previous = RUN
-    if config is not None and config.enabled:
-        RUN = RunObservation(config)
-    else:
-        RUN = None
-    return previous
-
-
-def end_run(
-        previous: Optional[RunObservation]) -> Optional[RunObservation]:
-    """Close the current scope, restore ``previous``, return the closed
-    scope so the caller can harvest its registry and trace."""
-    global RUN
-    finished = RUN
-    RUN = previous
-    return finished

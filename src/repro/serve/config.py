@@ -63,7 +63,7 @@ class ServeConfig:
     #: Engine worker *processes*.  1 (the default) keeps the in-process
     #: engine path: all sessions interleave on one engine lock, bound to
     #: one core by the GIL.  N>1 spawns N spawn-safe worker processes,
-    #: each owning its own memo/vec/obs state, with sessions routed by
+    #: each owning its own memo caches, with sessions routed by
     #: consistent tenant-hash affinity (DESIGN.md §14).
     workers: int = 1
     #: Per-worker bound on dispatched-but-unanswered IPC commands; keeps

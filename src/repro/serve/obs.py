@@ -86,12 +86,6 @@ class ServeMetrics:
         return self.registry.counter("serve_worker_requests_total",
                                      worker=str(worker))
 
-    def observe_admission(self, started_s: float, tenant: str,
-                          accepted: int) -> None:
-        """Record one accepted batch: latency + per-tenant volume."""
-        self.admission_latency.observe((time.monotonic() - started_s) * 1e9)
-        self.requests_total(tenant).inc(accepted)
-
     def snapshot(self) -> Dict[str, Any]:
         """The ``metrics`` verb's payload: rows plus the flat view."""
         return {"metrics": self.registry.snapshot(),

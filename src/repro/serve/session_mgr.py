@@ -14,8 +14,8 @@ Where the engine lives depends on ``ServeConfig.workers``:
 * ``workers == 1`` — the in-process fast path: admission parses the
   records into requests (:func:`~repro.workloads.trace.parse_records`)
   and the engine :class:`~repro.sim.session.Session`
-  runs on an executor thread under the manager's *engine lock* (the
-  observability scope each ``feed`` installs and the memo caches are
+  runs on an executor thread under the manager's *engine lock* (each
+  session owns its observation scope, but the memo caches are
   process-global, so two sessions must never be inside ``feed``
   concurrently).  Concurrency is interleaving, not parallelism — the
   GIL bounds the engine to one core.
@@ -25,8 +25,8 @@ Where the engine lives depends on ``ServeConfig.workers``:
   building requests (:class:`~repro.serve.pool.RecordSpan`), the drain
   task becomes a dispatch loop sending record bytes, and the worker
   parses them.  Sessions on distinct workers simulate
-  in true parallel, each worker owning its own process-global engine
-  state.  A crashed worker fails exactly the sessions routed to it with
+  in true parallel, each worker owning its own memo caches.  A crashed
+  worker fails exactly the sessions routed to it with
   :class:`~repro.common.errors.WorkerCrashError`; everyone else keeps
   streaming (DESIGN.md §14).
 """
@@ -321,7 +321,8 @@ class SessionManager:
         self.executor = ThreadPoolExecutor(
             max_workers=_INPROC_EXECUTOR_THREADS,
             thread_name_prefix="repro-serve")
-        #: Serializes all in-process engine work — see the module doc.
+        #: Serializes all in-process engine work: the memo caches are
+        #: process-global (see the module doc).
         self.engine_lock = threading.Lock()
         self.batch_hint = EPOCH_SIZE
         self.sessions: Dict[str, ServeSession] = {}

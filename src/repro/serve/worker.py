@@ -1,8 +1,8 @@
 """Engine worker process: the spawn entry of the serve worker pool.
 
 One worker process owns one engine's worth of state: the process-global
-memo caches (:mod:`repro.perf.memo`) and observability scope are
-*per process*, so N workers simulate on N
+memo caches (:mod:`repro.perf.memo`) are *per process* (each session
+owns its observation scope anyway), so N workers simulate on N
 cores with no shared interpreter — the whole point of the pool
 (DESIGN.md §14).  The parent routes every session's
 ``open``/``feed``/``finalize`` stream to one worker (tenant-hash

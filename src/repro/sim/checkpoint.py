@@ -59,10 +59,11 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"ESDCKPT1"
-#: v3: the pickled ``Session`` has one execution path (no switch, and an
-#: epoch precomputer always); a v2 checkpoint of a reference-mode session
-#: has none, so v2 is rejected at load rather than halfway through a feed.
-CHECKPOINT_VERSION = 3
+#: v4: the scheme graph carries the session's observation binding
+#: (``_obs`` on the scheme, its controller and its metadata structures);
+#: a v3 graph has none, so v3 is rejected at load rather than with an
+#: ``AttributeError`` halfway through a feed.
+CHECKPOINT_VERSION = 4
 
 _HEADER = struct.Struct("<8sHHIQ")
 

@@ -93,19 +93,6 @@ class SimulationEngine:
         return Session(self, app=app, total_hint=total_hint,
                        instructions_per_access=instructions_per_access)
 
-    @staticmethod
-    def restore_session(source: object) -> Session:
-        """Restore a checkpointed session (path, bytes, or binary file).
-
-        The restored session carries its own pickled engine copy (scheme,
-        shadow map, config) — the engine this method is called on, if
-        any, is not involved.  See :mod:`repro.sim.checkpoint` for the
-        format and the bit-exactness contract; skip
-        :attr:`~repro.sim.session.Session.consumed` records of the source
-        stream before feeding the remainder.
-        """
-        return Session.restore(source)
-
     def run(self, requests: Iterable[MemoryRequest], *,
             app: str = "unknown", total_hint: Optional[int] = None,
             instructions_per_access: int = 200) -> SimulationResult:

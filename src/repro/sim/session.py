@@ -40,17 +40,19 @@ load-bearing details are:
 Scope handling
 --------------
 
-The observability scope and the memo caches are process-global
-(:mod:`repro.obs.runtime`, :mod:`repro.perf.memo`).  A session resets
-the memo caches once at open (exactly ``run()``'s begin), then
-*activates* its observation scope around each ``feed``/``finalize`` call
-and restores the previous one after, so many sessions can interleave on
-one process.  Memo caches are shared between interleaved sessions — sound,
-because the caches are content-addressed and pure, but the
-cache-statistics extras (``memo_*`` and the ``vec_batched_*`` priming
-counts, which skip already-cached contents) are only deterministic for
-sessions that run without interleaving; the parity gates compare full
-results on that basis.
+A session owns its observation scope: it creates its
+:class:`~repro.obs.runtime.RunObservation` at open (or none, with
+observability off) and binds it to its scheme graph
+(:meth:`~repro.dedup.base.DedupScheme.bind_observation`), so interleaved
+sessions share no observation state and a checkpoint pickles the binding
+with the graph.  The memo caches (:mod:`repro.perf.memo`) are still
+process-global: a session resets them once at open (exactly ``run()``'s
+begin), and interleaved sessions share them.  That is sound, because the
+caches are content-addressed and pure, but the cache-statistics extras
+(``memo_*`` and the ``vec_batched_*`` priming counts, which skip
+already-cached contents) are only deterministic for sessions that run
+without interleaving; the parity gates compare full results on that
+basis.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from ..cache.cpu import CoreTimingModel
 from ..common.errors import IntegrityError, SessionError
 from ..common.stats import LatencyRecorder
 from ..common.types import AccessType, MemoryRequest
-from ..obs import runtime as _obs_runtime
 from ..obs.export import build_report
 from ..obs.harvest import harvest_run
 from ..obs.runtime import RunObservation
@@ -109,6 +110,7 @@ class Session:
         self._obs_run: Optional[RunObservation] = (
             RunObservation(obs_cfg)
             if obs_cfg is not None and obs_cfg.enabled else None)
+        self.scheme.bind_observation(self._obs_run)
 
         self._verify = cfg.verify_integrity
         self._write_rec = LatencyRecorder(ec.max_latency_samples)
@@ -173,17 +175,6 @@ class Session:
                 f"cannot {verb} a {self._state} session (app={self.app!r}, "
                 f"scheme={self.scheme.name})")
 
-    def _activate(self) -> None:
-        """Install this session's observation scope; save the previous."""
-        self._saved = _obs_runtime.RUN
-        _obs_runtime.RUN = self._obs_run
-
-    def _deactivate(self) -> None:
-        _obs_runtime.RUN = self._saved
-        # Drop the saved scope so a checkpoint taken between feeds never
-        # pickles another session's observation scope along with this one.
-        del self._saved
-
     def feed(self, requests: Iterable[MemoryRequest]) -> int:
         """Process a chunk of the request stream; returns its length.
 
@@ -193,19 +184,15 @@ class Session:
                 session transitions to ``failed``).
         """
         self._require_open("feed")
-        self._activate()
         try:
             return self._feed_vectorized(requests)
         except BaseException:
             self._state = "failed"
             raise
-        finally:
-            self._deactivate()
 
     def finalize(self) -> SimulationResult:
         """Flush buffered work and build the result; ends the session."""
         self._require_open("finalize")
-        self._activate()
         try:
             if self._pending:
                 # The stream's short tail epoch.
@@ -216,8 +203,6 @@ class Session:
         except BaseException:
             self._state = "failed"
             raise
-        finally:
-            self._deactivate()
 
         core = self._core
         # One flush of the session-running accumulators — the same single

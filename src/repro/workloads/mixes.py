@@ -80,15 +80,6 @@ class MixedTraceGenerator:
                 stride <<= 1
             offset_lines += stride
 
-    @property
-    def total_address_lines(self) -> int:
-        """Upper bound of the mixed logical address space, in lines."""
-        last_profile = self._profiles[-1]
-        stride = 1
-        while stride < last_profile.working_set_lines:
-            stride <<= 1
-        return self._offsets[-1] + stride
-
     def _rebase(self, request: MemoryRequest, slot: int,
                 seq: int) -> MemoryRequest:
         spec = self.specs[slot]

@@ -16,7 +16,6 @@ import pytest
 from repro.cli import main
 from repro.common import small_test_config
 from repro.common.config import ObservabilityConfig
-from repro.obs import runtime
 from repro.obs.export import read_trace_jsonl
 from repro.registry import registered_scheme_names
 from repro.sim.runner import ExperimentConfig, run_app
@@ -49,11 +48,6 @@ class TestSoundness:
         result = run_app("gcc", ["ESD"], system=small_test_config(),
                          requests=REQUESTS)["ESD"]
         assert result.obs is None
-
-    def test_run_scope_restored_after_engine_run(self):
-        run_app("gcc", ["ESD"], system=_observed(small_test_config()),
-                requests=REQUESTS)
-        assert runtime.RUN is None
 
 
 class TestReportContents:

@@ -6,14 +6,13 @@ import json
 import pytest
 
 from repro.common.config import ObservabilityConfig
-from repro.obs import runtime
 from repro.obs.export import (
     build_report,
     metrics_to_csv,
     read_trace_jsonl,
     write_trace_jsonl,
 )
-from repro.obs.runtime import RunObservation, begin_run, end_run
+from repro.obs.runtime import RunObservation
 from repro.obs.tracing import TraceEvent, TraceRing
 
 
@@ -75,31 +74,6 @@ class TestTraceEvent:
 
 
 class TestRunScope:
-    def test_disabled_config_installs_none(self):
-        prev = begin_run(ObservabilityConfig())
-        try:
-            assert runtime.RUN is None
-        finally:
-            end_run(prev)
-
-    def test_enabled_scope_lifecycle(self):
-        prev = begin_run(ObservabilityConfig(enabled=True))
-        try:
-            assert isinstance(runtime.RUN, RunObservation)
-        finally:
-            finished = end_run(prev)
-        assert isinstance(finished, RunObservation)
-        assert runtime.RUN is prev
-
-    def test_nested_scopes_restore(self):
-        outer_prev = begin_run(ObservabilityConfig(enabled=True))
-        outer = runtime.RUN
-        inner_prev = begin_run(ObservabilityConfig(enabled=True))
-        assert runtime.RUN is not outer
-        end_run(inner_prev)
-        assert runtime.RUN is outer
-        end_run(outer_prev)
-
     def test_sampling_gates_record_not_emit(self):
         run = RunObservation(
             ObservabilityConfig(enabled=True, sample_every=2))

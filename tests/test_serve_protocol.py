@@ -23,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.common.config import MAX_NUM_BANKS, MAX_PREDICTOR_ENTRIES
 from repro.common.errors import ServeError
 from repro.common.types import AccessType, MemoryRequest
 from repro.registry import make_scheme
@@ -195,6 +196,16 @@ BAD_OPTIONS = [
     ("bool_for_int", {"esd.decay_period": True}, "bad_request"),
     ("string_for_bool", {"verify_integrity": "yes"}, "bad_request"),
     ("list_for_int", {"seed": [[7]]}, "bad_request"),
+    # A size option past its bound: each would allocate a table eagerly.
+    ("too_many_banks", {"pcm.num_banks": 2 * MAX_NUM_BANKS}, "bad_request"),
+    ("oversized_predictor_table",
+     {"dewrite.predictor_entries": MAX_PREDICTOR_ENTRIES + 1}, "bad_request"),
+    # Found by the unbounded integer fuzzing: a zero line size divided by
+    # zero, and a trace capacity past a C ssize_t overflowed at open.
+    ("zero_line_size", {"pcm.line_size": 0}, "bad_request"),
+    ("trace_capacity_past_ssize_t",
+     {"observability.enabled": True, "observability.trace_capacity": 2 ** 63},
+     "bad_request"),
 ]
 
 
@@ -377,10 +388,10 @@ def _option_paths(config, prefix=""):
             yield from _option_paths(value, f"{prefix}{spec.name}.")
 
 
-#: JSON scalars.  Integers stay small, so no fuzzed size option asks the
-#: server for a large table.
+#: JSON scalars.  Integers are small (valid sizes, powers of two) or
+#: unbounded: every size option that allocates eagerly is bounded.
 _SCALARS = (st.none() | st.booleans() | st.integers(-2, 300)
-            | st.floats() | st.text(max_size=8))
+            | st.integers() | st.floats() | st.text(max_size=8))
 _VALUES = st.recursive(
     _SCALARS, lambda inner: (st.lists(inner, max_size=3)
                              | st.dictionaries(st.text(max_size=6), inner,

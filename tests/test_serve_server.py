@@ -126,19 +126,40 @@ def test_single_session_full_bit_parity():
 def test_backpressure_engages_and_recovers():
     """A producer outrunning the engine sees backpressure rejections,
     retries after the advertised delay, and still lands the exact
-    result; the queue bound is respected throughout."""
+    result; the queue bound is respected throughout.
+
+    The engine lock is held until the first rejection, so the producer
+    outruns the engine however the host schedules the server's threads
+    (left to the scheduler, a loaded host let the engine keep up in
+    about one run in four)."""
     trace = _trace("gcc", 6000, 47)
     config = ServeConfig(queue_limit=256, retry_after_ms=5)
     with BackgroundServer(config) as server:
+        engine_lock = server.server.manager.engine_lock
         with ServeClient("127.0.0.1", server.port) as client:
             client.open_session("ESD", tenant="pusher", app="gcc",
                                 total_hint=len(trace))
             state = client.session
+
+            def release_after_first_rejection():
+                deadline = time.monotonic() + 60.0
+                while (state.backpressure_rejections == 0
+                       and time.monotonic() < deadline):
+                    time.sleep(0.005)
+                engine_lock.release()
+
+            engine_lock.acquire()
+            releaser = threading.Thread(target=release_after_first_rejection)
+            releaser.start()
             # Admitted batches never exceed the remaining credits, so
             # queue depth never exceeds the bound by construction; the
             # point here is that rejection actually happens and the
             # stream still completes.
-            client.stream(trace, batch_size=128)
+            try:
+                client.stream(trace, batch_size=128)
+            finally:
+                releaser.join(timeout=120.0)
+            assert not releaser.is_alive()
             rejections = state.backpressure_rejections
             payload = client.finalize()
             flat = client.metrics()["flat"]
