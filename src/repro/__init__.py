@@ -4,15 +4,19 @@ A from-scratch Python reproduction of the HPCA 2023 paper by Du, Wu, Wu,
 Mao, and Wang.  The package contains:
 
 * :mod:`repro.core` — the paper's contribution: the ESD scheme with its
-  EFIT (ECC-fingerprint cache, LRCU-managed) and AMT (packed address map).
+  EFIT (ECC-fingerprint cache, LRCU-managed) and AMT (packed address map),
+  and the ESD-Delta extension.
 * :mod:`repro.dedup` — the comparison schemes (Baseline, Dedup_SHA1,
-  DeWrite) sharing one interface.
+  DeWrite, NV-Dedup, and the motivation schemes DaE and PDE) sharing one
+  interface; :mod:`repro.registry` names all eight.
 * Substrates built from scratch: :mod:`repro.ecc` (SEC-DED Hamming(72,64)),
   :mod:`repro.crypto` (counter-mode encryption, fingerprint engines),
   :mod:`repro.nvmm` (PCM device/banks/controller/energy),
-  :mod:`repro.cache` (3-level hierarchy + IPC model),
+  :mod:`repro.cache` (core timing model for IPC; the schemes see the
+  post-LLC stream, so no caches are modelled),
   :mod:`repro.workloads` (20 calibrated application profiles + generator).
-* :mod:`repro.sim` — the trace-driven engine and experiment runner.
+* :mod:`repro.sim` — sessions, the trace-driven engine, checkpoints and
+  the experiment runner.
 * :mod:`repro.sweep` — parallel sweep orchestration: process-pool
   scheduler, content-addressed result store, resumable checkpoints.
 * :mod:`repro.perf` — content-addressed kernel caches: bounded LRU
@@ -53,7 +57,6 @@ from .perf import cache_stats, reset_caches
 from .sim import (
     EngineConfig,
     ExperimentConfig,
-    FullSystem,
     SimulationEngine,
     SimulationResult,
     run_app,
@@ -77,7 +80,6 @@ __all__ = [
     "ESDScheme",
     "EngineConfig",
     "ExperimentConfig",
-    "FullSystem",
     "LRCUCache",
     "MemoryRequest",
     "SCHEME_NAMES",

@@ -1,28 +1,9 @@
-"""CPU-side substrate: set-associative caches, 3-level hierarchy, IPC model."""
+"""CPU-side timing: the in-order core model that turns the post-LLC
+stream's memory stalls into IPC (the reproduction models no caches)."""
 
 from .cpu import CoreTimingModel, relative_ipc
-from .hierarchy import (
-    CacheHierarchy,
-    CPUAccess,
-    HierarchyEvent,
-    HierarchyStats,
-)
-from .set_assoc import (
-    AccessOutcome,
-    CacheLineState,
-    Eviction,
-    SetAssociativeCache,
-)
 
 __all__ = [
-    "AccessOutcome",
-    "CacheHierarchy",
-    "CacheLineState",
     "CoreTimingModel",
-    "CPUAccess",
-    "Eviction",
-    "HierarchyEvent",
-    "HierarchyStats",
-    "SetAssociativeCache",
     "relative_ipc",
 ]

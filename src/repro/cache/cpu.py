@@ -7,17 +7,16 @@ differ only in their memory subsystem:
 
     cycles = instructions + sum(stall_cycles per memory access)
 
-Each memory access stalls the core for its observed latency (cache hit
-latency, or the full round-trip to NVMM on an LLC miss), converted to core
-cycles.  Store-buffer effects are approximated by charging writes a
-configurable visibility fraction of their latency (stores retire from a
-store buffer; the core only stalls when the buffer backs up).
+Each post-LLC memory access stalls the core for its round trip to NVMM,
+converted to core cycles.  Store-buffer effects are approximated by
+charging writes a configurable visibility fraction of their latency
+(stores retire from a store buffer; the core only stalls when the buffer
+backs up).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..common.config import ProcessorConfig
 
@@ -27,7 +26,7 @@ class CoreTimingModel:
     """Accumulates instruction and stall cycles; reports IPC.
 
     Args:
-        config: processor clock/geometry.
+        config: processor clock.
         write_stall_fraction: share of a write's latency that stalls the
             core.  1.0 models a blocking store path (worst case); the
             default 0.35 models a finite store buffer that hides most but

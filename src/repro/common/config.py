@@ -1,19 +1,20 @@
 """Configuration dataclasses mirroring Table I of the paper.
 
-Every tunable in the reproduction lives here: processor/cache geometry, PCM
-timing and energy, metadata cache sizes, and per-scheme options.  Defaults
+Every tunable in the reproduction lives here: the core clock, PCM timing
+and energy, metadata cache sizes, and per-scheme options.  Defaults
 reproduce the paper's experimental setup:
 
 ========================  =====================================================
-Processor                 8 cores, x86-64, 2 GHz
-L1 (private)              32 KB, 8-way, 64 B lines, 2-cycle latency
-L2 (private)              256 KB, 8-way, 64 B lines, 8-cycle latency
-L3 (shared LLC)           16 MB, 8-way, 64 B lines, 25-cycle latency
-PCM capacity              16 GB
+Core clock                2 GHz
+PCM capacity              16 GB, 64 B lines
 PCM latency               read 75 ns / write 150 ns
 PCM energy                read 1.49 nJ / write 6.75 nJ
 Metadata cache            EFIT 512 KB, AMT 512 KB
 ========================  =====================================================
+
+Table I's core count and L1-L3 caches lie above the post-LLC stream the
+schemes see, so no setting holds them; the Table I renderer in
+:mod:`repro.analysis.experiments` prints them from constants.
 """
 
 from __future__ import annotations
@@ -41,57 +42,12 @@ MAX_TRACE_CAPACITY = 1 << 24
 
 
 @dataclass(frozen=True)
-class CacheLevelConfig:
-    """Geometry and access latency of one cache level."""
-
-    name: str
-    capacity_bytes: int
-    associativity: int
-    latency_cycles: int
-    line_size: int = CACHE_LINE_SIZE
-
-    def __post_init__(self) -> None:
-        if self.capacity_bytes <= 0:
-            raise ConfigError(f"{self.name}: capacity must be positive")
-        if self.associativity <= 0:
-            raise ConfigError(f"{self.name}: associativity must be positive")
-        if self.line_size <= 0 or not is_power_of_two(self.line_size):
-            raise ConfigError(f"{self.name}: line size must be a power of two")
-        if self.capacity_bytes % (self.line_size * self.associativity) != 0:
-            raise ConfigError(
-                f"{self.name}: capacity {self.capacity_bytes} not divisible by "
-                f"line_size*associativity"
-            )
-        if not is_power_of_two(self.num_sets):
-            raise ConfigError(f"{self.name}: number of sets must be a power of two")
-        if self.latency_cycles < 0:
-            raise ConfigError(f"{self.name}: latency must be non-negative")
-
-    @property
-    def num_lines(self) -> int:
-        return self.capacity_bytes // self.line_size
-
-    @property
-    def num_sets(self) -> int:
-        return self.num_lines // self.associativity
-
-
-@dataclass(frozen=True)
 class ProcessorConfig:
-    """CPU core count, clock, and the three-level cache hierarchy."""
+    """The core clock, which converts memory stalls into cycles for IPC."""
 
-    cores: int = 8
     clock_ghz: float = 2.0
-    l1: CacheLevelConfig = field(default_factory=lambda: CacheLevelConfig(
-        name="L1", capacity_bytes=kib(32), associativity=8, latency_cycles=2))
-    l2: CacheLevelConfig = field(default_factory=lambda: CacheLevelConfig(
-        name="L2", capacity_bytes=kib(256), associativity=8, latency_cycles=8))
-    l3: CacheLevelConfig = field(default_factory=lambda: CacheLevelConfig(
-        name="L3", capacity_bytes=mib(16), associativity=8, latency_cycles=25))
 
     def __post_init__(self) -> None:
-        if self.cores <= 0:
-            raise ConfigError("cores must be positive")
         if self.clock_ghz <= 0:
             raise ConfigError("clock must be positive")
 
@@ -99,9 +55,6 @@ class ProcessorConfig:
     def cycle_ns(self) -> float:
         """Duration of one core clock cycle in nanoseconds."""
         return 1.0 / self.clock_ghz
-
-    def cycles_to_ns(self, cycles: float) -> float:
-        return cycles * self.cycle_ns
 
 
 @dataclass(frozen=True)
@@ -114,22 +67,16 @@ class PCMConfig:
     read_energy_nj: float = 1.49
     write_energy_nj: float = 6.75
     num_banks: int = 8
-    line_size: int = CACHE_LINE_SIZE
     #: Row-buffer (NVMain-style) parameters: a read that hits the bank's
     #: open row is served from the row buffer at SRAM-like latency/energy.
     row_size_lines: int = 64
     row_hit_read_latency_ns: float = 15.0
     row_hit_read_energy_nj: float = 0.5
-    #: PCM cell endurance (writes per cell before wear-out); 10-100M for PCM.
-    endurance_writes: int = 100_000_000
-    fail_on_endurance: bool = False
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
             raise ConfigError("PCM capacity must be positive")
-        if self.line_size <= 0 or not is_power_of_two(self.line_size):
-            raise ConfigError("PCM line size must be a power of two")
-        if self.capacity_bytes % self.line_size != 0:
+        if self.capacity_bytes % CACHE_LINE_SIZE != 0:
             raise ConfigError("PCM capacity must be line-aligned")
         if self.read_latency_ns <= 0 or self.write_latency_ns <= 0:
             raise ConfigError("PCM latencies must be positive")
@@ -148,7 +95,7 @@ class PCMConfig:
 
     @property
     def num_lines(self) -> int:
-        return self.capacity_bytes // self.line_size
+        return self.capacity_bytes // CACHE_LINE_SIZE
 
 
 @dataclass(frozen=True)

@@ -46,14 +46,6 @@ class InvalidAddressError(DeviceError):
     """An address fell outside the device's configured capacity."""
 
 
-class EnduranceExceededError(DeviceError):
-    """A physical frame surpassed its configured write-endurance limit.
-
-    Raised only when the device is configured with
-    ``fail_on_endurance=True``; by default wear is merely recorded.
-    """
-
-
 class TraceFormatError(ReproError):
     """A serialized trace file is malformed or version-incompatible."""
 

@@ -1,11 +1,10 @@
-"""NVMM (PCM) substrate: device contents, wear, banking, timing, energy."""
+"""NVMM (PCM) substrate: device contents, banking, timing, energy."""
 
 from .allocator import FrameAllocator
 from .bank import Bank, BankService
 from .controller import MemoryController
-from .device import PCMDevice, WearStats
+from .device import PCMDevice
 from .energy import EnergyAccount, EnergyCategory
-from .wearlevel import StartGapWearLeveler, WearLevelerConfig, leveling_effectiveness
 
 __all__ = [
     "Bank",
@@ -15,8 +14,4 @@ __all__ = [
     "FrameAllocator",
     "MemoryController",
     "PCMDevice",
-    "StartGapWearLeveler",
-    "WearLevelerConfig",
-    "WearStats",
-    "leveling_effectiveness",
 ]

@@ -3,7 +3,7 @@
 The controller is the single gateway through which every scheme touches the
 PCM array.  It combines:
 
-* the functional :class:`~repro.nvmm.device.PCMDevice` (contents + wear),
+* the functional :class:`~repro.nvmm.device.PCMDevice` (contents),
 * per-bank busy-until timing (:mod:`repro.nvmm.bank`) with line-interleaved
   bank mapping,
 * energy accounting per access category,
@@ -264,5 +264,5 @@ class MemoryController:
 
     @property
     def total_pcm_writes(self) -> int:
-        """All PCM write operations (data + metadata) — the endurance metric."""
+        """All PCM write operations (data + metadata)."""
         return self.data_writes + self.metadata_writes

@@ -1,4 +1,4 @@
-"""Simulation layer: engine, full-system wiring, runner, and metrics."""
+"""Simulation layer: sessions, engine, runner, checkpoints, and metrics."""
 
 from .checkpoint import (
     RestoredCheckpoint,
@@ -27,13 +27,10 @@ from .runner import (
     run_grid,
     scaled_system_config,
 )
-from .system import FullSystem, FullSystemStats
 
 __all__ = [
     "EngineConfig",
     "ExperimentConfig",
-    "FullSystem",
-    "FullSystemStats",
     "RestoredCheckpoint",
     "ResultGrid",
     "Session",

@@ -1,6 +1,6 @@
 """Mid-run simulation checkpoints: interrupt-and-resume, bit-exact.
 
-A week-long endurance study must survive host restarts.  The session API
+A long streaming run must survive host restarts.  The session API
 (:mod:`repro.sim.session`) already carries *all* run state on objects —
 the scheme graph (controller, banks, stores, timelines), the recorders,
 the core-timing model, the integrity shadow and the epoch buffer — so a
@@ -59,11 +59,12 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"ESDCKPT1"
-#: v4: the scheme graph carries the session's observation binding
-#: (``_obs`` on the scheme, its controller and its metadata structures);
-#: a v3 graph has none, so v3 is rejected at load rather than with an
-#: ``AttributeError`` halfway through a feed.
-CHECKPOINT_VERSION = 4
+#: v5: the PCM device keeps no per-frame write counts and the config no
+#: core count or cache geometry, so a v4 graph names a config class this
+#: build lacks; v4 is rejected at the header, naming its version, rather
+#: than as an unreadable payload.  (v4 added the observation binding,
+#: ``_obs`` on the scheme graph, which v3 lacks.)
+CHECKPOINT_VERSION = 5
 
 _HEADER = struct.Struct("<8sHHIQ")
 

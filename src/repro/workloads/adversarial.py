@@ -19,7 +19,7 @@ ESD's LRCU decay, the bank queues) re-trains mid-run.
 
 All three stream in bounded memory — :func:`adversarial_stream` returns
 a generator, so they compose with the v2 trace capture and checkpointed
-runs for arbitrarily long endurance studies.
+runs of any length.
 """
 
 from __future__ import annotations

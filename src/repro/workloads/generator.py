@@ -13,10 +13,7 @@ Produces a stream of :class:`~repro.common.types.MemoryRequest` whose
 The generator works at memory-controller granularity — it directly emits
 the post-LLC request stream.  That matches how the paper's analysis treats
 workloads (everything is phrased in terms of "cache lines evicted from the
-LLC"), and it is the stream every dedup scheme consumes.  For end-to-end
-demonstrations that include the cache hierarchy, see
-:class:`CPUAccessGenerator`, which emits pre-hierarchy load/store traffic
-instead.
+LLC"), and it is the stream every dedup scheme consumes.
 
 **The stream contract.**  A ``(profile, seed)`` pair names one stream,
 bit for bit; ``tests/fixtures/pinned_traces.json`` pins each profile's.
@@ -36,7 +33,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 import numpy as np
 
@@ -46,7 +43,6 @@ from ..common.types import (
     AccessType,
     MemoryRequest,
 )
-from ..cache.hierarchy import CPUAccess
 from .profiles import WorkloadProfile, get_profile
 
 _READ = AccessType.READ
@@ -288,49 +284,3 @@ class TraceGenerator:
     def generate_list(self, num_requests: int) -> List[MemoryRequest]:
         """Materialize a trace as a list."""
         return list(self.generate(num_requests))
-
-
-class CPUAccessGenerator:
-    """Pre-hierarchy load/store generator for end-to-end demonstrations.
-
-    Emits :class:`~repro.cache.hierarchy.CPUAccess` records with strong
-    temporal locality, so a realistic fraction of traffic dies in L1/L2/L3
-    and the residue reaching the controller resembles the post-LLC stream.
-    """
-
-    def __init__(self, profile, seed: int = 2023) -> None:
-        if isinstance(profile, str):
-            profile = get_profile(profile)
-        self.profile = profile
-        self._inner = TraceGenerator(profile, seed=seed)
-        self._rng = np.random.default_rng(seed ^ 0xC0FFEE)
-
-    def generate(self, num_accesses: int,
-                 rereference_prob: float = 0.6,
-                 window: int = 64) -> Iterator[CPUAccess]:
-        """Yield ``num_accesses`` CPU accesses.
-
-        Args:
-            rereference_prob: probability an access re-touches one of the
-                last ``window`` distinct addresses (creates cache hits).
-            window: size of the re-reference window.
-        """
-        if not 0 <= rereference_prob <= 1:
-            raise ValueError("rereference_prob must be in [0,1]")
-        recent: List[int] = []
-        inner = self._inner.generate(num_accesses)
-        for request in inner:
-            if recent and self._rng.random() < rereference_prob:
-                address = recent[int(self._rng.integers(0, len(recent)))]
-                write = bool(self._rng.random()
-                             < (1 - self.profile.read_fraction))
-                data = (self._inner._next_write_content() if write else None)
-                yield CPUAccess(address=address, write=write, data=data,
-                                core=request.core)
-            else:
-                yield CPUAccess(address=request.address,
-                                write=request.is_write,
-                                data=request.data, core=request.core)
-                recent.append(request.address)
-                if len(recent) > window:
-                    recent.pop(0)

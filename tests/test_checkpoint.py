@@ -165,11 +165,13 @@ class TestCheckpointContainer:
 
     def test_old_version_rejected(self):
         """Versions 1 and 2 pickle sessions with execution switches (a v2
-        reference-mode session has no epoch precomputer), and a v3 scheme
-        graph has no observation binding; they must fail typed at load,
-        naming the version, never halfway through a feed."""
-        assert CHECKPOINT_VERSION == 4
-        for old in (1, 2, 3):
+        reference-mode session has no epoch precomputer), a v3 scheme
+        graph has no observation binding, and a v4 graph pickles the
+        removed cache geometry and per-frame write counts; they must fail
+        typed at load, naming the version, never halfway through a feed
+        or as an unreadable payload."""
+        assert CHECKPOINT_VERSION == 5
+        for old in (1, 2, 3, 4):
             blob = bytearray(self._session_blob())
             magic, _, reserved, crc, length = struct.unpack_from("<8sHHIQ",
                                                                  blob)

@@ -42,7 +42,8 @@ class TestWrites:
         scheme.handle_write(wreq(0, b"\xAA" * 64, t=1000.0))
         # One frame allocated, written twice.
         assert scheme.allocator.allocated_count == 1
-        assert scheme.controller.device.write_count(0) == 2
+        assert scheme.controller.device.occupied_frames() == 1
+        assert scheme.controller.device.write_ops == 2
 
     def test_stage_breakdown(self, scheme):
         scheme.handle_write(wreq(0, LINE))

@@ -1,9 +1,9 @@
-"""Tests for the PCM device (contents + wear)."""
+"""Tests for the PCM device (contents and line counters)."""
 
 import pytest
 
 from repro.common.config import PCMConfig
-from repro.common.errors import EnduranceExceededError, InvalidAddressError
+from repro.common.errors import InvalidAddressError
 from repro.common.units import mib
 from repro.nvmm.device import PCMDevice
 
@@ -46,46 +46,6 @@ class TestReadWrite:
         device.read_line(1)
         assert device.write_ops == 1
         assert device.read_ops == 2
-
-
-class TestWear:
-    def test_write_counts(self, device):
-        for _ in range(3):
-            device.write_line(7, bytes(64))
-        assert device.write_count(7) == 3
-        assert device.write_count(8) == 0
-
-    def test_wear_stats(self, device):
-        device.write_line(0, bytes(64))
-        device.write_line(0, bytes(64))
-        device.write_line(1, bytes(64))
-        stats = device.wear_stats()
-        assert stats.total_writes == 3
-        assert stats.frames_touched == 2
-        assert stats.max_writes_per_frame == 2
-        assert stats.mean_writes_per_touched_frame == 1.5
-        assert stats.wear_imbalance == pytest.approx(2 / 1.5)
-
-    def test_empty_wear_stats(self, device):
-        stats = device.wear_stats()
-        assert stats.total_writes == 0
-        assert stats.wear_imbalance == 0.0
-
-    def test_endurance_enforced_when_enabled(self):
-        cfg = PCMConfig(capacity_bytes=mib(1), num_banks=4,
-                        endurance_writes=2, fail_on_endurance=True)
-        device = PCMDevice(cfg)
-        device.write_line(0, bytes(64))
-        device.write_line(0, bytes(64))
-        with pytest.raises(EnduranceExceededError):
-            device.write_line(0, bytes(64))
-
-    def test_endurance_recorded_but_not_enforced_by_default(self):
-        cfg = PCMConfig(capacity_bytes=mib(1), num_banks=4, endurance_writes=1)
-        device = PCMDevice(cfg)
-        device.write_line(0, bytes(64))
-        device.write_line(0, bytes(64))  # no raise
-        assert device.write_count(0) == 2
 
     def test_occupied_frames(self, device):
         assert device.occupied_frames() == 0

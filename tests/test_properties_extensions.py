@@ -1,9 +1,8 @@
 """Property-based tests for the extension modules.
 
-Hypothesis sweeps over the newer substrates: ESD-Delta's read-after-write
-correctness under arbitrary near-duplicate interleavings, split-counter
-round-trips under any write sequence, Start-Gap translation invariants
-under random move schedules, and mix/phase stream structure.
+Hypothesis sweeps over ESD-Delta's read-after-write correctness under
+arbitrary near-duplicate interleavings and over the phased generator's
+stream structure.
 """
 
 import pytest
@@ -13,12 +12,6 @@ from hypothesis import strategies as st
 from repro.common import small_test_config
 from repro.common.types import AccessType, CACHE_LINE_SIZE, MemoryRequest
 from repro.core.esd_delta import ESDDeltaScheme
-from repro.crypto.split_counters import (
-    SplitCounterConfig,
-    SplitCounterModeEngine,
-)
-from repro.nvmm.wearlevel import StartGapWearLeveler, WearLevelerConfig
-from repro.workloads.mixes import MixedTraceGenerator
 from repro.workloads.phases import PhasedTraceGenerator
 
 WORDS = st.binary(min_size=8, max_size=8)
@@ -54,67 +47,6 @@ class TestESDDeltaProperties:
             result = scheme.handle_read(MemoryRequest(
                 address=addr, access=AccessType.READ, issue_time_ns=t))
             assert result.data == expected
-
-
-class TestSplitCounterProperties:
-    @given(st.lists(st.tuples(st.integers(0, 127), WORDS),
-                    min_size=1, max_size=80),
-           st.integers(1, 4))
-    @settings(max_examples=30, deadline=None)
-    def test_roundtrip_under_any_write_sequence(self, ops, minor_bits):
-        engine = SplitCounterModeEngine(
-            config=SplitCounterConfig(minor_bits=minor_bits))
-        latest = {}
-        for line, word in ops:
-            plaintext = word * 8
-            engine.encrypt(plaintext, line)
-            latest[line] = plaintext
-        for line, plaintext in latest.items():
-            assert engine.decrypt(line) == plaintext
-
-    @given(st.lists(st.integers(0, 63), min_size=1, max_size=200))
-    @settings(max_examples=30)
-    def test_counters_never_decrease_within_major(self, lines):
-        table_cfg = SplitCounterConfig(minor_bits=7)
-        from repro.crypto.split_counters import SplitCounterTable
-        table = SplitCounterTable(table_cfg)
-        last = {}
-        for line in lines:
-            major, minor = table.advance(line)
-            if line in last:
-                prev_major, prev_minor = last[line]
-                assert (major, minor) > (prev_major, 0)
-                if major == prev_major:
-                    assert minor == prev_minor + 1
-            last[line] = (major, minor)
-
-
-class TestWearLevelerProperties:
-    @given(st.integers(2, 64), st.integers(1, 10), st.integers(1, 300))
-    @settings(max_examples=40)
-    def test_translation_always_injective(self, frames, interval, writes):
-        wl = StartGapWearLeveler(
-            frames, WearLevelerConfig(gap_move_interval=interval))
-        for _ in range(writes):
-            wl.record_write()
-            mapping = [wl.translate(i) for i in range(frames)]
-            assert len(set(mapping)) == frames
-            assert all(0 <= p <= frames for p in mapping)
-
-
-class TestMixProperties:
-    @given(st.lists(st.sampled_from(["gcc", "lbm", "namd", "x264"]),
-                    min_size=1, max_size=4, unique=True),
-           st.integers(50, 400))
-    @settings(max_examples=15, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_merged_stream_structure(self, apps, count):
-        gen = MixedTraceGenerator(apps, seed=3)
-        trace = gen.generate_list(count)
-        assert len(trace) == count
-        times = [r.issue_time_ns for r in trace]
-        assert times == sorted(times)
-        assert {r.core for r in trace} <= set(range(len(apps)))
 
 
 class TestPhaseProperties:

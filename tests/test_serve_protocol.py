@@ -200,12 +200,14 @@ BAD_OPTIONS = [
     ("too_many_banks", {"pcm.num_banks": 2 * MAX_NUM_BANKS}, "bad_request"),
     ("oversized_predictor_table",
      {"dewrite.predictor_entries": MAX_PREDICTOR_ENTRIES + 1}, "bad_request"),
-    # Found by the unbounded integer fuzzing: a zero line size divided by
-    # zero, and a trace capacity past a C ssize_t overflowed at open.
-    ("zero_line_size", {"pcm.line_size": 0}, "bad_request"),
+    # Found by the unbounded integer fuzzing: a trace capacity past a C
+    # ssize_t overflowed at open.
     ("trace_capacity_past_ssize_t",
      {"observability.enabled": True, "observability.trace_capacity": 2 ** 63},
      "bad_request"),
+    # The PCM line size is not a setting: every scheme addresses 64-byte
+    # lines.
+    ("removed_line_size", {"pcm.line_size": 64}, "bad_request"),
 ]
 
 

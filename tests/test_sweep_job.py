@@ -94,12 +94,16 @@ class TestDigestIdentity:
 
     def test_pinned_sweep_roster_digest(self):
         """A job of the benchmark's sweep (20 apps x 4 schemes, 1,000
-        requests, seed 7) keeps the digest its stored rows carry."""
+        requests, seed 7) keeps the digest its stored rows carry.  Last
+        re-pinned when the config lost ``pcm.line_size``,
+        ``pcm.endurance_writes``, ``pcm.fail_on_endurance`` and
+        ``processor.cores/l1/l2/l3``: the old build's canonical JSON of
+        this spec, with those seven keys dropped, digests to this value."""
         spec = jobs_from_experiment(
             ExperimentConfig(requests_per_app=1_000, seed=7))[0]
         assert spec.key == ("cactuBSSN", "Baseline")
         assert spec.digest() == (
-            "28b544da87cb8a644274fd2f47d7d2ac0161d40c2d6a705a82f1fbc883352d25")
+            "8156eb8f1617455cb01ebb0a42a374c5dad0195157fe1ca517d5e0d82a3fd2b6")
 
     def test_equal_configs_of_other_types_keep_their_digests(self):
         """An int field equals (and hashes like) its float value, but the

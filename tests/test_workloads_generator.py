@@ -2,9 +2,8 @@
 
 The stream oracle is pinned data: ``fixtures/pinned_traces.json`` holds
 the SHA-256 of the packed records (``pack_records``) of every profile's
-stream at seeds 7 and 2023, of the adversarial streams, of a trace
-generated in two calls, of a mix and of a pre-hierarchy access stream,
-taken at the commit it records.  There is no regenerate switch: on a
+stream at seeds 7 and 2023, of the adversarial streams and of a trace
+generated in two calls, taken at the commit it records.  There is no regenerate switch: on a
 mismatch the tests print the table they computed, and re-pinning is a
 deliberate edit of the fixture.
 """
@@ -12,7 +11,6 @@ deliberate edit of the fixture.
 import functools
 import hashlib
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.types import CACHE_LINE_SIZE, AccessType
-from repro.workloads import adversarial_stream, adversarial_stream_names, make_mix
+from repro.workloads import adversarial_stream, adversarial_stream_names
 from repro.workloads.analysis import duplicate_stats
-from repro.workloads.generator import (
-    CPUAccessGenerator,
-    TraceGenerator,
-    ZipfSampler,
-    _WordDraws,
-)
+from repro.workloads.generator import TraceGenerator, ZipfSampler, _WordDraws
 from repro.workloads.profiles import PROFILES, get_profile
 from repro.workloads.trace import pack_records
 
@@ -149,24 +142,6 @@ class TestCalibratedStatistics:
         assert read_hits / reads > 0.8
 
 
-class TestCPUAccessGenerator:
-    def test_yields_requested_count(self):
-        gen = CPUAccessGenerator("gcc", seed=2)
-        accesses = list(gen.generate(500))
-        assert len(accesses) == 500
-
-    def test_rereference_creates_locality(self):
-        gen = CPUAccessGenerator("gcc", seed=2)
-        accesses = list(gen.generate(2000, rereference_prob=0.7))
-        addresses = [a.address for a in accesses]
-        assert len(set(addresses)) < len(addresses) * 0.8
-
-    def test_validation(self):
-        gen = CPUAccessGenerator("gcc")
-        with pytest.raises(ValueError):
-            list(gen.generate(10, rereference_prob=1.5))
-
-
 # ----------------------------------------------------------------------
 # Pinned streams
 # ----------------------------------------------------------------------
@@ -175,16 +150,6 @@ def records_digest(requests) -> str:
     """SHA-256 of the packed trace records of ``requests``."""
     buf, _count = pack_records(requests)
     return hashlib.sha256(buf).hexdigest()
-
-
-def accesses_digest(accesses) -> str:
-    """SHA-256 over every field of a :class:`CPUAccess` stream."""
-    h = hashlib.sha256()
-    for access in accesses:
-        h.update(struct.pack("<QBB", access.address, access.write,
-                             access.core))
-        h.update(access.data or b"")
-    return h.hexdigest()
 
 
 def pinned_streams():
@@ -200,10 +165,6 @@ def pinned_streams():
     gen = TraceGenerator("gcc", seed=7)
     yield ("split/gcc/seed-7/n-300+700",
            records_digest(list(gen.generate(300)) + list(gen.generate(700))))
-    yield ("mix/gcc+lbm/seed-7/n-2000",
-           records_digest(make_mix(["gcc", "lbm"], seed=7).generate(2000)))
-    yield ("cpu-access/gcc/seed-7/n-3000",
-           accesses_digest(CPUAccessGenerator("gcc", seed=7).generate(3000)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,8 +177,7 @@ def computed_streams():
     return dict(pinned_streams())
 
 
-@pytest.mark.parametrize("kind", ["profile", "adversarial", "split", "mix",
-                                  "cpu-access"])
+@pytest.mark.parametrize("kind", ["profile", "adversarial", "split"])
 def test_streams_match_pinned(kind):
     table = computed_streams()
     pins = pinned_traces()["streams"]
