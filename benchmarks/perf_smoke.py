@@ -5,8 +5,8 @@ Produces the committed ``BENCH_perf_smoke.json`` artifact with four
 sections:
 
 * **grid** — end-to-end timing of the 3-app x 4-scheme evaluation grid
-  on the simulator's one execution path (``repro.perf`` memo caches
-  primed per epoch by ``repro.vec``); medians over rounds.  Its results
+  on the simulator's one execution path (``repro.perf`` memo caches in
+  front of the scalar kernels); medians over rounds.  Its results
   are gated elsewhere: ``tests/test_perf_parity.py`` pins the digests of
   these 12 cells and of all eight schemes' whole runs.
 * **long_trace** — serialization of a long request trace (write + read

@@ -64,8 +64,8 @@ from repro.workloads.trace import (
 )
 
 REQUESTS = 2_000
-#: Interrupt points, cycled per scheme: a mid-epoch cut (a buffered
-#: tail) and an epoch-aligned (1,024) one.
+#: Interrupt points, cycled per scheme: an odd cut (1,337) and one on
+#: the serve micro-batch cap (1,024).
 CUTS = (1_337, 1_024)
 
 failures: List[str] = []
@@ -150,7 +150,7 @@ def _resumed(trace, scheme_name, config, cut: int) -> bytes:
               total_hint=300)
     restored = Session.restore(blob)
     replay = iter(trace)
-    for _ in range(restored.consumed):
+    for _ in range(restored.processed):
         next(replay)
     restored.feed(replay)
     return _result_bytes(restored.finalize())
@@ -158,7 +158,7 @@ def _resumed(trace, scheme_name, config, cut: int) -> bytes:
 
 def check_resume_parity(quick: bool, observed: bool = False) -> None:
     """Every scheme resumes bit-exact; with ``observed``, observability is
-    on, every cut is the mid-epoch one and the obs report must match."""
+    on, every cut is the odd one and the obs report must match."""
     schemes = list(registered_scheme_names())
     if quick:
         schemes = ["ESD", "NV-Dedup"]

@@ -23,7 +23,11 @@ from ..common.config import ProcessorConfig
 
 @dataclass
 class CoreTimingModel:
-    """Accumulates instruction and stall cycles; reports IPC.
+    """Holds a run's instruction and stall cycles; reports IPC.
+
+    The session's request loop charges each access's stall
+    (``latency / cycle_ns``, times ``write_stall_fraction`` for a write)
+    and its retired instructions, and adds both totals here at finalize.
 
     Args:
         config: processor clock.
@@ -44,21 +48,6 @@ class CoreTimingModel:
         if not 0.0 <= self.write_stall_fraction <= 1.0:
             raise ValueError("write_stall_fraction must be within [0, 1]")
 
-    def retire_instructions(self, count: int) -> None:
-        """Account ``count`` non-memory instructions (1 cycle each)."""
-        if count < 0:
-            raise ValueError("instruction count must be non-negative")
-        self.instructions += count
-
-    def memory_stall(self, latency_ns: float, *, is_write: bool) -> None:
-        """Account the stall of one memory access observed at the core."""
-        if latency_ns < 0:
-            raise ValueError("latency must be non-negative")
-        cycles = latency_ns / self.config.cycle_ns
-        if is_write:
-            cycles *= self.write_stall_fraction
-        self.stall_cycles += cycles
-
     @property
     def total_cycles(self) -> float:
         return self.instructions + self.stall_cycles
@@ -69,18 +58,3 @@ class CoreTimingModel:
         if self.total_cycles == 0:
             return 0.0
         return self.instructions / self.total_cycles
-
-    def merged_with(self, other: "CoreTimingModel") -> "CoreTimingModel":
-        """Combine two cores' accounting (for whole-chip IPC)."""
-        merged = CoreTimingModel(config=self.config,
-                                 write_stall_fraction=self.write_stall_fraction)
-        merged.instructions = self.instructions + other.instructions
-        merged.stall_cycles = self.stall_cycles + other.stall_cycles
-        return merged
-
-
-def relative_ipc(baseline: CoreTimingModel, other: CoreTimingModel) -> float:
-    """IPC of ``other`` normalized to ``baseline`` (Figure 14's metric)."""
-    if baseline.ipc == 0:
-        raise ValueError("baseline IPC is zero")
-    return other.ipc / baseline.ipc

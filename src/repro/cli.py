@@ -134,7 +134,7 @@ EXIT_CHECKPOINT_STOP = 3
 def _open_or_resume_session(args, scheme_name: str):
     """Build the run's session and stream, honouring ``--resume``.
 
-    Returns ``(session, stream, consumed)`` where ``consumed`` records
+    Returns ``(session, stream, processed)`` where ``processed`` records
     of the source stream have already been skipped.
     """
     stream, total = _open_stream(args)
@@ -168,14 +168,14 @@ def _open_or_resume_session(args, scheme_name: str):
             f"checkpoint {args.resume} was taken with a different system "
             f"configuration (differing fields: {', '.join(differing)}); "
             f"rerun with the original run's --efit-kb/--amt-kb flags")
-    consumed = restored.consumed
-    skipped = sum(1 for _ in islice(stream, consumed))
-    if skipped < consumed:
+    processed = restored.session.processed
+    skipped = sum(1 for _ in islice(stream, processed))
+    if skipped < processed:
         raise SystemExit(
             f"stream ends after {skipped} records but checkpoint "
-            f"{args.resume} had consumed {consumed}; pass the same "
+            f"{args.resume} had processed {processed}; pass the same "
             f"--trace/--app/--requests/--seed as the original run")
-    return restored.session, stream, consumed
+    return restored.session, stream, processed
 
 
 def cmd_run(args) -> int:
@@ -197,8 +197,7 @@ def cmd_run(args) -> int:
         raise SystemExit("--checkpoint-every/--stop-after need "
                          "--checkpoint PATH")
 
-    session, stream, consumed = _open_or_resume_session(args, scheme_name)
-    fed = consumed
+    session, stream, fed = _open_or_resume_session(args, scheme_name)
     stopped = False
     while True:
         budget = every

@@ -69,14 +69,6 @@ class ESDScheme(DedupScheme):
         self.efit.bind_observation(obs)
         self.amt._obs = obs
 
-    def vec_prime_engines(self) -> tuple:
-        # ESD's fingerprint is the line ECC itself (handle_write calls
-        # line_ecc directly, no engine attribute); hand the epoch front
-        # end the ECC adapter so its bit-parallel batch kernel primes the
-        # line_ecc memo cache.
-        from ..ecc.codec import ECCFingerprintEngine
-        return (ECCFingerprintEngine(),)
-
     # ------------------------------------------------------------------
     # Write-path helpers
     # ------------------------------------------------------------------

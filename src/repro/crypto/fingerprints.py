@@ -94,32 +94,6 @@ class _HashEngineBase:
             entries.move_to_end(data)
         return value
 
-    def prime_batch(self, contents) -> int:
-        """Digest and cache every uncached content (vec epoch priming).
-
-        The session hands each epoch's *unique* write contents here
-        before the per-line resolution, so a content repeated across the
-        epoch is digested once and every later ``fingerprint`` call hits.
-        Batch-computed entries are charged as cache misses — the digest
-        was actually computed — keeping memo statistics truthful.
-
-        Returns:
-            The number of digests computed and inserted.
-        """
-        cache = self._cache
-        if cache is None:
-            cache = self._cache = _memo.get_cache(f"fp_{self.name}",
-                                                  _FP_CACHE_CAPACITY)
-        digest = self._digest
-        primed = 0
-        for data in contents:
-            if data in cache:
-                continue
-            cache.misses += 1
-            cache.put(data, digest(data))
-            primed += 1
-        return primed
-
     def fingerprint_size_bytes(self) -> int:
         return (self.bits + 7) // 8
 
@@ -195,10 +169,6 @@ class TruncatedEngine(_HashEngineBase):
 
     def fingerprint(self, data: bytes) -> int:
         return self._inner.fingerprint(data) & ((1 << self.bits) - 1)
-
-    def prime_batch(self, contents) -> int:
-        # Delegate: the memo cache being primed is the *inner* engine's.
-        return self._inner.prime_batch(contents)
 
 
 def make_engine(name: str, costs: CryptoCosts = DEFAULT_COSTS) -> FingerprintEngine:

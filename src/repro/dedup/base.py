@@ -182,25 +182,6 @@ class DedupScheme(abc.ABC):
     def metadata_footprint(self) -> MetadataFootprint:
         """Current measured metadata space consumption."""
 
-    def vec_prime_engines(self) -> tuple:
-        """Fingerprint engines keyed on *plaintext line content*.
-
-        The session's epoch priming batch-digests each epoch's unique
-        write contents through these engines, priming their memo
-        caches before the scalar per-line resolution (see
-        :mod:`repro.vec.epoch`).  Priming is only sound for engines whose
-        ``fingerprint`` is called on ``request.data`` verbatim, so the
-        default discovers the conventional engine attributes; schemes that
-        digest something else (e.g. DaE fingerprints *ciphertext*) must
-        override this to exclude those engines.
-        """
-        engines = []
-        for attr in ("engine", "weak_engine", "strong_engine"):
-            candidate = getattr(self, attr, None)
-            if candidate is not None and hasattr(candidate, "prime_batch"):
-                engines.append(candidate)
-        return tuple(engines)
-
     # ------------------------------------------------------------------
     # Timeline lifecycle
     # ------------------------------------------------------------------

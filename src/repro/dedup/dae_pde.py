@@ -56,12 +56,6 @@ class DaEScheme(FullDedupScheme):
         super().__init__(config, costs)
         self.engine = SHA1Engine(costs)
 
-    def vec_prime_engines(self) -> tuple:
-        # DaE digests the *ciphertext*, which depends on per-frame pads
-        # unknown before resolution — plaintext priming would only pollute
-        # the sha1 memo cache with keys no lookup ever uses.
-        return ()
-
     def handle_write(self, request: MemoryRequest) -> WriteResult:
         payload = request.data
         if payload.__class__ is not bytes or len(payload) != CACHE_LINE_SIZE:

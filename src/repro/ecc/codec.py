@@ -36,29 +36,36 @@ _WORD_ECCS_CACHE = _memo.get_cache("word_eccs", 1 << 14)
 _DECODE_CACHE = _memo.get_cache("decode_line", 1 << 16)
 
 
+#: The encoder's byte tables (``hamming._ENCODE_TABLES``) as
+#: ``bytes.translate`` tables: entry *b* of ``_LANE<j>`` is the ECC byte
+#: that value *b* contributes at byte *j* of a word.
+(_LANE0, _LANE1, _LANE2, _LANE3,
+ _LANE4, _LANE5, _LANE6, _LANE7) = (bytes(table)
+                                    for table in hamming._ENCODE_TABLES)
+_from_bytes = int.from_bytes
+
+
 def line_ecc_uncached(data: bytes) -> int:
     """The :func:`line_ecc` computation with memoization bypassed.
 
     Word *i*'s 8-bit ECC occupies bits ``8*i .. 8*i+7`` of the result.
-    Implementation note: words are little-endian, so byte *j* of word *i* is
-    ``data[8*i + j]``; the per-byte linearity of the code lets us index the
-    encoder tables on the raw bytes with no intermediate integer packing.
+    Words are little-endian, so ``data[j::8]`` is byte *j* of every word
+    in word order; translating it through byte *j*'s encoder table gives
+    each word's byte-*j* contribution in that word's lane, and the code's
+    per-byte linearity makes the line ECC the XOR of the eight lanes read
+    as little-endian integers: eight C-level translates rather than 64
+    table lookups in Python (timings in DESIGN.md §10).
     """
-    validate_line(data)
-    tables = hamming._ENCODE_TABLES
-    ecc = 0
-    for i in range(WORDS_PER_LINE):
-        base = 8 * i
-        word_ecc = (tables[0][data[base]]
-                    ^ tables[1][data[base + 1]]
-                    ^ tables[2][data[base + 2]]
-                    ^ tables[3][data[base + 3]]
-                    ^ tables[4][data[base + 4]]
-                    ^ tables[5][data[base + 5]]
-                    ^ tables[6][data[base + 6]]
-                    ^ tables[7][data[base + 7]])
-        ecc |= word_ecc << (8 * i)
-    return ecc
+    if data.__class__ is not bytes or len(data) != CACHE_LINE_SIZE:
+        data = validate_line(data)
+    return (_from_bytes(data[0::8].translate(_LANE0), "little")
+            ^ _from_bytes(data[1::8].translate(_LANE1), "little")
+            ^ _from_bytes(data[2::8].translate(_LANE2), "little")
+            ^ _from_bytes(data[3::8].translate(_LANE3), "little")
+            ^ _from_bytes(data[4::8].translate(_LANE4), "little")
+            ^ _from_bytes(data[5::8].translate(_LANE5), "little")
+            ^ _from_bytes(data[6::8].translate(_LANE6), "little")
+            ^ _from_bytes(data[7::8].translate(_LANE7), "little"))
 
 
 def line_ecc(data: bytes) -> int:
@@ -74,31 +81,6 @@ def line_ecc(data: bytes) -> int:
     ecc = line_ecc_uncached(data)
     _LINE_ECC_CACHE.put(data, ecc)
     return ecc
-
-
-def prime_line_ecc_batch(contents) -> int:
-    """Batch-compute and cache line ECCs for uncached contents.
-
-    The session's epoch priming calls this with an epoch's unique write
-    contents; the bit-parallel kernel
-    (:func:`repro.vec.kernels.line_ecc_batch`) computes every uncached
-    value in one numpy pass, and subsequent scalar :func:`line_ecc` calls
-    hit the primed entries.  Each batch-computed entry is charged as a
-    cache *miss* — the work was done, just not served from the cache — so
-    memo statistics keep counting actual computations.
-
-    Returns:
-        The number of entries computed and inserted.
-    """
-    cache = _LINE_ECC_CACHE
-    fresh = [validate_line(data) for data in contents if data not in cache]
-    if not fresh:
-        return 0
-    from ..vec.kernels import line_ecc_batch  # local: keep numpy off codec's import path
-    for data, ecc in zip(fresh, line_ecc_batch(fresh)):
-        cache.misses += 1
-        cache.put(data, ecc)
-    return len(fresh)
 
 
 def line_ecc_bytes(data: bytes) -> bytes:
@@ -193,10 +175,6 @@ class ECCFingerprintEngine:
     def fingerprint(self, data: bytes) -> int:
         # Memoized via line_ecc's content-addressed cache (repro.perf).
         return line_ecc(data)
-
-    def prime_batch(self, contents) -> int:
-        """Bit-parallel epoch priming (see :func:`prime_line_ecc_batch`)."""
-        return prime_line_ecc_batch(contents)
 
     def fingerprint_size_bytes(self) -> int:
         return self.bits // 8

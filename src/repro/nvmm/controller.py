@@ -261,8 +261,3 @@ class MemoryController:
     @property
     def metadata_writes(self) -> int:
         return self.counters.get("metadata_writes")
-
-    @property
-    def total_pcm_writes(self) -> int:
-        """All PCM write operations (data + metadata)."""
-        return self.data_writes + self.metadata_writes

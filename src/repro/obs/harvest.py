@@ -25,8 +25,7 @@ __all__ = ["harvest_run"]
 
 
 def harvest_run(run: RunObservation, scheme: "object",
-                memo_stats: Mapping[str, float],
-                vec_stats: Mapping[str, float] = {}) -> None:
+                memo_stats: Mapping[str, float]) -> None:
     """Populate the run's registry from a finished scheme's tallies.
 
     Args:
@@ -35,8 +34,6 @@ def harvest_run(run: RunObservation, scheme: "object",
             (typed loosely to avoid an import cycle).
         memo_stats: the kernel caches' flat ``memo_*`` mapping
             (:func:`repro.perf.memo.stats_snapshot`).
-        vec_stats: the flat ``vec_*`` epoch-priming snapshot
-            (:meth:`repro.vec.epoch.VecStats.snapshot`).
     """
     registry = run.registry
 
@@ -85,12 +82,3 @@ def harvest_run(run: RunObservation, scheme: "object",
     # names, so ``repro report`` lists the migrated memo_* series directly.
     for name in sorted(memo_stats):
         registry.counter(name).inc(float(memo_stats[name]))
-
-    # Likewise the fast path's vec_* epoch accounting, except the
-    # occupancy ratio, which lands as a gauge (it is a fraction, and
-    # summing it across harvests would be meaningless).
-    for name in sorted(vec_stats):
-        if name.endswith("_occupancy"):
-            registry.gauge(name).set(float(vec_stats[name]))
-        else:
-            registry.counter(name).inc(float(vec_stats[name]))

@@ -71,9 +71,6 @@ class MemoCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._data
-
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Look ``key`` up, counting a hit or a miss.
 

@@ -8,7 +8,14 @@ from typing import Optional
 
 from ..common.errors import ConfigError
 
-__all__ = ["MAX_WORKERS", "ServeConfig", "resolve_workers"]
+__all__ = ["MAX_WORKERS", "MICRO_BATCH_REQUESTS", "ServeConfig",
+           "resolve_workers"]
+
+#: Most requests one engine feed takes, and the ``batch_hint`` a hello
+#: reply advertises: a session's drain task joins queued batches up to
+#: this cap, so one tenant holds the engine for at most this many
+#: requests at a time.
+MICRO_BATCH_REQUESTS = 1024
 
 #: Upper bound on ``workers``.  Engine workers are full Python processes
 #: each importing the simulator; past this count a deployment wants a

@@ -23,7 +23,8 @@ _ADMISSION_BOUNDS_NS = (
 )
 
 #: Bucket bounds for micro-batch occupancy (requests per engine feed);
-#: powers of two up to the default vec epoch size and beyond.
+#: powers of two up to the micro-batch cap (``MICRO_BATCH_REQUESTS``)
+#: and beyond.
 _OCCUPANCY_BOUNDS = tuple(float(1 << i) for i in range(15))
 
 

@@ -5,9 +5,9 @@ engine session.  The connection handler (:mod:`repro.serve.server`)
 hands each ``batch`` frame's trace records to the session, which admits
 the batch whole — checked and queued as one item — or rejects it whole
 with ``bad_request`` or backpressure.  A per-session drain task joins
-queued batches into micro-batches of at most one epoch
-(:data:`~repro.vec.epoch.EPOCH_SIZE` requests), splitting only the batch
-that crosses the cap, and feeds the engine.
+queued batches into micro-batches of at most
+:data:`~repro.serve.config.MICRO_BATCH_REQUESTS` (1,024) requests,
+splitting only the batch that crosses the cap, and feeds the engine.
 
 Where the engine lives depends on ``ServeConfig.workers``:
 
@@ -65,9 +65,8 @@ from ..sim.engine import EngineConfig, SimulationEngine
 from ..sim.export import result_to_state
 from ..sim.runner import scaled_system_config
 from ..sim.session import Session
-from ..vec.epoch import EPOCH_SIZE
 from ..workloads.trace import parse_records
-from .config import ServeConfig
+from .config import MICRO_BATCH_REQUESTS, ServeConfig
 from .obs import ServeMetrics
 from .pool import RecordSpan, WorkerPool
 from .protocol import PROTOCOL_VERSION
@@ -264,9 +263,8 @@ class ServeSession:
                     self._wakeup.clear()
                     await self._wakeup.wait()
                 if pending:
-                    # Micro-batch: everything queued, capped at one vec
-                    # epoch, so the engine session's epoch former stays
-                    # busy without one tenant monopolizing a worker.
+                    # Micro-batch: everything queued, capped so that one
+                    # tenant never monopolizes the engine.
                     parts, taken = self._take(batch_hint)
                     self._queue_gauge.set(float(self._queued))
                     self._occupancy_hist.observe(float(taken))
@@ -324,7 +322,7 @@ class SessionManager:
         #: Serializes all in-process engine work: the memo caches are
         #: process-global (see the module doc).
         self.engine_lock = threading.Lock()
-        self.batch_hint = EPOCH_SIZE
+        self.batch_hint = MICRO_BATCH_REQUESTS
         self.sessions: Dict[str, ServeSession] = {}
         self.draining = False
         self._ids = itertools.count(1)

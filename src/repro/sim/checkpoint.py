@@ -3,10 +3,10 @@
 A long streaming run must survive host restarts.  The session API
 (:mod:`repro.sim.session`) already carries *all* run state on objects —
 the scheme graph (controller, banks, stores, timelines), the recorders,
-the core-timing model, the integrity shadow and the epoch buffer — so a
-checkpoint is a pickle of the session graph plus the one piece of
-process-global state the run depends on: the memo-cache registry
-(:mod:`repro.perf.memo`), whose hit/miss counters feed exported extras.
+the core-timing model and the integrity shadow — so a checkpoint is a
+pickle of the session graph plus the one piece of process-global state
+the run depends on: the memo-cache registry (:mod:`repro.perf.memo`),
+whose hit/miss counters feed exported extras.
 
 Why this is bit-exact (the property the CI ``trace-resume`` job gates):
 
@@ -14,12 +14,12 @@ Why this is bit-exact (the property the CI ``trace-resume`` job gates):
   (``_stall_cycles``, the recorders' running state) and pickle restores
   floats, deques, ``OrderedDict`` order, and ``np.random.Generator``
   state exactly.
-* The session's epoch buffer (``_pending``) is pickled too, so epoch
-  boundaries after resume fall exactly where an uninterrupted run would
-  have put them.
 * Memo caches are snapshotted with entry order and counters and restored
   **in place** (:func:`repro.perf.memo.state_import`), so cache-stat
-  extras and priming counts match an uninterrupted run.
+  extras match an uninterrupted run.
+* A session holds no request it has not processed, so the resume offset
+  is :attr:`~repro.sim.session.Session.processed`: skip that many
+  source-stream records, then feed the rest.
 
 File format: a fixed header — magic ``b"ESDCKPT1"``, u16 version, u16
 reserved, u32 CRC-32 of the payload, u64 payload length — followed by
@@ -59,12 +59,13 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"ESDCKPT1"
-#: v5: the PCM device keeps no per-frame write counts and the config no
-#: core count or cache geometry, so a v4 graph names a config class this
-#: build lacks; v4 is rejected at the header, naming its version, rather
-#: than as an unreadable payload.  (v4 added the observation binding,
-#: ``_obs`` on the scheme graph, which v3 lacks.)
-CHECKPOINT_VERSION = 5
+#: v6: the session has no epoch buffer, so a v5 graph carries a buffered
+#: tail this build would never process, and its meta a ``consumed``
+#: offset that counts that tail; v5 is rejected at the header, naming its
+#: version.  (v5 dropped the PCM device's per-frame write counts and the
+#: config's core count and cache geometry; v4 added the observation
+#: binding, ``_obs`` on the scheme graph, which v3 lacks.)
+CHECKPOINT_VERSION = 6
 
 _HEADER = struct.Struct("<8sHHIQ")
 
@@ -73,12 +74,9 @@ _HEADER = struct.Struct("<8sHHIQ")
 class RestoredCheckpoint:
     """A loaded checkpoint: the live session plus resume bookkeeping."""
 
-    #: The restored, open session — feed it the rest of the stream.
+    #: The restored, open session — skip its ``processed`` records of the
+    #: source stream, then feed it the rest.
     session: "Session"
-    #: Source-stream records the session has already consumed (processed
-    #: plus the buffered epoch tail): skip exactly this many
-    #: records before feeding.
-    consumed: int
     #: Identifying metadata captured at checkpoint time (app, scheme,
     #: counts) for resume-time validation.
     meta: Dict[str, Any]
@@ -96,8 +94,6 @@ def checkpoint_bytes(session: "Session") -> bytes:
         "app": session.app,
         "scheme": session.scheme.name,
         "processed": session.processed,
-        "pending": session.pending,
-        "consumed": session.processed + session.pending,
     }
     payload = pickle.dumps(
         {
@@ -139,7 +135,7 @@ def load_checkpoint(
 
     Validates magic, version, payload length, and CRC before unpickling;
     then restores the memo-cache registry in place and returns the live
-    session with its resume offset.
+    session.
 
     Raises:
         CheckpointError: on a corrupt, truncated, or incompatible file.
@@ -174,6 +170,4 @@ def load_checkpoint(
             f"checkpoint holds a {session.state} session; only open "
             f"sessions can resume")
     _memo.state_import(state["memo"])
-    meta = state["meta"]
-    return RestoredCheckpoint(session=session, consumed=meta["consumed"],
-                              meta=meta)
+    return RestoredCheckpoint(session=session, meta=state["meta"])

@@ -17,10 +17,11 @@ Parity contract
 ``run()`` is reimplemented on top of ``open_session``/``feed``/
 ``finalize``, and a session fed in arbitrary chunk sizes produces a
 ``SimulationResult`` **bit-identical** to a one-shot ``run()`` of the
-concatenated stream (``tests/test_serve_session_parity.py``).  The one
-request-loop body (:meth:`Session._feed_fast`, run one epoch at a time)
-is the engine's former loop carved into a resumable chunk processor; the
-load-bearing details are:
+concatenated stream (``tests/test_serve_session_parity.py``).  Each
+``feed`` runs the one request-loop body (:meth:`Session._process`) over
+exactly the requests it is given; that body is the engine's former loop
+carved into a resumable chunk processor, and the load-bearing details
+are:
 
 * **Float accumulation order.**  The loop accumulates core stall cycles
   in a local and flushes once at the end; a session keeps that running
@@ -29,13 +30,8 @@ load-bearing details are:
   one-shot loop's (chunked partial sums would reassociate and drift).
 * **Recorder batching.**  ``LatencyRecorder.add_many`` performs the same
   per-sample arithmetic as repeated ``add`` with state round-tripping
-  through the instance, so flushing per epoch is bit-identical to one
-  end-of-run flush.
-* **Epoch formation.**  The session drains the stream in epochs of
-  :data:`~repro.vec.epoch.EPOCH_SIZE` requests; it buffers pending
-  requests and only processes *full* epochs during ``feed``, releasing
-  the short tail epoch in ``finalize`` — the same epochs regardless of
-  how the stream was split across ``feed`` calls.
+  through the instance, so flushing once per ``feed`` is bit-identical
+  to one end-of-run flush.
 
 Scope handling
 --------------
@@ -49,16 +45,13 @@ with the graph.  The memo caches (:mod:`repro.perf.memo`) are still
 process-global: a session resets them once at open (exactly ``run()``'s
 begin), and interleaved sessions share them.  That is sound, because the
 caches are content-addressed and pure, but the cache-statistics extras
-(``memo_*`` and the ``vec_batched_*`` priming counts, which skip
-already-cached contents) are only deterministic for sessions that run
-without interleaving; the parity gates compare full results on that
-basis.
+(``memo_*``) are only deterministic for sessions that run without
+interleaving; the parity gates compare full results on that basis.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
 from typing import Deque, Dict, Iterable, List, Optional, TYPE_CHECKING
 
 from ..cache.cpu import CoreTimingModel
@@ -69,17 +62,12 @@ from ..obs.export import build_report
 from ..obs.harvest import harvest_run
 from ..obs.runtime import RunObservation
 from ..perf import memo as _memo
-from ..vec.epoch import EPOCH_SIZE, EpochPrecomputer, VecStats
 from .metrics import SimulationResult, collect_extras
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .engine import SimulationEngine
 
 __all__ = ["Session"]
-
-#: Power-of-two bucket bounds for the epoch-size histogram (epochs are
-#: ``EPOCH_SIZE`` except a possibly-short tail).
-_EPOCH_SIZE_BOUNDS = tuple(float(1 << i) for i in range(21))
 
 
 class Session:
@@ -134,14 +122,6 @@ class Session:
         self._stall_cycles = 0.0
         self._instructions = 0
 
-        self._vec_stats = VecStats()
-        self._precomp = EpochPrecomputer(self.scheme, self._vec_stats)
-        self._pending: List[MemoryRequest] = []
-        self._epoch_hist = None
-        if self._obs_run is not None:
-            self._epoch_hist = self._obs_run.registry.histogram(
-                "vec_epoch_size", _EPOCH_SIZE_BOUNDS)
-
         self._state = "open"
 
     # ------------------------------------------------------------------
@@ -155,19 +135,9 @@ class Session:
 
     @property
     def processed(self) -> int:
-        """Requests processed so far (excluding buffered epoch tail)."""
+        """Requests processed so far: every request fed, and the number
+        of source-stream records a resumed session skips."""
         return self._processed
-
-    @property
-    def pending(self) -> int:
-        """Requests buffered toward the next epoch."""
-        return len(self._pending)
-
-    @property
-    def consumed(self) -> int:
-        """Source-stream records this session has taken (processed plus
-        the buffered epoch tail) — the resume offset a checkpoint records."""
-        return self._processed + len(self._pending)
 
     def _require_open(self, verb: str) -> None:
         if self._state != "open":
@@ -185,24 +155,15 @@ class Session:
         """
         self._require_open("feed")
         try:
-            return self._feed_vectorized(requests)
+            return self._process(requests)
         except BaseException:
             self._state = "failed"
             raise
 
     def finalize(self) -> SimulationResult:
-        """Flush buffered work and build the result; ends the session."""
+        """Build the result; ends the session."""
         self._require_open("finalize")
-        try:
-            if self._pending:
-                # The stream's short tail epoch.
-                tail = self._pending
-                self._pending = []
-                self._process_epoch(tail)
-            memo_stats: Dict[str, float] = _memo.stats_snapshot()
-        except BaseException:
-            self._state = "failed"
-            raise
+        memo_stats: Dict[str, float] = _memo.stats_snapshot()
 
         core = self._core
         # One flush of the session-running accumulators — the same single
@@ -212,14 +173,11 @@ class Session:
 
         scheme = self.scheme
         extras = collect_extras(scheme)
-        vec_stats = self._vec_stats.snapshot()
         extras.update(memo_stats)
-        extras.update(vec_stats)
 
         obs_report = None
         if self._obs_run is not None:
-            harvest_run(self._obs_run, scheme, memo_stats,
-                        vec_stats=vec_stats)
+            harvest_run(self._obs_run, scheme, memo_stats)
             obs_report = build_report(self._obs_run)
 
         controller = scheme.controller
@@ -268,7 +226,7 @@ class Session:
         and the byte count returned; with no argument the serialized
         checkpoint is returned as ``bytes``.  The session stays open and
         can keep feeding — checkpointing is a pure snapshot.  Resume with
-        :meth:`restore`, then skip :attr:`consumed` records of the source
+        :meth:`restore`, then skip :attr:`processed` records of the source
         stream before feeding the remainder.
 
         Raises:
@@ -285,7 +243,7 @@ class Session:
 
         Reinstalls the process-global memo-cache state the checkpoint
         captured and returns the live, open session; its
-        :attr:`consumed` property is the number of source-stream records
+        :attr:`processed` property is the number of source-stream records
         to skip before feeding.
 
         Raises:
@@ -295,18 +253,16 @@ class Session:
         return load_checkpoint(source).session  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
-    # Chunk processors (the engine's former _loop_* bodies, resumable)
+    # The request loop (the engine's former loop body, resumable)
     # ------------------------------------------------------------------
 
-    def _feed_fast(self, requests: Iterable[MemoryRequest]) -> int:
-        """The request loop body, fed one epoch at a time by
-        :meth:`_process_epoch`.
+    def _process(self, requests: Iterable[MemoryRequest]) -> int:
+        """Run the request loop over one ``feed`` chunk.
 
         Bound methods and constants are hoisted because every attribute
         lookup in the body is paid once per request; running accumulators
         are loaded from and stored back to the session so the arithmetic
-        sequence across chunks and epochs matches the one-shot loop
-        exactly.  The recorder flush in ``finally`` has the same
+        sequence across chunks matches the one-shot loop exactly.  The recorder flush in ``finally`` has the same
         per-sample arithmetic as one end-of-run ``add_many`` (the recorder
         state round-trips through the instance between batches), and also
         runs on an exception mid-chunk so the partial batch is never lost.
@@ -406,34 +362,3 @@ class Session:
             self._write_rec.add_many(write_lats)
             self._read_rec.add_many(read_lats)
         return processed - start
-
-    def _feed_vectorized(self, requests: Iterable[MemoryRequest]) -> int:
-        """Epoch-buffering front end of the request loop.
-
-        Buffers incoming requests and processes only *full* epochs of
-        ``EPOCH_SIZE``; the short tail is released by ``finalize``.  The
-        epoch boundaries are therefore those of the concatenated stream,
-        independent of feed chunk sizes.
-        """
-        pending = self._pending
-        size = EPOCH_SIZE
-        iterator = iter(requests)
-        fed = 0
-        while True:
-            chunk = list(islice(iterator, size - len(pending)))
-            if not chunk:
-                return fed
-            fed += len(chunk)
-            pending.extend(chunk)
-            if len(pending) == size:
-                epoch = pending
-                self._pending = pending = []
-                self._process_epoch(epoch)
-
-    def _process_epoch(self, epoch: List[MemoryRequest]) -> None:
-        """Resolve one epoch: prime the kernel caches, then run the loop
-        body over it."""
-        self._precomp.precompute(epoch)
-        if self._epoch_hist is not None:
-            self._epoch_hist.observe(float(len(epoch)))
-        self._feed_fast(epoch)

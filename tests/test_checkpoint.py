@@ -20,7 +20,6 @@ from repro.sim.checkpoint import (
 from repro.sim.engine import EngineConfig, SimulationEngine
 from repro.sim.export import result_state_bytes
 from repro.sim.session import Session
-from repro.vec.epoch import EPOCH_SIZE
 from repro.workloads.generator import TraceGenerator
 
 
@@ -56,7 +55,7 @@ def _resumed_state(trace, scheme_name, config, cut, app="gcc"):
     other.run(iter(_trace(400, app="lbm", seed=9)), app="lbm",
               total_hint=400)
     restored = Session.restore(blob)
-    skip = restored.consumed
+    skip = restored.processed
     replay = iter(trace)
     for _ in range(skip):
         next(replay)
@@ -66,25 +65,28 @@ def _resumed_state(trace, scheme_name, config, cut, app="gcc"):
 
 class TestBitExactResume:
     @pytest.mark.parametrize("scheme_name", ["ESD", "NV-Dedup", "DeWrite"])
-    @pytest.mark.parametrize("mid_epoch", [True])
-    def test_resume_matches_direct(self, scheme_name, mid_epoch):
-        """A cut after one full epoch, mid-epoch or on the boundary."""
+    @pytest.mark.parametrize("unaligned", [True])
+    def test_resume_matches_direct(self, scheme_name, unaligned):
+        """A cut at 1,337 requests, or (unaligned False) at 1,024."""
         trace = _trace()
         config = small_test_config()
-        cut = EPOCH_SIZE + 313 if mid_epoch else EPOCH_SIZE
+        cut = 1_337 if unaligned else 1_024
         direct = _direct_state(trace, scheme_name, config)
         resumed = _resumed_state(trace, scheme_name, config, cut=cut)
         assert direct == resumed
 
-    def test_vec_pending_tail_checkpoints(self):
-        """A cut inside an epoch must carry the buffered tail."""
+    def test_resume_offset_is_processed_count(self):
+        """A session holds no unprocessed request, so the checkpoint's
+        resume offset is the count fed before it."""
         trace = _trace(1_500)
         config = small_test_config()
         engine = SimulationEngine(make_scheme("ESD", config), EngineConfig())
         session = engine.open_session(app="gcc", total_hint=len(trace))
         session.feed(islice(iter(trace), 1_100))
-        assert session.pending > 0  # mid-epoch: tail buffered, not flushed
-        assert session.consumed == 1_100
+        assert session.processed == 1_100
+        restored = load_checkpoint(session.checkpoint())
+        assert restored.session.processed == 1_100
+        assert restored.meta["processed"] == 1_100
         direct = _direct_state(trace, "ESD", config)
         resumed = _resumed_state(trace, "ESD", config, cut=1_100)
         assert direct == resumed
@@ -118,7 +120,7 @@ class TestCheckpointContainer:
         restored = load_checkpoint(blob)
         assert restored.meta["app"] == "gcc"
         assert restored.meta["scheme"] == "ESD"
-        assert restored.consumed == 500
+        assert restored.session.processed == 500
 
     def test_file_roundtrip(self, tmp_path):
         trace = _trace(900)
@@ -128,7 +130,7 @@ class TestCheckpointContainer:
         session.feed(islice(iter(trace), 400))
         path = tmp_path / "run.ckpt"
         write_checkpoint(session, path)
-        assert load_checkpoint(path).consumed == 400
+        assert load_checkpoint(path).session.processed == 400
         # Atomic finalize leaves no temp litter.
         assert [p.name for p in tmp_path.iterdir()] == ["run.ckpt"]
 
@@ -164,14 +166,14 @@ class TestCheckpointContainer:
             load_checkpoint(CHECKPOINT_MAGIC)
 
     def test_old_version_rejected(self):
-        """Versions 1 and 2 pickle sessions with execution switches (a v2
-        reference-mode session has no epoch precomputer), a v3 scheme
-        graph has no observation binding, and a v4 graph pickles the
-        removed cache geometry and per-frame write counts; they must fail
-        typed at load, naming the version, never halfway through a feed
-        or as an unreadable payload."""
-        assert CHECKPOINT_VERSION == 5
-        for old in (1, 2, 3, 4):
+        """Versions 1 and 2 pickle sessions with execution switches, a v3
+        scheme graph has no observation binding, a v4 graph pickles the
+        removed cache geometry and per-frame write counts, and a v5
+        session carries an epoch buffer of requests it has not processed;
+        they must fail typed at load, naming the version, never halfway
+        through a feed or as an unreadable payload."""
+        assert CHECKPOINT_VERSION == 6
+        for old in (1, 2, 3, 4, 5):
             blob = bytearray(self._session_blob())
             magic, _, reserved, crc, length = struct.unpack_from("<8sHHIQ",
                                                                  blob)

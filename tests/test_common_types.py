@@ -18,6 +18,7 @@ from repro.common.types import (
     WritePathStage,
     is_zero_line,
     line_words,
+    request_unchecked,
     validate_line,
 )
 
@@ -193,6 +194,20 @@ class TestMemoryRequestConstruction:
         # The pickled form is the instance dict in field order.
         assert hashlib.sha256(pickle.dumps(req, protocol=4)).hexdigest() == (
             "24711f5f59fbd07f53da4b18577b8b436366ef3b86fb871430ece852dcc17b9b")
+
+
+class TestRequestUnchecked:
+    def test_equals_validated_constructor(self):
+        data = bytes(range(64))
+        checked = MemoryRequest(address=128, access=AccessType.WRITE,
+                                data=data, issue_time_ns=5.0, core=1, seq=7)
+        trusted = request_unchecked(128, AccessType.WRITE, data, 5.0, 1, 7)
+        assert trusted == checked
+        assert trusted.is_write and trusted.line_index == 2
+
+    def test_read_request(self):
+        trusted = request_unchecked(0, AccessType.READ, None, 0.0, 0, 0)
+        assert trusted == MemoryRequest(address=0, access=AccessType.READ)
 
 
 class TestPhysicalAddress:

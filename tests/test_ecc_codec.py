@@ -13,11 +13,12 @@ from repro.ecc.codec import (
     decode_line,
     line_ecc,
     line_ecc_bytes,
+    line_ecc_uncached,
     verify_distinct,
     word_eccs,
 )
 from repro.ecc.faults import flip_bit
-from repro.ecc.hamming import encode_word
+from repro.ecc.hamming import _encode_word_masks, encode_word
 
 LINES = st.binary(min_size=CACHE_LINE_SIZE, max_size=CACHE_LINE_SIZE)
 
@@ -60,6 +61,50 @@ class TestLineECC:
         # Different ECC always proves different content.
         if line_ecc(a) != line_ecc(b):
             assert a != b
+
+
+def _reference_line_ecc(data):
+    """The line ECC from the mask-and-popcount word encoder."""
+    ecc = 0
+    for i, word in enumerate(struct.unpack("<8Q", data)):
+        ecc |= _encode_word_masks(word) << (8 * i)
+    return ecc
+
+
+class TestLineEccKernel:
+    """``line_ecc_uncached`` (eight byte-lane translates) against the
+    mask-and-popcount reference encoder, word by word."""
+
+    @given(LINES)
+    @settings(max_examples=300)
+    def test_matches_reference(self, data):
+        assert line_ecc_uncached(data) == _reference_line_ecc(data)
+
+    def test_zero_and_all_ones_lines(self):
+        assert line_ecc_uncached(bytes(64)) == 0
+        ones = b"\xff" * 64
+        assert line_ecc_uncached(ones) == _reference_line_ecc(ones)
+
+    def test_every_single_bit_line(self):
+        for bit in range(8 * CACHE_LINE_SIZE):
+            data = flip_bit(bytes(64), bit)
+            assert line_ecc_uncached(data) == _reference_line_ecc(data)
+
+    @given(LINES)
+    @settings(max_examples=50)
+    def test_bytearray_gives_same_value(self, data):
+        assert line_ecc_uncached(bytearray(data)) == line_ecc_uncached(data)
+
+    @pytest.mark.parametrize("data,message", [
+        (bytes(63), "cache line must be 64 bytes, got 63"),
+        (bytes(65), "cache line must be 64 bytes, got 65"),
+        ("x" * 64, "cache line must be bytes, got str"),
+        (None, "cache line must be bytes, got NoneType"),
+    ], ids=["63-bytes", "65-bytes", "str", "None"])
+    def test_bad_input_messages(self, data, message):
+        with pytest.raises(ValueError) as err:
+            line_ecc_uncached(data)
+        assert str(err.value) == message
 
 
 class TestDecodeLine:

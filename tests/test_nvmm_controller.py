@@ -91,7 +91,7 @@ class TestMetadataPath:
     def test_total_pcm_writes(self, controller):
         controller.write(0, bytes(64), 0.0)
         controller.metadata_write(1, 0.0)
-        assert controller.total_pcm_writes == 2
+        assert controller.data_writes + controller.metadata_writes == 2
 
 
 class TestReporting:

@@ -49,8 +49,7 @@ class TestMemoCache:
         cache.put("b", 2)
         cache.get("a")  # refresh "a": "b" is now the LRU entry
         cache.put("c", 3)
-        assert "a" in cache and "c" in cache
-        assert "b" not in cache
+        assert list(cache._data) == ["a", "c"]
 
     def test_put_existing_key_refreshes_without_evicting(self):
         cache = MemoCache("t", capacity=2)

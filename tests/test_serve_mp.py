@@ -1,7 +1,7 @@
 """Multi-process serve tests (ISSUE 9): affinity, parity, crash, knobs.
 
 Parity basis is *stronger* than the in-process server's: each worker
-process owns its own process-global memo/vec/obs state, so sessions on
+process owns its own process-global memo caches, so sessions on
 distinct workers never share caches — even concurrent tenants compare
 full-state bit-exact against direct runs, no ``_comparable`` strip
 needed (tenants are chosen to land on distinct workers via the same

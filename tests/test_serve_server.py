@@ -6,11 +6,10 @@ fast producer, and SIGTERM draining in-flight sessions to a clean exit.
 
 Parity basis: a single non-interleaved session is bit-identical to a
 direct ``run()`` (full state).  Concurrent sessions share the
-process-global memo caches, so the cache-statistics extras — ``memo_*``
-and the ``vec_batched_*`` priming counts (the precomputer skips
-contents another session already cached) — may differ; everything else
-(latencies, counters, energy, IPC, raw samples) must still match
-exactly.  ``_comparable`` strips exactly those keys.
+process-global memo caches, so the cache-statistics extras (``memo_*``)
+may differ; everything else (latencies, counters, energy, IPC, raw
+samples) must still match exactly.  ``_comparable`` strips exactly those
+keys.
 """
 
 import logging
@@ -52,8 +51,7 @@ def _direct_state(scheme_name: str, trace, app: str, options=None):
 
 #: Extras keys whose values depend on what other sessions cached (see
 #: the module docstring) — excluded from the concurrent-parity check.
-_CACHE_DEPENDENT = ("memo_", "vec_batched_ecc_lines",
-                    "vec_batched_fp_lines")
+_CACHE_DEPENDENT = "memo_"
 
 
 def _comparable(state):

@@ -2,10 +2,10 @@
 
 ``SimulationEngine.run`` is reimplemented on top of
 ``open_session``/``feed``/``finalize``; these tests prove the refactor's
-contract: feeding a trace incrementally — any chunk size, including the
-epoch boundary sizes — produces a ``SimulationResult`` bit-identical to
-a one-shot ``run()`` of the same trace, for every registered scheme,
-with traces shorter than one epoch and traces spanning several.
+contract: feeding a trace incrementally — any chunk size, including
+chunks around the serve micro-batch cap — produces a
+``SimulationResult`` bit-identical to a one-shot ``run()`` of the same
+trace, for every registered scheme.
 
 Bit-identical means the full lossless state snapshot
 (:func:`repro.sim.export.result_to_state`) compares equal: every raw
@@ -22,14 +22,11 @@ from repro.registry import make_scheme, registered_scheme_names
 from repro.sim.engine import EngineConfig, SimulationEngine
 from repro.sim.export import result_to_state
 from repro.sim.runner import scaled_system_config
-from repro.vec.epoch import EPOCH_SIZE
 from repro.workloads.generator import TraceGenerator
 
-#: (case id, trace length) for the chunked-feed parity test.  A session
-#: buffers requests into ``EPOCH_SIZE`` epochs: "fast" stays under one
-#: epoch, so finalize releases the whole trace as the short tail; "vec"
-#: spans two full epochs plus a tail, so epochs are released mid-feed
-#: with their boundaries inside the feed chunks.
+#: (case id, trace length) for the chunked-feed parity test: a trace
+#: shorter than one serve micro-batch (1,024 requests) and one spanning
+#: more than two, both fed in 333-request chunks.
 FEED_CASES = [
     ("fast", 700),
     ("vec", 2600),
@@ -70,15 +67,14 @@ def test_incremental_feed_matches_run(scheme_name, mode, n):
     expected = _run_state(scheme_name, trace)
     state, _ = _session_state(scheme_name, trace, chunk=333)
     assert state == expected
-    assert state["extras"]["vec_epochs"] == -(-n // EPOCH_SIZE)
 
 
 @pytest.mark.parametrize("chunk", [1023, 1024, 1025],
                          ids=["epoch-1", "epoch", "epoch+1"])
 @pytest.mark.parametrize("scheme_name", ["ESD", "Dedup_SHA1"])
 def test_epoch_boundary_chunks(scheme_name, chunk):
-    """Feed chunks straddling the epoch size must reproduce the one-shot
-    run's epoch boundaries exactly (2.5+ epochs of trace)."""
+    """Feed chunks around the serve micro-batch cap (1,024 requests) over
+    2,600 requests reproduce the one-shot run."""
     trace = _trace(2600, seed=7)
     expected = _run_state(scheme_name, trace)
     state, _ = _session_state(scheme_name, trace, chunk=chunk)
@@ -124,25 +120,26 @@ def test_closed_session_rejects_feed():
     assert session.state == "closed"
 
 
-def test_vectorized_session_buffers_partial_epoch():
-    """Sub-epoch feeds stay buffered until finalize releases the tail."""
+def test_feed_processes_every_request():
+    """A session holds nothing back: each feed runs every request it is
+    given, so ``processed`` is the count fed so far."""
     trace = _trace(600, seed=9)
     engine = _engine("ESD")
     session = engine.open_session(app="gcc", total_hint=len(trace))
-    session.feed(trace)
-    # 600 < epoch size (1024): everything is still pending.
-    assert session.processed == 0
-    assert session.pending == 600
+    assert session.feed(trace[:250]) == 250
+    assert session.processed == 250
+    assert session.feed(iter(trace[250:])) == 350
+    assert session.processed == 600
     state = result_to_state(session.finalize())
     assert state == _run_state("ESD", trace)
 
 
 def _without_cache_series(report):
-    """An obs report minus the ``memo_*``/``vec_*`` series, which the
+    """An obs report minus the ``memo_*`` series, which the
     process-global memo caches shared by interleaved sessions perturb."""
     return dict(report, metrics=[
         row for row in report["metrics"]
-        if not row["name"].startswith(("memo_", "vec_"))])
+        if not row["name"].startswith("memo_")])
 
 
 def test_interleaved_sessions_match_sequential():

@@ -126,4 +126,4 @@ class TestCheckpointCrash:
             proc.wait(timeout=30)
         restored = load_checkpoint(ck)
         assert restored.meta["scheme"] == "ESD"
-        assert 0 < restored.consumed <= 60_000
+        assert 0 < restored.session.processed <= 60_000

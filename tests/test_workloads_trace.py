@@ -489,3 +489,73 @@ class TestMalformedRecordFuzz:
             scalar = self._outcome(_parse_records, mutated, count)
             vec = self._outcome(parse_records, mutated, count)
             assert scalar == vec, f"divergence at truncation {cut}"
+
+
+class TestVectorizedTraceIO:
+    """The batched numpy parser (``parse_records``) against the scalar
+    reference parser (``_parse_records``): identical requests, identical
+    errors on malformed streams."""
+
+    def _requests(self, count=800):
+        return TraceGenerator("gcc", seed=9).generate_list(count)
+
+    def test_roundtrip_byte_identical_both_modes(self):
+        requests = self._requests()
+        payload, count = pack_records(requests)
+        assert list(_parse_records(payload, count)) == requests
+        assert list(parse_records(payload, count)) == requests
+
+    def test_cross_mode_roundtrip(self):
+        # The file reader's decode equals the reference parser's decode
+        # of the same records.
+        requests = self._requests(200)
+        buffer = io.BytesIO()
+        write_trace(requests, buffer)
+        buffer.seek(0)
+        payload, count = pack_records(requests)
+        assert read_trace_list(buffer) == list(_parse_records(payload,
+                                                              count))
+
+    def _blob(self, requests):
+        """A v1 trace's record bytes (after its 20-byte header)."""
+        buffer = io.BytesIO()
+        write_trace(requests, buffer, version=1)
+        return buffer.getvalue()[20:]
+
+    def _error(self, payload, count):
+        outcomes = []
+        for parse in (_parse_records, parse_records):
+            try:
+                list(parse(payload, count))
+                outcomes.append(None)
+            except Exception as exc:  # noqa: BLE001 - parity capture
+                outcomes.append((type(exc), str(exc)))
+        return outcomes
+
+    def test_error_parity_truncated_payload(self):
+        blob = self._blob(self._requests(50))
+        ref, vec = self._error(blob[:-10], 50)
+        assert ref == vec and ref is not None
+        assert "truncated" in ref[1]
+
+    def test_error_parity_unknown_kind(self):
+        blob = bytearray(self._blob(self._requests(50)))
+        blob[0] = 9  # first record's kind byte
+        ref, vec = self._error(bytes(blob), 50)
+        assert ref == vec and ref is not None
+        assert "unknown record kind 9" in ref[1]
+
+    def test_error_parity_misaligned_address(self):
+        blob = bytearray(self._blob(self._requests(50)))
+        struct.pack_into("<Q", blob, 8, 65)  # unaligned address
+        ref, vec = self._error(bytes(blob), 50)
+        assert ref == vec and ref is not None
+        assert ref[0] is ValueError
+
+    def test_empty_trace(self):
+        assert list(_parse_records(b"", 0)) == []
+        assert list(parse_records(b"", 0)) == []
+        buffer = io.BytesIO()
+        assert write_trace([], buffer) == 0
+        buffer.seek(0)
+        assert read_trace_list(buffer) == []
