@@ -9,11 +9,10 @@ sections:
   front of the scalar kernels); medians over rounds.  Its results
   are gated elsewhere: ``tests/test_perf_parity.py`` pins the digests of
   these 12 cells and of all eight schemes' whole runs.
-* **long_trace** — serialization of a long request trace (write + read
-  round trip), timed with the batched reader the trace module uses
-  against the same write plus a scalar-parser decode, with equality of
-  both decodes to the source requests gated.  This is the hot path the
-  memo caches could not move (1.03x).
+* **long_trace** — serialization of a long request trace: one v2
+  write-and-read round trip per round, timed, with equality of the
+  decode to the source requests gated.  This is the hot path the memo
+  caches could not move (1.03x).
 * **streaming_capture** — peak-RSS contrast (``ru_maxrss`` in a fresh
   subprocess per strategy) of streaming a ≥200k-record generator into
   the chunked v2 trace writer vs materializing the full request list
@@ -51,8 +50,9 @@ Usage::
     PYTHONPATH=src python benchmarks/perf_smoke.py --quick
     PYTHONPATH=src python benchmarks/perf_smoke.py --output BENCH_perf_smoke.json
 
-Exit status: 0 on success, 2 when the two parsers' long-trace decodes
-differ, a multi-process served session diverges from its direct run, or
+Exit status: 0 on success, 2 when the long-trace decode differs from
+its source requests, a multi-process served session diverges from its
+direct run, or
 a sweep backend pair diverges from the serial grid (correctness
 regressions, never acceptable).
 """
@@ -89,12 +89,7 @@ from repro.registry import registered_scheme_names
 from repro.sim.runner import ExperimentConfig, run_grid, scaled_system_config
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.profiles import get_profile
-from repro.workloads.trace import (
-    _HEADER,
-    _parse_records,
-    read_trace_list,
-    write_trace,
-)
+from repro.workloads.trace import read_trace_list, write_trace
 
 # The reference grid: the paper's three most content-diverse SPEC apps
 # against all four evaluated schemes, on a fixed seed so the trace --- and
@@ -141,61 +136,42 @@ def bench_grid(requests: int, rounds: int) -> Dict:
 # The long-trace round
 # ----------------------------------------------------------------------
 
-def _read_scalar(buffer: io.BytesIO) -> List:
-    """Decode a version-1 trace with the scalar reference parser."""
-    _, _, _, count = _HEADER.unpack(buffer.read(_HEADER.size))
-    return list(_parse_records(buffer.read(), count))
+def _roundtrip(requests: List) -> List:
+    """Write ``requests`` as a v2 trace in memory and read it back."""
+    buffer = io.BytesIO()
+    write_trace(requests, buffer)
+    buffer.seek(0)
+    return read_trace_list(buffer)
 
 
 def bench_long_trace(records: int, rounds: int) -> Dict:
-    """Long-trace serialization round trip, batched vs scalar parser.
+    """Long-trace serialization: one v2 write-and-read round trip a round.
 
-    Both sides write the same version-1 trace (one flat record span, so
-    the scalar parser can decode it whole) and decode it with their
-    parser.  The identity check (both decodes equal the source requests)
-    runs once, outside the timed rounds, so the timed passes never hold
-    another side's 10^5-object reread alive — the garbage collector's
-    traversals scale with the live-object population, and an extra
-    reread in memory taxes whichever side runs second.  Timed like the
-    grid: sides interleave within each round, CPU seconds are primary,
-    each side's reread is dropped before the next runs.  The realistic
-    speedup ceiling is low — deserialization's floor is one Python
-    object per record, and the writer is the same on both sides — and
-    the medians recorded here are honest measurements, not targets.
+    The identity check (the decode equals the source requests) runs
+    once, outside the timed rounds, and each round's reread is dropped
+    before the next runs: the garbage collector's traversals scale with
+    the live-object population, so a reread kept alive would tax the
+    rounds after it.  CPU seconds are primary.  Deserialization's floor
+    is one Python object per record, and the medians recorded here are
+    honest measurements, not targets.
     """
     requests = TraceGenerator(get_profile(GRID_APPS[0]),
                               seed=GRID_SEED).generate_list(records)
-    sides = (("reference", _read_scalar), ("vectorized", read_trace_list))
-    identical = True
-    for _, read in sides:
-        buffer = io.BytesIO()
-        write_trace(requests, buffer, version=1)
-        buffer.seek(0)
-        identical = identical and read(buffer) == requests
+    identical = _roundtrip(requests) == requests
     round_records = []
     for _ in range(rounds):
-        cpu: Dict[str, float] = {}
-        for label, read in sides:
-            cpu0 = time.process_time()
-            buffer = io.BytesIO()
-            write_trace(requests, buffer, version=1)
-            buffer.seek(0)
-            reread = read(buffer)
-            cpu[label] = time.process_time() - cpu0
-            assert len(reread) == records
-            del reread, buffer
-        round_records.append({
-            "reference_cpu_s": cpu["reference"],
-            "vectorized_cpu_s": cpu["vectorized"],
-            "cpu_speedup": (cpu["reference"] / cpu["vectorized"]
-                            if cpu["vectorized"] > 0 else 0.0),
-        })
+        cpu0 = time.process_time()
+        reread = _roundtrip(requests)
+        cpu_s = time.process_time() - cpu0
+        assert len(reread) == records
+        del reread
+        round_records.append({"cpu_s": cpu_s})
     return {
         "app": GRID_APPS[0],
         "records": records,
         "rounds": round_records,
-        "median_cpu_speedup": statistics.median(
-            r["cpu_speedup"] for r in round_records),
+        "median_cpu_s": statistics.median(
+            r["cpu_s"] for r in round_records),
         "roundtrip_identical": identical,
     }
 
@@ -633,7 +609,10 @@ def bench_sweep_backends(requests: int) -> Dict:
 #: ``median_wall_s`` replace the two-mode speedups), and the
 #: ``grids_identical``/``roster_identical`` gates are gone: the pinned
 #: digests in ``tests/test_perf_parity.py`` check those results.
-HISTORY_SCHEMA_VERSION = 6
+#: v7: the long trace times one v2 round trip (``long_trace_median_cpu_s``
+#: replaces ``long_trace_median_cpu_speedup``): the second parser and
+#: the v1 container are gone.
+HISTORY_SCHEMA_VERSION = 7
 
 
 def history_entry(report: Dict) -> Dict:
@@ -653,8 +632,7 @@ def history_entry(report: Dict) -> Dict:
         "requests_per_app": grid["requests_per_app"],
         "grid_median_cpu_s": grid["median_cpu_s"],
         "grid_median_wall_s": grid["median_wall_s"],
-        "long_trace_median_cpu_speedup":
-            report["long_trace"]["median_cpu_speedup"],
+        "long_trace_median_cpu_s": report["long_trace"]["median_cpu_s"],
         "streaming_capture_peak_rss_kib":
             report["streaming_capture"].get("streaming", {}).get(
                 "peak_rss_kib"),
@@ -809,7 +787,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         emit_metrics_report(requests, args.metrics_report)
         print(f"wrote {args.metrics_report}")
     print(f"grid: median {grid['median_cpu_s']:.2f} cpu s; "
-          f"long-trace {long_trace['median_cpu_speedup']:.2f}x, "
+          f"long-trace {long_trace['median_cpu_s']:.2f} cpu s, "
           f"identical={long_trace['roundtrip_identical']}; "
           f"serve {serve['serve_req_per_s']:.0f} req/s "
           f"({serve['serve_overhead_ratio']:.2f}x direct), "
@@ -827,7 +805,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
           file=sys.stderr)
     failed = False
     if not long_trace["roundtrip_identical"]:
-        print("FAIL: long-trace decodes differ between the parsers",
+        print("FAIL: long-trace decode differs from the source requests",
               file=sys.stderr)
         failed = True
     if not sweep["all_identical"]:

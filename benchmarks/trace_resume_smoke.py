@@ -3,10 +3,9 @@
 
 Hard-gates three properties this repo's long-run story depends on:
 
-* **Container parity** — one generated workload serialized as legacy v1,
-  chunked v2, and compressed v2 must decode to byte-identical request
-  streams, its records must decode identically under both the scalar
-  and the batched parser (5 decodings, one truth), and
+* **Container parity** — one generated workload serialized as chunked
+  v2 and compressed v2 must decode to byte-identical request streams,
+  its packed records must decode to the same stream, and
   ``trace_record_count`` must agree without decoding.
 * **Resume bit-exactness** — for every registered scheme, interrupting a
   run at an arbitrary cut (checkpoint, dirty the process with an
@@ -54,7 +53,6 @@ from repro.sim.export import result_state_bytes
 from repro.sim.session import Session
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.trace import (
-    _parse_records,
     pack_records,
     parse_records,
     read_trace_list,
@@ -89,13 +87,9 @@ def check_container_parity() -> None:
     import io
     original = TraceGenerator("gcc", seed=13).generate_list(1_500)
     truth = _keys(original)
-    blobs = {
-        "v1": None, "v2": None, "v2z": None,
-    }
-    for label, kwargs in (("v1", dict(version=1)),
-                          ("v2", dict(version=2, chunk_records=256)),
-                          ("v2z", dict(version=2, chunk_records=256,
-                                       compress=True))):
+    blobs = {}
+    for label, kwargs in (("v2", dict(chunk_records=256)),
+                          ("v2z", dict(chunk_records=256, compress=True))):
         buf = io.BytesIO()
         write_trace(original, buf, **kwargs)
         blobs[label] = buf.getvalue()
@@ -109,15 +103,13 @@ def check_container_parity() -> None:
         else:
             ok(f"container parity {label} ({len(blob)} bytes)")
     payload, count = pack_records(original)
-    for label, parse in (("scalar", _parse_records),
-                         ("batched", parse_records)):
-        if _keys(parse(payload, count)) != truth:
-            fail(f"parser parity {label}")
-        else:
-            ok(f"parser parity {label} ({count} records)")
-    # The checked-in format default must still round-trip by default.
+    if _keys(parse_records(payload, count)) != truth:
+        fail("record parity")
+    else:
+        ok(f"record parity ({count} records)")
+    # The default container settings must round-trip too.
     if _keys(roundtrip_bytes(original)) != truth:
-        fail("default-version roundtrip")
+        fail("default roundtrip")
 
 
 def _result_bytes(result) -> bytes:

@@ -281,21 +281,19 @@ def cmd_gen_trace(args) -> int:
     """Generate and persist a trace in the artifact's regulation format.
 
     Streams from the generator straight into the chunked v2 container
-    (``--format v1`` keeps the legacy flat layout) without materializing
-    the trace, so arbitrarily long captures run in bounded memory.
+    without materializing the trace, so arbitrarily long captures run in
+    bounded memory.
     """
     if args.app in adversarial_stream_names():
         trace = adversarial_stream(args.app, args.requests, seed=args.seed)
     else:
         trace = TraceGenerator(args.app, seed=args.seed).generate(
             args.requests)
-    version = 1 if args.format == "v1" else 2
     try:
-        count = capture_trace(trace, args.out, version=version,
-                              compress=args.compress)
+        count = capture_trace(trace, args.out, compress=args.compress)
     except TraceFormatError as exc:
         raise SystemExit(f"gen-trace: {exc}")
-    detail = args.format + (", zlib" if args.compress else "")
+    detail = "v2" + (", zlib" if args.compress else "")
     print(f"wrote {count} records for {args.app} to {args.out} ({detail})")
     return 0
 
@@ -617,9 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen_p = sub.add_parser("gen-trace", help="write a trace file")
     add_common(gen_p)
     gen_p.add_argument("--out", required=True, help="output path")
-    gen_p.add_argument("--format", default="v2", choices=("v1", "v2"),
-                       help="container format: chunked v2 (default) or "
-                            "the legacy flat v1")
     gen_p.add_argument("--compress", action="store_true",
                        help="zlib-compress v2 chunk payloads")
     gen_p.set_defaults(func=cmd_gen_trace)

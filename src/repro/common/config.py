@@ -122,15 +122,11 @@ class ESDConfig:
     #: Maximum reference count recorded per EFIT entry (1-byte referH).  When
     #: a line's count would exceed this, ESD treats the incoming line as new.
     refer_h_max: int = 255
-    #: LRCU periodic refresh: every ``decay_period`` epoch events, all
-    #: reference counters are decremented by ``decay_amount``.
+    #: LRCU periodic refresh: every ``decay_period`` epoch events (EFIT
+    #: lookups, count bumps and insertions), all reference counters are
+    #: decremented by ``decay_amount``.
     decay_period: int = 4096
     decay_amount: int = 1
-    #: What advances the decay epoch: ``"ops"`` (default) counts every
-    #: EFIT lookup/bump/insertion — the paper's *periodic* refresh, which
-    #: keeps decaying through read/touch-heavy phases; ``"insert"`` counts
-    #: insertions only (the pre-fix behaviour, kept for parity runs).
-    decay_on: str = "ops"
     #: Use the LRCU policy; False degrades the EFIT to plain LRU (the
     #: "without LRCU" series of Figure 18).
     use_lrcu: bool = True
@@ -142,8 +138,6 @@ class ESDConfig:
             raise ConfigError("decay_period must be positive")
         if self.decay_amount < 0:
             raise ConfigError("decay_amount must be non-negative")
-        if self.decay_on not in ("ops", "insert"):
-            raise ConfigError("decay_on must be 'ops' or 'insert'")
 
 
 @dataclass(frozen=True)

@@ -95,38 +95,18 @@ class LatencyRecorder:
         self._seen = 0
 
     def add(self, latency_ns: float) -> None:
-        if latency_ns < 0:
-            raise ValueError("latency must be non-negative")
-        self._seen += 1
-        # Welford update inlined (identical arithmetic to RunningMean.add);
-        # this is the per-request recording path.
-        running = self._running
-        running.count += 1
-        delta = latency_ns - running._mean
-        running._mean += delta / running.count
-        running._m2 += delta * (latency_ns - running._mean)
-        self._total += latency_ns
-        if latency_ns < self._min:
-            self._min = latency_ns
-        if latency_ns > self._max:
-            self._max = latency_ns
-        samples = self._samples
-        if len(samples) < self._max_samples:
-            samples.append(latency_ns)
-        else:
-            # Reservoir sampling keeps a uniform subsample of the stream.
-            j = int(self._rng.integers(0, self._seen))
-            if j < self._max_samples:
-                samples[j] = latency_ns
+        self.add_many((latency_ns,))
 
     def add_many(self, latencies: Iterable[float]) -> None:
-        """Record a batch of samples in order.
+        """Record samples in order: the one update path.
 
-        Performs exactly the same per-sample arithmetic as repeated
-        :meth:`add` calls (so the resulting statistics are bit-identical),
-        but with the recorder state held in locals across the batch — the
+        The recorder state is held in locals across the batch — the
         session's request loop collects each run's latencies in a plain
-        list and flushes them here once.
+        list and flushes them here once — and written back even when a
+        sample is rejected, so the samples before it stay recorded.
+
+        Raises:
+            ValueError: on a negative sample.
         """
         running = self._running
         count = running.count
@@ -139,36 +119,39 @@ class LatencyRecorder:
         max_samples = self._max_samples
         seen = self._seen
         rng = self._rng
-        for latency_ns in latencies:
-            if latency_ns < 0:
-                raise ValueError("latency must be non-negative")
-            seen += 1
-            count += 1
-            delta = latency_ns - mean
-            mean += delta / count
-            m2 += delta * (latency_ns - mean)
-            total += latency_ns
-            if latency_ns < low:
-                low = latency_ns
-            if latency_ns > high:
-                high = latency_ns
-            if len(samples) < max_samples:
-                samples.append(latency_ns)
-            else:
-                j = int(rng.integers(0, seen))
-                if j < max_samples:
-                    samples[j] = latency_ns
-        running.count = count
-        running._mean = mean
-        running._m2 = m2
-        self._total = total
-        self._min = low
-        self._max = high
-        self._seen = seen
+        try:
+            for latency_ns in latencies:
+                if latency_ns < 0:
+                    raise ValueError("latency must be non-negative")
+                seen += 1
+                # Welford update (identical arithmetic to RunningMean.add).
+                count += 1
+                delta = latency_ns - mean
+                mean += delta / count
+                m2 += delta * (latency_ns - mean)
+                total += latency_ns
+                if latency_ns < low:
+                    low = latency_ns
+                if latency_ns > high:
+                    high = latency_ns
+                if len(samples) < max_samples:
+                    samples.append(latency_ns)
+                else:
+                    # Reservoir sampling keeps a uniform subsample.
+                    j = int(rng.integers(0, seen))
+                    if j < max_samples:
+                        samples[j] = latency_ns
+        finally:
+            running.count = count
+            running._mean = mean
+            running._m2 = m2
+            self._total = total
+            self._min = low
+            self._max = high
+            self._seen = seen
 
     def extend(self, latencies: Iterable[float]) -> None:
-        for x in latencies:
-            self.add(x)
+        self.add_many(latencies)
 
     @property
     def count(self) -> int:

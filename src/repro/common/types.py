@@ -161,10 +161,11 @@ def request_unchecked(address: int, access: AccessType,
                       core: int, seq: int) -> MemoryRequest:
     """Build a :class:`MemoryRequest` bypassing the constructor's checks.
 
-    For trusted batch producers only — the batched trace reader
-    validates whole record arrays with numpy before constructing requests,
-    and re-running the per-object checks would dominate deserialization
-    time.  The caller guarantees the dataclass invariants: non-negative
+    For trusted producers only — the phase generator rebases requests
+    that were validated when first built, and the trace decoder inlines
+    the same construction for records whose fields it has checked;
+    re-running the per-object checks would dominate their cost.  The
+    caller guarantees the dataclass invariants: non-negative
     aligned address, a finite non-negative issue time, writes carry exactly
     64 ``bytes`` of data, reads carry ``None``.
     """

@@ -65,7 +65,6 @@ class EFIT:
             max_count=esd_config.refer_h_max,
             decay_period=esd_config.decay_period,
             decay_amount=esd_config.decay_amount,
-            decay_on=esd_config.decay_on,
             use_lrcu=esd_config.use_lrcu)
         self.hits = 0
         self.misses = 0

@@ -13,10 +13,8 @@ subtracts a fixed value from every count so stale former-hot entries drift
 back toward eviction ("ESD performs a regular refresh of all cache items").
 
 The decay epoch is driven by *operations* (lookups, count bumps, and
-insertions) by default — the paper specifies a regular refresh, and a
+insertions) — the paper specifies a regular refresh, and a
 read/touch-heavy phase must not pin stale high-count fingerprints forever.
-``decay_on="insert"`` keeps the historical insertion-only trigger for
-parity with earlier results.
 """
 
 from __future__ import annotations
@@ -26,9 +24,6 @@ from dataclasses import dataclass
 from typing import Dict, Generic, Hashable, Iterator, Optional, Tuple, TypeVar
 
 from ..obs.runtime import RunObservation
-
-#: Valid decay-epoch drivers for :class:`LRCUCache`.
-DECAY_MODES = ("ops", "insert")
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -46,35 +41,28 @@ class LRCUCache(Generic[K, V]):
     Args:
         capacity: maximum number of entries.
         max_count: reference counts saturate here (ESD's 1-byte ``referH``).
-        decay_period: one decay pass runs per this many epoch events
-            (0 disables decay).
+        decay_period: one decay pass runs per this many epoch events —
+            every lookup, count bump, and insertion, the paper's
+            *periodic* refresh (0 disables decay).
         decay_amount: subtracted from every count during a decay pass
             (counts floor at 1).
-        decay_on: what advances the decay epoch — ``"ops"`` (default)
-            counts every lookup, count bump, and insertion, matching the
-            paper's *periodic* refresh; ``"insert"`` counts insertions
-            only, the historical behaviour kept reachable for parity.
         use_lrcu: when False the cache degrades to plain LRU — the
             "without LRCU" comparison series of the paper's Figure 18(a).
     """
 
     def __init__(self, capacity: int, *, max_count: int = 255,
                  decay_period: int = 4096, decay_amount: int = 1,
-                 decay_on: str = "ops", use_lrcu: bool = True) -> None:
+                 use_lrcu: bool = True) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         if max_count < 1:
             raise ValueError("max_count must be at least 1")
         if decay_period < 0 or decay_amount < 0:
             raise ValueError("decay parameters must be non-negative")
-        if decay_on not in DECAY_MODES:
-            raise ValueError(f"decay_on must be one of {DECAY_MODES}, "
-                             f"got {decay_on!r}")
         self.capacity = capacity
         self.max_count = max_count
         self.decay_period = decay_period
         self.decay_amount = decay_amount
-        self.decay_on = decay_on
         self.use_lrcu = use_lrcu
         self._nodes: Dict[K, _Node[V]] = {}
         # count -> recency-ordered keys (first = least recently used).
@@ -143,20 +131,17 @@ class LRCUCache(Generic[K, V]):
         """Return the value without altering the reference count.
 
         Recency is refreshed (ties inside a count bucket break by LRU).
-        In ``decay_on="ops"`` mode every lookup — hit or miss — advances
-        the decay epoch.
+        Every lookup — hit or miss — advances the decay epoch.
         """
         node = self._nodes.get(key)
         if node is None:
-            if self.decay_on == "ops":
-                self._tick_epoch()
+            self._tick_epoch()
             return None
         bucket = self._buckets[node.count]
         bucket.move_to_end(key)
         self._touch(key)
         value = node.value
-        if self.decay_on == "ops":
-            self._tick_epoch()
+        self._tick_epoch()
         return value
 
     def count(self, key: K) -> int:
@@ -180,8 +165,7 @@ class LRCUCache(Generic[K, V]):
             self._buckets[node.count].move_to_end(key)
         self._touch(key)
         count = node.count
-        if self.decay_on == "ops":
-            self._tick_epoch()
+        self._tick_epoch()
         return count
 
     def put(self, key: K, value: V, *, count: int = 1) -> Optional[Tuple[K, V]]:
@@ -200,8 +184,7 @@ class LRCUCache(Generic[K, V]):
             self._bucket(count)[key] = None
             self._min_count = min(self._min_count, count)
             self._touch(key)
-            if self.decay_on == "ops":
-                self._tick_epoch()
+            self._tick_epoch()
             return None
 
         evicted: Optional[Tuple[K, V]] = None

@@ -79,9 +79,13 @@ class _HashEngineBase:
                                                   _FP_CACHE_CAPACITY)
         # MemoCache.get/put inlined, as the counter-pad memo is in
         # counter_mode (same hit, miss and eviction counts; a digest is
-        # never None, so None marks a miss).
+        # never None, so None marks a miss).  An unhashable line (a
+        # bytearray) is validated and looked up as ``bytes``.
         entries = cache._data
-        value = entries.get(data)
+        try:
+            value = entries.get(data)
+        except TypeError:
+            return self.fingerprint(validate_line(data))
         if value is None:
             cache.misses += 1
             value = self._digest(data)

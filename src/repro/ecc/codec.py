@@ -71,11 +71,16 @@ def line_ecc_uncached(data: bytes) -> int:
 def line_ecc(data: bytes) -> int:
     """Compute the 64-bit ECC fingerprint of a 64-byte cache line.
 
-    Memoized on the line content (cache hits skip re-validation: every
-    cached key is a previously validated 64-byte line, and any invalid
-    input misses).
+    Memoized on the line content.  Cache hits skip re-validation: every
+    cached key is a previously validated 64-byte line, so an invalid
+    hashable input misses and fails validation.  An unhashable one (a
+    ``bytearray``) is validated and converted to ``bytes`` first, so it
+    gets the value and the cache traffic of ``bytes(data)``.
     """
-    cached = _LINE_ECC_CACHE.get(data)
+    try:
+        cached = _LINE_ECC_CACHE.get(data)
+    except TypeError:
+        return line_ecc(validate_line(data))
     if cached is not None:
         return cached
     ecc = line_ecc_uncached(data)
@@ -89,8 +94,12 @@ def line_ecc_bytes(data: bytes) -> bytes:
 
 
 def word_eccs(data: bytes) -> Tuple[int, ...]:
-    """Per-word 8-bit ECC values of a cache line (memoized on content)."""
-    cached = _WORD_ECCS_CACHE.get(data)
+    """Per-word 8-bit ECC values of a cache line (memoized on content,
+    an unhashable line converted as in :func:`line_ecc`)."""
+    try:
+        cached = _WORD_ECCS_CACHE.get(data)
+    except TypeError:
+        return word_eccs(validate_line(data))
     if cached is not None:
         return cached
     validate_line(data)
@@ -120,13 +129,19 @@ def decode_line(data: bytes, ecc: int) -> LineDecodeResult:
     :mod:`repro.ecc.faults` key differently from clean ones and always
     re-decode.  Uncorrectable (raising) decodes are never cached.  The
     returned :class:`LineDecodeResult` is frozen, so one instance is safely
-    shared between hits.
+    shared between hits.  An unhashable line is converted as in
+    :func:`line_ecc`.
 
     Raises:
         UncorrectableError: when any word exhibits a double-bit error; the
             exception's ``word_index`` names the failing word.
     """
-    cached = _DECODE_CACHE.get((data, ecc))
+    try:
+        cached = _DECODE_CACHE.get((data, ecc))
+    except TypeError:
+        if data.__class__ is bytes:
+            raise
+        return decode_line(validate_line(data), ecc)
     if cached is not None:
         return cached
     result = decode_line_uncached(data, ecc)

@@ -24,18 +24,17 @@ Layers (one module each):
 * :mod:`~repro.serve.worker` — the engine worker process entry.
 * :mod:`~repro.serve.server` — the asyncio server, drain-on-signal,
   and the in-process :class:`BackgroundServer` harness.
-* :mod:`~repro.serve.client` — the sync/async client SDK.
+* :mod:`~repro.serve.client` — the blocking client SDK.
 * :mod:`~repro.serve.obs` — service metrics on the repro.obs registry.
 """
 
-from .client import AsyncServeClient, ServeClient
+from .client import ServeClient
 from .config import ServeConfig, resolve_workers
 from .pool import worker_for_tenant
 from .protocol import PROTOCOL_VERSION
 from .server import BackgroundServer, DedupServer, run_server
 
 __all__ = [
-    "AsyncServeClient",
     "BackgroundServer",
     "DedupServer",
     "PROTOCOL_VERSION",

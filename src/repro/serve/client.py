@@ -1,12 +1,11 @@
 """Client SDK for the dedup-as-a-service front end.
 
-Two clients with the same surface: :class:`ServeClient` (blocking
-sockets — scripts, tests, benchmarks) and :class:`AsyncServeClient`
-(asyncio streams — concurrent drivers).  Both stream a
-:mod:`repro.workloads` trace into a server session in batches, obey the
-server's backpressure protocol (sleep ``retry_after_ms`` and resend the
-identical rejected batch), and return the summary row; the lossless
-result state travels alongside so callers can rebuild the full
+:class:`ServeClient` (blocking sockets — scripts, tests, benchmarks)
+streams a :mod:`repro.workloads` trace into a server session in
+batches, obeys the server's backpressure protocol (sleep
+``retry_after_ms`` and resend the identical rejected batch), and returns
+the summary row; the lossless result state travels alongside so callers
+can rebuild the full
 :class:`~repro.sim.metrics.SimulationResult` with
 :func:`~repro.sim.export.result_from_state`.
 
@@ -17,8 +16,6 @@ any server code.
 
 from __future__ import annotations
 
-import asyncio
-import json
 import socket
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence
@@ -28,14 +25,13 @@ from ..common.types import MemoryRequest
 from ..sim.export import result_from_state
 from ..sim.metrics import SimulationResult
 from .protocol import (
-    MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     WireReader,
     encode_batch,
     encode_message,
 )
 
-__all__ = ["AsyncServeClient", "ServeClient"]
+__all__ = ["ServeClient"]
 
 #: Give up resending one backpressured batch after this many rejections.
 _MAX_BACKPRESSURE_RETRIES = 10_000
@@ -79,7 +75,7 @@ def _check(reply: Optional[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 class _SessionState:
-    """Client-side bookkeeping shared by both client flavors."""
+    """Client-side bookkeeping of the open session."""
 
     def __init__(self, reply: Dict[str, Any]) -> None:
         self.sid: str = reply["session"]
@@ -209,111 +205,3 @@ class ServeClient:
     def ping(self) -> Dict[str, Any]:
         return _check(self._call({"verb": "ping"}))
 
-
-class AsyncServeClient:
-    """Asyncio flavor of :class:`ServeClient` (same surface, awaited)."""
-
-    def __init__(self) -> None:
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._session: Optional[_SessionState] = None
-
-    @classmethod
-    async def connect(cls, host: str, port: int) -> "AsyncServeClient":
-        client = cls()
-        client._reader, client._writer = await asyncio.open_connection(
-            host, port, limit=MAX_LINE_BYTES)
-        return client
-
-    async def _call(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        assert self._reader is not None and self._writer is not None
-        self._writer.write(encode_message(message))
-        await self._writer.drain()
-        line = await self._reader.readline()
-        if not line:
-            raise ServeError("server closed the connection",
-                             code="internal")
-        return json.loads(line)
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def __aenter__(self) -> "AsyncServeClient":
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.close()
-
-    @property
-    def session(self) -> _SessionState:
-        if self._session is None:
-            raise ServeError("no open session; call open_session first",
-                             code="bad_request")
-        return self._session
-
-    async def open_session(self, scheme: str, *, tenant: str = "default",
-                           app: str = "served",
-                           total_hint: Optional[int] = None,
-                           options: Optional[Dict[str, Any]] = None) -> str:
-        reply = _check(await self._call(_hello(scheme, tenant, app,
-                                               total_hint, options)))
-        self._session = _SessionState(reply)
-        return self._session.sid
-
-    async def send(self, requests: Sequence[MemoryRequest]) -> int:
-        state = self.session
-        message = encode_batch(state.sid, requests)
-        for _ in range(_MAX_BACKPRESSURE_RETRIES):
-            reply = await self._call(message)
-            if reply.get("ok"):
-                state.credits = int(reply.get("credits", 0))
-                return state.credits
-            if reply.get("error") != "backpressure":
-                _check(reply)
-            state.backpressure_rejections += 1
-            await asyncio.sleep(
-                float(reply.get("retry_after_ms", 25)) / 1000.0)
-        raise ServeError("backpressure retry budget exhausted",
-                         code="backpressure")
-
-    async def stream(self, requests: Iterable[MemoryRequest], *,
-                     batch_size: Optional[int] = None) -> int:
-        state = self.session
-        sent = 0
-        for batch in _chunked(requests, batch_size or state.batch_hint):
-            await self.send(batch)
-            sent += len(batch)
-        return sent
-
-    async def finalize(self) -> Dict[str, Any]:
-        state = self.session
-        reply = _check(await self._call({"verb": "finalize",
-                                         "session": state.sid}))
-        self._session = None
-        return {"summary": reply["summary"], "state": reply["state"]}
-
-    async def run_trace(self, requests: Iterable[MemoryRequest],
-                        scheme: str, *, tenant: str = "default",
-                        app: str = "served",
-                        total_hint: Optional[int] = None,
-                        options: Optional[Dict[str, Any]] = None,
-                        batch_size: Optional[int] = None) -> Dict[str, Any]:
-        await self.open_session(scheme, tenant=tenant, app=app,
-                                total_hint=total_hint, options=options)
-        await self.stream(requests, batch_size=batch_size)
-        return await self.finalize()
-
-    @staticmethod
-    def result_of(payload: Dict[str, Any]) -> SimulationResult:
-        return result_from_state(payload["state"])
-
-    async def metrics(self) -> Dict[str, Any]:
-        return _check(await self._call({"verb": "metrics"}))
-
-    async def ping(self) -> Dict[str, Any]:
-        return _check(await self._call({"verb": "ping"}))

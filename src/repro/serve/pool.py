@@ -72,9 +72,9 @@ class RecordSpan:
 
     The pool-mode item of a session queue.  The parent validates a
     batch once, at admission, with
-    :func:`~repro.workloads.trace.check_records` (the parser's offset
-    scan and numpy invariant check; no request objects), and keeps the
-    record offsets it found, so cutting a queued batch at the
+    :func:`~repro.workloads.trace.check_records` (the record decoder's
+    loop run without building requests), and keeps the record offsets
+    it returns, so cutting a queued batch at the
     micro-batch cap is a byte slice.  Sliced like the request list it
     stands for — ``len(span)``, ``span[:n]``, ``span[n:]``; contiguous
     slices only.

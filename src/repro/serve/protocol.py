@@ -25,8 +25,9 @@ Client → server messages carry a ``verb``:
     :func:`~repro.workloads.trace.pack_records`, parsed by
     :func:`~repro.workloads.trace.parse_records`), base64-encoded, so a
     served batch and a trace-file chunk share one codec.  Bad base64, a
-    ``count`` the records disagree with, or any record the parser
-    rejects answers ``bad_request`` and enqueues nothing.  Reply: an ack
+    ``count`` the records disagree with, or any record the decoder
+    rejects (the first fault in record order) answers ``bad_request``
+    and enqueues nothing.  Reply: an ack
     with the remaining queue ``credits``, or a backpressure rejection
     ``{"ok": false, "error": "backpressure", "retry_after_ms": m}`` —
     nothing from the rejected batch is enqueued; the client waits and

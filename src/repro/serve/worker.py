@@ -12,9 +12,9 @@ as the in-process path drives it and results stay bit-exact.
 IPC is the parent's :class:`multiprocessing.connection.Connection`
 (length-prefixed pickle frames, the stdlib codec).  Batches cross it as
 trace record bytes, the wire's own encoding: the parent checked them at
-admission, and the worker parses them with
-:func:`~repro.workloads.trace.parse_records`, so no request object is
-ever pickled.  Commands are positional tuples headed by a verb; every
+admission with :func:`~repro.workloads.trace.check_records`, and the
+worker parses them with :func:`~repro.workloads.trace.parse_records`,
+the same decode loop, so no request object is ever pickled.  Commands are positional tuples headed by a verb; every
 command gets exactly one reply, in order:
 
 ``("open", sid, scheme_name, system_config, app, total_hint)``

@@ -59,13 +59,14 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"ESDCKPT1"
-#: v6: the session has no epoch buffer, so a v5 graph carries a buffered
-#: tail this build would never process, and its meta a ``consumed``
-#: offset that counts that tail; v5 is rejected at the header, naming its
-#: version.  (v5 dropped the PCM device's per-frame write counts and the
-#: config's core count and cache geometry; v4 added the observation
-#: binding, ``_obs`` on the scheme graph, which v3 lacks.)
-CHECKPOINT_VERSION = 6
+#: v7: the LRCU cache and the ESD config have no decay mode, so a v6
+#: graph may carry the removed insertion-only mode this build would run
+#: as the operation-driven one; v6 is rejected at the header, naming its
+#: version.  (v6 dropped the session's epoch buffer and the meta's
+#: ``consumed`` offset; v5 dropped the PCM device's per-frame write
+#: counts and the config's core count and cache geometry; v4 added the
+#: observation binding, ``_obs`` on the scheme graph, which v3 lacks.)
+CHECKPOINT_VERSION = 7
 
 _HEADER = struct.Struct("<8sHHIQ")
 

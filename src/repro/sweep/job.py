@@ -20,7 +20,12 @@ from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..registry import registered_scheme_names
 from ..sim.engine import EngineConfig
 from ..workloads.profiles import app_names
-from ..workloads.trace import VERSION as TRACE_VERSION
+
+#: The trace-layout stamp every trace id and job digest embeds.  It is 1,
+#: the number of the flat trace container stores once wrote, although
+#: stores have written the chunked v2 container since; changing it would
+#: move every trace id and every stored job digest.
+TRACE_ID_VERSION = 1
 
 #: Version of the sweep job/result layout.  Bumping it invalidates every
 #: previously stored result (their hashes change), which is the safe
@@ -97,7 +102,7 @@ class JobSpec:
         paper's evaluation pairs schemes on identical request streams), so
         the trace id deliberately excludes the scheme.
         """
-        return f"{self.app}-s{self.seed}-n{self.requests}-v{TRACE_VERSION}"
+        return f"{self.app}-s{self.seed}-n{self.requests}-v{TRACE_ID_VERSION}"
 
     def digest(self) -> str:
         """Stable content hash identifying this job across processes.
@@ -112,7 +117,7 @@ class JobSpec:
         return digest_canonical(
             canonical_json({
                 "schema": SWEEP_SCHEMA_VERSION,
-                "trace_version": TRACE_VERSION,
+                "trace_version": TRACE_ID_VERSION,
                 "app": self.app,
                 "scheme": self.scheme,
                 "requests": self.requests,

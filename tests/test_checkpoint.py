@@ -168,12 +168,13 @@ class TestCheckpointContainer:
     def test_old_version_rejected(self):
         """Versions 1 and 2 pickle sessions with execution switches, a v3
         scheme graph has no observation binding, a v4 graph pickles the
-        removed cache geometry and per-frame write counts, and a v5
-        session carries an epoch buffer of requests it has not processed;
-        they must fail typed at load, naming the version, never halfway
-        through a feed or as an unreadable payload."""
-        assert CHECKPOINT_VERSION == 6
-        for old in (1, 2, 3, 4, 5):
+        removed cache geometry and per-frame write counts, a v5 session
+        carries an epoch buffer of requests it has not processed, and a
+        v6 graph may carry the removed LRCU decay mode; they must fail
+        typed at load, naming the version, never halfway through a feed
+        or as an unreadable payload."""
+        assert CHECKPOINT_VERSION == 7
+        for old in (1, 2, 3, 4, 5, 6):
             blob = bytearray(self._session_blob())
             magic, _, reserved, crc, length = struct.unpack_from("<8sHHIQ",
                                                                  blob)

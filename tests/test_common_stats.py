@@ -53,6 +53,21 @@ class TestRunningMean:
 
 
 class TestLatencyRecorder:
+    @pytest.mark.parametrize("update", ["add", "add_many", "extend"])
+    def test_rejected_sample_keeps_the_accepted_prefix(self, update):
+        rec = LatencyRecorder()
+        with pytest.raises(ValueError, match="non-negative"):
+            if update == "add":
+                for x in [1.0, 2.0, -3.0]:
+                    rec.add(x)
+            else:
+                getattr(rec, update)([1.0, 2.0, -3.0])
+        assert rec.samples() == (1.0, 2.0)
+        assert (rec.count, rec.mean_ns, rec.total_ns) == (2, 1.5, 3.0)
+        assert (rec.min_ns, rec.max_ns) == (1.0, 2.0)
+        rec.add(3.0)
+        assert (rec.count, rec.mean_ns) == (3, 2.0)
+
     def test_basic_stats(self):
         rec = LatencyRecorder()
         rec.extend([10.0, 20.0, 30.0])

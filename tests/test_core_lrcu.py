@@ -116,14 +116,13 @@ class TestPlainLRUMode:
 
 class TestDecay:
     def test_decay_reduces_counts(self):
-        # Legacy insertion-driven epoch: touches never advance it.
-        c = LRCUCache(capacity=16, decay_period=4, decay_amount=1,
-                      decay_on="insert")
-        c.put("a", 1)
-        for _ in range(5):
+        c = LRCUCache(capacity=16, decay_period=8, decay_amount=1)
+        c.put("a", 1)          # op 1
+        for _ in range(5):     # ops 2-6
             c.touch("a")
         assert c.count("a") == 6
-        for i in range(4):  # triggers one decay pass
+        assert c.decay_passes == 0
+        for i in range(2):     # ops 7-8: one decay pass
             c.put(f"k{i}", i)
         assert c.count("a") == 5
         assert c.decay_passes == 1
@@ -144,21 +143,10 @@ class TestDecay:
         assert c.count("a") == 2
         assert c.decay_passes == 0
 
-    def test_insert_mode_ignores_gets_and_touches(self):
-        # Regression for the latent bug this mode preserves: under
-        # ``decay_on="insert"`` a lookup/touch-only phase never decays.
-        c = LRCUCache(capacity=16, decay_period=4, decay_amount=1,
-                      decay_on="insert")
-        c.put("a", 1)
-        for _ in range(100):
-            c.get("a")
-            c.touch("a")
-            c.get("missing")
-        assert c.decay_passes == 0
 
 
 class TestDecayOps:
-    """The fixed default: every operation advances the decay epoch."""
+    """Every operation advances the decay epoch."""
 
     def test_touches_drive_decay(self):
         c = LRCUCache(capacity=16, decay_period=4, decay_amount=1)
@@ -190,10 +178,6 @@ class TestDecayOps:
         c.put("a", 1)          # op 1
         assert c.touch("a") == 2  # op 2 fires decay, return value is 2
         assert c.count("a") == 1  # decayed afterwards
-
-    def test_validation_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            LRCUCache(capacity=4, decay_on="never")
 
     def test_decay_disabled_ignores_ops(self):
         c = LRCUCache(capacity=16, decay_period=0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto.fingerprints import TruncatedEngine, make_engine
 from repro.ecc import codec
 from repro.perf import memo
 from repro.perf.memo import MemoCache
@@ -122,3 +123,56 @@ class TestRegistry:
         assert snap["memo_test_registry_stats_size"] == 0.0
         custom = memo.stats_snapshot("x_", only_touched=False)
         assert "x_test_registry_stats_misses" in custom
+
+
+_LINE = bytes(range(64))
+_LINE_ECC = codec.line_ecc_uncached(_LINE)
+_SHA1 = make_engine("sha1")
+_MD5 = make_engine("md5")
+_CRC32 = make_engine("crc32")
+_TRUNCATED = TruncatedEngine(make_engine("sha1"), 32)
+
+#: Each memoized kernel beside its uncached form.
+_KERNELS = {
+    "line_ecc": (codec.line_ecc, codec.line_ecc_uncached),
+    "word_eccs": (codec.word_eccs, None),
+    "decode_line": (lambda data: codec.decode_line(data, _LINE_ECC),
+                    lambda data: codec.decode_line_uncached(data, _LINE_ECC)),
+    "sha1": (_SHA1.fingerprint, _SHA1._digest),
+    "md5": (_MD5.fingerprint, _MD5._digest),
+    "crc32": (_CRC32.fingerprint, _CRC32._digest),
+    "truncated": (_TRUNCATED.fingerprint,
+                  lambda data: _SHA1._digest(data) & 0xFFFFFFFF),
+}
+
+
+class TestMemoizedKernelsTakeBytearray:
+    """A memoized kernel returns for a ``bytearray`` what it returns for
+    ``bytes(data)``, as its uncached form does, with the same cache
+    traffic; invalid lines keep their errors."""
+
+    @pytest.mark.parametrize("name", sorted(_KERNELS))
+    def test_bytearray_gives_the_bytes_value(self, name):
+        kernel, uncached = _KERNELS[name]
+        memo.reset_all()
+        value = kernel(bytearray(_LINE))
+        assert value == kernel(_LINE)
+        if uncached is not None:
+            assert value == uncached(bytearray(_LINE)) == uncached(_LINE)
+        traffic = memo.stats_snapshot()
+        memo.reset_all()
+        kernel(_LINE)
+        kernel(_LINE)
+        assert memo.stats_snapshot() == traffic
+
+    @pytest.mark.parametrize("name", sorted(_KERNELS))
+    @pytest.mark.parametrize("data, message", [
+        (bytes(63), "cache line must be 64 bytes, got 63"),
+        (bytes(65), "cache line must be 64 bytes, got 65"),
+        ("x" * 64, "cache line must be bytes, got str"),
+        (None, "cache line must be bytes, got NoneType"),
+    ], ids=["63-bytes", "65-bytes", "str", "None"])
+    def test_bad_input_messages(self, name, data, message):
+        with pytest.raises(ValueError) as err:
+            _KERNELS[name][0](data)
+        assert str(err.value) == message

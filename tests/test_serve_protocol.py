@@ -11,7 +11,6 @@ typed code other than ``internal``, on a connection that still answers
 ``ping`` afterwards.
 """
 
-import asyncio
 import base64
 import dataclasses
 import json
@@ -27,12 +26,7 @@ from repro.common.config import MAX_NUM_BANKS, MAX_PREDICTOR_ENTRIES
 from repro.common.errors import ServeError
 from repro.common.types import AccessType, MemoryRequest
 from repro.registry import make_scheme
-from repro.serve import (
-    AsyncServeClient,
-    BackgroundServer,
-    ServeClient,
-    ServeConfig,
-)
+from repro.serve import BackgroundServer, ServeClient, ServeConfig
 from repro.serve.pool import RecordSpan
 from repro.serve.protocol import ERROR_CODES, MAX_LINE_BYTES, PROTOCOL_VERSION
 from repro.sim.engine import EngineConfig, SimulationEngine
@@ -208,6 +202,8 @@ BAD_OPTIONS = [
     # The PCM line size is not a setting: every scheme addresses 64-byte
     # lines.
     ("removed_line_size", {"pcm.line_size": 64}, "bad_request"),
+    # The LRCU decay epoch counts every operation; there is no mode.
+    ("removed_decay_mode", {"esd.decay_on": "ops"}, "bad_request"),
 ]
 
 
@@ -236,17 +232,6 @@ def test_sdk_hello_speaks_the_protocol(server):
         assert sid
         client.send(TRACE)
         assert client.finalize()["state"] == _direct_state(TRACE)
-
-
-def test_async_sdk_speaks_the_protocol(server):
-    async def drive():
-        client = await AsyncServeClient.connect("127.0.0.1", server.port)
-        async with client:
-            return await client.run_trace(iter(TRACE), "ESD",
-                                          tenant="async-sdk", app="gcc",
-                                          batch_size=20)
-
-    assert asyncio.run(drive())["state"] == _direct_state(TRACE)
 
 
 def test_batch_over_one_epoch_splits_bit_exact(server):

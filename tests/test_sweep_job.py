@@ -10,7 +10,7 @@ from repro.common import SystemConfig, config_digest, small_test_config
 from repro.sim.engine import EngineConfig
 from repro.sim.runner import ExperimentConfig
 from repro.sweep import SWEEP_SCHEMA_VERSION, JobSpec, jobs_from_experiment
-from repro.workloads.trace import VERSION as TRACE_VERSION
+from repro.sweep.job import TRACE_ID_VERSION
 
 
 def make_spec(**overrides):
@@ -36,7 +36,8 @@ class TestJobSpec:
     def test_key_and_trace_id(self):
         spec = make_spec()
         assert spec.key == ("gcc", "ESD")
-        assert spec.trace_id.startswith("gcc-s7-n2000-v")
+        # The stamp stays 1, so trace ids stored by older builds match.
+        assert spec.trace_id == "gcc-s7-n2000-v1"
         # Paired traces: the scheme must not influence the trace identity.
         assert make_spec(scheme="Baseline").trace_id == spec.trace_id
 
@@ -78,7 +79,7 @@ def digest_of_parts(spec):
     """``config_digest`` of the parts a job digest covers."""
     return config_digest({
         "schema": SWEEP_SCHEMA_VERSION,
-        "trace_version": TRACE_VERSION,
+        "trace_version": TRACE_ID_VERSION,
         "app": spec.app,
         "scheme": spec.scheme,
         "requests": spec.requests,
@@ -95,15 +96,14 @@ class TestDigestIdentity:
     def test_pinned_sweep_roster_digest(self):
         """A job of the benchmark's sweep (20 apps x 4 schemes, 1,000
         requests, seed 7) keeps the digest its stored rows carry.  Last
-        re-pinned when the config lost ``pcm.line_size``,
-        ``pcm.endurance_writes``, ``pcm.fail_on_endurance`` and
-        ``processor.cores/l1/l2/l3``: the old build's canonical JSON of
-        this spec, with those seven keys dropped, digests to this value."""
+        re-pinned when the config lost ``esd.decay_on``: the old build's
+        canonical JSON of this spec, with that key dropped, digests to
+        this value."""
         spec = jobs_from_experiment(
             ExperimentConfig(requests_per_app=1_000, seed=7))[0]
         assert spec.key == ("cactuBSSN", "Baseline")
         assert spec.digest() == (
-            "8156eb8f1617455cb01ebb0a42a374c5dad0195157fe1ca517d5e0d82a3fd2b6")
+            "8d22ab5fdb138306f9031fe0779baea653b157fef89c1ebaba1d890a834f9672")
 
     def test_equal_configs_of_other_types_keep_their_digests(self):
         """An int field equals (and hashes like) its float value, but the

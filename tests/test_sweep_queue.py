@@ -108,6 +108,15 @@ class TestSpecWireCodec:
                            match="SystemConfig has no field 'use_fastpath'"):
             spec_from_payload(payload)
 
+    def test_removed_decay_mode_rejected(self):
+        """A payload from a build whose ESD config still carried
+        ``decay_on`` fails typed, naming the field."""
+        payload = spec_to_payload(jobs_from_experiment(small_experiment())[0])
+        payload["system"]["fields"]["esd"]["fields"]["decay_on"] = "ops"
+        with pytest.raises(ValueError,
+                           match="ESDConfig has no field 'decay_on'"):
+            spec_from_payload(payload)
+
     @pytest.mark.parametrize("corrupt,named", [
         (lambda p: p.pop("app"), "no 'app'"),
         (lambda p: p["system"].pop("fields"), "SystemConfig payload has no "

@@ -1,23 +1,32 @@
-"""Tests for trace serialization."""
+"""Tests for trace serialization.
 
+The record decoder (``parse_records`` and ``check_records``) is checked
+against ``_parse_records`` below, a reference parser kept here as the
+oracle: it builds every request through the validating constructor, so
+it raises the first fault in record order by construction.
+"""
+
+import gc
 import io
 import random
 import struct
+from typing import Iterator
 
 import pytest
 
 from repro.common.errors import TraceFormatError
 from repro.common.types import (
+    CACHE_LINE_SIZE,
     AccessType,
     MemoryRequest,
     request_unchecked,
 )
-from repro.workloads import trace as trace_module
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.trace import (
+    DEFAULT_CHUNK_RECORDS,
     MAGIC,
-    _PARSE_CHUNK,
-    _parse_records,
+    _HEADER,
+    _RECORD_FIXED,
     capture_trace,
     check_records,
     pack_records,
@@ -28,6 +37,36 @@ from repro.workloads.trace import (
     trace_record_count,
     write_trace,
 )
+
+
+def _parse_records(buf: bytes, count: int) -> Iterator[MemoryRequest]:
+    """Reference record parser: ``unpack_from`` offsets, one per record."""
+    unpack_from = _RECORD_FIXED.unpack_from
+    fixed_size = _RECORD_FIXED.size
+    total = len(buf)
+    offset = 0
+    for i in range(count):
+        if offset + fixed_size > total:
+            raise TraceFormatError(f"truncated record {i}")
+        kind, core, _, seq, address, issue = unpack_from(buf, offset)
+        offset += fixed_size
+        if kind == 1:
+            end = offset + CACHE_LINE_SIZE
+            if end > total:
+                raise TraceFormatError(f"truncated payload in record {i}")
+            payload = buf[offset:end]
+            offset = end
+            yield MemoryRequest(address=address, access=AccessType.WRITE,
+                                data=payload, issue_time_ns=issue,
+                                core=core, seq=seq)
+        elif kind == 0:
+            yield MemoryRequest(address=address, access=AccessType.READ,
+                                issue_time_ns=issue, core=core, seq=seq)
+        else:
+            raise TraceFormatError(f"unknown record kind {kind}")
+    if offset != total:
+        raise TraceFormatError(
+            f"trailing bytes: {total - offset} after {count} records")
 
 
 def sample_requests():
@@ -97,6 +136,14 @@ class TestFormatErrors:
         with pytest.raises(TraceFormatError):
             read_trace_list(io.BytesIO(bytes(raw)))
 
+    def test_v1_header_rejected(self):
+        """The flat v1 container (header, then every record inline) is
+        no longer read: it fails typed, naming version 1."""
+        payload, count = pack_records(sample_requests())
+        blob = _HEADER.pack(MAGIC, 1, 0, count) + payload
+        with pytest.raises(TraceFormatError, match="version 1"):
+            read_trace_list(io.BytesIO(blob))
+
 
 def _keys(requests):
     return [(r.address, r.access, r.data, r.issue_time_ns, r.core, r.seq)
@@ -105,17 +152,34 @@ def _keys(requests):
 
 def _v2_blob(requests, **kwargs):
     buf = io.BytesIO()
-    write_trace(requests, buf, version=2, **kwargs)
+    write_trace(requests, buf, **kwargs)
     return buf.getvalue()
 
 
 class TestV2Container:
     """The chunked (optionally compressed) version-2 container."""
 
-    def test_v1_v2_decode_identically(self):
-        original = TraceGenerator("gcc", seed=3).generate_list(500)
-        assert _keys(roundtrip_bytes(original, version=1)) == \
-               _keys(roundtrip_bytes(original, version=2)) == _keys(original)
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_trace_longer_than_one_chunk_roundtrips(self, compress):
+        original = TraceGenerator("gcc", seed=3).generate_list(20_000)
+        assert len(original) > DEFAULT_CHUNK_RECORDS
+        assert roundtrip_bytes(original, compress=compress) == original
+
+    def test_chunks_before_a_bad_one_reach_the_consumer(self):
+        """Chunks decode one at a time: the requests of every chunk
+        before the one holding a bad record reach the consumer before
+        its error."""
+        original = TraceGenerator("gcc", seed=3).generate_list(50)
+        original[45] = request_unchecked(
+            original[45].address + 1, original[45].access,
+            original[45].data, original[45].issue_time_ns,
+            original[45].core, original[45].seq)
+        got = []
+        with pytest.raises(ValueError, match="aligned"):
+            for request in read_trace(io.BytesIO(
+                    _v2_blob(original, chunk_records=10))):
+                got.append(request)
+        assert _keys(got) == _keys(original[:40])
 
     def test_compressed_roundtrip_smaller(self):
         original = TraceGenerator("deepsjeng", seed=5).generate_list(800)
@@ -145,34 +209,26 @@ class TestV2Container:
         assert count == 300
         assert trace_record_count(path) == 300
 
-    @pytest.mark.parametrize("vec", [False, True])
-    def test_parser_parity_across_modes(self, vec):
+    @pytest.mark.parametrize("decoder", [False, True])
+    def test_parser_parity_across_modes(self, decoder):
         original = TraceGenerator("gcc", seed=11).generate_list(257)
         blob = _v2_blob(original, compress=True, chunk_records=50)
         assert _keys(read_trace_list(io.BytesIO(blob))) == _keys(original)
-        parse = parse_records if vec else _parse_records
+        parse = parse_records if decoder else _parse_records
         payload, count = pack_records(original)
         assert _keys(parse(payload, count)) == _keys(original)
 
     def test_bad_chunk_records(self):
         with pytest.raises(TraceFormatError):
-            write_trace([], io.BytesIO(), version=2, chunk_records=0)
-
-    def test_compress_requires_v2(self):
-        with pytest.raises(TraceFormatError, match="v2"):
-            write_trace([], io.BytesIO(), version=1, compress=True)
-
-    def test_unsupported_write_version(self):
-        with pytest.raises(TraceFormatError):
-            write_trace([], io.BytesIO(), version=3)
+            write_trace([], io.BytesIO(), chunk_records=0)
 
 
 class TestTraceRecordCount:
     def test_v1(self):
-        buf = io.BytesIO()
-        write_trace(sample_requests(), buf, version=1)
-        buf.seek(0)
-        assert trace_record_count(buf) == 2
+        payload, count = pack_records(sample_requests())
+        buf = io.BytesIO(_HEADER.pack(MAGIC, 1, 0, count) + payload)
+        with pytest.raises(TraceFormatError, match="version 1"):
+            trace_record_count(buf)
 
     def test_v2_multi_chunk(self):
         original = TraceGenerator("gcc", seed=3).generate_list(130)
@@ -230,11 +286,10 @@ class TestPackRecordErrors:
         with pytest.raises(TraceFormatError, match="carries a payload"):
             pack_records([bad])
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_surfaces_through_write_trace(self, version):
+    def test_surfaces_through_write_trace(self):
         bad = request_unchecked(0, AccessType.WRITE, None, 1.0, 0, 1)
         with pytest.raises(TraceFormatError):
-            write_trace([bad], io.BytesIO(), version=version)
+            write_trace([bad], io.BytesIO())
 
     def test_runs_under_optimized_mode(self):
         """The check must survive ``python -O`` (it is not an assert)."""
@@ -266,12 +321,11 @@ class TestFieldRanges:
         ("seq", -1, "u32"),
         ("address", 2 ** 64, "u64"),
     ])
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_unpackable_field(self, field, value, width, version):
+    def test_unpackable_field(self, field, value, width):
         request = sample_requests()[1]
         setattr(request, field, value)
         with pytest.raises(TraceFormatError) as excinfo:
-            write_trace([request], io.BytesIO(), version=version)
+            write_trace([request], io.BytesIO())
         message = str(excinfo.value)
         assert f"seq={request.seq}" in message
         assert f"{field} {value}" in message and width in message
@@ -286,15 +340,13 @@ class TestFieldRanges:
         return trace
 
     @pytest.mark.parametrize("issue", [float("nan"), float("inf"), -5.0])
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_unschedulable_issue_time_never_reads_back(self, issue,
-                                                       version):
+    def test_unschedulable_issue_time_never_reads_back(self, issue):
         trace = self._gcc_with_issue(issue)
         with pytest.raises(ValueError, match="issue_time_ns"):
-            roundtrip_bytes(trace, version=version)
+            roundtrip_bytes(trace)
 
     @pytest.mark.parametrize("issue", [float("nan"), float("inf"), -5.0])
-    def test_batched_check_falls_back_to_exact_error(self, issue):
+    def test_decoders_raise_the_oracle_error(self, issue):
         payload, count = pack_records(self._gcc_with_issue(issue))
         errors = []
         for parse in (_parse_records, parse_records, check_records):
@@ -303,56 +355,89 @@ class TestFieldRanges:
             errors.append(str(excinfo.value))
         assert errors[0] == errors[1] == errors[2]
 
+    def test_high_address_reads_back(self):
+        """A u64 address past 2**63 skips trusted construction; the
+        validating constructor accepts it, as the oracle does."""
+        requests = [MemoryRequest(address=64 * i, access=AccessType.READ,
+                                  issue_time_ns=float(i), seq=i)
+                    for i in range(10)]
+        requests[4] = MemoryRequest(address=2 ** 63, access=AccessType.READ,
+                                    issue_time_ns=1.0, seq=4)
+        requests[7] = MemoryRequest(address=2 ** 64 - 64,
+                                    access=AccessType.WRITE,
+                                    data=bytes(range(64)), seq=7)
+        payload, count = pack_records(requests)
+        assert parse_records(payload, count) == requests
+        assert list(_parse_records(payload, count)) == requests
+        assert check_records(payload, count) == [
+            0, 24, 48, 72, 96, 120, 144, 168, 256, 280]
+        assert roundtrip_bytes(requests) == requests
 
-class TestV1FallbackStreams:
-    """A v1 file whose records send the batched check to the reference
-    parser still streams: a u64 address past 2**63 reads back without
-    the whole trace being built first, and the records before a bad one
-    reach the consumer before its error."""
+
+class TestTwoFaultPayloads:
+    """A payload with two faults fails at the first in record order, in
+    both decoders, with the oracle's error."""
 
     @staticmethod
-    def _reads(count):
-        return [MemoryRequest(address=64 * i, access=AccessType.READ,
-                              issue_time_ns=float(i), seq=i)
-                for i in range(count)]
+    def _payload():
+        requests = TraceGenerator("gcc", seed=3).generate_list(20)
+        payload, count = pack_records(requests)
+        return bytearray(payload), count, check_records(payload, count)
 
     @staticmethod
-    def _v1_blob(requests):
-        buf = io.BytesIO()
-        write_trace(requests, buf, version=1)
-        return buf.getvalue()
+    def _misalign(payload, offset):
+        (address,) = struct.unpack_from("<Q", payload, offset + 8)
+        struct.pack_into("<Q", payload, offset + 8, address + 1)
 
-    def test_high_address_reads_back_lazily(self, monkeypatch):
-        count = _PARSE_CHUNK + 100
-        requests = self._reads(count)
-        requests[-1] = MemoryRequest(address=2 ** 63, access=AccessType.READ,
-                                     issue_time_ns=1.0, seq=count - 1)
-        blob = self._v1_blob(requests)
-        built = []
-        reference = trace_module._parse_records
+    def _misaligned_then_truncated(self):
+        payload, count, offsets = self._payload()
+        self._misalign(payload, offsets[0])
+        return bytes(payload[:-10]), count
 
-        def counting(buf, records):
-            for request in reference(buf, records):
-                built.append(request)
-                yield request
+    def _nan_issue_then_trailing(self):
+        payload, count, offsets = self._payload()
+        struct.pack_into("<d", payload, offsets[3] + 16, float("nan"))
+        return bytes(payload) + b"\x00\x00", count
 
-        monkeypatch.setattr(trace_module, "_parse_records", counting)
-        stream = read_trace(io.BytesIO(blob))
-        first = next(stream)
-        assert len(built) <= _PARSE_CHUNK
-        assert _keys([first, *stream]) == _keys(requests)
+    def _misaligned_then_unknown_kind(self):
+        payload, count, offsets = self._payload()
+        self._misalign(payload, offsets[2])
+        payload[offsets[10]] = 9
+        return bytes(payload), count
 
-    def test_records_before_a_bad_one_reach_the_consumer(self):
-        requests = self._reads(50)
-        blob = bytearray(self._v1_blob(requests))
-        # Header 20 bytes, 24-byte read records; misalign record 40's
-        # address (offset 8 in the record).
-        struct.pack_into("<Q", blob, 20 + 40 * 24 + 8, 65)
-        got = []
-        with pytest.raises(ValueError, match="aligned"):
-            for request in read_trace(io.BytesIO(bytes(blob))):
-                got.append(request)
-        assert _keys(got) == _keys(requests[:40])
+    @pytest.mark.parametrize("build, first_fault", [
+        ("_misaligned_then_truncated", "aligned"),
+        ("_nan_issue_then_trailing", "issue_time_ns"),
+        ("_misaligned_then_unknown_kind", "aligned"),
+    ])
+    def test_first_fault_wins(self, build, first_fault):
+        payload, count = getattr(self, build)()
+        with pytest.raises(ValueError, match=first_fault) as oracle:
+            list(_parse_records(payload, count))
+        for decode in (parse_records, check_records):
+            with pytest.raises(ValueError) as excinfo:
+                decode(payload, count)
+            assert str(excinfo.value) == str(oracle.value)
+
+
+class TestDecodeLoopGC:
+    """The decode loop defers garbage collection only while it runs."""
+
+    @pytest.mark.parametrize("decode", [parse_records, check_records])
+    def test_collector_state_restored(self, decode):
+        payload, count = pack_records(sample_requests())
+        assert gc.isenabled()
+        decode(payload, count)
+        assert gc.isenabled()
+        with pytest.raises(TraceFormatError):
+            decode(payload + b"\x00", count)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            decode(payload, count)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestCheckRecords:
@@ -385,36 +470,23 @@ class TestCheckRecords:
 class TestTrailingBytes:
     """Satellite 2: stray bytes past the declared records must raise."""
 
-    def _v1_blob(self, requests):
-        buf = io.BytesIO()
-        write_trace(requests, buf, version=1)
-        return buf.getvalue()
+    def test_error_parity_between_parsers(self):
+        payload, count = pack_records(sample_requests())
+        blob = payload + b"\xff" * 3
+        with pytest.raises(TraceFormatError) as oracle_err:
+            list(_parse_records(blob, count))
+        with pytest.raises(TraceFormatError) as decoder_err:
+            parse_records(blob, count)
+        assert str(oracle_err.value) == str(decoder_err.value)
 
-    @pytest.mark.parametrize("vec", [False, True])
-    def test_v1_trailing_bytes(self, vec):
-        blob = self._v1_blob(sample_requests()) + b"\x00" * 7
-        with pytest.raises(TraceFormatError, match="trailing bytes"):
-            read_trace_list(io.BytesIO(blob))
-        parse = parse_records if vec else _parse_records
-        with pytest.raises(TraceFormatError, match="trailing bytes"):
-            list(parse(blob[20:], 2))
-
-    def test_v1_error_parity_between_parsers(self):
-        blob = self._v1_blob(sample_requests())[20:] + b"\xff" * 3
-        with pytest.raises(TraceFormatError) as scalar_err:
-            list(_parse_records(blob, 2))
-        with pytest.raises(TraceFormatError) as vec_err:
-            list(parse_records(blob, 2))
-        assert str(scalar_err.value) == str(vec_err.value)
-
-    @pytest.mark.parametrize("vec", [False, True])
-    def test_v2_trailing_bytes(self, vec):
+    @pytest.mark.parametrize("decoder", [False, True])
+    def test_v2_trailing_bytes(self, decoder):
         # Past the end-of-trace marker (the container's check) and inside
         # a chunk payload (the parser's).
         blob = _v2_blob(sample_requests()) + b"junk"
         with pytest.raises(TraceFormatError, match="trailing bytes"):
             read_trace_list(io.BytesIO(blob))
-        parse = parse_records if vec else _parse_records
+        parse = parse_records if decoder else _parse_records
         payload, count = pack_records(sample_requests())
         with pytest.raises(TraceFormatError, match="trailing bytes"):
             list(parse(payload + b"junk", count))
@@ -431,6 +503,8 @@ class TestV2FormatErrors:
         struct.pack_into("<H", blob, 10, 0x8000)  # header flags field
         with pytest.raises(TraceFormatError, match="unknown trace flags"):
             read_trace_list(io.BytesIO(bytes(blob)))
+        with pytest.raises(TraceFormatError, match="unknown trace flags"):
+            trace_record_count(io.BytesIO(bytes(blob)))
 
     def test_footer_count_mismatch(self):
         blob = bytearray(_v2_blob(sample_requests()))
@@ -459,7 +533,8 @@ class TestV2FormatErrors:
 
 
 class TestMalformedRecordFuzz:
-    """Satellite 3: both parsers agree on every corrupted payload."""
+    """The decoder gives the oracle's outcome on every corrupted payload:
+    the same records, or the same first error."""
 
     def _outcome(self, parser, payload, count):
         try:
@@ -476,25 +551,25 @@ class TestMalformedRecordFuzz:
             mutated = bytearray(payload)
             mutated[pos] ^= 0xFF
             mutated = bytes(mutated)
-            scalar = self._outcome(_parse_records, mutated, count)
-            vec = self._outcome(parse_records, mutated, count)
-            assert scalar == vec, (
-                f"parser divergence at byte {pos}: {scalar} != {vec}")
+            oracle = self._outcome(_parse_records, mutated, count)
+            decoded = self._outcome(parse_records, mutated, count)
+            assert oracle == decoded, (
+                f"decoder diverges at byte {pos}: {oracle} != {decoded}")
 
     def test_truncations_agree(self):
         original = TraceGenerator("lbm", seed=5).generate_list(12)
         payload, count = pack_records(original)
         for cut in range(0, len(payload), 41):
             mutated = payload[:cut]
-            scalar = self._outcome(_parse_records, mutated, count)
-            vec = self._outcome(parse_records, mutated, count)
-            assert scalar == vec, f"divergence at truncation {cut}"
+            oracle = self._outcome(_parse_records, mutated, count)
+            decoded = self._outcome(parse_records, mutated, count)
+            assert oracle == decoded, f"divergence at truncation {cut}"
 
 
-class TestVectorizedTraceIO:
-    """The batched numpy parser (``parse_records``) against the scalar
-    reference parser (``_parse_records``): identical requests, identical
-    errors on malformed streams."""
+class TestDecoderAgainstOracle:
+    """The record decoder (``parse_records``) against the reference
+    oracle (``_parse_records``): identical requests, identical errors on
+    malformed streams."""
 
     def _requests(self, count=800):
         return TraceGenerator("gcc", seed=9).generate_list(count)
@@ -503,11 +578,11 @@ class TestVectorizedTraceIO:
         requests = self._requests()
         payload, count = pack_records(requests)
         assert list(_parse_records(payload, count)) == requests
-        assert list(parse_records(payload, count)) == requests
+        assert parse_records(payload, count) == requests
 
     def test_cross_mode_roundtrip(self):
-        # The file reader's decode equals the reference parser's decode
-        # of the same records.
+        # The file reader's decode equals the oracle's decode of the same
+        # records.
         requests = self._requests(200)
         buffer = io.BytesIO()
         write_trace(requests, buffer)
@@ -517,10 +592,8 @@ class TestVectorizedTraceIO:
                                                               count))
 
     def _blob(self, requests):
-        """A v1 trace's record bytes (after its 20-byte header)."""
-        buffer = io.BytesIO()
-        write_trace(requests, buffer, version=1)
-        return buffer.getvalue()[20:]
+        """The packed records of ``requests``."""
+        return pack_records(requests)[0]
 
     def _error(self, payload, count):
         outcomes = []
@@ -534,27 +607,28 @@ class TestVectorizedTraceIO:
 
     def test_error_parity_truncated_payload(self):
         blob = self._blob(self._requests(50))
-        ref, vec = self._error(blob[:-10], 50)
-        assert ref == vec and ref is not None
+        ref, dec = self._error(blob[:-10], 50)
+        assert ref == dec and ref is not None
         assert "truncated" in ref[1]
 
     def test_error_parity_unknown_kind(self):
         blob = bytearray(self._blob(self._requests(50)))
         blob[0] = 9  # first record's kind byte
-        ref, vec = self._error(bytes(blob), 50)
-        assert ref == vec and ref is not None
+        ref, dec = self._error(bytes(blob), 50)
+        assert ref == dec and ref is not None
         assert "unknown record kind 9" in ref[1]
 
     def test_error_parity_misaligned_address(self):
         blob = bytearray(self._blob(self._requests(50)))
         struct.pack_into("<Q", blob, 8, 65)  # unaligned address
-        ref, vec = self._error(bytes(blob), 50)
-        assert ref == vec and ref is not None
+        ref, dec = self._error(bytes(blob), 50)
+        assert ref == dec and ref is not None
         assert ref[0] is ValueError
 
     def test_empty_trace(self):
         assert list(_parse_records(b"", 0)) == []
-        assert list(parse_records(b"", 0)) == []
+        assert parse_records(b"", 0) == []
+        assert check_records(b"", 0) == []
         buffer = io.BytesIO()
         assert write_trace([], buffer) == 0
         buffer.seek(0)
