@@ -18,10 +18,13 @@ sections:
   the chunked v2 trace writer vs materializing the full request list
   first.  Report-only: it documents that capture memory is bounded by
   the chunk size, not the trace length.
-* **kernels** — per-kernel micro-benchmarks of each memoized kernel
-  against its uncached form, over a content-local working set (a small
-  set of distinct lines cycled many times, the locality regime the memo
-  caches are designed for).
+* **kernels** — per-kernel micro-benchmarks of each memo cache, looked
+  up through the object that owns it (ESD's line-ECC lookup, the
+  counter-mode engine's ``decrypt_at``, each fingerprint engine's
+  ``fingerprint``), against the kernel it saves, over a content-local
+  working set (a small set of distinct lines cycled many times, the
+  locality regime the memo caches are designed for).  Each timed repeat
+  starts from a fresh owner, so its cache starts cold.
 * **serve_throughput** — requests/sec streaming one trace through the
   :mod:`repro.serve` loopback server vs the same trace run directly
   (report-only; the serve parity hard gate is ``serve_smoke.py``).
@@ -76,16 +79,14 @@ except ImportError:  # running from a checkout without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.common.types import CACHE_LINE_SIZE
-from repro.crypto.counter_mode import _derive_pad, _derive_pad_uncached
-from repro.crypto.fingerprints import make_engine
-from repro.ecc.codec import (
-    decode_line,
-    decode_line_uncached,
-    line_ecc,
-    line_ecc_uncached,
+from repro.crypto.counter_mode import (
+    CounterModeEngine,
+    _derive_pad_uncached,
+    _xor_line,
 )
-from repro.perf import reset_caches
-from repro.registry import registered_scheme_names
+from repro.crypto.fingerprints import make_engine
+from repro.ecc.codec import line_ecc
+from repro.registry import make_scheme, registered_scheme_names
 from repro.sim.runner import ExperimentConfig, run_grid, scaled_system_config
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.profiles import get_profile
@@ -260,7 +261,8 @@ def _kernel_stream(ops: int) -> List[bytes]:
 
 def _bench_line_ecc(ops: int, cached: bool) -> Callable[[], None]:
     stream = _kernel_stream(ops)
-    kernel = line_ecc if cached else line_ecc_uncached
+    kernel = (make_scheme("ESD", scaled_system_config())._line_ecc
+              if cached else line_ecc)
 
     def run() -> None:
         for data in stream:
@@ -268,29 +270,29 @@ def _bench_line_ecc(ops: int, cached: bool) -> Callable[[], None]:
     return run
 
 
-def _bench_decode_line_clean(ops: int, cached: bool) -> Callable[[], None]:
-    # Pair every line with its correct ECC (the clean, no-fault decode that
-    # dominates simulation reads); computed uncached so setup cost never
-    # warms the caches under test.
-    pairs = [(data, line_ecc_uncached(data)) for data in _working_set()]
-    stream_pairs = [pairs[i % len(pairs)] for i in range(ops)]
-    kernel = decode_line if cached else decode_line_uncached
-
-    def run() -> None:
-        for data, ecc in stream_pairs:
-            kernel(data, ecc)
-    return run
-
-
 def _bench_counter_pad(ops: int, cached: bool) -> Callable[[], None]:
-    key = b"\x13" * 32
-    coords = [(line, 1) for line in range(KERNEL_DISTINCT_LINES)]
-    stream = [coords[i % len(coords)] for i in range(ops)]
-    kernel = _derive_pad if cached else _derive_pad_uncached
+    # Decrypt the working set's lines at counter 1: through a fresh
+    # engine's pad cache, or re-deriving the pad every time.
+    lines = _working_set()
+    writer = CounterModeEngine()
+    ciphertexts = [writer.encrypt(data, line).ciphertext
+                   for line, data in enumerate(lines)]
+    stream = [(i % len(lines), ciphertexts[i % len(lines)])
+              for i in range(ops)]
+    if not cached:
+        key = b"\x13" * 32  # the engines' default key
+
+        def run() -> None:
+            for line, ciphertext in stream:
+                _xor_line(ciphertext, _derive_pad_uncached(key, line, 1))
+        return run
+    reader = CounterModeEngine()
+    reader.counters.counters.update(dict.fromkeys(range(len(lines)), 1))
+    decrypt_at = reader.decrypt_at
 
     def run() -> None:
-        for line, counter in stream:
-            kernel(key, line, counter)
+        for line, ciphertext in stream:
+            decrypt_at(ciphertext, line)
     return run
 
 
@@ -308,11 +310,11 @@ def _bench_fingerprint(name: str, ops: int,
 
 def _time_kernel(factory: Callable[[int, bool], Callable[[], None]],
                  ops: int, repeats: int, cached: bool) -> float:
-    """Median ns/op over ``repeats`` runs of the cached or uncached form."""
-    run = factory(ops, cached)
+    """Median ns/op over ``repeats`` runs of the cached or uncached form,
+    each on a fresh owner (a cold cache)."""
     samples = []
     for _ in range(repeats):
-        reset_caches()
+        run = factory(ops, cached)
         start = time.process_time()
         run()
         samples.append((time.process_time() - start) / ops * 1e9)
@@ -320,10 +322,9 @@ def _time_kernel(factory: Callable[[int, bool], Callable[[], None]],
 
 
 def bench_kernels(ops: int, repeats: int) -> Dict[str, Dict[str, float]]:
-    """Each memoized kernel against its uncached form."""
+    """Each owned memo cache against the kernel it saves."""
     factories: Dict[str, Callable[[int, bool], Callable[[], None]]] = {
         "line_ecc": _bench_line_ecc,
-        "decode_line_clean": _bench_decode_line_clean,
         "counter_pad": _bench_counter_pad,
         "fingerprint_sha1": lambda n, c: _bench_fingerprint("sha1", n, c),
         "fingerprint_crc": lambda n, c: _bench_fingerprint("crc32", n, c),
@@ -411,11 +412,9 @@ def bench_serve_mp(requests: int) -> Dict:
 
     **Parity (hard gate).**  Every registered scheme's trace is served
     through a ``workers=3`` pool, each scheme under its own tenant so
-    sessions spread across workers by the affinity hash.  Sessions run
-    sequentially and each worker resets its process-global caches at
-    session open, so the served state must be *full* bit-exact against
-    a direct run — including the memo statistics the threaded
-    concurrent-parity check has to exclude.
+    sessions spread across workers by the affinity hash.  Each session's
+    scheme graph owns its memo caches, so the served state must be
+    *full* bit-exact against a direct run, memo statistics included.
 
     **Scaling (report-only).**  Four tenants pinned to four distinct
     workers stream the same trace concurrently; aggregate req/s is

@@ -8,9 +8,9 @@ hard-gates on two properties:
 
 * **Parity** — each served session's finalize payload (summary row and
   the full lossless result state) must be bit-identical to a direct
-  in-process :meth:`SimulationEngine.run` of the same trace.  Sessions
-  run sequentially, so no interleaving caveats apply: every byte,
-  including the memo-cache statistics, must match.
+  in-process :meth:`SimulationEngine.run` of the same trace: every
+  byte, including the memo-cache statistics, which each session's
+  scheme graph owns.
 * **Clean shutdown** — SIGTERM must drain and exit 0 with the CLI's
   "drained clean" notice.
 
@@ -21,8 +21,8 @@ here — that is ``perf_smoke.py``'s ``serve_throughput`` section.
 
 ``--workers N`` runs the same gate against the multi-process engine
 back end (each tenant gets its own label, so sessions spread across the
-worker pool by the affinity hash); sequential sessions are full
-bit-exact in every mode, so the parity check is unchanged.
+worker pool by the affinity hash); served sessions are full bit-exact
+in every mode, so the parity check is unchanged.
 
 Usage::
 

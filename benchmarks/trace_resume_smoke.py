@@ -46,7 +46,6 @@ except ImportError:  # running from a checkout without PYTHONPATH=src
 
 from repro.common import small_test_config
 from repro.dedup import make_scheme
-from repro.perf import memo
 from repro.registry import registered_scheme_names
 from repro.sim.engine import EngineConfig, SimulationEngine
 from repro.sim.export import result_state_bytes
@@ -120,7 +119,6 @@ def _result_bytes(result) -> bytes:
 
 
 def _direct(trace, scheme_name, config) -> bytes:
-    memo.reset_all()
     engine = SimulationEngine(make_scheme(scheme_name, config),
                               EngineConfig())
     result = engine.run(iter(trace), app="gate", total_hint=len(trace))
@@ -128,15 +126,14 @@ def _direct(trace, scheme_name, config) -> bytes:
 
 
 def _resumed(trace, scheme_name, config, cut: int) -> bytes:
-    memo.reset_all()
     engine = SimulationEngine(make_scheme(scheme_name, config),
                               EngineConfig())
     session = engine.open_session(app="gate", total_hint=len(trace))
     stream = iter(trace)
     session.feed(islice(stream, cut))
     blob = session.checkpoint()
-    # Dirty the process-global memo caches with an unrelated run before
-    # restoring: a resume must not depend on leftover process state.
+    # Run something unrelated before restoring: a resume must not depend
+    # on leftover process state.
     other = SimulationEngine(make_scheme("Baseline", small_test_config()))
     other.run(TraceGenerator("lbm", seed=5).generate(300), app="dirt",
               total_hint=300)

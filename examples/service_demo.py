@@ -5,7 +5,9 @@ Spins up the :mod:`repro.serve` server in-process, drives three tenants
 concurrently — each with its own scheme, workload, and (for one of
 them) per-tenant config overrides — then prints the per-tenant summary
 rows, the serve-side metrics the server accumulated, and a parity check
-of every served result against a direct in-process run.
+of every served result against a direct in-process run: the whole
+result state, cache statistics included, and exit status 1 on any
+mismatch.
 
 This is the "millions of users" framing from the roadmap scaled down to
 a demo: many independent trace sources multiplexed onto one shared
@@ -61,7 +63,7 @@ def direct_state(tenant):
                                       total_hint=len(trace)))
 
 
-def main() -> None:
+def main() -> int:
     payloads = {}
     with BackgroundServer(ServeConfig(max_sessions=8)) as server:
         print(f"server up on 127.0.0.1:{server.port}\n")
@@ -95,19 +97,16 @@ def main() -> None:
 
     print(f"\nserver drained clean: {server.drained_clean}")
 
-    # Concurrent sessions share the process-global memo caches, so the
-    # cache-statistics extras depend on interleaving; everything else —
-    # latencies, counters, energy, IPC — must match a direct run exactly.
-    print("\nParity vs direct runs (cache-stat extras excluded):")
+    # Each session's scheme graph owns its memo caches, so concurrent
+    # tenants match their direct runs in the whole state.
+    print("\nParity vs direct runs (whole result state):")
+    mismatched = 0
     for tenant in TENANTS:
-        served = dict(payloads[tenant]["state"])
-        expected = direct_state(tenant)
-        for state in (served, expected):
-            state["extras"] = {k: v for k, v in state["extras"].items()
-                               if not k.startswith("memo_")}
-        status = "exact" if served == expected else "MISMATCH"
-        print(f"  {tenant:6s} {status}")
+        exact = payloads[tenant]["state"] == direct_state(tenant)
+        mismatched += not exact
+        print(f"  {tenant:6s} {'exact' if exact else 'MISMATCH'}")
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

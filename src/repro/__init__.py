@@ -20,8 +20,8 @@ Mao, and Wang.  The package contains:
 * :mod:`repro.sweep` — parallel sweep orchestration: process-pool
   scheduler, content-addressed result store, resumable checkpoints.
 * :mod:`repro.perf` — content-addressed kernel caches: bounded LRU
-  memoization of the pure ECC/crypto kernels, bit-identical to their
-  uncached forms.
+  memoization of the pure ECC/crypto kernels, each cache owned by the
+  engine or scheme that calls its kernel.
 * :mod:`repro.analysis` — one reproduction function per paper figure.
 
 Quickstart::
@@ -53,7 +53,6 @@ from .dedup import (
     make_scheme,
 )
 from .ecc import decode_line, encode_word, line_ecc
-from .perf import cache_stats, reset_caches
 from .sim import (
     EngineConfig,
     ExperimentConfig,
@@ -89,14 +88,12 @@ __all__ = [
     "TraceGenerator",
     "__version__",
     "app_names",
-    "cache_stats",
     "decode_line",
     "default_config",
     "encode_word",
     "get_profile",
     "line_ecc",
     "make_scheme",
-    "reset_caches",
     "run_app",
     "run_grid",
     "run_sweep",

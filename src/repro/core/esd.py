@@ -27,7 +27,7 @@ ESD's breakdown deliberately never contains a FINGERPRINT_* stage.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..common.config import SystemConfig
 from ..common.timeline import StageTimeline
@@ -36,12 +36,14 @@ from ..common.types import (
     MemoryRequest,
     WritePathStage,
     check_write_payload,
+    validate_line,
 )
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..dedup.base import DedupScheme, MetadataFootprint, ReadResult, WriteResult
 from ..dedup.mapping import FrameRefcounts
 from ..ecc.codec import line_ecc
 from ..obs.runtime import RunObservation
+from ..perf.memo import MemoCache
 from ..registry import register_scheme
 from .amt import AddressMappingTable
 from .efit import EFIT, EFIT_ENTRY_SIZE
@@ -63,6 +65,11 @@ class ESDScheme(DedupScheme):
         self.refcounts = FrameRefcounts(self.allocator)
         #: frame -> ECC, to invalidate EFIT entries of recycled frames.
         self._frame_ecc: Dict[int, int] = {}
+        #: Line-ECC memo, keyed on line content (see :meth:`_line_ecc`).
+        self.line_ecc_cache = MemoCache("line_ecc", 1 << 16)
+
+    def memo_caches(self) -> List[MemoCache]:
+        return super().memo_caches() + [self.line_ecc_cache]
 
     def bind_observation(self, obs: Optional[RunObservation]) -> None:
         super().bind_observation(obs)
@@ -72,6 +79,28 @@ class ESDScheme(DedupScheme):
     # ------------------------------------------------------------------
     # Write-path helpers
     # ------------------------------------------------------------------
+
+    def _line_ecc(self, data: bytes) -> int:
+        """:func:`~repro.ecc.codec.line_ecc` through this scheme's memo,
+        with ``MemoCache.get``/``put`` inlined as in the fingerprint
+        engines; a ``bytearray`` line is looked up as ``bytes``."""
+        cache = self.line_ecc_cache
+        entries = cache._data
+        try:
+            ecc = entries.get(data)
+        except TypeError:
+            return self._line_ecc(validate_line(data))
+        if ecc is None:
+            cache.misses += 1
+            ecc = line_ecc(data)
+            if len(entries) >= cache.capacity:
+                entries.popitem(last=False)
+                cache.evictions += 1
+            entries[data] = ecc
+        else:
+            cache.hits += 1
+            entries.move_to_end(data)
+        return ecc
 
     def _release_previous(self, logical_line: int) -> None:
         old_frame = self.amt.current_frame(logical_line)
@@ -114,7 +143,7 @@ class ESDScheme(DedupScheme):
         timeline = self._timeline(request)
 
         # 1. ECC fingerprint: already computed by the controller — free.
-        ecc = line_ecc(request.data)
+        ecc = self._line_ecc(request.data)
 
         # 2. On-chip EFIT probe; the only fingerprint lookup ESD ever does.
         entry, probe_ns = self.efit.lookup(ecc)

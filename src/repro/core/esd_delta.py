@@ -43,7 +43,6 @@ from ..common.types import (
 )
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..dedup.base import ReadResult, WriteResult
-from ..ecc.codec import line_ecc
 from ..registry import register_scheme
 from .esd import ESDScheme
 
@@ -165,7 +164,7 @@ class ESDDeltaScheme(ESDScheme):
         payload = request.data
         if payload.__class__ is not bytes or len(payload) != CACHE_LINE_SIZE:
             check_write_payload(payload)
-        ecc = line_ecc(request.data)
+        ecc = self._line_ecc(request.data)
         entry, _probe = self.efit.lookup(ecc)
         if entry is not None:
             # Full-line path: delegate to ESD (it will re-probe; refund the

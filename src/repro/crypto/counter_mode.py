@@ -29,18 +29,9 @@ from dataclasses import dataclass, field
 from typing import Dict, NamedTuple, Tuple
 
 from ..common.types import CACHE_LINE_SIZE, validate_line
-from ..perf import memo as _memo
+from ..perf.memo import MemoCache
 from .costs import DEFAULT_COSTS, CryptoCosts
 
-#: Pad memo (:mod:`repro.perf.memo`).  Encryption advances the write counter,
-#: so encrypt-side pads are always fresh; the hits come from the read path
-#: (``decrypt_at`` re-derives the pad minted at encrypt time) and from ESD's
-#: read-for-comparison decrypts of candidate duplicate frames.
-_PAD_CACHE = _memo.get_cache("counter_pad", 1 << 16)
-#: The cache's backing OrderedDict, for the inlined lookups in encrypt() and
-#: decrypt_at() (MemoCache.reset() clears this dict in place, never
-#: reassigns it).
-_PAD_DATA = _PAD_CACHE._data
 _new_tuple = tuple.__new__
 
 
@@ -58,23 +49,6 @@ def _derive_pad_uncached(key: bytes, line_number: int, counter: int) -> bytes:
     pack = _PAD_MSG.pack
     return (_sha256(key + pack(line_number, counter, 0)).digest()
             + _sha256(key + pack(line_number, counter, 1)).digest())
-
-
-def _derive_pad(key: bytes, line_number: int, counter: int) -> bytes:
-    """Memoized pad derivation.
-
-    The cache key covers all three arguments — including the engine key, so
-    two engines with different keys can never serve each other's pads —
-    even though in any one simulation the key is a per-engine constant and
-    the effective key is ``(line, counter)``.
-    """
-    memo_key = (key, line_number, counter)
-    pad = _PAD_CACHE.get(memo_key)
-    if pad is not None:
-        return pad
-    pad = _derive_pad_uncached(key, line_number, counter)
-    _PAD_CACHE.put(memo_key, pad)
-    return pad
 
 
 def _xor_line_reference(a: bytes, b: bytes) -> bytes:
@@ -157,6 +131,15 @@ class CounterModeEngine:
         self._line_counters = self._counters.counters
         self._counter_limit = 1 << self._counters.width_bits
         self.costs = costs
+        #: Pad memo, keyed on ``(line, counter)`` (the key is fixed for the
+        #: engine's life).  Encryption advances the write counter, so
+        #: encrypt-side pads are always fresh; the hits come from the read
+        #: path (``decrypt_at`` re-derives the pad minted at encrypt time)
+        #: and from ESD's read-for-comparison decrypts of candidate frames.
+        self.pad_cache = MemoCache("counter_pad", 1 << 16)
+        # Its backing dict, hoisted for the inlined lookups in encrypt and
+        # decrypt_at (never reassigned, only mutated).
+        self._pad_data = self.pad_cache._data
         #: Number of encrypt operations performed (for energy accounting).
         self.encrypt_count = 0
         #: Number of decrypt operations performed.
@@ -187,18 +170,20 @@ class CounterModeEngine:
         if counter >= self._counter_limit:
             raise OverflowError(f"counter overflow on line {line_number}")
         counters[line_number] = counter
-        memo_key = (self._key, line_number, counter)
-        pad = _PAD_DATA.get(memo_key)
+        memo_key = (line_number, counter)
+        pads = self._pad_data
+        pad = pads.get(memo_key)
         if pad is None:
-            _PAD_CACHE.misses += 1
+            cache = self.pad_cache
+            cache.misses += 1
             pad = _derive_pad_uncached(self._key, line_number, counter)
-            if len(_PAD_DATA) >= _PAD_CACHE.capacity:
-                _PAD_DATA.popitem(last=False)
-                _PAD_CACHE.evictions += 1
-            _PAD_DATA[memo_key] = pad
+            if len(pads) >= cache.capacity:
+                pads.popitem(last=False)
+                cache.evictions += 1
+            pads[memo_key] = pad
         else:
-            _PAD_CACHE.hits += 1
-            _PAD_DATA.move_to_end(memo_key)
+            self.pad_cache.hits += 1
+            pads.move_to_end(memo_key)
         self.encrypt_count += 1
         return _new_tuple(EncryptedLine, (
             (int.from_bytes(plaintext, "little")
@@ -210,7 +195,11 @@ class CounterModeEngine:
         """Recover the plaintext of a previously encrypted line."""
         if len(encrypted.ciphertext) != CACHE_LINE_SIZE:
             raise ValueError("ciphertext must be one cache line")
-        pad = _derive_pad(self._key, encrypted.line_number, encrypted.counter)
+        memo_key = (encrypted.line_number, encrypted.counter)
+        pad = self.pad_cache.get(memo_key)
+        if pad is None:
+            pad = _derive_pad_uncached(self._key, *memo_key)
+            self.pad_cache.put(memo_key, pad)
         self.decrypt_count += 1
         return _xor_line(encrypted.ciphertext, pad)
 
@@ -228,18 +217,20 @@ class CounterModeEngine:
         # XOR inlined — this is the hottest crypto entry point (every
         # read fill and every ESD read-for-comparison).
         counter = self._line_counters.get(line_number, 0)
-        memo_key = (self._key, line_number, counter)
-        pad = _PAD_DATA.get(memo_key)
+        memo_key = (line_number, counter)
+        pads = self._pad_data
+        pad = pads.get(memo_key)
         if pad is None:
-            _PAD_CACHE.misses += 1
+            cache = self.pad_cache
+            cache.misses += 1
             pad = _derive_pad_uncached(self._key, line_number, counter)
-            if len(_PAD_DATA) >= _PAD_CACHE.capacity:
-                _PAD_DATA.popitem(last=False)
-                _PAD_CACHE.evictions += 1
-            _PAD_DATA[memo_key] = pad
+            if len(pads) >= cache.capacity:
+                pads.popitem(last=False)
+                cache.evictions += 1
+            pads[memo_key] = pad
         else:
-            _PAD_CACHE.hits += 1
-            _PAD_DATA.move_to_end(memo_key)
+            self.pad_cache.hits += 1
+            pads.move_to_end(memo_key)
         self.decrypt_count += 1
         return (int.from_bytes(ciphertext, "little")
                 ^ int.from_bytes(pad, "little")).to_bytes(

@@ -22,7 +22,7 @@ import zlib
 from typing import Protocol, runtime_checkable
 
 from ..common.types import validate_line
-from ..perf import memo as _memo
+from ..perf.memo import MemoCache
 from .costs import DEFAULT_COSTS, CryptoCosts, OperationCostModel
 
 #: Capacity of each per-engine fingerprint memo cache.
@@ -54,10 +54,10 @@ class FingerprintEngine(Protocol):
 class _HashEngineBase:
     """Shared plumbing for digest-backed engines.
 
-    ``fingerprint`` is memoized on line content (:mod:`repro.perf`): engines
-    of the same ``name`` share one process-global content-addressed cache
-    (sound — the digest is a pure function of the data), so a simulation
-    that fingerprints the same hot line thousands of times hashes it once.
+    ``fingerprint`` is memoized on line content (:mod:`repro.perf.memo`):
+    each engine owns a content-addressed cache named ``fp_<name>`` (sound
+    — the digest is a pure function of the data), so a simulation that
+    fingerprints the same hot line thousands of times hashes it once.
     Subclasses implement :meth:`_digest` with the actual computation.
     """
 
@@ -67,16 +67,13 @@ class _HashEngineBase:
     def __init__(self, cost: OperationCostModel) -> None:
         self.latency_ns = cost.latency_ns
         self.energy_nj = cost.energy_nj
-        self._cache = None
+        self.cache = MemoCache(f"fp_{self.name}", _FP_CACHE_CAPACITY)
 
     def _digest(self, data: bytes) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def fingerprint(self, data: bytes) -> int:
-        cache = self._cache
-        if cache is None:
-            cache = self._cache = _memo.get_cache(f"fp_{self.name}",
-                                                  _FP_CACHE_CAPACITY)
+        cache = self.cache
         # MemoCache.get/put inlined, as the counter-pad memo is in
         # counter_mode (same hit, miss and eviction counts; a digest is
         # never None, so None marks a miss).  An unhashable line (a
@@ -157,16 +154,15 @@ class TruncatedEngine(_HashEngineBase):
     """A width-truncated view of another engine (for collision studies).
 
     Delegates to the inner engine's (memoized) ``fingerprint``; the mask is
-    too cheap to be worth a second cache, so this override replaces the
-    base-class memo entirely.
+    too cheap to be worth a second cache, so this engine owns none.
     """
 
     def __init__(self, inner: FingerprintEngine, bits: int) -> None:
         if not 1 <= bits <= inner.bits:
             raise ValueError(
                 f"cannot truncate {inner.name} ({inner.bits} bits) to {bits}")
-        super().__init__(OperationCostModel(latency_ns=inner.latency_ns,
-                                            energy_nj=inner.energy_nj))
+        self.latency_ns = inner.latency_ns
+        self.energy_nj = inner.energy_nj
         self._inner = inner
         self.bits = bits
         self.name = f"{inner.name}_{bits}"

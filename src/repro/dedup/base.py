@@ -7,7 +7,9 @@ identically, which is what lets every benchmark sweep schemes uniformly.
 A scheme owns:
 
 * a :class:`~repro.nvmm.controller.MemoryController` (PCM timing/energy),
-* a :class:`~repro.crypto.counter_mode.CounterModeEngine` (encryption),
+* a :class:`~repro.crypto.counter_mode.CounterModeEngine` (encryption,
+  with its pad memo cache; :meth:`DedupScheme.memo_caches` lists every
+  memo cache the scheme owns),
 * an :class:`~repro.nvmm.energy.EnergyAccount` for crypto/fingerprint energy
   (PCM energy is accounted inside the controller),
 * a :class:`~repro.common.types.LatencyBreakdown` accumulating the Figure 17
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 
 from ..common.config import SystemConfig
 from ..common.stats import Counter
@@ -41,6 +43,7 @@ from ..nvmm.allocator import FrameAllocator
 from ..nvmm.controller import MemoryController
 from ..nvmm.energy import EnergyAccount, EnergyCategory
 from ..obs.runtime import RunObservation
+from ..perf.memo import MemoCache
 
 if TYPE_CHECKING:
     from ..crypto.integrity import CounterIntegrityTree
@@ -149,6 +152,12 @@ class DedupScheme(abc.ABC):
         structures than the memory controller extend it.
         """
         self._obs = self.controller._obs = obs
+
+    def memo_caches(self) -> List[MemoCache]:
+        """The kernel memo caches this scheme owns, whose statistics the
+        session exports as ``memo_*`` extras; schemes that call more
+        memoized kernels than counter-mode encryption extend it."""
+        return [self.crypto.pad_cache]
 
     def _integrity_update(self, frame: int) -> float:
         """Maintain the counter tree after a write; returns its latency."""

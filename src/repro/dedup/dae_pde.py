@@ -23,7 +23,7 @@ Dedup_SHA1 are the pipeline orderings under study.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from ..common.config import SystemConfig
 from ..common.types import (
@@ -35,6 +35,7 @@ from ..common.types import (
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..crypto.fingerprints import SHA1Engine
 from ..nvmm.energy import EnergyCategory
+from ..perf.memo import MemoCache
 from ..registry import register_scheme
 from .base import WriteResult
 from .full_dedup import FullDedupScheme
@@ -55,6 +56,9 @@ class DaEScheme(FullDedupScheme):
                  costs: CryptoCosts = DEFAULT_COSTS) -> None:
         super().__init__(config, costs)
         self.engine = SHA1Engine(costs)
+
+    def memo_caches(self) -> List[MemoCache]:
+        return super().memo_caches() + [self.engine.cache]
 
     def handle_write(self, request: MemoryRequest) -> WriteResult:
         payload = request.data
@@ -125,6 +129,9 @@ class PDEScheme(FullDedupScheme):
                  costs: CryptoCosts = DEFAULT_COSTS) -> None:
         super().__init__(config, costs)
         self.engine = SHA1Engine(costs)
+
+    def memo_caches(self) -> List[MemoCache]:
+        return super().memo_caches() + [self.engine.cache]
 
     def handle_write(self, request: MemoryRequest) -> WriteResult:
         payload = request.data

@@ -15,7 +15,7 @@ never see one), so duplicates are *not* verified by a comparison read.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from ..common.config import SystemConfig
 from ..common.types import (
@@ -26,6 +26,7 @@ from ..common.types import (
 )
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..crypto.fingerprints import SHA1Engine
+from ..perf.memo import MemoCache
 from ..registry import register_scheme
 from .base import WriteResult
 from .full_dedup import FullDedupScheme
@@ -43,6 +44,9 @@ class DedupSHA1Scheme(FullDedupScheme):
                  costs: CryptoCosts = DEFAULT_COSTS) -> None:
         super().__init__(config, costs)
         self.engine = SHA1Engine(costs)
+
+    def memo_caches(self) -> List[MemoCache]:
+        return super().memo_caches() + [self.engine.cache]
 
     def handle_write(self, request: MemoryRequest) -> WriteResult:
         payload = request.data

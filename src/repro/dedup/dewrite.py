@@ -23,7 +23,7 @@ every fingerprint-cache miss.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from ..common.config import SystemConfig
 from ..common.timeline import StageTimeline
@@ -36,6 +36,7 @@ from ..common.types import (
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..crypto.fingerprints import CRC32Engine
 from ..nvmm.energy import EnergyCategory
+from ..perf.memo import MemoCache
 from ..registry import register_scheme
 from .base import WriteResult
 from .full_dedup import FullDedupScheme
@@ -56,6 +57,9 @@ class DeWriteScheme(FullDedupScheme):
         self.predictor = DuplicationPredictor(
             entries=self.config.dewrite.predictor_entries,
             bits=self.config.dewrite.predictor_bits)
+
+    def memo_caches(self) -> List[MemoCache]:
+        return super().memo_caches() + [self.engine.cache]
 
     # ------------------------------------------------------------------
     # Write pipelines

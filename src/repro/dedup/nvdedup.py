@@ -24,7 +24,7 @@ for every *duplicate* line, plus the full-dedup NVMM lookup costs.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..common.config import SystemConfig
 from ..common.types import (
@@ -35,6 +35,7 @@ from ..common.types import (
 )
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..crypto.fingerprints import CRC32Engine, MD5Engine
+from ..perf.memo import MemoCache
 from ..registry import register_scheme
 from .base import WriteResult
 from .full_dedup import FullDedupScheme
@@ -56,6 +57,10 @@ class NVDedupScheme(FullDedupScheme):
         self.strong_engine = MD5Engine(costs)
         #: frame -> strong fingerprint of its content.
         self._strong: Dict[int, int] = {}
+
+    def memo_caches(self) -> List[MemoCache]:
+        return super().memo_caches() + [self.weak_engine.cache,
+                                        self.strong_engine.cache]
 
     def _release_previous(self, logical_line: int) -> None:
         # Also drop the freed frame's strong fingerprint.

@@ -4,10 +4,8 @@ from .codec import (
     ECCFingerprintEngine,
     LineDecodeResult,
     decode_line,
-    decode_line_uncached,
     line_ecc,
     line_ecc_bytes,
-    line_ecc_uncached,
     verify_distinct,
     word_eccs,
 )
@@ -27,7 +25,6 @@ __all__ = [
     "LineDecodeResult",
     "RandomFaultInjector",
     "decode_line",
-    "decode_line_uncached",
     "decode_word",
     "encode_word",
     "flip_bit",
@@ -35,7 +32,6 @@ __all__ = [
     "inject_and_decode",
     "line_ecc",
     "line_ecc_bytes",
-    "line_ecc_uncached",
     "syndrome",
     "verify_distinct",
     "word_eccs",

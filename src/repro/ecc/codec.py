@@ -21,19 +21,9 @@ from typing import List, Tuple
 
 from ..common.errors import UncorrectableError
 from ..common.types import CACHE_LINE_SIZE, WORDS_PER_LINE, validate_line
-from ..perf import memo as _memo
 from . import hamming
 
 _WORD_STRUCT = struct.Struct("<8Q")
-
-# Content-addressed memo caches (:mod:`repro.perf.memo`).  All three codec
-# kernels are pure; ``decode_line`` is keyed on ``(data, ecc)`` so a
-# fault-injected line (corrupted data against a clean ECC, or vice versa)
-# can never hit a stale clean-decode result — equal keys imply equal
-# decode outcomes by purity.
-_LINE_ECC_CACHE = _memo.get_cache("line_ecc", 1 << 16)
-_WORD_ECCS_CACHE = _memo.get_cache("word_eccs", 1 << 14)
-_DECODE_CACHE = _memo.get_cache("decode_line", 1 << 16)
 
 
 #: The encoder's byte tables (``hamming._ENCODE_TABLES``) as
@@ -45,8 +35,8 @@ _DECODE_CACHE = _memo.get_cache("decode_line", 1 << 16)
 _from_bytes = int.from_bytes
 
 
-def line_ecc_uncached(data: bytes) -> int:
-    """The :func:`line_ecc` computation with memoization bypassed.
+def line_ecc(data: bytes) -> int:
+    """Compute the 64-bit ECC fingerprint of a 64-byte cache line.
 
     Word *i*'s 8-bit ECC occupies bits ``8*i .. 8*i+7`` of the result.
     Words are little-endian, so ``data[j::8]`` is byte *j* of every word
@@ -54,7 +44,8 @@ def line_ecc_uncached(data: bytes) -> int:
     each word's byte-*j* contribution in that word's lane, and the code's
     per-byte linearity makes the line ECC the XOR of the eight lanes read
     as little-endian integers: eight C-level translates rather than 64
-    table lookups in Python (timings in DESIGN.md §10).
+    table lookups in Python (timings in DESIGN.md §10).  ESD looks it up
+    through its own memo cache (:meth:`repro.core.esd.ESDScheme._line_ecc`).
     """
     if data.__class__ is not bytes or len(data) != CACHE_LINE_SIZE:
         data = validate_line(data)
@@ -68,44 +59,15 @@ def line_ecc_uncached(data: bytes) -> int:
             ^ _from_bytes(data[7::8].translate(_LANE7), "little"))
 
 
-def line_ecc(data: bytes) -> int:
-    """Compute the 64-bit ECC fingerprint of a 64-byte cache line.
-
-    Memoized on the line content.  Cache hits skip re-validation: every
-    cached key is a previously validated 64-byte line, so an invalid
-    hashable input misses and fails validation.  An unhashable one (a
-    ``bytearray``) is validated and converted to ``bytes`` first, so it
-    gets the value and the cache traffic of ``bytes(data)``.
-    """
-    try:
-        cached = _LINE_ECC_CACHE.get(data)
-    except TypeError:
-        return line_ecc(validate_line(data))
-    if cached is not None:
-        return cached
-    ecc = line_ecc_uncached(data)
-    _LINE_ECC_CACHE.put(data, ecc)
-    return ecc
-
-
 def line_ecc_bytes(data: bytes) -> bytes:
     """The line ECC as 8 little-endian bytes (one per protected word)."""
     return line_ecc(data).to_bytes(WORDS_PER_LINE, "little")
 
 
 def word_eccs(data: bytes) -> Tuple[int, ...]:
-    """Per-word 8-bit ECC values of a cache line (memoized on content,
-    an unhashable line converted as in :func:`line_ecc`)."""
-    try:
-        cached = _WORD_ECCS_CACHE.get(data)
-    except TypeError:
-        return word_eccs(validate_line(data))
-    if cached is not None:
-        return cached
-    validate_line(data)
-    eccs = tuple(hamming.encode_word(w) for w in _WORD_STRUCT.unpack(data))
-    _WORD_ECCS_CACHE.put(data, eccs)
-    return eccs
+    """Per-word 8-bit ECC values of a cache line."""
+    return tuple(hamming.encode_word(w)
+                 for w in _WORD_STRUCT.unpack(validate_line(data)))
 
 
 @dataclass(frozen=True)
@@ -125,32 +87,10 @@ def decode_line(data: bytes, ecc: int) -> LineDecodeResult:
 
     Corrects up to one flipped bit per 8-byte word.
 
-    Memoized on ``(data, ecc)`` — both arguments, so corrupted inputs from
-    :mod:`repro.ecc.faults` key differently from clean ones and always
-    re-decode.  Uncorrectable (raising) decodes are never cached.  The
-    returned :class:`LineDecodeResult` is frozen, so one instance is safely
-    shared between hits.  An unhashable line is converted as in
-    :func:`line_ecc`.
-
     Raises:
         UncorrectableError: when any word exhibits a double-bit error; the
             exception's ``word_index`` names the failing word.
     """
-    try:
-        cached = _DECODE_CACHE.get((data, ecc))
-    except TypeError:
-        if data.__class__ is bytes:
-            raise
-        return decode_line(validate_line(data), ecc)
-    if cached is not None:
-        return cached
-    result = decode_line_uncached(data, ecc)
-    _DECODE_CACHE.put((data, ecc), result)
-    return result
-
-
-def decode_line_uncached(data: bytes, ecc: int) -> LineDecodeResult:
-    """The :func:`decode_line` computation with memoization bypassed."""
     validate_line(data)
     if not 0 <= ecc < (1 << 64):
         raise ValueError("line ECC must be a 64-bit value")
@@ -188,7 +128,6 @@ class ECCFingerprintEngine:
     energy_nj = 0.0
 
     def fingerprint(self, data: bytes) -> int:
-        # Memoized via line_ecc's content-addressed cache (repro.perf).
         return line_ecc(data)
 
     def fingerprint_size_bytes(self) -> int:

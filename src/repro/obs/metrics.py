@@ -5,8 +5,8 @@ ad-hoc channel: the kernel fast path flattened cache statistics into
 ``SimulationResult.extras`` under ``memo_*`` keys, schemes kept a bag of
 :class:`~repro.common.stats.Counter` tallies, and the EFIT/AMT exposed
 bare ``hits``/``misses`` attributes.  The registry gives all of them one
-typed, labelled namespace with a uniform snapshot/reset lifecycle
-(mirroring :mod:`repro.perf.memo`): instruments are registered once per
+typed, labelled namespace with a uniform snapshot/reset lifecycle:
+instruments are registered once per
 ``(type, name, labels)`` triple, values are zeroed at run start, and a
 flat snapshot is exported at run end.
 

@@ -1,49 +1,41 @@
 """Bounded content-addressed memo caches for the simulator's hot kernels.
 
-The pure-Python kernels on the simulated write path — per-word Hamming
-encoding (:func:`repro.ecc.codec.line_ecc`), clean-line decode, SHA-based
-one-time pads, and hash fingerprints — cost microseconds of *host* CPU per
-call.  They are all pure functions of their arguments, and the workload skew
-ESD itself exploits (a small set of line contents accounts for most kernel
-invocations) makes a small content-keyed cache extremely effective: the
-``BENCH_perf_smoke.json`` micro-benchmarks show 3.5-14x per kernel.
+The kernels on the simulated write path — per-word Hamming encoding
+(:func:`repro.ecc.codec.line_ecc`), SHA-based one-time pads and hash
+fingerprints — cost microseconds of *host* CPU per call.  They are pure,
+and the content skew ESD itself exploits makes a small content-keyed
+cache effective.  :class:`MemoCache` is that cache: a capped LRU mapping
+with hit/miss/eviction counters.
 
-This module provides the shared machinery:
+Each cache is held by the object that calls its kernel: the counter-mode
+engine (``counter_pad``), each hash fingerprint engine (``fp_<name>``)
+and ESD (``line_ecc``).  So a cache lives in one scheme graph: a session
+owns its caches, a checkpoint pickles them with the graph, and the
+counters are scheme state, cumulative over the scheme's life.
+:meth:`~repro.dedup.base.DedupScheme.memo_caches` lists a scheme's
+caches and :func:`stats_snapshot` flattens them into ``memo_*`` extras.
+The kernels stay callable on their own (``line_ecc``,
+``_derive_pad_uncached``, each engine's ``_digest``), as the references
+the parity tests compare against.
 
-* :class:`MemoCache` — a capped LRU mapping with hit/miss/eviction counters.
-* A process-global registry of named caches (:func:`get_cache`), so the
-  simulation engine can reset and snapshot every kernel cache uniformly.
-
-The caches are always on: the uncached kernels stay callable
-(``line_ecc_uncached``, ``decode_line_uncached``, ``_derive_pad_uncached``
-and each engine's ``_digest``) as the references the parity tests compare
-against.
-
-Soundness rules (enforced by the call sites, tested in
+Soundness rules (kept by the owners, tested in
 ``tests/test_perf_parity.py``):
 
-* Only *pure* functions are memoized, and the cache key covers **every**
-  argument the result depends on.  In particular ``decode_line`` is keyed on
-  ``(data, ecc)`` — not on ``data`` alone — so a fault-injected line (same
-  stored ECC, corrupted data, or vice versa) can never hit a stale
-  clean-decode result.
-* Cached values are immutable (``int``, ``bytes``, frozen dataclasses), so
-  sharing one object between callers is safe.
+* Only pure functions are memoized, and the key covers every argument
+  the result depends on that is not fixed for the owner's life (the pad
+  cache is keyed on ``(line, counter)``: its engine's key never changes).
+* Cached values are immutable (``int``, ``bytes``), so sharing one
+  object between callers is safe.
 * Exceptions are never cached; a failing call re-executes every time.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, List
+from typing import Any, Dict, Hashable, Iterable
 
 __all__ = [
     "MemoCache",
-    "get_cache",
-    "registered_caches",
-    "reset_all",
-    "state_export",
-    "state_import",
     "stats_snapshot",
 ]
 
@@ -51,9 +43,8 @@ __all__ = [
 class MemoCache:
     """A size-capped LRU mapping with observability counters.
 
-    Not thread-safe; the simulator parallelises across *processes* (each
-    worker owns its own module state), so no locking is needed on the hot
-    path.
+    Not thread-safe; each cache belongs to one scheme graph, and a
+    session is single-consumer.
     """
 
     __slots__ = ("name", "capacity", "hits", "misses", "evictions", "_data")
@@ -99,16 +90,9 @@ class MemoCache:
             self.evictions += 1
         data[key] = value
 
-    def reset(self) -> None:
-        """Drop all entries and zero the counters."""
-        self._data.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
     @property
     def touched(self) -> bool:
-        """True when the cache saw any traffic since its last reset."""
+        """True when the cache has seen any lookup."""
         return bool(self.hits or self.misses)
 
     def stats(self) -> Dict[str, int]:
@@ -119,19 +103,6 @@ class MemoCache:
             "size": len(self._data),
         }
 
-    def __reduce__(self):
-        """Pickle as a *registry reference*, never by value.
-
-        Objects that lazily bind a cache (e.g. the fingerprinters'
-        ``self._cache``) get pickled inside session checkpoints; a
-        by-value copy would detach them from the process-global registry
-        on restore, silently forking counters and contents.  Resolving
-        through :func:`get_cache` re-binds to the live registry instance
-        — whose entries/counters the checkpoint restores separately via
-        :func:`state_import`.
-        """
-        return (get_cache, (self.name, self.capacity))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"MemoCache({self.name!r}, capacity={self.capacity}, "
                 f"size={len(self._data)}, hits={self.hits}, "
@@ -140,88 +111,17 @@ class MemoCache:
 
 _MISSING = object()
 
-_REGISTRY: Dict[str, MemoCache] = {}
 
+def stats_snapshot(caches: Iterable[MemoCache]) -> Dict[str, float]:
+    """Flat ``{memo_<name>_<counter>: value}`` snapshot of ``caches``.
 
-def get_cache(name: str, capacity: int) -> MemoCache:
-    """Create (or return) the process-global cache registered under ``name``.
-
-    The first caller fixes the capacity; later callers share the instance.
-    """
-    cache = _REGISTRY.get(name)
-    if cache is None:
-        cache = MemoCache(name, capacity)
-        _REGISTRY[name] = cache
-    return cache
-
-
-def registered_caches() -> List[MemoCache]:
-    """All registered caches (stable registration order)."""
-    return list(_REGISTRY.values())
-
-
-def reset_all() -> None:
-    """Reset every registered cache (entries and counters)."""
-    for cache in _REGISTRY.values():
-        cache.reset()
-
-
-def state_export() -> Dict[str, Dict[str, Any]]:
-    """Snapshot every registered cache's entries and counters.
-
-    Used by mid-run checkpoints: the memoized kernels are pure, but cache
-    *hit/miss counters* feed exported run metrics, so a bit-exact resume
-    must restore the caches exactly as they stood.  Entry order (LRU
-    recency) is preserved — an ``OrderedDict`` copy keeps it.
-    """
-    return {
-        name: {
-            "capacity": cache.capacity,
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "evictions": cache.evictions,
-            "entries": OrderedDict(cache._data),
-        }
-        for name, cache in _REGISTRY.items()
-    }
-
-
-def state_import(state: Dict[str, Dict[str, Any]]) -> None:
-    """Restore a :func:`state_export` snapshot into the live registry.
-
-    Caches not present in the snapshot are reset, so the registry as a
-    whole matches the exporting process.  Entries are written **in place**
-    (``_data`` is cleared and refilled, never reassigned): call sites may
-    hold direct aliases to a cache's mapping — e.g.
-    ``repro.crypto.counter_mode`` binds ``_PAD_CACHE._data`` at import
-    time — and reassignment would silently detach them.
-    """
-    for name, cache in _REGISTRY.items():
-        if name not in state:
-            cache.reset()
-    for name, snap in state.items():
-        cache = get_cache(name, snap["capacity"])
-        cache.hits = snap["hits"]
-        cache.misses = snap["misses"]
-        cache.evictions = snap["evictions"]
-        cache._data.clear()
-        cache._data.update(snap["entries"])
-
-
-def stats_snapshot(prefix: str = "memo_", *,
-                   only_touched: bool = True) -> Dict[str, float]:
-    """Flat ``{prefix<name>_<counter>: value}`` snapshot of every cache.
-
-    ``only_touched`` skips caches with no traffic, keeping exported extras
-    compact and — because the engine resets caches at the start of each run
-    — deterministic for a given (trace, scheme, config) cell regardless of
-    worker scheduling.
+    Caches that have seen no lookup are skipped, keeping exported extras
+    compact; the rest are reported in name order.
     """
     out: Dict[str, float] = {}
-    for name in sorted(_REGISTRY):
-        cache = _REGISTRY[name]
-        if only_touched and not cache.touched:
+    for cache in sorted(caches, key=lambda cache: cache.name):
+        if not cache.touched:
             continue
         for counter, value in cache.stats().items():
-            out[f"{prefix}{name}_{counter}"] = float(value)
+            out[f"memo_{cache.name}_{counter}"] = float(value)
     return out

@@ -14,18 +14,21 @@ Where the engine lives depends on ``ServeConfig.workers``:
 * ``workers == 1`` — the in-process fast path: admission parses the
   records into requests (:func:`~repro.workloads.trace.parse_records`)
   and the engine :class:`~repro.sim.session.Session`
-  runs on an executor thread under the manager's *engine lock* (each
-  session owns its observation scope, but the memo caches are
-  process-global, so two sessions must never be inside ``feed``
-  concurrently).  Concurrency is interleaving, not parallelism — the
-  GIL bounds the engine to one core.
+  runs on an executor thread under the manager's *engine lock*, which
+  admits one session's open, feed or finalize at a time.  Sessions share
+  no engine state (each scheme graph owns its memo caches and
+  observation scope), so the lock is not what keeps results exact: it
+  runs each micro-batch to completion without handing the GIL to
+  another session's feed, and gives one handle that stalls the engine.
+  Concurrency is interleaving, not parallelism — the GIL bounds the
+  engine to one core.
 * ``workers > 1`` — the engine session lives inside one of N spawned
   worker processes (:mod:`repro.serve.pool`), selected once at open by
   consistent tenant-hash affinity; admission checks the records without
   building requests (:class:`~repro.serve.pool.RecordSpan`), the drain
   task becomes a dispatch loop sending record bytes, and the worker
   parses them.  Sessions on distinct workers simulate
-  in true parallel, each worker owning its own memo caches.  A crashed
+  in true parallel.  A crashed
   worker fails exactly the sessions routed to it with
   :class:`~repro.common.errors.WorkerCrashError`; everyone else keeps
   streaming (DESIGN.md §14).
@@ -319,8 +322,9 @@ class SessionManager:
         self.executor = ThreadPoolExecutor(
             max_workers=_INPROC_EXECUTOR_THREADS,
             thread_name_prefix="repro-serve")
-        #: Serializes all in-process engine work: the memo caches are
-        #: process-global (see the module doc).
+        #: Serializes in-process engine work, one session's open, feed or
+        #: finalize at a time (see the module doc); sessions share no
+        #: engine state, so this orders work rather than guarding data.
         self.engine_lock = threading.Lock()
         self.batch_hint = MICRO_BATCH_REQUESTS
         self.sessions: Dict[str, ServeSession] = {}

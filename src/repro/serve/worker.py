@@ -1,10 +1,9 @@
 """Engine worker process: the spawn entry of the serve worker pool.
 
-One worker process owns one engine's worth of state: the process-global
-memo caches (:mod:`repro.perf.memo`) are *per process* (each session
-owns its observation scope anyway), so N workers simulate on N
-cores with no shared interpreter — the whole point of the pool
-(DESIGN.md §14).  The parent routes every session's
+One worker process owns the engine sessions routed to it, each with its
+own scheme graph (memo caches and observation scope included), so N
+workers simulate on N cores with no shared interpreter — the whole
+point of the pool (DESIGN.md §14).  The parent routes every session's
 ``open``/``feed``/``finalize`` stream to one worker (tenant-hash
 affinity), so within a worker the engine session API is driven exactly
 as the in-process path drives it and results stay bit-exact.

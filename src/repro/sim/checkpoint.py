@@ -1,12 +1,10 @@
 """Mid-run simulation checkpoints: interrupt-and-resume, bit-exact.
 
 A long streaming run must survive host restarts.  The session API
-(:mod:`repro.sim.session`) already carries *all* run state on objects —
-the scheme graph (controller, banks, stores, timelines), the recorders,
-the core-timing model and the integrity shadow — so a checkpoint is a
-pickle of the session graph plus the one piece of process-global state
-the run depends on: the memo-cache registry (:mod:`repro.perf.memo`),
-whose hit/miss counters feed exported extras.
+(:mod:`repro.sim.session`) carries *all* run state on objects — the
+scheme graph (controller, banks, stores, timelines, and the memo caches
+its engines and ESD own), the recorders, the core-timing model and the
+integrity shadow — so a checkpoint is one pickle of the session graph.
 
 Why this is bit-exact (the property the CI ``trace-resume`` job gates):
 
@@ -14,9 +12,8 @@ Why this is bit-exact (the property the CI ``trace-resume`` job gates):
   (``_stall_cycles``, the recorders' running state) and pickle restores
   floats, deques, ``OrderedDict`` order, and ``np.random.Generator``
   state exactly.
-* Memo caches are snapshotted with entry order and counters and restored
-  **in place** (:func:`repro.perf.memo.state_import`), so cache-stat
-  extras match an uninterrupted run.
+* The memo caches pickle by value with the graph, entry order and
+  counters included, so cache-stat extras match an uninterrupted run.
 * A session holds no request it has not processed, so the resume offset
   is :attr:`~repro.sim.session.Session.processed`: skip that many
   source-stream records, then feed the rest.
@@ -44,7 +41,6 @@ from typing import Any, BinaryIO, Dict, TYPE_CHECKING, Union
 
 from ..common.atomic import fsync_atomic_write
 from ..common.errors import CheckpointError
-from ..perf import memo as _memo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .session import Session
@@ -59,14 +55,15 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"ESDCKPT1"
-#: v7: the LRCU cache and the ESD config have no decay mode, so a v6
-#: graph may carry the removed insertion-only mode this build would run
-#: as the operation-driven one; v6 is rejected at the header, naming its
-#: version.  (v6 dropped the session's epoch buffer and the meta's
-#: ``consumed`` offset; v5 dropped the PCM device's per-frame write
-#: counts and the config's core count and cache geometry; v4 added the
-#: observation binding, ``_obs`` on the scheme graph, which v3 lacks.)
-CHECKPOINT_VERSION = 7
+#: v8: the memo caches belong to the scheme graph and pickle with it, and
+#: the payload has no ``memo`` section; a v7 payload pickles each cache
+#: as a call to the removed process-global registry, so v7 is rejected at
+#: the header, naming its version.  (v7 dropped the LRCU decay mode; v6
+#: dropped the session's epoch buffer and the meta's ``consumed`` offset;
+#: v5 dropped the PCM device's per-frame write counts and the config's
+#: core count and cache geometry; v4 added the observation binding,
+#: ``_obs`` on the scheme graph, which v3 lacks.)
+CHECKPOINT_VERSION = 8
 
 _HEADER = struct.Struct("<8sHHIQ")
 
@@ -84,7 +81,7 @@ class RestoredCheckpoint:
 
 
 def checkpoint_bytes(session: "Session") -> bytes:
-    """Serialize an open session (plus memo-cache state) to bytes.
+    """Serialize an open session to bytes.
 
     Raises:
         SessionError: when the session is not open (a finalized or failed
@@ -100,7 +97,6 @@ def checkpoint_bytes(session: "Session") -> bytes:
         {
             "version": CHECKPOINT_VERSION,
             "meta": meta,
-            "memo": _memo.state_export(),
             "session": session,
         },
         protocol=pickle.HIGHEST_PROTOCOL)
@@ -132,11 +128,9 @@ def _read_source(source: Union[str, Path, bytes, BinaryIO]) -> bytes:
 
 def load_checkpoint(
         source: Union[str, Path, bytes, BinaryIO]) -> RestoredCheckpoint:
-    """Load a checkpoint and reinstall its process-global state.
+    """Load a checkpoint and return its live session.
 
-    Validates magic, version, payload length, and CRC before unpickling;
-    then restores the memo-cache registry in place and returns the live
-    session.
+    Validates magic, version, payload length, and CRC before unpickling.
 
     Raises:
         CheckpointError: on a corrupt, truncated, or incompatible file.
@@ -170,5 +164,4 @@ def load_checkpoint(
         raise CheckpointError(
             f"checkpoint holds a {session.state} session; only open "
             f"sessions can resume")
-    _memo.state_import(state["memo"])
     return RestoredCheckpoint(session=session, meta=state["meta"])

@@ -39,14 +39,13 @@ Scope handling
 A session owns its observation scope: it creates its
 :class:`~repro.obs.runtime.RunObservation` at open (or none, with
 observability off) and binds it to its scheme graph
-(:meth:`~repro.dedup.base.DedupScheme.bind_observation`), so interleaved
-sessions share no observation state and a checkpoint pickles the binding
-with the graph.  The memo caches (:mod:`repro.perf.memo`) are still
-process-global: a session resets them once at open (exactly ``run()``'s
-begin), and interleaved sessions share them.  That is sound, because the
-caches are content-addressed and pure, but the cache-statistics extras
-(``memo_*``) are only deterministic for sessions that run without
-interleaving; the parity gates compare full results on that basis.
+(:meth:`~repro.dedup.base.DedupScheme.bind_observation`).  The kernel
+memo caches (:mod:`repro.perf.memo`) are owned by that graph too — the
+counter-mode engine, the fingerprint engines and ESD each hold theirs —
+and finalize exports the statistics of the ones the scheme lists
+(:meth:`~repro.dedup.base.DedupScheme.memo_caches`).  So interleaved
+sessions share no state, on one thread or several, their whole results
+equal sequential runs, and a checkpoint pickles everything with the graph.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from ..common.types import AccessType, MemoryRequest
 from ..obs.export import build_report
 from ..obs.harvest import harvest_run
 from ..obs.runtime import RunObservation
-from ..perf import memo as _memo
+from ..perf.memo import stats_snapshot
 from .metrics import SimulationResult, collect_extras
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -89,11 +88,6 @@ class Session:
         ec = engine.engine_config
 
         cfg = self.config
-        # Caches start cold per session, the property that makes cache
-        # statistics a deterministic function of (trace, scheme, config)
-        # for non-interleaved sessions.
-        _memo.reset_all()
-
         obs_cfg = cfg.observability
         self._obs_run: Optional[RunObservation] = (
             RunObservation(obs_cfg)
@@ -163,7 +157,7 @@ class Session:
     def finalize(self) -> SimulationResult:
         """Build the result; ends the session."""
         self._require_open("finalize")
-        memo_stats: Dict[str, float] = _memo.stats_snapshot()
+        memo_stats = stats_snapshot(self.scheme.memo_caches())
 
         core = self._core
         # One flush of the session-running accumulators — the same single
@@ -241,10 +235,8 @@ class Session:
     def restore(cls, source: object) -> "Session":
         """Restore a session from a checkpoint (path, bytes, or file).
 
-        Reinstalls the process-global memo-cache state the checkpoint
-        captured and returns the live, open session; its
-        :attr:`processed` property is the number of source-stream records
-        to skip before feeding.
+        Returns the live, open session; its :attr:`processed` property is
+        the number of source-stream records to skip before feeding.
 
         Raises:
             CheckpointError: on a corrupt or incompatible checkpoint.

@@ -1,5 +1,6 @@
 """Tests for mid-run session checkpoints and bit-exact resume."""
 
+import pickle
 import struct
 from itertools import islice
 
@@ -9,7 +10,6 @@ from repro.cli import main
 from repro.common import small_test_config
 from repro.common.errors import CheckpointError, SessionError
 from repro.dedup import make_scheme
-from repro.perf import memo
 from repro.sim.checkpoint import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -21,13 +21,6 @@ from repro.sim.engine import EngineConfig, SimulationEngine
 from repro.sim.export import result_state_bytes
 from repro.sim.session import Session
 from repro.workloads.generator import TraceGenerator
-
-
-@pytest.fixture(autouse=True)
-def _cold_caches():
-    memo.reset_all()
-    yield
-    memo.reset_all()
 
 
 def _trace(n=2_600, app="gcc", seed=7):
@@ -49,8 +42,8 @@ def _resumed_state(trace, scheme_name, config, cut, app="gcc"):
     stream = iter(trace)
     session.feed(islice(stream, cut))
     blob = session.checkpoint()
-    # Deliberately dirty every piece of process-global state a resume
-    # must overwrite: memo caches via an unrelated run.
+    # An unrelated run in between: a resume depends on nothing outside
+    # the checkpointed graph.
     other = SimulationEngine(make_scheme("Baseline", small_test_config()))
     other.run(iter(_trace(400, app="lbm", seed=9)), app="lbm",
               total_hint=400)
@@ -122,6 +115,21 @@ class TestCheckpointContainer:
         assert restored.meta["scheme"] == "ESD"
         assert restored.session.processed == 500
 
+    def test_payload_is_one_pickle_of_the_graph(self):
+        """The memo caches ride in the pickled scheme graph: the payload
+        has no section beside the session, and the restored caches hold
+        the checkpointed counters and entries in LRU order."""
+        blob = self._session_blob(cut=500)
+        payload = pickle.loads(blob[struct.calcsize("<8sHHIQ"):])
+        assert sorted(payload) == ["meta", "session", "version"]
+        saved = payload["session"].scheme.memo_caches()
+        restored = load_checkpoint(blob).session.scheme.memo_caches()
+        assert [c.name for c in restored] == ["counter_pad", "line_ecc"]
+        for before, after in zip(saved, restored):
+            assert after.stats() == before.stats()
+            assert list(after._data.items()) == list(before._data.items())
+            assert after.touched
+
     def test_file_roundtrip(self, tmp_path):
         trace = _trace(900)
         engine = SimulationEngine(make_scheme("ESD", small_test_config()),
@@ -170,11 +178,12 @@ class TestCheckpointContainer:
         scheme graph has no observation binding, a v4 graph pickles the
         removed cache geometry and per-frame write counts, a v5 session
         carries an epoch buffer of requests it has not processed, and a
-        v6 graph may carry the removed LRCU decay mode; they must fail
-        typed at load, naming the version, never halfway through a feed
-        or as an unreadable payload."""
-        assert CHECKPOINT_VERSION == 7
-        for old in (1, 2, 3, 4, 5, 6):
+        v6 graph may carry the removed LRCU decay mode, and a v7 payload
+        pickles its memo caches as calls to the removed registry; they
+        must fail typed at load, naming the version, never halfway
+        through a feed or as an unreadable payload."""
+        assert CHECKPOINT_VERSION == 8
+        for old in (1, 2, 3, 4, 5, 6, 7):
             blob = bytearray(self._session_blob())
             magic, _, reserved, crc, length = struct.unpack_from("<8sHHIQ",
                                                                  blob)

@@ -12,7 +12,6 @@ from repro.crypto.counter_mode import (
     _derive_pad_uncached,
     demonstrate_diffusion,
 )
-from repro.perf import memo
 
 LINES = st.binary(min_size=CACHE_LINE_SIZE, max_size=CACHE_LINE_SIZE)
 
@@ -136,8 +135,10 @@ class TestPinnedPads:
         assert _derive_pad_uncached(key, line, counter).hex() == pad_hex
 
     @staticmethod
-    def _encrypt_decrypt_reencrypt():
-        engine = CounterModeEngine()
+    def _encrypt_decrypt_reencrypt(capacity):
+        engine, other = CounterModeEngine(), CounterModeEngine()
+        if capacity is not None:
+            engine.pad_cache.capacity = other.pad_cache.capacity = capacity
         lines = [bytes([i]) * 64 for i in range(4)]
         first = [engine.encrypt(lines[i], 10 + i) for i in range(4)]
         for i in range(4):
@@ -147,28 +148,24 @@ class TestPinnedPads:
         for i in range(2):
             assert engine.decrypt_at(again[i].ciphertext, 10 + i) == lines[i]
         assert engine.decrypt(first[1]) == lines[1]
-        # A second engine with the same key re-mints cached pads: the
-        # encrypt side's hits.
-        other = CounterModeEngine()
+        # A second engine with the same key mints the same ciphertexts
+        # from its own cache: pads are never shared between engines.
         for i in (3, 0):
             assert other.encrypt(lines[i], 10 + i) == first[i]
+        return engine, other
 
     @pytest.mark.parametrize("capacity, stats, recency", [
-        (None, {"hits": 10, "misses": 6, "evictions": 0, "size": 6},
-         [(12, 1), (10, 2), (11, 2), (11, 1), (13, 1), (10, 1)]),
-        (3, {"hits": 2, "misses": 14, "evictions": 11, "size": 3},
-         [(11, 1), (13, 1), (10, 1)]),
+        (None,
+         ({"hits": 8, "misses": 6, "evictions": 0, "size": 6},
+          {"hits": 0, "misses": 2, "evictions": 0, "size": 2}),
+         ([(12, 1), (13, 1), (10, 1), (10, 2), (11, 2), (11, 1)],
+          [(13, 1), (10, 1)])),
+        (3,
+         ({"hits": 2, "misses": 12, "evictions": 9, "size": 3},
+          {"hits": 0, "misses": 2, "evictions": 0, "size": 2}),
+         ([(10, 2), (11, 2), (11, 1)], [(13, 1), (10, 1)])),
     ])
     def test_counter_pad_counts(self, capacity, stats, recency):
-        cache = memo.get_cache("counter_pad", 1)
-        saved = cache.capacity
-        if capacity is not None:
-            cache.capacity = capacity
-        try:
-            memo.reset_all()
-            self._encrypt_decrypt_reencrypt()
-            assert cache.stats() == stats
-            assert [key[1:] for key in cache._data] == recency
-        finally:
-            cache.capacity = saved
-            memo.reset_all()
+        engines = self._encrypt_decrypt_reencrypt(capacity)
+        assert tuple(e.pad_cache.stats() for e in engines) == stats
+        assert tuple(list(e.pad_cache._data) for e in engines) == recency

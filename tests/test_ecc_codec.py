@@ -13,7 +13,6 @@ from repro.ecc.codec import (
     decode_line,
     line_ecc,
     line_ecc_bytes,
-    line_ecc_uncached,
     verify_distinct,
     word_eccs,
 )
@@ -72,28 +71,28 @@ def _reference_line_ecc(data):
 
 
 class TestLineEccKernel:
-    """``line_ecc_uncached`` (eight byte-lane translates) against the
+    """``line_ecc`` (eight byte-lane translates) against the
     mask-and-popcount reference encoder, word by word."""
 
     @given(LINES)
     @settings(max_examples=300)
     def test_matches_reference(self, data):
-        assert line_ecc_uncached(data) == _reference_line_ecc(data)
+        assert line_ecc(data) == _reference_line_ecc(data)
 
     def test_zero_and_all_ones_lines(self):
-        assert line_ecc_uncached(bytes(64)) == 0
+        assert line_ecc(bytes(64)) == 0
         ones = b"\xff" * 64
-        assert line_ecc_uncached(ones) == _reference_line_ecc(ones)
+        assert line_ecc(ones) == _reference_line_ecc(ones)
 
     def test_every_single_bit_line(self):
         for bit in range(8 * CACHE_LINE_SIZE):
             data = flip_bit(bytes(64), bit)
-            assert line_ecc_uncached(data) == _reference_line_ecc(data)
+            assert line_ecc(data) == _reference_line_ecc(data)
 
     @given(LINES)
     @settings(max_examples=50)
     def test_bytearray_gives_same_value(self, data):
-        assert line_ecc_uncached(bytearray(data)) == line_ecc_uncached(data)
+        assert line_ecc(bytearray(data)) == line_ecc(data)
 
     @pytest.mark.parametrize("data,message", [
         (bytes(63), "cache line must be 64 bytes, got 63"),
@@ -103,7 +102,7 @@ class TestLineEccKernel:
     ], ids=["63-bytes", "65-bytes", "str", "None"])
     def test_bad_input_messages(self, data, message):
         with pytest.raises(ValueError) as err:
-            line_ecc_uncached(data)
+            line_ecc(data)
         assert str(err.value) == message
 
 

@@ -1,18 +1,14 @@
-"""Tests for repro.perf: the memo cache machinery."""
+"""Tests for repro.perf: the memo cache machinery and its owners."""
 
 import pytest
 
 from repro.crypto.fingerprints import TruncatedEngine, make_engine
 from repro.ecc import codec
-from repro.perf import memo
-from repro.perf.memo import MemoCache
-
-
-@pytest.fixture(autouse=True)
-def _reset_caches_after():
-    """Every test leaves the kernel caches cold."""
-    yield
-    memo.reset_all()
+from repro.perf.memo import MemoCache, stats_snapshot
+from repro.registry import make_scheme, registered_scheme_names
+from repro.sim.engine import SimulationEngine
+from repro.sim.runner import scaled_system_config
+from repro.workloads.generator import TraceGenerator
 
 
 def _unique_keys(count):
@@ -60,16 +56,6 @@ class TestMemoCache:
         assert cache.evictions == 0
         assert cache.get("a") == 10
 
-    def test_reset_clears_entries_and_counters(self):
-        cache = MemoCache("t", capacity=4)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("missing")
-        cache.reset()
-        assert len(cache) == 0
-        assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
-        assert not cache.touched
-
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             MemoCache("t", capacity=0)
@@ -77,93 +63,100 @@ class TestMemoCache:
 
 class TestKernelCacheBound:
     def test_line_ecc_cache_bounded_with_shrunk_cap(self):
-        # Shrink the real kernel cache's cap and hammer it with unique
+        # Shrink ESD's line-ECC cache's cap and hammer it with unique
         # lines: the LRU bound must hold at the actual call site too.
-        cache = codec._LINE_ECC_CACHE
-        original_capacity = cache.capacity
-        memo.reset_all()
-        try:
-            cache.capacity = 16
-            for i in range(64):
-                codec.line_ecc(i.to_bytes(2, "little") * 32)
-                assert len(cache) <= 16
-            assert cache.evictions == 64 - 16
-            assert cache.misses == 64
-        finally:
-            cache.capacity = original_capacity
+        scheme = make_scheme("ESD", scaled_system_config())
+        cache = scheme.line_ecc_cache
+        cache.capacity = 16
+        for i in range(64):
+            line = i.to_bytes(2, "little") * 32
+            assert scheme._line_ecc(line) == codec.line_ecc(line)
+            assert len(cache) <= 16
+        assert cache.evictions == 64 - 16
+        assert cache.misses == 64
 
-    def test_all_registered_caches_are_size_bounded(self):
-        for cache in memo.registered_caches():
-            assert cache.capacity > 0
-            assert len(cache) <= cache.capacity
+    def test_every_owned_cache_is_size_bounded(self):
+        trace = TraceGenerator("gcc", seed=7).generate_list(300)
+        for name in registered_scheme_names():
+            scheme = make_scheme(name, scaled_system_config())
+            SimulationEngine(scheme).run(iter(trace), app="gcc")
+            caches = scheme.memo_caches()
+            assert caches[0] is scheme.crypto.pad_cache
+            assert len({cache.name for cache in caches}) == len(caches)
+            for cache in caches:
+                assert cache.touched, (name, cache.name)
+                assert 0 < len(cache) <= cache.capacity
 
 
-class TestRegistry:
-    def test_get_cache_returns_shared_instance(self):
-        a = memo.get_cache("test_registry_shared", 8)
-        b = memo.get_cache("test_registry_shared", 999)
-        assert a is b
-        assert a.capacity == 8  # first caller fixes the capacity
-
-    def test_reset_all_resets_registered_caches(self):
-        cache = memo.get_cache("test_registry_reset", 8)
-        cache.put("k", 1)
-        cache.get("k")
-        memo.reset_all()
-        assert len(cache) == 0 and not cache.touched
-
-    def test_stats_snapshot_prefix_and_touched_filter(self):
-        memo.reset_all()
-        cache = memo.get_cache("test_registry_stats", 8)
-        assert "memo_test_registry_stats_hits" not in memo.stats_snapshot()
-        cache.get("miss")
-        snap = memo.stats_snapshot()
-        assert snap["memo_test_registry_stats_misses"] == 1.0
-        assert snap["memo_test_registry_stats_hits"] == 0.0
-        assert snap["memo_test_registry_stats_size"] == 0.0
-        custom = memo.stats_snapshot("x_", only_touched=False)
-        assert "x_test_registry_stats_misses" in custom
+class TestStatsSnapshot:
+    def test_touched_caches_in_name_order(self):
+        quiet, b, a = (MemoCache(name, 8) for name in ("quiet", "b", "a"))
+        assert stats_snapshot([quiet, b, a]) == {}
+        a.get("miss")
+        b.put("k", 1)
+        b.get("k")
+        snap = stats_snapshot([quiet, b, a])
+        assert list(snap) == [
+            f"memo_{name}_{counter}" for name in ("a", "b")
+            for counter in ("hits", "misses", "evictions", "size")]
+        assert snap["memo_a_misses"] == 1.0
+        assert snap["memo_a_size"] == 0.0
+        assert snap["memo_b_hits"] == 1.0
+        assert snap["memo_b_size"] == 1.0
 
 
 _LINE = bytes(range(64))
-_LINE_ECC = codec.line_ecc_uncached(_LINE)
-_SHA1 = make_engine("sha1")
-_MD5 = make_engine("md5")
-_CRC32 = make_engine("crc32")
-_TRUNCATED = TruncatedEngine(make_engine("sha1"), 32)
+_LINE_ECC = codec.line_ecc(_LINE)
 
-#: Each memoized kernel beside its uncached form.
+
+def _engine(name, bits=None):
+    """A fresh engine's fingerprint, digest reference and cache."""
+    engine = make_engine(name)
+    if bits is None:
+        return engine.fingerprint, engine._digest, engine.cache
+    truncated = TruncatedEngine(engine, bits)
+    return (truncated.fingerprint,
+            lambda data: engine._digest(data) & ((1 << bits) - 1), None)
+
+
+def _esd_line_ecc():
+    scheme = make_scheme("ESD", scaled_system_config())
+    return scheme._line_ecc, codec.line_ecc, scheme.line_ecc_cache
+
+
+#: Factories of each kernel beside its reference and the memo cache it
+#: looks up through (``None`` for the plain codec kernels, and for the
+#: truncated engine, which owns none).
 _KERNELS = {
-    "line_ecc": (codec.line_ecc, codec.line_ecc_uncached),
-    "word_eccs": (codec.word_eccs, None),
-    "decode_line": (lambda data: codec.decode_line(data, _LINE_ECC),
-                    lambda data: codec.decode_line_uncached(data, _LINE_ECC)),
-    "sha1": (_SHA1.fingerprint, _SHA1._digest),
-    "md5": (_MD5.fingerprint, _MD5._digest),
-    "crc32": (_CRC32.fingerprint, _CRC32._digest),
-    "truncated": (_TRUNCATED.fingerprint,
-                  lambda data: _SHA1._digest(data) & 0xFFFFFFFF),
+    "line_ecc": lambda: (codec.line_ecc, None, None),
+    "word_eccs": lambda: (codec.word_eccs, None, None),
+    "decode_line": lambda: (
+        lambda data: codec.decode_line(data, _LINE_ECC), None, None),
+    "esd_line_ecc": _esd_line_ecc,
+    "sha1": lambda: _engine("sha1"),
+    "md5": lambda: _engine("md5"),
+    "crc32": lambda: _engine("crc32"),
+    "truncated": lambda: _engine("sha1", bits=32),
 }
 
 
 class TestMemoizedKernelsTakeBytearray:
-    """A memoized kernel returns for a ``bytearray`` what it returns for
-    ``bytes(data)``, as its uncached form does, with the same cache
-    traffic; invalid lines keep their errors."""
+    """A kernel returns for a ``bytearray`` what it returns for
+    ``bytes(data)``, as its reference does, with the cache traffic of two
+    ``bytes`` calls; invalid lines keep their errors."""
 
     @pytest.mark.parametrize("name", sorted(_KERNELS))
     def test_bytearray_gives_the_bytes_value(self, name):
-        kernel, uncached = _KERNELS[name]
-        memo.reset_all()
+        kernel, reference, cache = _KERNELS[name]()
         value = kernel(bytearray(_LINE))
         assert value == kernel(_LINE)
-        if uncached is not None:
-            assert value == uncached(bytearray(_LINE)) == uncached(_LINE)
-        traffic = memo.stats_snapshot()
-        memo.reset_all()
-        kernel(_LINE)
-        kernel(_LINE)
-        assert memo.stats_snapshot() == traffic
+        if reference is not None:
+            assert value == reference(bytearray(_LINE)) == reference(_LINE)
+        if cache is not None:
+            twin, _, twin_cache = _KERNELS[name]()
+            twin(_LINE)
+            twin(_LINE)
+            assert cache.stats() == twin_cache.stats()
 
     @pytest.mark.parametrize("name", sorted(_KERNELS))
     @pytest.mark.parametrize("data, message", [
@@ -174,5 +167,5 @@ class TestMemoizedKernelsTakeBytearray:
     ], ids=["63-bytes", "65-bytes", "str", "None"])
     def test_bad_input_messages(self, name, data, message):
         with pytest.raises(ValueError) as err:
-            _KERNELS[name][0](data)
+            _KERNELS[name]()[0](data)
         assert str(err.value) == message

@@ -51,7 +51,7 @@ from repro.common.timeline import ABS_TOLERANCE_NS, REL_TOLERANCE
 from repro.common.types import CACHE_LINE_SIZE, AccessType, MemoryRequest
 from repro.crypto.counter_mode import _derive_pad_uncached, _xor_line_reference
 from repro.dedup.full_dedup import FullDedupScheme
-from repro.ecc.codec import line_ecc_uncached
+from repro.ecc.codec import line_ecc
 from repro.ecc.hamming import encode_word
 from repro.registry import make_scheme, registered_scheme_names
 
@@ -99,7 +99,7 @@ def test_crafted_collisions_keep_the_fingerprint():
         for word in range(8):
             twin = ecc_collision(line, word)
             assert twin != line
-            assert line_ecc_uncached(twin) == line_ecc_uncached(line)
+            assert line_ecc(twin) == line_ecc(line)
         twin = crc_collision(line)
         assert twin != line
         assert zlib.crc32(twin) == zlib.crc32(line)
@@ -270,10 +270,10 @@ class SchemeMachine(RuleBasedStateMachine):
         live = self.scheme.refcounts._counts
         for ecc, frame, _refer_h in efit._cache.items():
             assert live.get(frame, 0) > 0, (ecc, frame)
-            assert line_ecc_uncached(_plaintext(self.scheme, frame)) == ecc
+            assert line_ecc(_plaintext(self.scheme, frame)) == ecc
         for frame, ecc in self.scheme._frame_ecc.items():
             assert live.get(frame, 0) > 0, (ecc, frame)
-            assert line_ecc_uncached(_plaintext(self.scheme, frame)) == ecc
+            assert line_ecc(_plaintext(self.scheme, frame)) == ecc
 
     @invariant()
     def store_entries_point_at_live_frames(self):

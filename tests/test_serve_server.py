@@ -4,12 +4,9 @@ Covers the three behaviors the ISSUE names: concurrent tenants getting
 correct independent results, backpressure engaging and recovering on a
 fast producer, and SIGTERM draining in-flight sessions to a clean exit.
 
-Parity basis: a single non-interleaved session is bit-identical to a
-direct ``run()`` (full state).  Concurrent sessions share the
-process-global memo caches, so the cache-statistics extras (``memo_*``)
-may differ; everything else (latencies, counters, energy, IPC, raw
-samples) must still match exactly.  ``_comparable`` strips exactly those
-keys.
+Parity basis: every served session is bit-identical to a direct
+``run()`` (full state, ``memo_*`` cache statistics included), concurrent
+tenants too — each session's scheme graph owns its memo caches.
 """
 
 import logging
@@ -47,19 +44,6 @@ def _direct_state(scheme_name: str, trace, app: str, options=None):
                               EngineConfig())
     return result_to_state(engine.run(iter(trace), app=app,
                                       total_hint=len(trace)))
-
-
-#: Extras keys whose values depend on what other sessions cached (see
-#: the module docstring) — excluded from the concurrent-parity check.
-_CACHE_DEPENDENT = "memo_"
-
-
-def _comparable(state):
-    """A state snapshot minus the interleaving-dependent cache stats."""
-    out = dict(state)
-    out["extras"] = {k: v for k, v in state["extras"].items()
-                     if not k.startswith(_CACHE_DEPENDENT)}
-    return out
 
 
 def test_concurrent_tenants_get_independent_results():
@@ -103,7 +87,7 @@ def test_concurrent_tenants_get_independent_results():
     for tenant, scheme, app, _n, _seed, options in tenants:
         expected = _direct_state(scheme, traces[tenant], app, options)
         got = payloads[tenant]["state"]
-        assert _comparable(got) == _comparable(expected), tenant
+        assert got == expected, tenant
     # Per-tenant counters saw every request.
     for tenant, _scheme, _app, n, _seed, _options in tenants:
         assert flat[f'serve_requests_total{{tenant="{tenant}"}}'] == n
@@ -111,7 +95,7 @@ def test_concurrent_tenants_get_independent_results():
 
 
 def test_single_session_full_bit_parity():
-    """With no interleaving, even the memo stats match: full state."""
+    """One session alone, streamed in the default batches: full state."""
     trace = _trace("gcc", 3000, 41)
     with BackgroundServer() as server:
         with ServeClient("127.0.0.1", server.port) as client:
@@ -119,6 +103,33 @@ def test_single_session_full_bit_parity():
                                        total_hint=len(trace))
     assert payload["state"] == _direct_state("ESD", trace, "gcc")
     assert server.drained_clean is True
+
+
+def _readme_client_example() -> str:
+    """The README's client-SDK example: its one Python block that streams
+    a trace through ``ServeClient``."""
+    blocks = re.findall(r"```python\n(.*?)```",
+                        (REPO / "README.md").read_text(), re.S)
+    [block] = [b for b in blocks if "ServeClient(" in b and "run_trace" in b]
+    return block
+
+
+def test_readme_client_example_runs(capsys):
+    """The README's client example runs as written against a live
+    server, given its port and a 2,000-request trace."""
+    source = _readme_client_example()
+    assert "8642" in source and "generate_list(20000)" in source
+    source = source.replace("generate_list(20000)", "generate_list(2000)")
+    namespace = {}
+    with BackgroundServer() as server:
+        exec(compile(source.replace("8642", str(server.port)),
+                     "README.md", "exec"), namespace)
+    assert len(namespace["trace"]) == 2000
+    assert namespace["payload"]["state"] == _direct_state(
+        "ESD", namespace["trace"], "gcc", {"esd.decay_period": 512})
+    assert namespace["result"].scheme == "ESD"
+    assert ('serve_requests_total{tenant="alice"}\': 2000.0'
+            in capsys.readouterr().out)
 
 
 def test_backpressure_engages_and_recovers():

@@ -12,6 +12,8 @@ Bit-identical means the full lossless state snapshot
 latency sample, every float accumulator, every counter, every extra.
 """
 
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -134,40 +136,79 @@ def test_feed_processes_every_request():
     assert state == _run_state("ESD", trace)
 
 
-def _without_cache_series(report):
-    """An obs report minus the ``memo_*`` series, which the
-    process-global memo caches shared by interleaved sessions perturb."""
-    return dict(report, metrics=[
-        row for row in report["metrics"]
-        if not row["name"].startswith("memo_")])
-
-
-def test_interleaved_sessions_match_sequential():
-    """Each session records into the observation scope bound to its own
-    scheme graph, so two observed sessions fed alternately on one thread
-    give the summary rows and obs reports they give run one after the
-    other."""
+def _observed_cells():
+    """Two observed cells on different schemes and apps, each with its
+    session factory and a 3,000-request trace."""
     config = replace(scaled_system_config(), observability=(
         ObservabilityConfig(enabled=True, sample_every=7)))
     cells = [("ESD", "gcc"), ("DeWrite", "lbm")]
     traces = [_trace(3000, app=app) for _, app in cells]
 
-    def open_session(scheme, app):
+    def open_session(cell):
+        scheme, app = cell
         return _engine(scheme, config).open_session(app=app, total_hint=3000)
 
     sequential = []
-    for (scheme, app), trace in zip(cells, traces):
-        session = open_session(scheme, app)
+    for cell, trace in zip(cells, traces):
+        session = open_session(cell)
         session.feed(trace)
         sequential.append(session.finalize())
-    sessions = [open_session(scheme, app) for scheme, app in cells]
+    return cells, traces, open_session, sequential
+
+
+def _assert_whole_results_equal(shared, sequential):
+    for got, alone in zip(shared, sequential):
+        assert alone.obs is not None
+        assert result_to_state(got) == result_to_state(alone)
+        assert got.obs == alone.obs
+
+
+def test_interleaved_sessions_match_sequential():
+    """Each session's scheme graph owns its observation scope and its
+    memo caches, so two observed sessions fed alternately on one thread
+    give the whole result states and obs reports they give run one after
+    the other, ``memo_*`` series included."""
+    cells, traces, open_session, sequential = _observed_cells()
+    sessions = [open_session(cell) for cell in cells]
     for start in range(0, 3000, 256):
         for session, trace in zip(sessions, traces):
             session.feed(trace[start:start + 256])
-    interleaved = [session.finalize() for session in sessions]
+    _assert_whole_results_equal(
+        [session.finalize() for session in sessions], sequential)
 
-    for alone, shared in zip(sequential, interleaved):
-        assert alone.obs is not None
-        assert shared.summary_row() == alone.summary_row()
-        assert (_without_cache_series(shared.obs)
-                == _without_cache_series(alone.obs))
+
+def test_sessions_on_two_threads_match_sequential():
+    """Two observed sessions fed in 64-request chunks from two threads,
+    with no lock and a short switch interval so the threads interleave
+    inside feeds, give their sequential whole results: sessions share no
+    engine state."""
+    cells, traces, open_session, sequential = _observed_cells()
+    results = [None, None]
+    errors = []
+    barrier = threading.Barrier(2)
+
+    def drive(index):
+        try:
+            session = open_session(cells[index])
+            barrier.wait()
+            trace = traces[index]
+            for start in range(0, len(trace), 64):
+                session.feed(trace[start:start + 64])
+            results[index] = session.finalize()
+        except Exception as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=drive, args=(i,))
+                   for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    _assert_whole_results_equal(results, sequential)
