@@ -418,8 +418,8 @@ def bench_serve_mp(requests: int) -> Dict:
 
     **Scaling (report-only).**  Four tenants pinned to four distinct
     workers stream the same trace concurrently; aggregate req/s is
-    timed at ``workers=1`` (the in-process engine lock) and
-    ``workers=4``.  Like every timing here the ratio is recorded, not
+    timed at ``workers=1`` (one engine thread in the server process)
+    and ``workers=4``.  Like every timing here the ratio is recorded, not
     gated: it only shows parallel speedup when the host actually has
     ≥ 4 free cores — on 1-2 core CI containers it honestly records the
     IPC overhead instead (``cpu_count`` rides along so trajectory

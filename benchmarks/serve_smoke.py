@@ -95,8 +95,9 @@ def direct_payload(scheme: str, trace: List, app: str) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workers", type=int, default=1,
-                        help="engine worker processes for the spawned "
-                             "server (default: 1, the in-process path)")
+                        help="engine workers of the spawned server "
+                             "(default: 1, one engine thread in the "
+                             "server process)")
     args = parser.parse_args()
     failures: List[str] = []
     proc, port = spawn_server(args.workers)

@@ -26,7 +26,7 @@ from ..ecc.codec import ECCFingerprintEngine
 from ..registry import scheme_names
 from ..sim.engine import EngineConfig
 from ..sim.metrics import SimulationResult
-from ..sim.runner import ResultGrid, run_app, run_grid, ExperimentConfig, scaled_system_config
+from ..sim.runner import ResultGrid, run_app, run_grid, ExperimentConfig, iter_apps, scaled_system_config
 from ..workloads.analysis import (
     BUCKETS,
     content_locality_headline,
@@ -212,13 +212,12 @@ def fig5_lookup_overhead(apps: Optional[Sequence[str]] = None,
     for app in apps:
         result = run_app(app, ["Dedup_SHA1"], requests=requests,
                          system=system, seed=seed)["Dedup_SHA1"]
-        dups = max(1.0, float(result.dedup_eliminated))
         cache_f = result.extras.get("fp_cache_filtered", 0.0)
         nvmm_f = result.extras.get("fp_nvmm_filtered", 0.0)
         total_f = max(1.0, cache_f + nvmm_f)
         fractions = result.breakdown_fractions()
         lookup_share = fractions.get(WritePathStage.FINGERPRINT_NVMM_LOOKUP, 0.0)
-        out[app] = (cache_f / total_f * (dups / dups),
+        out[app] = (cache_f / total_f,
                     nvmm_f / total_f,
                     lookup_share)
     return Fig5Result(rows_by_app=out)
@@ -308,17 +307,7 @@ def run_evaluation_grid(apps: Optional[Sequence[str]] = None,
         system=system or scaled_system_config(),
         engine=engine or EngineConfig(),
         seed=seed)
-    if jobs is not None or store is not None:
-        return run_grid(config, jobs=jobs, store=store)
-    return run_grid(config)
-
-
-def _apps_in(grid: ResultGrid) -> List[str]:
-    seen: List[str] = []
-    for app, _scheme in grid:
-        if app not in seen:
-            seen.append(app)
-    return seen
+    return run_grid(config, jobs=jobs, store=store)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +338,7 @@ class Fig11Result:
 
 def fig11_write_reduction(grid: ResultGrid) -> Fig11Result:
     reductions: Dict[str, Dict[str, float]] = {}
-    for app in _apps_in(grid):
+    for app in iter_apps(grid):
         base_writes = grid[(app, "Baseline")].pcm_data_writes
         per = {}
         for scheme in DEDUP_SCHEMES:
@@ -396,7 +385,7 @@ class SpeedupResult:
 
 def _speedups(grid: ResultGrid, metric: str, figure: str) -> SpeedupResult:
     out: Dict[str, Dict[str, float]] = {}
-    for app in _apps_in(grid):
+    for app in iter_apps(grid):
         base = grid[(app, "Baseline")]
         ref = (base.mean_write_latency_ns if metric == "write"
                else base.mean_read_latency_ns)
@@ -444,7 +433,7 @@ class Fig14Result:
 
 def fig14_ipc(grid: ResultGrid) -> Fig14Result:
     out: Dict[str, Dict[str, float]] = {}
-    for app in _apps_in(grid):
+    for app in iter_apps(grid):
         base_ipc = grid[(app, "Baseline")].ipc
         out[app] = {s: grid[(app, s)].ipc / base_ipc for s in DEDUP_SCHEMES}
     return Fig14Result(ipc_ratios=out)
@@ -532,7 +521,7 @@ class Fig16Result:
 
 def fig16_energy(grid: ResultGrid) -> Fig16Result:
     out: Dict[str, Dict[str, float]] = {}
-    for app in _apps_in(grid):
+    for app in iter_apps(grid):
         base = grid[(app, "Baseline")].total_energy_nj
         out[app] = {s: grid[(app, s)].total_energy_nj / base
                     for s in DEDUP_SCHEMES}
@@ -576,7 +565,7 @@ def fig17_latency_profile(grid: ResultGrid) -> Fig17Result:
     profiles: Dict[str, Dict[WritePathStage, float]] = {}
     for scheme in DEDUP_SCHEMES:
         totals: Dict[WritePathStage, float] = {}
-        for app in _apps_in(grid):
+        for app in iter_apps(grid):
             breakdown = grid[(app, scheme)].breakdown
             if breakdown is None:
                 continue

@@ -535,17 +535,15 @@ def cmd_report(args) -> int:
 def cmd_serve(args) -> int:
     """Run the dedup-as-a-service front end until SIGTERM/SIGINT."""
     from .serve import ServeConfig, run_server
-    from .serve.config import resolve_workers
 
     try:
-        workers = resolve_workers(args.workers)
+        serve_config = ServeConfig(
+            host=args.host, port=args.port, workers=args.workers,
+            max_sessions=args.max_sessions, queue_limit=args.queue_limit,
+            retry_after_ms=args.retry_after_ms,
+            drain_grace_s=args.drain_grace)
     except ConfigError as exc:
         raise SystemExit(f"repro serve: {exc}") from exc
-    serve_config = ServeConfig(
-        host=args.host, port=args.port, workers=workers,
-        max_sessions=args.max_sessions, queue_limit=args.queue_limit,
-        retry_after_ms=args.retry_after_ms,
-        drain_grace_s=args.drain_grace)
 
     def _announce(server) -> None:
         # Machine-parsed by tests/CI to discover an ephemeral port —
@@ -723,11 +721,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--port", type=int, default=0,
                          help="bind port; 0 picks an ephemeral port and "
                               "prints it (default: 0)")
-    serve_p.add_argument("--workers", type=int, default=None,
-                         help="engine worker processes; 1 = in-process "
-                              "engine, N>1 = N spawned workers with "
-                              "tenant-hash session affinity (default: "
-                              "$REPRO_SERVE_WORKERS or 1)")
+    serve_p.add_argument("--workers", type=int, default=1,
+                         help="engine workers; 1 = one engine thread in "
+                              "the server process, N>1 = N spawned worker "
+                              "processes with tenant-hash session "
+                              "affinity (default: 1)")
     serve_p.add_argument("--max-sessions", type=int, default=8,
                          help="concurrent session cap (default: 8)")
     serve_p.add_argument("--queue-limit", type=int, default=8192,

@@ -7,10 +7,12 @@ system configuration, multiplexed onto shared engine workers with
 bounded ingest queues and explicit backpressure.  Stdlib only; the
 simulation core never imports this package.
 
-With ``--workers N`` (N > 1) the engine back end becomes a pool of N
+Every engine command runs in an engine worker.  At ``--workers 1``
+(the default) one worker runs on an engine thread of the server
+process; with ``--workers N`` (N > 1) the back end becomes a pool of N
 spawned worker *processes*, sessions routed by consistent tenant-hash
-affinity — true multi-core parallelism past the GIL, bit-exact vs the
-in-process path, with per-worker crash containment (DESIGN.md §14).
+affinity — true multi-core parallelism past the GIL, bit-exact with the
+one-thread back end, with per-worker crash containment (DESIGN.md §14).
 
 Layers (one module each):
 
@@ -21,7 +23,8 @@ Layers (one module each):
   session API.
 * :mod:`~repro.serve.pool` — the multi-process worker pool: affinity,
   record-byte IPC, inflight credit, crash detection + respawn.
-* :mod:`~repro.serve.worker` — the engine worker process entry.
+* :mod:`~repro.serve.worker` — the engine worker's command handler,
+  the one-thread in-process back end and the worker process entry.
 * :mod:`~repro.serve.server` — the asyncio server, drain-on-signal,
   and the in-process :class:`BackgroundServer` harness.
 * :mod:`~repro.serve.client` — the blocking client SDK.
@@ -29,7 +32,7 @@ Layers (one module each):
 """
 
 from .client import ServeClient
-from .config import ServeConfig, resolve_workers
+from .config import ServeConfig
 from .pool import worker_for_tenant
 from .protocol import PROTOCOL_VERSION
 from .server import BackgroundServer, DedupServer, run_server
@@ -40,7 +43,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ServeClient",
     "ServeConfig",
-    "resolve_workers",
     "run_server",
     "worker_for_tenant",
 ]

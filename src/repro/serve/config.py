@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional
 
 from ..common.errors import ConfigError
 
-__all__ = ["MAX_WORKERS", "MICRO_BATCH_REQUESTS", "ServeConfig",
-           "resolve_workers"]
+__all__ = ["MAX_WORKERS", "MICRO_BATCH_REQUESTS", "ServeConfig"]
 
 #: Most requests one engine feed takes, and the ``batch_hint`` a hello
 #: reply advertises: a session's drain task joins queued batches up to
@@ -23,39 +20,6 @@ MICRO_BATCH_REQUESTS = 1024
 #: work queue).
 MAX_WORKERS = 64
 
-#: Environment default for ``--workers`` (the flag wins when given).
-WORKERS_ENV = "REPRO_SERVE_WORKERS"
-
-
-def _workers_range_error(got: object) -> ConfigError:
-    """The one message every bad worker count gets: states the accepted
-    range, mirroring the unknown-backend errors of :mod:`repro.sweep`."""
-    return ConfigError(
-        f"invalid serve worker count {got!r}; accepted range: 1.."
-        f"{MAX_WORKERS} (1 = in-process engine, N>1 = N spawned engine "
-        f"worker processes)")
-
-
-def resolve_workers(value: Optional[int] = None) -> int:
-    """Resolve the engine worker count: flag > ``REPRO_SERVE_WORKERS`` > 1.
-
-    Raises:
-        ConfigError: when the flag or the environment value is not an
-            integer in ``[1, MAX_WORKERS]``; the message lists the
-            accepted range.
-    """
-    if value is None:
-        raw = os.environ.get(WORKERS_ENV)
-        if raw is None:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise _workers_range_error(raw) from None
-    if not 1 <= value <= MAX_WORKERS:
-        raise _workers_range_error(value)
-    return value
-
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -67,11 +31,11 @@ class ServeConfig:
     #: Bind port; 0 asks the OS for an ephemeral port (the bound port is
     #: reported by ``DedupServer.port`` and printed by ``repro serve``).
     port: int = 0
-    #: Engine worker *processes*.  1 (the default) keeps the in-process
-    #: engine path: all sessions interleave on one engine lock, bound to
-    #: one core by the GIL.  N>1 spawns N spawn-safe worker processes,
-    #: with sessions routed by consistent tenant-hash affinity
-    #: (DESIGN.md §14).
+    #: Engine workers, each one :class:`~repro.serve.worker.EngineWorker`.
+    #: 1 (the default) runs it on one engine thread of the server
+    #: process (``LocalEngine``): all sessions interleave there, bound to
+    #: one core by the GIL.  N>1 spawns N worker processes, with sessions
+    #: routed by consistent tenant-hash affinity (DESIGN.md §14).
     workers: int = 1
     #: Per-worker bound on dispatched-but-unanswered IPC commands; keeps
     #: a fast admitter from buffering unbounded pickled batches in the
@@ -94,7 +58,11 @@ class ServeConfig:
         if not 0 <= self.port <= 65535:
             raise ConfigError("port must be in [0, 65535]")
         if not 1 <= self.workers <= MAX_WORKERS:
-            raise _workers_range_error(self.workers)
+            raise ConfigError(
+                f"invalid serve worker count {self.workers!r}; accepted "
+                f"range: 1..{MAX_WORKERS} (1 = one engine thread in the "
+                f"server process, N>1 = N spawned engine worker "
+                f"processes)")
         if self.worker_inflight <= 0:
             raise ConfigError("worker_inflight must be positive")
         if self.max_sessions <= 0:

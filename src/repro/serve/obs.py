@@ -4,7 +4,8 @@ The serving layer keeps its own process-lifetime
 :class:`~repro.obs.metrics.MetricsRegistry`, separate from the per-run
 registries the engine opens inside each session: server metrics describe
 the *service* (admission, queueing, batching, tenancy) and outlive any
-single simulation.  The ``metrics`` wire verb snapshots this registry.
+single simulation.  The ``metrics`` wire verb snapshots this registry
+merged with every engine worker's (:meth:`ServeMetrics.merged_snapshot`).
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ class ServeMetrics:
 
     Gauges track the instantaneous state (active sessions, per-tenant
     queue depth), counters the cumulative work (requests admitted or
-    rejected per tenant, batches fed), histograms the distributions the
-    ISSUE cares about: admission latency (receive → enqueued) and
+    rejected per tenant, batches fed), histograms the two serving
+    distributions: admission latency (receive → enqueued) and
     engine-feed batch occupancy (micro-batching effectiveness).
     """
 
@@ -49,8 +50,10 @@ class ServeMetrics:
             "serve_admission_latency_ns", _ADMISSION_BOUNDS_NS)
         self.batch_occupancy = self.registry.histogram(
             "serve_batch_occupancy", _OCCUPANCY_BOUNDS)
-        #: Engine worker processes currently alive (0 in in-process mode;
-        #: dips below ``--workers`` between a crash and its respawn).
+        #: Engine worker processes currently alive.  The pool sets it:
+        #: ``--workers`` N, dipping below N between a crash and its
+        #: respawn.  It stays 0 at ``--workers 1``, whose one worker runs
+        #: on an engine thread of the server process, not in a process.
         self.workers_alive = self.registry.gauge("serve_workers_alive")
         #: Cumulative worker respawns after crashes.
         self.worker_respawns = self.registry.counter(
@@ -87,17 +90,13 @@ class ServeMetrics:
         return self.registry.counter("serve_worker_requests_total",
                                      worker=str(worker))
 
-    def snapshot(self) -> Dict[str, Any]:
-        """The ``metrics`` verb's payload: rows plus the flat view."""
-        return {"metrics": self.registry.snapshot(),
-                "flat": self.registry.as_flat()}
-
     def merged_snapshot(
             self, worker_snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
-        """The multi-process ``metrics`` payload: server registry plus
-        every worker's registry snapshot, merged into one row list / flat
-        view (worker instruments carry a ``worker`` label, so merging is
-        concatenation — no key collisions).
+        """The ``metrics`` verb's payload, at either back end: server
+        registry plus every engine worker's registry snapshot, merged
+        into one row list / flat view (worker instruments carry a
+        ``worker`` label, so merging is concatenation — no key
+        collisions).
 
         Derived per-worker request rates (``serve_worker_req_per_s``) are
         computed here from the dispatch counters and server uptime, so
@@ -111,9 +110,8 @@ class ServeMetrics:
                 self.registry.gauge(
                     "serve_worker_req_per_s", **labels).set(
                         instrument.value / uptime_s)
-        merged = self.snapshot()
-        rows: List[Any] = list(merged["metrics"])
-        flat: Dict[str, float] = dict(merged["flat"])
+        rows: List[Any] = self.registry.snapshot()
+        flat: Dict[str, float] = self.registry.as_flat()
         for snapshot in worker_snapshots:
             rows.extend(snapshot.get("rows", []))
             flat.update(snapshot.get("flat", {}))

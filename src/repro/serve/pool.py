@@ -68,10 +68,10 @@ def worker_for_tenant(tenant: str, workers: int) -> int:
 
 
 class RecordSpan:
-    """A run of checked trace records bound for a pool worker.
+    """A run of checked trace records bound for an engine worker.
 
-    The pool-mode item of a session queue.  The parent validates a
-    batch once, at admission, with
+    The one item of a session queue, at either back end.  The server
+    validates a batch once, at admission, with
     :func:`~repro.workloads.trace.check_records` (the record decoder's
     loop run without building requests), and keeps the record offsets
     it returns, so cutting a queued batch at the

@@ -3,88 +3,55 @@
 One :class:`ServeSession` pairs a network-facing ingest queue with one
 engine session.  The connection handler (:mod:`repro.serve.server`)
 hands each ``batch`` frame's trace records to the session, which admits
-the batch whole — checked and queued as one item — or rejects it whole
-with ``bad_request`` or backpressure.  A per-session drain task joins
-queued batches into micro-batches of at most
+the batch whole — checked without building requests
+(:class:`~repro.serve.pool.RecordSpan`) and queued as one item — or
+rejects it whole with ``bad_request`` or backpressure.  A per-session
+drain task joins queued batches into micro-batches of at most
 :data:`~repro.serve.config.MICRO_BATCH_REQUESTS` (1,024) requests,
-splitting only the batch that crosses the cap, and feeds the engine.
+splitting only the batch that crosses the cap, and sends each to the
+session's engine worker as record bytes, which the worker parses.
 
-Where the engine lives depends on ``ServeConfig.workers``:
+Engine sessions live in an :class:`~repro.serve.worker.EngineWorker`.
+The manager sends every engine command through one back end, chosen
+once by :meth:`SessionManager.start` from ``ServeConfig.workers``:
 
-* ``workers == 1`` — the in-process fast path: admission parses the
-  records into requests (:func:`~repro.workloads.trace.parse_records`)
-  and the engine :class:`~repro.sim.session.Session`
-  runs on an executor thread under the manager's *engine lock*, which
-  admits one session's open, feed or finalize at a time.  Sessions share
-  no engine state (each scheme graph owns its memo caches and
-  observation scope), so the lock is not what keeps results exact: it
-  runs each micro-batch to completion without handing the GIL to
-  another session's feed, and gives one handle that stalls the engine.
-  Concurrency is interleaving, not parallelism — the GIL bounds the
-  engine to one core.
-* ``workers > 1`` — the engine session lives inside one of N spawned
-  worker processes (:mod:`repro.serve.pool`), selected once at open by
-  consistent tenant-hash affinity; admission checks the records without
-  building requests (:class:`~repro.serve.pool.RecordSpan`), the drain
-  task becomes a dispatch loop sending record bytes, and the worker
-  parses them.  Sessions on distinct workers simulate
-  in true parallel.  A crashed
-  worker fails exactly the sessions routed to it with
-  :class:`~repro.common.errors.WorkerCrashError`; everyone else keeps
-  streaming (DESIGN.md §14).
+* ``workers == 1`` — :class:`~repro.serve.worker.LocalEngine`: one worker
+  on one engine thread of this process, which runs one command at a
+  time, in submission order.  Sessions share no engine state (each
+  scheme graph owns its memo caches and observation scope); they
+  interleave on that thread, bound to one core by the GIL.
+* ``workers > 1`` — :class:`~repro.serve.pool.WorkerPool`: N spawned
+  worker processes, each session pinned to one at open by consistent
+  tenant-hash affinity, so sessions on distinct workers simulate in
+  true parallel.  A crashed worker fails exactly the sessions routed to
+  it with :class:`~repro.common.errors.WorkerCrashError`; everyone else
+  keeps streaming (DESIGN.md §14).
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-    Union,
-    cast,
-)
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from ..common.config import SystemConfig
 from ..common.errors import (
     ConfigError,
-    ReproError,
     ServeError,
     TraceFormatError,
     WorkerCrashError,
 )
-from ..common.types import MemoryRequest
-from ..obs.metrics import ObsCounter, ObsGauge
-from ..registry import make_scheme, resolve_scheme_name
-from ..sim.engine import EngineConfig, SimulationEngine
-from ..sim.export import result_to_state
+from ..registry import resolve_scheme_name
+from ..sim.engine import EngineConfig
 from ..sim.runner import scaled_system_config
-from ..sim.session import Session
-from ..workloads.trace import parse_records
 from .config import MICRO_BATCH_REQUESTS, ServeConfig
 from .obs import ServeMetrics
 from .pool import RecordSpan, WorkerPool
 from .protocol import PROTOCOL_VERSION
+from .worker import LocalEngine
 
 __all__ = ["ServeSession", "SessionManager"]
-
-#: One admitted batch as queued: parsed requests (in-process mode) or
-#: checked record bytes (pool mode).
-Batch = Union[List[MemoryRequest], RecordSpan]
-
-#: Executor threads of the in-process path.  Engine work is serialized
-#: by the engine lock regardless, so two threads only overlap an engine
-#: feed with session open/finalize bookkeeping; the knob that used to
-#: size this pool (``ServeConfig.workers``) now counts worker processes.
-_INPROC_EXECUTOR_THREADS = 2
 
 
 class ServeSession:
@@ -93,33 +60,26 @@ class ServeSession:
     States: ``open`` (accepting batches) → ``finalizing`` (queue
     draining, no new batches) → ``done`` | ``failed``.
 
-    Exactly one of ``engine`` (in-process mode) or ``worker >= 0``
-    (pool mode: the worker index its engine session lives on) is set.
-    Hot-loop collaborators — the queue limit, the tenant's metric
-    instruments, the mode's batch decoder — are resolved once here, not
-    per admitted batch.
+    ``worker`` is the index of the engine worker its engine session
+    lives on (always 0 at ``workers == 1``).  Hot-loop collaborators —
+    the queue limit, the tenant's metric instruments — are resolved once
+    here, not per admitted batch.
 
-    The ingest queue holds admitted batches whole, never single
-    requests; ``_queued`` counts the requests in it and feeds the
-    credits and the queue-depth gauge.
+    The ingest queue holds admitted batches whole, each a checked
+    :class:`~repro.serve.pool.RecordSpan`, never single requests;
+    ``_queued`` counts the requests in it and feeds the credits and the
+    queue-depth gauge.
     """
 
     def __init__(self, sid: str, tenant: str, manager: "SessionManager", *,
-                 engine: Optional[Session] = None,
-                 worker: int = -1) -> None:
+                 worker: int) -> None:
         self.sid = sid
         self.tenant = tenant
-        self.engine = engine
         self.worker = worker
         self.state = "open"
         self._manager = manager
-        self._pending: Deque[Batch] = deque()
+        self._pending: Deque[RecordSpan] = deque()
         self._queued = 0
-        self._decode: Callable[[bytes, int], Batch]
-        if worker < 0:
-            self._decode = parse_records
-        else:
-            self._decode = RecordSpan.checked
         self._wakeup = asyncio.Event()
         self._error: Optional[ServeError] = None
         self._finalize_requested = False
@@ -148,7 +108,7 @@ class ServeSession:
         All-or-nothing: a batch larger than the remaining credits raises
         ``backpressure`` and enqueues nothing, so the client can resend
         the identical batch after the advertised delay.  Capacity is
-        checked before the records, so a rejected resend costs no parse.
+        checked before the records, so a rejected resend costs no decode.
 
         Raises:
             ServeError: ``backpressure`` when the batch does not fit;
@@ -175,12 +135,12 @@ class ServeSession:
                 f"ingest queue full ({self._queued}/{limit} queued)",
                 code="backpressure")
         try:
-            batch = self._decode(records, count)
+            span = RecordSpan.checked(records, count)
         except (TraceFormatError, ValueError) as exc:
             raise ServeError(f"malformed batch records: {exc}",
                              code="bad_request") from exc
         if count:
-            self._pending.append(batch)
+            self._pending.append(span)
             self._queued += count
             self._queue_gauge.set(float(self._queued))
             self._wakeup.set()
@@ -235,12 +195,12 @@ class ServeSession:
 
     # -- drain (event-loop task) ---------------------------------------
 
-    def _take(self, cap: int) -> Tuple[List[Batch], int]:
+    def _take(self, cap: int) -> Tuple[List[RecordSpan], int]:
         """Pop queued batches holding up to ``cap`` requests; returns
         them and their request count.  Only a batch that crosses the cap
         is split, its tail staying at the queue's head."""
         pending = self._pending
-        parts: List[Batch] = []
+        parts: List[RecordSpan] = []
         room = cap
         while pending and room:
             batch = pending[0]
@@ -282,12 +242,9 @@ class ServeSession:
         except asyncio.CancelledError:
             raise
         except ServeError as exc:
-            # Typed serve failures keep their wire code — most notably
-            # WorkerCrashError ("worker_crash") from a dead worker.
+            # The worker's error keeps its wire code: ``failed`` for an
+            # engine failure, ``worker_crash`` from a dead pool worker.
             self._record_failure(exc)
-        except ReproError as exc:
-            self._record_failure(ServeError(
-                f"session {self.sid} failed: {exc}", code="failed"))
         except Exception as exc:  # pragma: no cover - defensive
             self._record_failure(ServeError(
                 f"session {self.sid} internal error: {exc}",
@@ -308,7 +265,11 @@ class ServeSession:
 
 
 class SessionManager:
-    """Owns the session table plus the engine back end (lock or pool)."""
+    """Owns the session table plus the engine back end."""
+
+    #: The engine back end, chosen by :meth:`start`.  Every engine
+    #: command goes through its ``request(worker, command)``.
+    backend: Union[LocalEngine, WorkerPool]
 
     def __init__(self, config: ServeConfig,
                  engine_config: Optional[EngineConfig] = None,
@@ -319,13 +280,6 @@ class SessionManager:
         #: (the CLI grid's scaled config, so loopback rows match ``run``).
         self.base_config = base_config or scaled_system_config()
         self.metrics = ServeMetrics()
-        self.executor = ThreadPoolExecutor(
-            max_workers=_INPROC_EXECUTOR_THREADS,
-            thread_name_prefix="repro-serve")
-        #: Serializes in-process engine work, one session's open, feed or
-        #: finalize at a time (see the module doc); sessions share no
-        #: engine state, so this orders work rather than guarding data.
-        self.engine_lock = threading.Lock()
         self.batch_hint = MICRO_BATCH_REQUESTS
         self.sessions: Dict[str, ServeSession] = {}
         self.draining = False
@@ -340,100 +294,50 @@ class SessionManager:
         #: between failure and the client noticing.
         self._failed: Dict[str, ServeError] = {}
         self._failed_order: Deque[str] = deque()
-        #: The multi-process back end; ``None`` until :meth:`start` in
-        #: ``workers > 1`` mode, always ``None`` in in-process mode.
-        self.pool: Optional[WorkerPool] = None
-        self._worker_counts: List[int] = []
-        self._worker_session_gauges: List[ObsGauge] = []
-        self._worker_req_counters: List[ObsCounter] = []
-
-    async def start(self) -> None:
-        """Bring up the engine back end (must run on the event loop).
-
-        In-process mode is a no-op; multi-process mode spawns the worker
-        pool here because its reader threads resolve futures through the
-        running loop.
-        """
-        if self.config.workers <= 1 or self.pool is not None:
-            return
-        self.pool = WorkerPool(self.config, self.engine_config,
-                               self.metrics, self._on_worker_crash)
-        self._worker_counts = [0] * self.config.workers
+        self._worker_counts = [0] * config.workers
         self._worker_session_gauges = [
             self.metrics.worker_sessions(index)
-            for index in range(self.config.workers)]
+            for index in range(config.workers)]
         self._worker_req_counters = [
             self.metrics.worker_requests(index)
-            for index in range(self.config.workers)]
+            for index in range(config.workers)]
 
-    # -- in-process engine work (executor threads) ----------------------
-
-    def open_locked(self, scheme_name: str, system_config: SystemConfig,
-                    app: str, total_hint: Optional[int]) -> Session:
-        with self.engine_lock:
-            scheme = make_scheme(scheme_name, system_config)
-            engine = SimulationEngine(scheme, self.engine_config)
-            return engine.open_session(app=app, total_hint=total_hint)
-
-    def feed_locked(self, session: Session,
-                    batch: List[MemoryRequest]) -> None:
-        with self.engine_lock:
-            session.feed(batch)
-
-    def finalize_locked(self, session: Session) -> Dict[str, Any]:
-        with self.engine_lock:
-            result = session.finalize()
-        return {"summary": result.summary_row(),
-                "state": result_to_state(result)}
-
-    # -- engine dispatch (event-loop side; both modes) ------------------
-
-    async def feed_session(self, session: ServeSession, parts: List[Batch],
-                           count: int) -> None:
-        """Feed one micro-batch — ``parts`` joined, ``count`` requests —
-        into the session's engine."""
-        if session.worker >= 0:
-            assert self.pool is not None
-            self._worker_req_counters[session.worker].inc(float(count))
-            spans = cast(List[RecordSpan], parts)
-            records = b"".join(span.payload() for span in spans)
-            await self.pool.request(session.worker,
-                                    ("feed", session.sid, records, count))
+    async def start(self) -> None:
+        """Bring up the engine back end.  Runs on the event loop, through
+        which the pool's reader threads resolve futures."""
+        if self.config.workers == 1:
+            self.backend = LocalEngine(self.engine_config)
         else:
-            assert session.engine is not None
-            lists = cast(List[List[MemoryRequest]], parts)
-            batch = lists[0] if len(lists) == 1 else [
-                request for part in lists for request in part]
-            await asyncio.get_running_loop().run_in_executor(
-                self.executor, self.feed_locked, session.engine, batch)
+            self.backend = WorkerPool(self.config, self.engine_config,
+                                      self.metrics, self._on_worker_crash)
+
+    # -- engine dispatch (event-loop side) ------------------------------
+
+    async def feed_session(self, session: ServeSession,
+                           spans: List[RecordSpan], count: int) -> None:
+        """Feed one micro-batch — ``spans`` joined, ``count`` requests —
+        into the session's engine."""
+        self._worker_req_counters[session.worker].inc(float(count))
+        records = b"".join(span.payload() for span in spans)
+        await self.backend.request(session.worker,
+                                   ("feed", session.sid, records, count))
 
     async def finalize_session(self, session: ServeSession
                                ) -> Dict[str, Any]:
         """Finalize the session's engine; returns the reply payload."""
-        if session.worker >= 0:
-            assert self.pool is not None
-            payload = await self.pool.request(
-                session.worker, ("finalize", session.sid))
-            assert isinstance(payload, dict)
-            return payload
-        assert session.engine is not None
-        result: Dict[str, Any] = await asyncio.get_running_loop(
-        ).run_in_executor(self.executor, self.finalize_locked,
-                          session.engine)
-        return result
+        payload = await self.backend.request(
+            session.worker, ("finalize", session.sid))
+        assert isinstance(payload, dict)
+        return payload
 
     async def discard_session(self, session: ServeSession) -> None:
-        """Drop the engine side of an aborted session (best effort)."""
-        if session.worker >= 0:
-            if self.pool is None:
-                return
-            try:
-                await self.pool.request(session.worker,
-                                        ("close", session.sid))
-            except ServeError:
-                pass
-        elif session.engine is not None:
-            session.engine.close()
+        """Drop the engine side of an aborted session (best effort); the
+        ``close`` runs after the session's in-flight feed."""
+        try:
+            await self.backend.request(session.worker,
+                                       ("close", session.sid))
+        except ServeError:
+            pass
 
     def _on_worker_crash(self, index: int, error: WorkerCrashError) -> None:
         """Pool crash callback: fail exactly the sessions routed there."""
@@ -488,20 +392,14 @@ class SessionManager:
                              f"got {total_hint!r}", code="bad_request")
 
         sid = f"s{next(self._ids)}"
-        if self.pool is not None:
-            worker = self.pool.worker_for(tenant)
-            await self.pool.request(
-                worker, ("open", sid, scheme_name, system_config, app,
-                         total_hint))
-            serve_session = ServeSession(sid, tenant, self, worker=worker)
-            self._worker_counts[worker] += 1
-            self._worker_session_gauges[worker].set(
-                float(self._worker_counts[worker]))
-        else:
-            engine = await asyncio.get_running_loop().run_in_executor(
-                self.executor, self.open_locked, scheme_name, system_config,
-                app, total_hint)
-            serve_session = ServeSession(sid, tenant, self, engine=engine)
+        worker = self.backend.worker_for(tenant)
+        await self.backend.request(
+            worker, ("open", sid, scheme_name, system_config, app,
+                     total_hint))
+        serve_session = ServeSession(sid, tenant, self, worker=worker)
+        self._worker_counts[worker] += 1
+        self._worker_session_gauges[worker].set(
+            float(self._worker_counts[worker]))
         self.sessions[sid] = serve_session
         self.idle.clear()
         self.metrics.sessions_opened.inc()
@@ -527,22 +425,19 @@ class SessionManager:
                 self._failed.pop(self._failed_order.popleft(), None)
         if self.sessions.pop(session.sid, None) is not None:
             self.metrics.active_sessions.set(float(len(self.sessions)))
-            if session.worker >= 0 and self._worker_counts:
-                self._worker_counts[session.worker] -= 1
-                self._worker_session_gauges[session.worker].set(
-                    float(self._worker_counts[session.worker]))
+            self._worker_counts[session.worker] -= 1
+            self._worker_session_gauges[session.worker].set(
+                float(self._worker_counts[session.worker]))
         if not self.sessions:
             self.idle.set()
 
     # -- observability and shutdown ------------------------------------
 
     async def metrics_snapshot(self) -> Dict[str, Any]:
-        """The ``metrics`` verb's payload; merges worker registries in
-        multi-process mode."""
-        if self.pool is None:
-            return self.metrics.snapshot()
+        """The ``metrics`` verb's payload: the server registry merged
+        with every engine worker's."""
         return self.metrics.merged_snapshot(
-            await self.pool.metrics_snapshots())
+            await self.backend.metrics_snapshots())
 
     async def drain(self, grace_s: float) -> bool:
         """Stop admitting sessions; wait for the table to empty.
@@ -562,11 +457,8 @@ class SessionManager:
             return False
 
     async def shutdown(self) -> None:
-        """Tear down the engine back end after drain.
-
-        Pool mode sends every worker a ``stop`` and joins it — the FIFO
-        pipes guarantee all previously dispatched feeds completed first.
-        """
-        if self.pool is not None:
-            await self.pool.stop()
-        self.executor.shutdown(wait=True)
+        """Tear down the engine back end after drain; every previously
+        dispatched command completes first (the engine thread runs its
+        queue out, and each pool worker answers ``stop`` in FIFO
+        order)."""
+        await self.backend.stop()

@@ -28,7 +28,7 @@ import pytest
 from repro.common.errors import ConfigError, ServeError, WorkerCrashError
 from repro.registry import make_scheme
 from repro.serve import BackgroundServer, ServeClient, ServeConfig
-from repro.serve.config import MAX_WORKERS, resolve_workers
+from repro.serve.config import MAX_WORKERS
 from repro.serve.pool import worker_for_tenant
 from repro.sim.engine import EngineConfig, SimulationEngine
 from repro.sim.export import result_to_state
@@ -75,32 +75,14 @@ def test_affinity_is_stable_and_covers_all_workers():
 
 
 # ---------------------------------------------------------------------------
-# Worker-count validation (satellite: --workers / REPRO_SERVE_WORKERS)
+# Worker-count validation (--workers)
 # ---------------------------------------------------------------------------
 
-def test_resolve_workers_rejects_out_of_range_values():
+def test_serve_config_rejects_bad_worker_count():
     for bad in (0, -1, MAX_WORKERS + 1):
         with pytest.raises(ConfigError) as excinfo:
-            resolve_workers(bad)
+            ServeConfig(workers=bad)
         assert f"1..{MAX_WORKERS}" in str(excinfo.value)
-
-
-def test_resolve_workers_env_fallback(monkeypatch):
-    monkeypatch.delenv("REPRO_SERVE_WORKERS", raising=False)
-    assert resolve_workers() == 1
-    monkeypatch.setenv("REPRO_SERVE_WORKERS", "3")
-    assert resolve_workers() == 3
-    assert resolve_workers(2) == 2  # the flag wins over the environment
-    monkeypatch.setenv("REPRO_SERVE_WORKERS", "not-a-number")
-    with pytest.raises(ConfigError) as excinfo:
-        resolve_workers()
-    assert f"1..{MAX_WORKERS}" in str(excinfo.value)
-
-
-def test_serve_config_rejects_bad_worker_count():
-    with pytest.raises(ConfigError) as excinfo:
-        ServeConfig(workers=0)
-    assert f"1..{MAX_WORKERS}" in str(excinfo.value)
     with pytest.raises(ConfigError):
         ServeConfig(worker_inflight=0)
 
@@ -135,6 +117,25 @@ def test_mp_single_session_full_bit_parity():
     opened = sum(v for k, v in flat.items()
                  if k.startswith("serve_worker_sessions_opened_total"))
     assert opened == 1
+
+
+def test_metrics_verb_names_the_same_instruments_at_both_back_ends():
+    """Both back ends run the same engine worker, so one session leaves
+    the same instrument names in the ``metrics`` verb at ``workers=1``
+    and ``workers=2``; only the pool's pipe gauge is pool-only."""
+    trace = _trace("gcc", 600, 67)
+    names = {}
+    for workers in (1, 2):
+        with BackgroundServer(ServeConfig(workers=workers)) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                client.run_trace(iter(trace), "ESD", app="gcc",
+                                 total_hint=len(trace))
+                names[workers] = {
+                    row["name"] for row in client.metrics()["metrics"]}
+        assert server.drained_clean is True
+    assert "serve_worker_feeds_total" in names[1]
+    assert names[2] - names[1] == {"serve_dispatch_depth"}
+    assert names[1] <= names[2]
 
 
 def test_mp_concurrent_distinct_worker_tenants_full_parity():
@@ -191,7 +192,7 @@ def test_worker_crash_fails_only_its_sessions_and_pool_respawns():
 
     with BackgroundServer(ServeConfig(workers=workers)) as server:
         assert server.server is not None
-        pool = server.server.manager.pool
+        pool = server.server.manager.backend
         assert pool is not None
 
         victim = ServeClient("127.0.0.1", server.port)
@@ -247,7 +248,7 @@ def test_unpicklable_request_fails_alone():
     trace = _trace("gcc", 600, 61)
     with BackgroundServer(ServeConfig(workers=2)) as server:
         assert server.server is not None
-        pool = server.server.manager.pool
+        pool = server.server.manager.backend
         assert pool is not None
         sent = asyncio.run_coroutine_threadsafe(
             pool.request(0, ("metrics", lambda: None)), server._loop)

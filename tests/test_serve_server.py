@@ -137,27 +137,28 @@ def test_backpressure_engages_and_recovers():
     retries after the advertised delay, and still lands the exact
     result; the queue bound is respected throughout.
 
-    The engine lock is held until the first rejection, so the producer
-    outruns the engine however the host schedules the server's threads
-    (left to the scheduler, a loaded host let the engine keep up in
-    about one run in four)."""
+    The one engine thread runs a blocking job until the first
+    rejection, so the producer outruns the engine however the host
+    schedules the server's threads (left to the scheduler, a loaded host
+    let the engine keep up in about one run in four)."""
     trace = _trace("gcc", 6000, 47)
     config = ServeConfig(queue_limit=256, retry_after_ms=5)
     with BackgroundServer(config) as server:
-        engine_lock = server.server.manager.engine_lock
+        engine_thread = server.server.manager.backend.executor
         with ServeClient("127.0.0.1", server.port) as client:
             client.open_session("ESD", tenant="pusher", app="gcc",
                                 total_hint=len(trace))
             state = client.session
+            released = threading.Event()
 
             def release_after_first_rejection():
                 deadline = time.monotonic() + 60.0
                 while (state.backpressure_rejections == 0
                        and time.monotonic() < deadline):
                     time.sleep(0.005)
-                engine_lock.release()
+                released.set()
 
-            engine_lock.acquire()
+            stall = engine_thread.submit(released.wait, 120.0)
             releaser = threading.Thread(target=release_after_first_rejection)
             releaser.start()
             # Admitted batches never exceed the remaining credits, so
@@ -169,6 +170,7 @@ def test_backpressure_engages_and_recovers():
             finally:
                 releaser.join(timeout=120.0)
             assert not releaser.is_alive()
+            assert stall.result(timeout=1.0) is True
             rejections = state.backpressure_rejections
             payload = client.finalize()
             flat = client.metrics()["flat"]
