@@ -78,11 +78,18 @@ def test_affinity_is_stable_and_covers_all_workers():
 # Worker-count validation (--workers)
 # ---------------------------------------------------------------------------
 
-def test_serve_config_rejects_bad_worker_count():
+def test_resolve_workers_rejects_out_of_range_values():
+    # The range check that resolve_workers made is now ServeConfig's.
     for bad in (0, -1, MAX_WORKERS + 1):
         with pytest.raises(ConfigError) as excinfo:
             ServeConfig(workers=bad)
         assert f"1..{MAX_WORKERS}" in str(excinfo.value)
+
+
+def test_serve_config_rejects_bad_worker_count():
+    with pytest.raises(ConfigError) as excinfo:
+        ServeConfig(workers=0)
+    assert f"1..{MAX_WORKERS}" in str(excinfo.value)
     with pytest.raises(ConfigError):
         ServeConfig(worker_inflight=0)
 
