@@ -83,7 +83,7 @@ def _near_duplicate_trace(num_writes: int = 6_000, seed: int = 31):
 
 def test_extension_delta_on_near_duplicates(benchmark, emit):
     """ESD-Delta's habitat: similar-but-not-identical content."""
-    from repro.dedup import make_scheme
+    from repro.registry import make_scheme
     from repro.sim import SimulationEngine
 
     def run():

@@ -45,8 +45,7 @@ except ImportError:  # running from a checkout without PYTHONPATH=src
     sys.path.insert(0, str(REPO / "src"))
 
 from repro.common import small_test_config
-from repro.dedup import make_scheme
-from repro.registry import registered_scheme_names
+from repro.registry import make_scheme, registered_scheme_names
 from repro.sim.engine import EngineConfig, SimulationEngine
 from repro.sim.export import result_state_bytes
 from repro.sim.session import Session

@@ -9,8 +9,9 @@ Run:
     python examples/quickstart.py
 """
 
-from repro import SimulationEngine, TraceGenerator, make_scheme
-from repro.sim import scaled_system_config
+from repro.registry import make_scheme
+from repro.sim import SimulationEngine, scaled_system_config
+from repro.workloads import TraceGenerator
 
 
 def main() -> None:

@@ -12,7 +12,7 @@ Run:
 import sys
 
 from repro.analysis.reporting import format_table
-from repro.dedup import SCHEME_NAMES
+from repro.registry import scheme_names
 from repro.sim import run_app, scaled_system_config
 
 DEFAULT_APPS = ["gcc", "deepsjeng", "lbm", "leela"]
@@ -20,11 +20,12 @@ REQUESTS = 15_000
 
 
 def compare(app: str) -> list:
-    results = run_app(app, SCHEME_NAMES, requests=REQUESTS,
+    schemes = scheme_names()
+    results = run_app(app, schemes, requests=REQUESTS,
                       system=scaled_system_config())
     base = results["Baseline"]
     rows = []
-    for name in SCHEME_NAMES:
+    for name in schemes:
         r = results[name]
         rows.append([
             app,

@@ -8,7 +8,7 @@ Mao, and Wang.  The package contains:
   and the ESD-Delta extension.
 * :mod:`repro.dedup` — the comparison schemes (Baseline, Dedup_SHA1,
   DeWrite, NV-Dedup, and the motivation schemes DaE and PDE) sharing one
-  interface; :mod:`repro.registry` names all eight.
+  interface; :mod:`repro.registry` names all eight and builds them.
 * Substrates built from scratch: :mod:`repro.ecc` (SEC-DED Hamming(72,64)),
   :mod:`repro.crypto` (counter-mode encryption, fingerprint engines),
   :mod:`repro.nvmm` (PCM device/banks/controller/energy),
@@ -24,9 +24,16 @@ Mao, and Wang.  The package contains:
   engine or scheme that calls its kernel.
 * :mod:`repro.analysis` — one reproduction function per paper figure.
 
+Import a name from the module that defines it (:mod:`repro.common`,
+:mod:`repro.sim`, :mod:`repro.workloads`, :mod:`repro.sweep` and
+:mod:`repro.serve` also re-export their public names).  This package
+re-exports nothing, so importing one module loads only what it needs.
+
 Quickstart::
 
-    from repro import make_scheme, TraceGenerator, SimulationEngine
+    from repro.registry import make_scheme
+    from repro.sim.engine import SimulationEngine
+    from repro.workloads.generator import TraceGenerator
 
     scheme = make_scheme("ESD")
     trace = TraceGenerator("gcc").generate_list(20_000)
@@ -35,68 +42,4 @@ Quickstart::
     print(result.mean_write_latency_ns, result.write_reduction)
 """
 
-from .common import (
-    CACHE_LINE_SIZE,
-    AccessType,
-    MemoryRequest,
-    SystemConfig,
-    default_config,
-    small_test_config,
-)
-from .core import EFIT, AddressMappingTable, ESDScheme, LRCUCache
-from .dedup import (
-    SCHEME_NAMES,
-    BaselineScheme,
-    DedupScheme,
-    DedupSHA1Scheme,
-    DeWriteScheme,
-    make_scheme,
-)
-from .ecc import decode_line, encode_word, line_ecc
-from .sim import (
-    EngineConfig,
-    ExperimentConfig,
-    SimulationEngine,
-    SimulationResult,
-    run_app,
-    run_grid,
-    scaled_system_config,
-)
-from .sweep import run_sweep
-from .workloads import TraceGenerator, app_names, get_profile
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "AccessType",
-    "AddressMappingTable",
-    "BaselineScheme",
-    "CACHE_LINE_SIZE",
-    "DedupScheme",
-    "DedupSHA1Scheme",
-    "DeWriteScheme",
-    "EFIT",
-    "ESDScheme",
-    "EngineConfig",
-    "ExperimentConfig",
-    "LRCUCache",
-    "MemoryRequest",
-    "SCHEME_NAMES",
-    "SimulationEngine",
-    "SimulationResult",
-    "SystemConfig",
-    "TraceGenerator",
-    "__version__",
-    "app_names",
-    "decode_line",
-    "default_config",
-    "encode_word",
-    "get_profile",
-    "line_ecc",
-    "make_scheme",
-    "run_app",
-    "run_grid",
-    "run_sweep",
-    "scaled_system_config",
-    "small_test_config",
-]

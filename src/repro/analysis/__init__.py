@@ -1,100 +1,1 @@
 """Experiment reproduction layer: one function per paper table/figure."""
-
-from .experiments import (
-    DEDUP_SCHEMES,
-    PROFILE_STAGES,
-    REPRESENTATIVE_APPS,
-    Fig1Result,
-    Fig2Result,
-    Fig3Result,
-    Fig5Result,
-    Fig8Result,
-    Fig11Result,
-    Fig14Result,
-    Fig15Result,
-    Fig16Result,
-    Fig17Result,
-    Fig18Result,
-    Fig19Result,
-    SpeedupResult,
-    Table1Result,
-    fig1_duplicate_rate,
-    fig2_worst_case,
-    fig3_content_locality,
-    fig5_lookup_overhead,
-    fig8_collisions,
-    fig11_write_reduction,
-    fig12_write_speedup,
-    fig13_read_speedup,
-    fig14_ipc,
-    fig15_tail_latency,
-    fig16_energy,
-    fig17_latency_profile,
-    fig18_cache_sensitivity,
-    fig19_metadata_overhead,
-    run_evaluation_grid,
-    table1_configuration,
-)
-from .ablations import (
-    ablate_bank_count,
-    ablate_comparison_read,
-    ablate_lrcu_decay,
-    ablate_predictor,
-    ablate_referh_width,
-    ablate_row_buffer,
-)
-from .charts import bar_chart, cdf_plot, grouped_bar_chart
-from .reporting import format_series, format_table, normalized_map
-from .validation import ClaimResult, build_claims, render_validation, validate
-
-__all__ = [
-    "DEDUP_SCHEMES",
-    "Fig11Result",
-    "Fig14Result",
-    "Fig15Result",
-    "Fig16Result",
-    "Fig17Result",
-    "Fig18Result",
-    "Fig19Result",
-    "Fig1Result",
-    "Fig2Result",
-    "Fig3Result",
-    "Fig5Result",
-    "Fig8Result",
-    "PROFILE_STAGES",
-    "REPRESENTATIVE_APPS",
-    "SpeedupResult",
-    "Table1Result",
-    "fig11_write_reduction",
-    "fig12_write_speedup",
-    "fig13_read_speedup",
-    "fig14_ipc",
-    "fig15_tail_latency",
-    "fig16_energy",
-    "fig17_latency_profile",
-    "fig18_cache_sensitivity",
-    "fig19_metadata_overhead",
-    "fig1_duplicate_rate",
-    "fig2_worst_case",
-    "fig3_content_locality",
-    "fig5_lookup_overhead",
-    "fig8_collisions",
-    "format_series",
-    "format_table",
-    "normalized_map",
-    "ablate_bank_count",
-    "ablate_comparison_read",
-    "ablate_lrcu_decay",
-    "ablate_predictor",
-    "ablate_referh_width",
-    "ablate_row_buffer",
-    "bar_chart",
-    "cdf_plot",
-    "grouped_bar_chart",
-    "run_evaluation_grid",
-    "table1_configuration",
-    "validate",
-    "build_claims",
-    "render_validation",
-    "ClaimResult",
-]

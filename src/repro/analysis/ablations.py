@@ -22,9 +22,9 @@ Each returns ``(rows, headers)`` ready for
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..common.config import DeWriteConfig, PCMConfig, SystemConfig
+from ..common.config import DeWriteConfig, PCMConfig
 from ..sim.runner import run_app, scaled_system_config
 from ..workloads.generator import TraceGenerator
 

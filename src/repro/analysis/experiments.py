@@ -13,7 +13,7 @@ measured values and the per-experiment deviations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,8 +25,8 @@ from ..crypto.fingerprints import CRC32Engine, MD5Engine, SHA1Engine
 from ..ecc.codec import ECCFingerprintEngine
 from ..registry import scheme_names
 from ..sim.engine import EngineConfig
-from ..sim.metrics import SimulationResult
 from ..sim.runner import ResultGrid, run_app, run_grid, ExperimentConfig, iter_apps, scaled_system_config
+from ..sweep import run_sweep
 from ..workloads.analysis import (
     BUCKETS,
     content_locality_headline,
@@ -38,7 +38,6 @@ from ..workloads.profiles import (
     TAIL_LATENCY_APPS,
     WORST_CASE_APPS,
     app_names,
-    get_profile,
 )
 from .reporting import format_series, format_table, normalized_map
 
@@ -307,7 +306,9 @@ def run_evaluation_grid(apps: Optional[Sequence[str]] = None,
         system=system or scaled_system_config(),
         engine=engine or EngineConfig(),
         seed=seed)
-    return run_grid(config, jobs=jobs, store=store)
+    if jobs is None and store is None:
+        return run_grid(config)
+    return run_sweep(config, jobs=jobs, store=store)
 
 
 # ---------------------------------------------------------------------------

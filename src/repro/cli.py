@@ -35,8 +35,7 @@ from itertools import islice
 from .analysis.reporting import format_table
 from .common.errors import CheckpointError, ConfigError, TraceFormatError
 from .common.units import kib
-from .dedup import make_scheme
-from .registry import resolve_scheme_name, scheme_names
+from .registry import make_scheme, resolve_scheme_name, scheme_names
 from .sim.engine import EngineConfig, SimulationEngine
 from .sim.runner import run_app, scaled_system_config
 from .workloads.adversarial import (
@@ -51,12 +50,7 @@ from .workloads.profiles import (
     app_names,
     get_profile,
 )
-from .workloads.trace import (
-    capture_trace,
-    read_trace,
-    read_trace_list,
-    trace_record_count,
-)
+from .workloads.trace import capture_trace, read_trace, trace_record_count
 
 
 def resolve_scheme(token: str) -> str:
@@ -81,16 +75,6 @@ def _system_config(args) -> "SystemConfig":
     return config
 
 
-def _load_or_generate(args) -> List:
-    if args.trace:
-        return read_trace_list(args.trace)
-    if args.app in adversarial_stream_names():
-        return list(adversarial_stream(args.app, args.requests,
-                                       seed=args.seed))
-    return TraceGenerator(args.app, seed=args.seed).generate_list(
-        args.requests)
-
-
 def _instructions_per_access(args) -> int:
     """IPC-model density for the selected app (200 for replayed traces)."""
     if getattr(args, "trace", None):
@@ -100,12 +84,21 @@ def _instructions_per_access(args) -> int:
     return get_profile(args.app).instructions_per_access
 
 
+def _generated_stream(args):
+    """The ``--app`` workload (roster or adversarial) of ``--requests``
+    requests, streamed straight from its generator."""
+    if args.app in adversarial_stream_names():
+        return adversarial_stream(args.app, args.requests, seed=args.seed)
+    return TraceGenerator(args.app, seed=args.seed).generate(args.requests)
+
+
 def _open_stream(args):
     """Open the run's request stream without materializing it.
 
     Returns ``(iterator, total_hint)``.  Trace replays stream chunk by
-    chunk through :func:`read_trace`; generated workloads (roster or
-    adversarial) stream straight from their generators.
+    chunk through :func:`read_trace`, and a missing or unreadable trace
+    exits with ``cannot read trace``; generated workloads stream from
+    :func:`_generated_stream`.
     """
     if args.trace:
         try:
@@ -113,11 +106,7 @@ def _open_stream(args):
         except (OSError, TraceFormatError) as exc:
             raise SystemExit(f"cannot read trace {args.trace}: {exc}")
         return read_trace(args.trace), total
-    if args.app in adversarial_stream_names():
-        return (adversarial_stream(args.app, args.requests, seed=args.seed),
-                args.requests)
-    return (TraceGenerator(args.app, seed=args.seed).generate(args.requests),
-            args.requests)
+    return _generated_stream(args), args.requests
 
 
 def _fmt_percentile(value: float) -> str:
@@ -284,13 +273,9 @@ def cmd_gen_trace(args) -> int:
     without materializing the trace, so arbitrarily long captures run in
     bounded memory.
     """
-    if args.app in adversarial_stream_names():
-        trace = adversarial_stream(args.app, args.requests, seed=args.seed)
-    else:
-        trace = TraceGenerator(args.app, seed=args.seed).generate(
-            args.requests)
     try:
-        count = capture_trace(trace, args.out, compress=args.compress)
+        count = capture_trace(_generated_stream(args), args.out,
+                              compress=args.compress)
     except TraceFormatError as exc:
         raise SystemExit(f"gen-trace: {exc}")
     detail = "v2" + (", zlib" if args.compress else "")
@@ -474,14 +459,14 @@ def cmd_worker(args) -> int:
 def _run_observed(args) -> "SimulationResult":
     """Run one scheme x app with the observability layer enabled."""
     scheme_name = resolve_scheme(args.scheme)
-    trace = _load_or_generate(args)
+    stream, total = _open_stream(args)
     config = _system_config(args).with_observability(
         enabled=True, trace_capacity=args.capacity,
         sample_every=args.sample_every)
     scheme = make_scheme(scheme_name, config)
     engine = SimulationEngine(scheme, EngineConfig())
     return engine.run(
-        iter(trace), app=args.app, total_hint=len(trace),
+        stream, app=args.app, total_hint=total,
         instructions_per_access=_instructions_per_access(args))
 
 

@@ -1,17 +1,1 @@
 """ESD core: EFIT, LRCU policy, AMT, and the ESD scheme itself."""
-
-from .amt import AMT_CACHE_ENTRY_SIZE, AMT_HOME_ENTRY_SIZE, AddressMappingTable
-from .efit import EFIT, EFIT_ENTRY_SIZE, EFITEntry
-from .esd import ESDScheme
-from .lrcu import LRCUCache
-
-__all__ = [
-    "AMT_CACHE_ENTRY_SIZE",
-    "AMT_HOME_ENTRY_SIZE",
-    "AddressMappingTable",
-    "EFIT",
-    "EFIT_ENTRY_SIZE",
-    "EFITEntry",
-    "ESDScheme",
-    "LRCUCache",
-]

@@ -44,17 +44,17 @@ from ..dedup.mapping import FrameRefcounts
 from ..ecc.codec import line_ecc
 from ..obs.runtime import RunObservation
 from ..perf.memo import MemoCache
-from ..registry import register_scheme
 from .amt import AddressMappingTable
-from .efit import EFIT, EFIT_ENTRY_SIZE
+from .efit import EFIT
 
 _READ_FILL = WritePathStage.READ_FILL
 _DECRYPTION = WritePathStage.DECRYPTION
 
 
-@register_scheme("ESD", evaluation=True, code="3")
 class ESDScheme(DedupScheme):
     """ECC-assisted selective deduplication for encrypted NVMM."""
+
+    name = "ESD"
 
     def __init__(self, config: Optional[SystemConfig] = None,
                  costs: CryptoCosts = DEFAULT_COSTS) -> None:

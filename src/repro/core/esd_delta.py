@@ -43,7 +43,6 @@ from ..common.types import (
 )
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..dedup.base import ReadResult, WriteResult
-from ..registry import register_scheme
 from .esd import ESDScheme
 
 _READ_FILL = WritePathStage.READ_FILL
@@ -81,9 +80,10 @@ class DeltaRecord:
         return len(self.words) * 9
 
 
-@register_scheme("ESD-Delta")
 class ESDDeltaScheme(ESDScheme):
     """ESD extended with word-granular delta deduplication."""
+
+    name = "ESD-Delta"
 
     def __init__(self, config: Optional[SystemConfig] = None,
                  costs: CryptoCosts = DEFAULT_COSTS, *,

@@ -1,35 +1,1 @@
 """Crypto substrate: fingerprint engines, counter-mode encryption, cost models."""
-
-from .costs import DEFAULT_COSTS, CryptoCosts, OperationCostModel
-from .counter_mode import (
-    CounterModeEngine,
-    CounterTable,
-    EncryptedLine,
-    demonstrate_diffusion,
-)
-from .integrity import CounterIntegrityTree
-from .fingerprints import (
-    CRC32Engine,
-    FingerprintEngine,
-    MD5Engine,
-    SHA1Engine,
-    TruncatedEngine,
-    make_engine,
-)
-
-__all__ = [
-    "CRC32Engine",
-    "CounterIntegrityTree",
-    "CounterModeEngine",
-    "CounterTable",
-    "CryptoCosts",
-    "DEFAULT_COSTS",
-    "EncryptedLine",
-    "FingerprintEngine",
-    "MD5Engine",
-    "OperationCostModel",
-    "SHA1Engine",
-    "TruncatedEngine",
-    "demonstrate_diffusion",
-    "make_engine",
-]

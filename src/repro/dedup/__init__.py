@@ -1,72 +1,6 @@
-"""Deduplication scheme zoo: Baseline, Dedup_SHA1, DeWrite (+ shared parts).
+"""Deduplication scheme zoo: Baseline, Dedup_SHA1, DeWrite, DaE, PDE and
+NV-Dedup, plus the parts they share.
 
-The ESD scheme itself lives in :mod:`repro.core`; both packages register
-their schemes into :mod:`repro.registry`, the single source of truth for
-names and construction.  ``SCHEME_NAMES``, ``EXTENDED_SCHEME_NAMES``, and
-``make_scheme`` are kept here as lazy aliases (PEP 562) so existing
-imports keep working without forcing every scheme module to load at
-package-import time.
+The ESD scheme itself lives in :mod:`repro.core`; :mod:`repro.registry`
+names the schemes of both packages and builds them by name.
 """
-
-from typing import Optional
-
-from ..common.config import SystemConfig
-from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
-from .base import DedupScheme, MetadataFootprint, ReadResult, WriteResult
-from .baseline import BaselineScheme
-from .dae_pde import DaEScheme, PDEScheme
-from .dedup_sha1 import DedupSHA1Scheme
-from .dewrite import DeWriteScheme
-from .fingerprint_store import FullFingerprintStore, LookupResult, LookupWhere
-from .full_dedup import FullDedupScheme
-from .mapping import FrameRefcounts, MappingTable
-from .predictor import DuplicationPredictor, PredictionStats
-
-
-def make_scheme(name: str, config: Optional[SystemConfig] = None,
-                costs: CryptoCosts = DEFAULT_COSTS) -> DedupScheme:
-    """Instantiate a registered scheme by its paper name.
-
-    Accepts every name in the registry: the evaluation schemes
-    ``Baseline``, ``Dedup_SHA1``, ``DeWrite``, ``ESD`` plus the extended
-    comparison points (``DaE``, ``PDE``, ``NV-Dedup``, ``ESD-Delta``).
-    """
-    from .. import registry
-    return registry.scheme_info(name).cls(config, costs)
-
-
-def __getattr__(name: str):
-    # Lazy aliases over the registry: resolving them here (rather than at
-    # import time) avoids binding a stale tuple while the scheme modules
-    # are still being imported.
-    if name == "SCHEME_NAMES":
-        from .. import registry
-        return registry.scheme_names()
-    if name == "EXTENDED_SCHEME_NAMES":
-        from .. import registry
-        return registry.registered_scheme_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "BaselineScheme",
-    "DaEScheme",
-    "DedupScheme",
-    "DedupSHA1Scheme",
-    "DeWriteScheme",
-    "DuplicationPredictor",
-    "EXTENDED_SCHEME_NAMES",
-    "PDEScheme",
-    "FrameRefcounts",
-    "FullDedupScheme",
-    "FullFingerprintStore",
-    "LookupResult",
-    "LookupWhere",
-    "MappingTable",
-    "MetadataFootprint",
-    "PredictionStats",
-    "ReadResult",
-    "SCHEME_NAMES",
-    "WriteResult",
-    "make_scheme",
-]

@@ -107,7 +107,8 @@ class DedupScheme(abc.ABC):
     """Base class wiring the shared substrates together."""
 
     #: Scheme identifier used in results tables ("Baseline", "Dedup_SHA1",
-    #: "DeWrite", "ESD").  Set by the ``@register_scheme`` decorator.
+    #: "DeWrite", "ESD").  Each scheme class sets its own; the roster in
+    #: :mod:`repro.registry` names a class by the same string.
     name: str = "abstract"
 
     def __init__(self, config: Optional[SystemConfig] = None,

@@ -18,16 +18,16 @@ from ..common.types import (
     check_write_payload,
 )
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
-from ..registry import register_scheme
 from .base import DedupScheme, MetadataFootprint, ReadResult, WriteResult
 
 _READ_FILL = WritePathStage.READ_FILL
 _DECRYPTION = WritePathStage.DECRYPTION
 
 
-@register_scheme("Baseline", evaluation=True, code="0")
 class BaselineScheme(DedupScheme):
     """No deduplication: encrypt + write in place."""
+
+    name = "Baseline"
 
     def __init__(self, config: Optional[SystemConfig] = None,
                  costs: CryptoCosts = DEFAULT_COSTS) -> None:

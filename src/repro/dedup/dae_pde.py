@@ -36,12 +36,10 @@ from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..crypto.fingerprints import SHA1Engine
 from ..nvmm.energy import EnergyCategory
 from ..perf.memo import MemoCache
-from ..registry import register_scheme
 from .base import WriteResult
 from .full_dedup import FullDedupScheme
 
 
-@register_scheme("DaE")
 class DaEScheme(FullDedupScheme):
     """Deduplication-after-Encryption: fingerprint the ciphertext.
 
@@ -50,6 +48,7 @@ class DaEScheme(FullDedupScheme):
     DaE "is not applicable" to encrypted NVMM.
     """
 
+    name = "DaE"
     fingerprint_entry_size = 26
 
     def __init__(self, config: Optional[SystemConfig] = None,
@@ -112,7 +111,6 @@ class DaEScheme(FullDedupScheme):
                                     deduplicated=False, wrote_line=True)
 
 
-@register_scheme("PDE")
 class PDEScheme(FullDedupScheme):
     """Parallelism of Deduplication and Encryption.
 
@@ -123,6 +121,7 @@ class PDEScheme(FullDedupScheme):
     energy pays both operations on all lines.
     """
 
+    name = "PDE"
     fingerprint_entry_size = 26
 
     def __init__(self, config: Optional[SystemConfig] = None,

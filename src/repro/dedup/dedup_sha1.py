@@ -27,14 +27,14 @@ from ..common.types import (
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..crypto.fingerprints import SHA1Engine
 from ..perf.memo import MemoCache
-from ..registry import register_scheme
 from .base import WriteResult
 from .full_dedup import FullDedupScheme
 
 
-@register_scheme("Dedup_SHA1", evaluation=True, code="1")
 class DedupSHA1Scheme(FullDedupScheme):
     """Traditional SHA-1 full deduplication (the paper's Dedup_SHA1)."""
+
+    name = "Dedup_SHA1"
 
     #: 20 B digest + 5 B packed frame address + 1 B refcount, padded to the
     #: store's slot granularity.

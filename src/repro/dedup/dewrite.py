@@ -37,15 +37,15 @@ from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..crypto.fingerprints import CRC32Engine
 from ..nvmm.energy import EnergyCategory
 from ..perf.memo import MemoCache
-from ..registry import register_scheme
 from .base import WriteResult
 from .full_dedup import FullDedupScheme
 from .predictor import DuplicationPredictor
 
 
-@register_scheme("DeWrite", evaluation=True, code="2")
 class DeWriteScheme(FullDedupScheme):
     """DeWrite (MICRO'18): CRC + prediction + parallel encryption."""
+
+    name = "DeWrite"
 
     #: The paper quotes (16 bytes + 3 bits) of metadata per physical line.
     fingerprint_entry_size = 17

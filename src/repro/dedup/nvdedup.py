@@ -36,14 +36,14 @@ from ..common.types import (
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
 from ..crypto.fingerprints import CRC32Engine, MD5Engine
 from ..perf.memo import MemoCache
-from ..registry import register_scheme
 from .base import WriteResult
 from .full_dedup import FullDedupScheme
 
 
-@register_scheme("NV-Dedup")
 class NVDedupScheme(FullDedupScheme):
     """Simplified NV-Dedup: CRC weak filter + MD5 strong confirmation."""
+
+    name = "NV-Dedup"
 
     #: Weak-index entry: 4 B CRC + 5 B frame + 1 B refcount.
     fingerprint_entry_size = 10

@@ -18,26 +18,3 @@ observability off the whole layer reduces to an ``is None`` test of that
 binding per hook site, and simulated results are bit-identical
 (property-tested).
 """
-
-from .export import (OBS_SCHEMA_VERSION, build_report, metrics_to_csv,
-                     read_trace_jsonl, write_trace_jsonl)
-from .metrics import (DEFAULT_LATENCY_BOUNDS_NS, MetricsRegistry, ObsCounter,
-                      ObsGauge, ObsHistogram)
-from .runtime import RunObservation
-from .tracing import TraceEvent, TraceRing
-
-__all__ = [
-    "DEFAULT_LATENCY_BOUNDS_NS",
-    "MetricsRegistry",
-    "OBS_SCHEMA_VERSION",
-    "ObsCounter",
-    "ObsGauge",
-    "ObsHistogram",
-    "RunObservation",
-    "TraceEvent",
-    "TraceRing",
-    "build_report",
-    "metrics_to_csv",
-    "read_trace_jsonl",
-    "write_trace_jsonl",
-]

@@ -7,11 +7,3 @@ caches, each owned by the engine or scheme that calls its kernel — see
 :mod:`repro.perf.memo` for the machinery, the ownership and the
 soundness rules.
 """
-
-from __future__ import annotations
-
-from .memo import MemoCache
-
-__all__ = [
-    "MemoCache",
-]

@@ -1,119 +1,77 @@
 """Single source of truth for scheme names, codes, and construction.
 
-Historically ``repro.dedup.__init__`` hard-coded ``SCHEME_NAMES`` plus an
-``if/elif`` factory, and every consumer (``sim.runner``, ``cli``,
-``sweep.job``, ``analysis.experiments``) imported that chain — while the
-schemes themselves lived split across ``repro.dedup`` and ``repro.core``.
-This module collapses the split brain: scheme classes self-describe with
-the :func:`register_scheme` decorator, and everything else asks the
-registry.
-
-Registration is *lazy*: the registry only knows a scheme once its module
-has been imported, so :func:`_ensure_loaded` imports the scheme modules in
-a fixed order.  That order is load-bearing — it defines the canonical
-presentation order of ``scheme_names()`` (the paper's four evaluated
-schemes) and ``registered_scheme_names()`` (those four plus the extended
-comparison points), which feed tables, sweeps, and CLI help.
+The reproduction's roster is fixed: the paper's four evaluated schemes
+(Baseline, Dedup_SHA1, DeWrite, ESD) and four comparison points (DaE,
+PDE, NV-Dedup, ESD-Delta).  :data:`SCHEMES` lists all eight in
+presentation order — the order of ``scheme_names()`` and
+``registered_scheme_names()``, which feed tables, sweeps, and CLI help.
+A scheme class names itself (``cls.name``); this table adds whether it is
+evaluated and its CLI shorthand.
 """
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple, Type
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .dedup.base import DedupScheme
-
-#: Modules that register schemes, imported lazily in presentation order.
-_SCHEME_MODULES: Tuple[str, ...] = (
-    "repro.dedup.baseline",
-    "repro.dedup.dedup_sha1",
-    "repro.dedup.dewrite",
-    "repro.core.esd",
-    "repro.dedup.dae_pde",
-    "repro.dedup.nvdedup",
-    "repro.core.esd_delta",
-)
+from .core.esd import ESDScheme
+from .core.esd_delta import ESDDeltaScheme
+from .crypto.costs import DEFAULT_COSTS, CryptoCosts
+from .dedup.base import DedupScheme
+from .dedup.baseline import BaselineScheme
+from .dedup.dae_pde import DaEScheme, PDEScheme
+from .dedup.dedup_sha1 import DedupSHA1Scheme
+from .dedup.dewrite import DeWriteScheme
+from .dedup.nvdedup import NVDedupScheme
 
 
 @dataclass(frozen=True)
 class SchemeInfo:
-    """One registered scheme: its class plus presentation metadata."""
+    """One scheme of the roster: its class plus presentation metadata."""
 
     name: str
-    cls: "Type[DedupScheme]"
+    cls: Type[DedupScheme]
     #: True for the paper's four evaluated schemes (Figures 15-18).
     evaluation: bool
     #: Optional single-character CLI shorthand ("0".."3").
     code: Optional[str]
 
 
-_REGISTRY: Dict[str, SchemeInfo] = {}
-_loaded = False
+#: The roster in presentation order, the paper's evaluated four first.
+SCHEMES: Tuple[SchemeInfo, ...] = (
+    SchemeInfo("Baseline", BaselineScheme, True, "0"),
+    SchemeInfo("Dedup_SHA1", DedupSHA1Scheme, True, "1"),
+    SchemeInfo("DeWrite", DeWriteScheme, True, "2"),
+    SchemeInfo("ESD", ESDScheme, True, "3"),
+    SchemeInfo("DaE", DaEScheme, False, None),
+    SchemeInfo("PDE", PDEScheme, False, None),
+    SchemeInfo("NV-Dedup", NVDedupScheme, False, None),
+    SchemeInfo("ESD-Delta", ESDDeltaScheme, False, None),
+)
 
-
-def register_scheme(name: str, *, evaluation: bool = False,
-                    code: Optional[str] = None
-                    ) -> "Callable[[Type[DedupScheme]], Type[DedupScheme]]":
-    """Class decorator registering a :class:`DedupScheme` under ``name``.
-
-    Sets ``cls.name`` so results tables and the class agree on the
-    identifier.  ``evaluation=True`` marks the scheme as part of the
-    paper's default evaluation grid; ``code`` adds a CLI shorthand.
-    """
-
-    def _decorate(cls: "Type[DedupScheme]") -> "Type[DedupScheme]":
-        existing = _REGISTRY.get(name)
-        if existing is not None and existing.cls is not cls:
-            raise ValueError(
-                f"scheme name {name!r} already registered by "
-                f"{existing.cls.__module__}.{existing.cls.__qualname__}")
-        cls.name = name
-        _REGISTRY[name] = SchemeInfo(name=name, cls=cls,
-                                     evaluation=evaluation, code=code)
-        return cls
-
-    return _decorate
-
-
-def _ensure_loaded() -> None:
-    global _loaded
-    if _loaded:
-        return
-    for module in _SCHEME_MODULES:
-        importlib.import_module(module)
-    _loaded = True
+_BY_NAME: Dict[str, SchemeInfo] = {info.name: info for info in SCHEMES}
 
 
 def scheme_names() -> Tuple[str, ...]:
     """The paper's evaluated schemes, in presentation order."""
-    _ensure_loaded()
-    return tuple(info.name for info in _REGISTRY.values() if info.evaluation)
+    return tuple(info.name for info in SCHEMES if info.evaluation)
 
 
 def registered_scheme_names() -> Tuple[str, ...]:
-    """Every registered scheme, evaluated four first."""
-    _ensure_loaded()
-    names: List[str] = [info.name for info in _REGISTRY.values()
-                        if info.evaluation]
-    names.extend(info.name for info in _REGISTRY.values()
-                 if not info.evaluation)
-    return tuple(names)
+    """Every scheme of the roster, evaluated four first."""
+    return tuple(info.name for info in SCHEMES)
 
 
 def scheme_codes() -> Dict[str, str]:
     """CLI shorthand -> scheme name (e.g. ``"3" -> "ESD"``)."""
-    _ensure_loaded()
-    return {info.code: info.name for info in _REGISTRY.values()
+    return {info.code: info.name for info in SCHEMES
             if info.code is not None}
 
 
 def scheme_info(name: str) -> SchemeInfo:
-    """Registry entry for ``name``; raises ValueError when unknown."""
-    _ensure_loaded()
+    """Roster entry for ``name``; raises ValueError when unknown."""
     try:
-        return _REGISTRY[name]
+        return _BY_NAME[name]
     except KeyError:
         raise ValueError(
             f"unknown scheme {name!r}; registered schemes: "
@@ -125,14 +83,11 @@ def resolve_scheme_name(token: str) -> str:
 
     Raises ValueError listing the registered names when nothing matches.
     """
-    _ensure_loaded()
     by_code = scheme_codes()
     if token in by_code:
         return by_code[token]
-    if token in _REGISTRY:
-        return token
     lowered = token.lower()
-    for name in _REGISTRY:
+    for name in _BY_NAME:
         if name.lower() == lowered:
             return name
     raise ValueError(
@@ -140,6 +95,7 @@ def resolve_scheme_name(token: str) -> str:
         f"{', '.join(registered_scheme_names())}")
 
 
-def make_scheme(name: str, config=None) -> "DedupScheme":
-    """Instantiate a registered scheme by name."""
-    return scheme_info(name).cls(config)
+def make_scheme(name: str, config=None,
+                costs: CryptoCosts = DEFAULT_COSTS) -> DedupScheme:
+    """Instantiate a scheme of the roster by name."""
+    return scheme_info(name).cls(config, costs)

@@ -13,8 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..common.config import SystemConfig, default_config
 from ..common.types import MemoryRequest
 from ..crypto.costs import CryptoCosts, DEFAULT_COSTS
-from ..dedup import make_scheme
-from ..registry import registered_scheme_names, scheme_names
+from ..registry import make_scheme, registered_scheme_names, scheme_names
 from ..workloads.generator import TraceGenerator
 from ..workloads.profiles import app_names, get_profile
 from .engine import EngineConfig, SimulationEngine
@@ -110,41 +109,16 @@ def run_app(app: str, schemes: Sequence[str], *,
     return results
 
 
-def run_grid(config: Optional[ExperimentConfig] = None, *,
-             parallel: bool = False,
-             jobs: Optional[int] = None,
-             store=None,
-             progress: bool = False,
-             backend=None) -> ResultGrid:
-    """Run the full (apps x schemes) grid of an experiment config.
+def run_grid(config: Optional[ExperimentConfig] = None) -> ResultGrid:
+    """Run the full (apps x schemes) grid of an experiment config, serially.
 
     Configuration default: the grid's ``ExperimentConfig`` defaults to
     :func:`scaled_system_config` (Table I with metadata caches scaled to
     simulation-length traces); see :func:`run_app` for the contrast with
-    direct single-app calls.
-
-    Orchestration: with ``parallel=True`` (or whenever ``jobs`` / ``store``
-    is given) the grid is delegated to :func:`repro.sweep.run_sweep`, which
-    fans cells out over a process pool and serves repeat cells from the
-    content-addressed result store.  Results are byte-identical to the
-    serial path.
-
-    Args:
-        parallel: route through the sweep scheduler.
-        jobs: worker processes (implies ``parallel``); default cpu count.
-        store: the result-store file's path (bare or ``sqlite://<path>``)
-            or a ``ResultStore`` (implies ``parallel``); ``None`` runs
-            without persistence.
-        progress: emit live progress lines (parallel path only).
-        backend: sweep execution backend name or instance (``"pool"`` /
-            ``"queue"``; implies ``parallel``).
+    direct single-app calls.  :func:`repro.sweep.run_sweep` runs the same
+    grid over worker processes and a result store, byte-identically.
     """
     config = config or ExperimentConfig()
-    if parallel or jobs is not None or store is not None \
-            or backend is not None:
-        from ..sweep import run_sweep  # local import: sweep imports runner
-        return run_sweep(config, jobs=jobs, store=store, progress=progress,
-                         backend=backend)
     grid: ResultGrid = {}
     for app in config.apps:
         per_app = run_app(app, config.schemes,

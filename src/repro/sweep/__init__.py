@@ -19,10 +19,10 @@ run.  This subsystem turns the grid into content-addressed jobs:
 * :class:`ProgressReporter` — live completed/failed/ETA lines plus a
   machine-readable sweep manifest.
 
-Entry points: :func:`run_sweep` (library),
+Entry points: :func:`run_sweep` (library; for a config it returns the
+same grid as the serial :func:`repro.sim.runner.run_grid`) and
 ``python -m repro.cli sweep`` / ``python -m repro.cli worker`` (command
-line), and ``run_grid(..., jobs=..., store=...)`` (drop-in parallel path
-for existing callers).
+line).
 """
 
 from .backends import (
@@ -73,6 +73,7 @@ __all__ = [
     "jobs_from_experiment",
     "make_execution_backend",
     "open_store",
+    "run_sweep",
     "spec_from_payload",
     "spec_to_payload",
     "worker_loop",

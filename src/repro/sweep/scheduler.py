@@ -46,6 +46,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from ..common.errors import SweepError, UnknownBackendError
 from ..sim.metrics import SimulationResult
+from ..sim.runner import ExperimentConfig
 from .backends import (
     ExecutionBackend,
     ExecutionContext,
@@ -218,7 +219,6 @@ def run_sweep(config=None, *,
         SweepError: when ``store`` names an existing directory, or when
             jobs still fail after their retry budget.
     """
-    from ..sim.runner import ExperimentConfig  # deferred: avoids cycle
     if storage not in (None, "sqlite"):
         raise UnknownBackendError(
             f"unknown storage backend {storage!r}: a sweep store is one "

@@ -151,13 +151,30 @@ class ResultStore:
         if conn is None:
             conn = sqlite3.connect(str(self.path),
                                    timeout=self.BUSY_TIMEOUT_MS / 1000.0)
-            conn.execute("PRAGMA journal_mode=WAL")
+            self._enable_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute(f"PRAGMA busy_timeout={self.BUSY_TIMEOUT_MS}")
             self._local.conn = conn
             with self._conns_lock:
                 self._conns.append(conn)
         return conn
+
+    def _enable_wal(self, conn: sqlite3.Connection) -> None:
+        """Switch the file to WAL mode, waiting out a held write lock.
+
+        Leaving rollback-journal mode needs the lock a writer holds, and
+        SQLite fails the pragma at once instead of calling the busy
+        handler, so the wait is retried here, up to the busy timeout.
+        """
+        deadline = time.monotonic() + self.BUSY_TIMEOUT_MS / 1000.0
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
 
     def close(self) -> None:
         """Close every thread's connection; idempotent, and a later call

@@ -9,7 +9,7 @@ import pytest
 from repro.cli import main
 from repro.common import small_test_config
 from repro.common.errors import CheckpointError, SessionError
-from repro.dedup import make_scheme
+from repro.registry import make_scheme
 from repro.sim.checkpoint import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,

@@ -76,6 +76,21 @@ class TestCommands:
         assert rc == 0
         assert "800" in out
 
+    @pytest.mark.parametrize("verb", ["trace", "report"])
+    @pytest.mark.parametrize("contents", [None, b"ESD"],
+                             ids=["missing", "truncated"])
+    def test_observed_verbs_reject_unreadable_trace(self, tmp_path, verb,
+                                                    contents):
+        """``trace`` and ``report`` open their stream as ``run`` does: a
+        missing or corrupt ``--trace`` exits 1 naming the file."""
+        trace_path = tmp_path / "t.esdtrace"
+        if contents is not None:
+            trace_path.write_bytes(contents)
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--scheme", "ESD", "--trace", str(trace_path)])
+        assert str(excinfo.value.code).startswith(
+            f"cannot read trace {trace_path}: ")
+
     def test_list_apps(self, capsys):
         rc = main(["list-apps"])
         out = capsys.readouterr().out

@@ -9,8 +9,8 @@ from repro.core.esd_delta import (
     matching_words,
     word_ecc_bytes,
 )
-from repro.dedup import make_scheme
 from repro.ecc.codec import line_ecc
+from repro.registry import make_scheme
 
 
 def wreq(addr, data, t=0.0):

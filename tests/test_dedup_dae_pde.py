@@ -3,9 +3,9 @@
 import pytest
 
 from repro.common.types import AccessType, MemoryRequest
-from repro.dedup import make_scheme
 from repro.dedup.dae_pde import DaEScheme, PDEScheme
 from repro.nvmm.energy import EnergyCategory
+from repro.registry import make_scheme
 
 
 def wreq(addr, data, t=0.0):

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.common.types import AccessType, MemoryRequest, WritePathStage
-from repro.dedup import make_scheme
 from repro.dedup.nvdedup import NVDedupScheme
+from repro.registry import make_scheme
 
 
 def wreq(addr, data, t=0.0):

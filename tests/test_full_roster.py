@@ -7,7 +7,7 @@ profile/scheme interactions the targeted tests miss.
 import pytest
 
 from repro.common import small_test_config
-from repro.dedup import SCHEME_NAMES, make_scheme
+from repro.registry import make_scheme, scheme_names
 from repro.sim import EngineConfig, SimulationEngine
 from repro.workloads import TraceGenerator, app_names, get_profile
 
@@ -27,7 +27,7 @@ def test_esd_runs_every_app(app):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("scheme_name", list(SCHEME_NAMES))
+@pytest.mark.parametrize("scheme_name", list(scheme_names()))
 def test_every_scheme_survives_high_churn(scheme_name):
     """Tiny caches + tiny device => constant replacement and recycling."""
     from repro.common.config import (MetadataCacheConfig, PCMConfig,

@@ -9,11 +9,11 @@ Baseline, Dedup_SHA1, DeWrite, and ESD on realistic traces.
 import pytest
 
 from repro.common import small_test_config
-from repro.dedup import SCHEME_NAMES, make_scheme
+from repro.registry import make_scheme, scheme_names
 from repro.sim import EngineConfig, SimulationEngine
 from repro.workloads import TraceGenerator
 
-ALL_SCHEMES = list(SCHEME_NAMES)
+ALL_SCHEMES = list(scheme_names())
 
 
 def run_scheme(name, trace, config=None):

@@ -1,6 +1,8 @@
 """Coverage for smaller cross-cutting paths: partial writes, examples."""
 
+import json
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from repro.nvmm.controller import MemoryController
 from repro.nvmm.energy import EnergyCategory
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+SRC = EXAMPLES.parent / "src"
 
 
 class TestPartialWrites:
@@ -71,17 +74,32 @@ class TestPackageSurface:
         import repro
         assert repro.__version__
 
-    def test_public_names_importable(self):
-        import repro
-        for name in repro.__all__:
-            assert getattr(repro, name, None) is not None, name
+    @staticmethod
+    def _loaded_after(module: str) -> list:
+        """Names of the modules a fresh interpreter has loaded after
+        importing ``module``."""
+        code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+                f"import {module}; import json; "
+                "print(json.dumps(sorted(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_importing_repro_loads_no_submodule(self):
+        loaded = self._loaded_after("repro")
+        assert [m for m in loaded if m.startswith("repro.")] == []
+
+    def test_runner_import_loads_no_sweep_serve_or_pool_modules(self):
+        loaded = self._loaded_after("repro.sim.runner")
+        assert [m for m in loaded if m.startswith(
+            ("repro.sweep", "repro.serve", "sqlite3", "multiprocessing",
+             "concurrent.futures"))] == []
 
     def test_subpackage_alls_resolve(self):
         import importlib
-        for module_name in ("repro.common", "repro.ecc", "repro.crypto",
-                            "repro.nvmm", "repro.cache", "repro.workloads",
-                            "repro.dedup", "repro.core", "repro.sim",
-                            "repro.analysis"):
+        for module_name in ("repro.common", "repro.sim", "repro.workloads",
+                            "repro.sweep", "repro.serve"):
             module = importlib.import_module(module_name)
             for name in getattr(module, "__all__", []):
                 assert getattr(module, name, None) is not None, (

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from repro.common.types import CACHE_LINE_SIZE, AccessType, MemoryRequest
 from repro.core.lrcu import LRCUCache
 from repro.crypto.counter_mode import CounterModeEngine
-from repro.dedup import make_scheme
 from repro.ecc.codec import decode_line, line_ecc
 from repro.ecc.faults import flip_bits
 from repro.nvmm.allocator import FrameAllocator
 from repro.nvmm.bank import Bank
+from repro.registry import make_scheme
 from repro.workloads.trace import roundtrip_bytes
 
 LINES = st.binary(min_size=CACHE_LINE_SIZE, max_size=CACHE_LINE_SIZE)

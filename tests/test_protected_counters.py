@@ -7,7 +7,7 @@ import pytest
 from repro.common import small_test_config
 from repro.common.errors import IntegrityError
 from repro.common.timeline import StageTimeline
-from repro.dedup import EXTENDED_SCHEME_NAMES, make_scheme
+from repro.registry import make_scheme, registered_scheme_names
 from repro.sim import SimulationEngine
 from repro.workloads import TraceGenerator
 
@@ -18,7 +18,7 @@ def protected_config():
 
 
 class TestProtectedPipeline:
-    @pytest.mark.parametrize("scheme_name", list(EXTENDED_SCHEME_NAMES))
+    @pytest.mark.parametrize("scheme_name", list(registered_scheme_names()))
     def test_every_scheme_runs_clean_with_protection(self, protected_config,
                                                      scheme_name):
         trace = TraceGenerator("gcc", seed=33).generate_list(1_500)

@@ -58,35 +58,3 @@ class TestConstruction:
         assert info.code == "3"
         assert info.cls.name == "ESD"
 
-
-class TestRegistration:
-    def test_custom_scheme_registers_and_resolves(self, config):
-        from repro.dedup.baseline import BaselineScheme
-
-        name = "TestOnlyScheme"
-        try:
-            @registry.register_scheme(name)
-            class TestOnlyScheme(BaselineScheme):
-                pass
-
-            assert TestOnlyScheme.name == name
-            assert name in registry.registered_scheme_names()
-            assert registry.resolve_scheme_name("testonlyscheme") == name
-            scheme = registry.make_scheme(name, config)
-            assert isinstance(scheme, TestOnlyScheme)
-        finally:
-            registry._REGISTRY.pop(name, None)
-
-    def test_duplicate_name_with_different_class_rejected(self):
-        from repro.dedup.baseline import BaselineScheme
-
-        with pytest.raises(ValueError, match="already registered"):
-            @registry.register_scheme("Baseline")
-            class Impostor(BaselineScheme):
-                pass
-
-    def test_same_class_reregistration_is_idempotent(self):
-        from repro.core.esd import ESDScheme
-
-        registry.register_scheme("ESD", evaluation=True, code="3")(ESDScheme)
-        assert registry.scheme_info("ESD").cls is ESDScheme

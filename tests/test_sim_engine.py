@@ -6,8 +6,7 @@ import pytest
 
 from repro.common.errors import IntegrityError
 from repro.common.types import AccessType, MemoryRequest
-from repro.dedup import make_scheme
-from repro.registry import registered_scheme_names
+from repro.registry import make_scheme, registered_scheme_names
 from repro.sim.engine import EngineConfig, SimulationEngine
 
 

@@ -141,7 +141,7 @@ class TestParity:
     def test_parallel_grid_byte_identical_to_serial(self, tmp_path):
         config = small_experiment()
         serial = run_grid(config)
-        parallel = run_grid(config, jobs=4, store=tmp_path / "store")
+        parallel = run_sweep(config, jobs=4, store=tmp_path / "store")
         a = json.dumps(grid_to_dict(serial), sort_keys=True)
         b = json.dumps(grid_to_dict(parallel), sort_keys=True)
         assert a == b
@@ -150,8 +150,8 @@ class TestParity:
     def test_cached_grid_byte_identical_to_serial(self, tmp_path):
         config = small_experiment(apps=["gcc"], requests=700)
         serial = run_grid(config)
-        run_grid(config, jobs=2, store=tmp_path / "store")
-        cached = run_grid(config, jobs=2, store=tmp_path / "store")
+        run_sweep(config, jobs=2, store=tmp_path / "store")
+        cached = run_sweep(config, jobs=2, store=tmp_path / "store")
         assert json.dumps(grid_to_dict(serial), sort_keys=True) \
             == json.dumps(grid_to_dict(cached), sort_keys=True)
 

@@ -149,6 +149,30 @@ class TestParseStoreSpec:
         assert sorted(p.name for p in tmp_path.iterdir()) \
             == ["store.sqlite", "store.sqlite.traces"]
 
+    def test_open_waits_out_a_held_write_lock(self, tmp_path):
+        """Opening a store whose file is not yet in WAL mode while another
+        connection holds its write lock waits for the lock, as every
+        other statement does, instead of failing with ``database is
+        locked``."""
+        path = tmp_path / "store.sqlite"
+        holder = sqlite3.connect(path, isolation_level=None,
+                                 check_same_thread=False)
+        holder.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.3, holder.execute, ("COMMIT",))
+        release.start()
+        try:
+            store = ResultStore(path)
+        finally:
+            release.join()
+            holder.close()
+        try:
+            assert store._conn().execute(
+                "PRAGMA journal_mode").fetchone()[0] == "wal"
+            store.write_manifest({"total": 1})
+            assert store.read_manifest() == {"total": 1}
+        finally:
+            store.close()
+
 
 class TestFsyncDurability:
     def test_fsyncs_file_and_directory(self, tmp_path, monkeypatch):

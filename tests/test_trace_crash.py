@@ -53,7 +53,7 @@ from repro.common import atomic
 from repro.sim.engine import SimulationEngine
 from repro.sim.checkpoint import write_checkpoint
 from repro.common import small_test_config
-from repro.dedup import make_scheme
+from repro.registry import make_scheme
 from repro.workloads.generator import TraceGenerator
 
 real_replace = os.replace

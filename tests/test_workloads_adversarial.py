@@ -90,7 +90,7 @@ class TestStreamProperties:
 class TestThroughEngine:
     @pytest.mark.parametrize("name", ["adv-dedup-worst", PHASE_SHIFT_NAME])
     def test_esd_runs_with_integrity(self, config, name):
-        from repro.dedup import make_scheme
+        from repro.registry import make_scheme
         from repro.sim import SimulationEngine
         trace = list(adversarial_stream(name, 1_200))
         engine = SimulationEngine(make_scheme("ESD", config))
@@ -99,7 +99,7 @@ class TestThroughEngine:
 
     def test_worst_case_defeats_dedup(self, config):
         """ESD on the worst case must eliminate almost nothing."""
-        from repro.dedup import make_scheme
+        from repro.registry import make_scheme
         from repro.sim import SimulationEngine
         trace = list(adversarial_stream("adv-dedup-worst", 2_000))
         engine = SimulationEngine(make_scheme("ESD", config))

@@ -67,7 +67,7 @@ class TestPhasedTraceGenerator:
 class TestPhasedThroughSchemes:
     def test_esd_adapts_across_phases(self, config):
         """Dedup effectiveness must track each phase's duplicate supply."""
-        from repro.dedup import make_scheme
+        from repro.registry import make_scheme
         gen = PhasedTraceGenerator([("deepsjeng", 1_500), ("namd", 1_500)],
                                    seed=9)
         trace = gen.generate_list()
@@ -84,7 +84,7 @@ class TestPhasedThroughSchemes:
         assert first_phase > second_phase  # zero-heavy phase dedups more
 
     def test_integrity_across_phase_shift(self, config):
-        from repro.dedup import make_scheme
+        from repro.registry import make_scheme
         from repro.sim import SimulationEngine
         gen = PhasedTraceGenerator([("deepsjeng", 1_000), ("lbm", 1_000),
                                     ("namd", 1_000)], seed=11)
@@ -94,7 +94,7 @@ class TestPhasedThroughSchemes:
 
     def test_predictor_retrains_after_shift(self, config):
         """DeWrite's accuracy dips at the boundary, then recovers."""
-        from repro.dedup import make_scheme
+        from repro.registry import make_scheme
         gen = PhasedTraceGenerator([("deepsjeng", 2_000), ("namd", 2_000)],
                                    seed=13)
         trace = gen.generate_list()
