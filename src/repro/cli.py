@@ -92,12 +92,27 @@ def _generated_stream(args):
     return TraceGenerator(args.app, seed=args.seed).generate(args.requests)
 
 
+def _trace_stream(path):
+    """Stream a trace's requests; a read error exits ``cannot read trace``.
+
+    The up-front check walks only the chunk frames, so a corrupt chunk
+    payload or record surfaces when its chunk is decoded, mid-run.  Only
+    errors raised while drawing a request land here: a consumer's own
+    exceptions are raised in its frame, not in this generator.
+    """
+    try:
+        yield from read_trace(path)
+    except (OSError, TraceFormatError, ValueError) as exc:
+        raise SystemExit(f"cannot read trace {path}: {exc}")
+
+
 def _open_stream(args):
     """Open the run's request stream without materializing it.
 
     Returns ``(iterator, total_hint)``.  Trace replays stream chunk by
-    chunk through :func:`read_trace`, and a missing or unreadable trace
-    exits with ``cannot read trace``; generated workloads stream from
+    chunk through :func:`_trace_stream`, and a missing or unreadable
+    trace exits with ``cannot read trace``, whether its header and frames
+    or a chunk's payload is at fault; generated workloads stream from
     :func:`_generated_stream`.
     """
     if args.trace:
@@ -105,7 +120,7 @@ def _open_stream(args):
             total = trace_record_count(args.trace)
         except (OSError, TraceFormatError) as exc:
             raise SystemExit(f"cannot read trace {args.trace}: {exc}")
-        return read_trace(args.trace), total
+        return _trace_stream(args.trace), total
     return _generated_stream(args), args.requests
 
 

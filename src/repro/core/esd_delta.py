@@ -50,8 +50,13 @@ _DECRYPTION = WritePathStage.DECRYPTION
 
 
 def word_ecc_bytes(ecc: int) -> Tuple[int, ...]:
-    """The eight per-word ECC bytes of a line ECC."""
-    return tuple((ecc >> (8 * i)) & 0xFF for i in range(WORDS_PER_LINE))
+    """The eight per-word ECC bytes of a line ECC, word 0 first."""
+    return tuple(ecc.to_bytes(WORDS_PER_LINE, "little"))
+
+
+#: ``position << 8`` for each word position: a word-index key is this
+#: base OR'd with the word's ECC byte.
+_POSITION_BASES = tuple(position << 8 for position in range(WORDS_PER_LINE))
 
 
 def matching_words(ecc_a: int, ecc_b: int) -> int:
@@ -92,9 +97,10 @@ class ESDDeltaScheme(ESDScheme):
         if not 1 <= min_matching_words <= WORDS_PER_LINE - 1:
             raise ValueError("min_matching_words must be 1..7")
         self.min_matching_words = min_matching_words
-        #: Secondary similarity index: word-ECC byte -> recent frames whose
-        #: line contains that word ECC (bounded per bucket).
-        self._word_index: Dict[Tuple[int, int], List[int]] = {}
+        #: Secondary similarity index: ``position << 8 | word-ECC byte``
+        #: -> recent frames whose line has that ECC byte at that word
+        #: position (bounded per bucket).
+        self._word_index: Dict[int, List[int]] = {}
         self._word_index_depth = 4
         #: logical line -> delta record (overrides the AMT mapping).
         self._deltas: Dict[int, DeltaRecord] = {}
@@ -108,24 +114,34 @@ class ESDDeltaScheme(ESDScheme):
     # ------------------------------------------------------------------
 
     def _index_words(self, ecc: int, frame: int) -> None:
-        for position, byte in enumerate(word_ecc_bytes(ecc)):
-            bucket = self._word_index.setdefault((position, byte), [])
-            if frame in bucket:
-                continue
-            bucket.append(frame)
-            if len(bucket) > self._word_index_depth:
-                bucket.pop(0)
+        index = self._word_index
+        depth = self._word_index_depth
+        for base, byte in zip(_POSITION_BASES,
+                              ecc.to_bytes(WORDS_PER_LINE, "little")):
+            bucket = index.get(base | byte)
+            if bucket is None:
+                index[base | byte] = [frame]
+            elif frame not in bucket:
+                bucket.append(frame)
+                if len(bucket) > depth:
+                    del bucket[0]
 
     def _candidate_frames(self, ecc: int) -> List[int]:
         """Frames sharing word-ECC bytes, ranked by signature overlap."""
+        index = self._word_index
         votes: Dict[int, int] = {}
-        for position, byte in enumerate(word_ecc_bytes(ecc)):
-            for frame in self._word_index.get((position, byte), ()):
-                votes[frame] = votes.get(frame, 0) + 1
+        for base, byte in zip(_POSITION_BASES,
+                              ecc.to_bytes(WORDS_PER_LINE, "little")):
+            bucket = index.get(base | byte)
+            if bucket is not None:
+                for frame in bucket:
+                    votes[frame] = votes.get(frame, 0) + 1
+        minimum = self.min_matching_words
+        is_allocated = self.allocator.is_allocated
         ranked = [frame for frame, count in votes.items()
-                  if count >= self.min_matching_words
-                  and self.allocator.is_allocated(frame)]
-        ranked.sort(key=lambda f: -votes[f])
+                  if count >= minimum and is_allocated(frame)]
+        # Stable: equal vote counts keep first-seen order.
+        ranked.sort(key=votes.__getitem__, reverse=True)
         return ranked[:2]
 
     # ------------------------------------------------------------------

@@ -20,7 +20,6 @@ read/touch-heavy phase must not pin stale high-count fingerprints forever.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Generic, Hashable, Iterator, Optional, Tuple, TypeVar
 
 from ..obs.runtime import RunObservation
@@ -29,10 +28,18 @@ K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
 
 
-@dataclass
 class _Node(Generic[V]):
-    value: V
-    count: int
+    """One cache entry: its value and reference count.
+
+    A slotted class built positionally: one is built per insertion, so
+    every EFIT insert pays for its construction.
+    """
+
+    __slots__ = ("value", "count")
+
+    def __init__(self, value: V, count: int) -> None:
+        self.value = value
+        self.count = count
 
 
 class LRCUCache(Generic[K, V]):
@@ -201,7 +208,7 @@ class LRCUCache(Generic[K, V]):
                            victim_count=victim_node.count,
                            evictions=self.evictions)
 
-        self._nodes[key] = _Node(value=value, count=count)
+        self._nodes[key] = _Node(value, count)
         self._bucket(count)[key] = None
         self._min_count = min(self._min_count, count)
         self._touch(key)

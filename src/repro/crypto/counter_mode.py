@@ -125,29 +125,71 @@ class CounterModeEngine:
         if len(key) < 16:
             raise ValueError("key must be at least 16 bytes")
         self._key = bytes(key)
+        self._key_state = _sha256(self._key)
         self._counters = CounterTable()
         # The table's dict and its overflow limit, hoisted for encrypt and
         # decrypt_at (the dict is never reassigned, only mutated).
         self._line_counters = self._counters.counters
         self._counter_limit = 1 << self._counters.width_bits
         self.costs = costs
-        #: Pad memo, keyed on ``(line, counter)`` (the key is fixed for the
-        #: engine's life).  Encryption advances the write counter, so
-        #: encrypt-side pads are always fresh; the hits come from the read
-        #: path (``decrypt_at`` re-derives the pad minted at encrypt time)
-        #: and from ESD's read-for-comparison decrypts of candidate frames.
+        #: Pad store: one slot per physical line, ``line -> (counter,
+        #: pad)`` with the pad as a 512-bit little-endian int (the key is
+        #: fixed for the engine's life).  ``encrypt`` overwrites the
+        #: line's slot with the freshly advanced counter's pad; the hits
+        #: come from the read path (``decrypt_at`` of the line's current
+        #: counter) and from ESD's read-for-comparison decrypts of
+        #: candidate frames.  A superseded counter's pad is never read
+        #: again, so it is not kept.  At capacity (64 Ki lines) a new
+        #: line's slot evicts the least recently used line's.
         self.pad_cache = MemoCache("counter_pad", 1 << 16)
-        # Its backing dict, hoisted for the inlined lookups in encrypt and
-        # decrypt_at (never reassigned, only mutated).
+        # Its backing dict, hoisted for the slot lookups and updates
+        # (never reassigned, only mutated).
         self._pad_data = self.pad_cache._data
         #: Number of encrypt operations performed (for energy accounting).
         self.encrypt_count = 0
         #: Number of decrypt operations performed.
         self.decrypt_count = 0
 
+    def __getstate__(self) -> dict:
+        # A hash object does not pickle; it is rebuilt from the key.
+        state = self.__dict__.copy()
+        del state["_key_state"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._key_state = _sha256(self._key)
+
     @property
     def counters(self) -> CounterTable:
         return self._counters
+
+    def _pad(self, line_number: int, counter: int) -> int:
+        """The pad of :func:`_derive_pad_uncached` as a little-endian int.
+
+        Both blocks continue a copy of the key's SHA-256 state, which
+        hashes the same bytes as ``key + message`` without rehashing the
+        key.
+        """
+        pack = _PAD_MSG.pack
+        first = self._key_state.copy()
+        first.update(pack(line_number, counter, 0))
+        second = self._key_state.copy()
+        second.update(pack(line_number, counter, 1))
+        return int.from_bytes(first.digest() + second.digest(), "little")
+
+    def _fill(self, line_number: int, counter: int) -> int:
+        """Derive a pad on a miss and store it in the line's slot."""
+        cache = self.pad_cache
+        cache.misses += 1
+        pad = self._pad(line_number, counter)
+        slots = self._pad_data
+        if slots.pop(line_number, None) is None \
+                and len(slots) >= cache.capacity:
+            slots.popitem(last=False)
+            cache.evictions += 1
+        slots[line_number] = (counter, pad)
+        return pad
 
     def encrypt(self, plaintext: bytes, line_number: int) -> EncryptedLine:
         """Encrypt a line for storage at physical line ``line_number``.
@@ -156,10 +198,10 @@ class CounterModeEngine:
         plaintext at the same address still produces fresh ciphertext.
         """
         # Validation narrowed to the hot ``bytes`` case, and counter
-        # advance, pad memo, and XOR inlined (this runs once per encrypted
-        # write).  Encrypt-side pads are always cache misses — the counter
-        # just advanced — but the lookup keeps the cache warm for the read
-        # path's re-derivation.
+        # advance and XOR inlined (this runs once per encrypted write).
+        # A freshly advanced counter's pad has never been derived, so
+        # there is nothing to look up: the pad is derived (one miss) and
+        # overwrites the line's slot, where the read path finds it.
         if (plaintext.__class__ is not bytes
                 or len(plaintext) != CACHE_LINE_SIZE):
             validate_line(plaintext)
@@ -170,38 +212,36 @@ class CounterModeEngine:
         if counter >= self._counter_limit:
             raise OverflowError(f"counter overflow on line {line_number}")
         counters[line_number] = counter
-        memo_key = (line_number, counter)
-        pads = self._pad_data
-        pad = pads.get(memo_key)
-        if pad is None:
-            cache = self.pad_cache
-            cache.misses += 1
-            pad = _derive_pad_uncached(self._key, line_number, counter)
-            if len(pads) >= cache.capacity:
-                pads.popitem(last=False)
-                cache.evictions += 1
-            pads[memo_key] = pad
-        else:
-            self.pad_cache.hits += 1
-            pads.move_to_end(memo_key)
+        pad = self._fill(line_number, counter)
         self.encrypt_count += 1
         return _new_tuple(EncryptedLine, (
-            (int.from_bytes(plaintext, "little")
-             ^ int.from_bytes(pad, "little")).to_bytes(CACHE_LINE_SIZE,
-                                                       "little"),
+            (int.from_bytes(plaintext, "little") ^ pad).to_bytes(
+                CACHE_LINE_SIZE, "little"),
             line_number, counter))
 
     def decrypt(self, encrypted: EncryptedLine) -> bytes:
-        """Recover the plaintext of a previously encrypted line."""
+        """Recover the plaintext of a previously encrypted line.
+
+        A slot holding a newer counter than ``encrypted.counter`` (the
+        line was rewritten since) keeps its pad: the read path needs it,
+        and the older pad is derived without being stored.
+        """
         if len(encrypted.ciphertext) != CACHE_LINE_SIZE:
             raise ValueError("ciphertext must be one cache line")
-        memo_key = (encrypted.line_number, encrypted.counter)
-        pad = self.pad_cache.get(memo_key)
-        if pad is None:
-            pad = _derive_pad_uncached(self._key, *memo_key)
-            self.pad_cache.put(memo_key, pad)
+        line_number, counter = encrypted.line_number, encrypted.counter
+        slot = self._pad_data.get(line_number)
+        if slot is None or slot[0] < counter:
+            pad = self._fill(line_number, counter)
+        elif slot[0] == counter:
+            self.pad_cache.hits += 1
+            self._pad_data.move_to_end(line_number)
+            pad = slot[1]
+        else:
+            self.pad_cache.misses += 1
+            pad = self._pad(line_number, counter)
         self.decrypt_count += 1
-        return _xor_line(encrypted.ciphertext, pad)
+        return (int.from_bytes(encrypted.ciphertext, "little") ^ pad
+                ).to_bytes(CACHE_LINE_SIZE, "little")
 
     def decrypt_at(self, ciphertext: bytes, line_number: int) -> bytes:
         """Decrypt using the line's *current* counter (normal read path).
@@ -213,28 +253,21 @@ class CounterModeEngine:
         """
         if len(ciphertext) != CACHE_LINE_SIZE:
             raise ValueError("ciphertext must be one cache line")
-        # Counter lookup, pad memo (with its hit/miss accounting), and
-        # XOR inlined — this is the hottest crypto entry point (every
-        # read fill and every ESD read-for-comparison).
+        # Counter lookup, slot check (with its hit accounting), and XOR
+        # inlined — this is the hottest crypto entry point.  The slot
+        # hits when it holds the line's current counter; otherwise the
+        # pad is derived and replaces it.
         counter = self._line_counters.get(line_number, 0)
-        memo_key = (line_number, counter)
-        pads = self._pad_data
-        pad = pads.get(memo_key)
-        if pad is None:
-            cache = self.pad_cache
-            cache.misses += 1
-            pad = _derive_pad_uncached(self._key, line_number, counter)
-            if len(pads) >= cache.capacity:
-                pads.popitem(last=False)
-                cache.evictions += 1
-            pads[memo_key] = pad
-        else:
+        slot = self._pad_data.get(line_number)
+        if slot is not None and slot[0] == counter:
             self.pad_cache.hits += 1
-            pads.move_to_end(memo_key)
+            self._pad_data.move_to_end(line_number)
+            pad = slot[1]
+        else:
+            pad = self._fill(line_number, counter)
         self.decrypt_count += 1
-        return (int.from_bytes(ciphertext, "little")
-                ^ int.from_bytes(pad, "little")).to_bytes(
-                    CACHE_LINE_SIZE, "little")
+        return (int.from_bytes(ciphertext, "little") ^ pad).to_bytes(
+            CACHE_LINE_SIZE, "little")
 
     # ---------------------------------------------------------------
     # Cost model accessors

@@ -56,9 +56,6 @@ class DaEScheme(FullDedupScheme):
         super().__init__(config, costs)
         self.engine = SHA1Engine(costs)
 
-    def memo_caches(self) -> List[MemoCache]:
-        return super().memo_caches() + [self.engine.cache]
-
     def handle_write(self, request: MemoryRequest) -> WriteResult:
         payload = request.data
         if payload.__class__ is not bytes or len(payload) != CACHE_LINE_SIZE:
@@ -78,8 +75,10 @@ class DaEScheme(FullDedupScheme):
         timeline.serial(WritePathStage.ENCRYPTION,
                         self.crypto.encrypt_latency_ns)
 
-        # 2. Fingerprint the *ciphertext*.
-        fingerprint = self.engine.fingerprint(encrypted.ciphertext)
+        # 2. Fingerprint the *ciphertext* with the SHA-1 kernel itself:
+        # counter-mode ciphertexts never repeat, so a digest memo would
+        # never hit (DaE owns no memo cache beyond the pad store).
+        fingerprint = self.engine._digest(encrypted.ciphertext)
         self._charge_fingerprint(self.engine.energy_nj)
         timeline.serial(WritePathStage.FINGERPRINT_COMPUTE,
                         self.engine.latency_ns)

@@ -19,7 +19,6 @@ drops a reference, and frames are recycled when the last reference goes.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..nvmm.allocator import FrameAllocator
@@ -27,10 +26,18 @@ from ..nvmm.controller import MemoryController
 from ..obs.runtime import RunObservation
 
 
-@dataclass
 class _CachedMapping:
-    frame: int
-    dirty: bool
+    """One cached mapping entry.
+
+    A slotted class built positionally: one is built per mapping
+    install, so every unique write pays for its construction.
+    """
+
+    __slots__ = ("frame", "dirty")
+
+    def __init__(self, frame: int, dirty: bool) -> None:
+        self.frame = frame
+        self.dirty = dirty
 
 
 class MappingTable:
@@ -92,9 +99,10 @@ class MappingTable:
 
     def _install(self, logical_line: int, frame: int, dirty: bool,
                  at_time_ns: float) -> float:
+        # Both callers install only a line the cache misses, so the new
+        # entry lands at the most-recent end.
         t = self._evict_if_needed(at_time_ns)
-        self._cache[logical_line] = _CachedMapping(frame=frame, dirty=dirty)
-        self._cache.move_to_end(logical_line)
+        self._cache[logical_line] = _CachedMapping(frame, dirty)
         return t
 
     # ------------------------------------------------------------------

@@ -8,10 +8,11 @@ cache effective.  :class:`MemoCache` is that cache: a capped LRU mapping
 with hit/miss/eviction counters.
 
 Each cache is held by the object that calls its kernel: the counter-mode
-engine (``counter_pad``), each hash fingerprint engine (``fp_<name>``)
-and ESD (``line_ecc``).  So a cache lives in one scheme graph: a session
-owns its caches, a checkpoint pickles them with the graph, and the
-counters are scheme state, cumulative over the scheme's life.
+engine (``counter_pad``, one pad slot per line), each hash fingerprint
+engine (``fp_<name>``) and ESD (``line_ecc``).  So a cache lives in one
+scheme graph: a session owns its caches, a checkpoint pickles them with
+the graph, and the counters are scheme state, cumulative over the
+scheme's life.
 :meth:`~repro.dedup.base.DedupScheme.memo_caches` lists a scheme's
 caches and :func:`stats_snapshot` flattens them into ``memo_*`` extras.
 The kernels stay callable on their own (``line_ecc``,
@@ -22,10 +23,12 @@ Soundness rules (kept by the owners, tested in
 ``tests/test_perf_parity.py``):
 
 * Only pure functions are memoized, and the key covers every argument
-  the result depends on that is not fixed for the owner's life (the pad
-  cache is keyed on ``(line, counter)``: its engine's key never changes).
-* Cached values are immutable (``int``, ``bytes``), so sharing one
-  object between callers is safe.
+  the result depends on that is not fixed for the owner's life.  The
+  pad store keeps one slot per line, ``line -> (counter, pad)``, and a
+  slot serves only the counter stored beside it (its engine's key never
+  changes).
+* Cached values are immutable (``int``, ``bytes``, tuples of them), so
+  sharing one object between callers is safe.
 * Exceptions are never cached; a failing call re-executes every time.
 """
 

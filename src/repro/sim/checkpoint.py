@@ -55,15 +55,20 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"ESDCKPT1"
-#: v8: the memo caches belong to the scheme graph and pickle with it, and
-#: the payload has no ``memo`` section; a v7 payload pickles each cache
-#: as a call to the removed process-global registry, so v7 is rejected at
-#: the header, naming its version.  (v7 dropped the LRCU decay mode; v6
-#: dropped the session's epoch buffer and the meta's ``consumed`` offset;
-#: v5 dropped the PCM device's per-frame write counts and the config's
-#: core count and cache geometry; v4 added the observation binding,
-#: ``_obs`` on the scheme graph, which v3 lacks.)
-CHECKPOINT_VERSION = 8
+#: v9: the counter-mode engine keeps one pad slot per line (``line ->
+#: (counter, pad int)``) and rebuilds its key's hash state on unpickle,
+#: the mapping-cache and LRCU entries are slotted classes, and ESD-Delta's
+#: word index is keyed by one int per (position, byte); a v8 payload
+#: would restore ``(line, counter) -> pad bytes`` entries the engine
+#: misreads, so v8 is rejected at the header, naming its version.  (v8
+#: moved the memo caches into the scheme graph; a v7 payload pickles each
+#: cache as a call to the removed process-global registry.  v7 dropped
+#: the LRCU decay mode; v6 dropped the session's epoch buffer and the
+#: meta's ``consumed`` offset; v5 dropped the PCM device's per-frame
+#: write counts and the config's core count and cache geometry; v4 added
+#: the observation binding, ``_obs`` on the scheme graph, which v3
+#: lacks.)
+CHECKPOINT_VERSION = 9
 
 _HEADER = struct.Struct("<8sHHIQ")
 

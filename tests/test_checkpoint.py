@@ -178,12 +178,13 @@ class TestCheckpointContainer:
         scheme graph has no observation binding, a v4 graph pickles the
         removed cache geometry and per-frame write counts, a v5 session
         carries an epoch buffer of requests it has not processed, and a
-        v6 graph may carry the removed LRCU decay mode, and a v7 payload
-        pickles its memo caches as calls to the removed registry; they
-        must fail typed at load, naming the version, never halfway
-        through a feed or as an unreadable payload."""
-        assert CHECKPOINT_VERSION == 8
-        for old in (1, 2, 3, 4, 5, 6, 7):
+        v6 graph may carry the removed LRCU decay mode, a v7 payload
+        pickles its memo caches as calls to the removed registry, and a
+        v8 engine holds pads keyed by ``(line, counter)`` instead of one
+        slot per line; they must fail typed at load, naming the version,
+        never halfway through a feed or as an unreadable payload."""
+        assert CHECKPOINT_VERSION == 9
+        for old in (1, 2, 3, 4, 5, 6, 7, 8):
             blob = bytearray(self._session_blob())
             magic, _, reserved, crc, length = struct.unpack_from("<8sHHIQ",
                                                                  blob)

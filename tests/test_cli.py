@@ -4,6 +4,8 @@ import pytest
 
 from repro.cli import build_parser, main, resolve_scheme
 from repro.sweep import open_store
+from repro.workloads.generator import TraceGenerator
+from repro.workloads.trace import trace_record_count, write_trace
 
 
 class TestResolveScheme:
@@ -90,6 +92,39 @@ class TestCommands:
             main([verb, "--scheme", "ESD", "--trace", str(trace_path)])
         assert str(excinfo.value.code).startswith(
             f"cannot read trace {trace_path}: ")
+
+    @pytest.mark.parametrize("verb", ["run", "trace", "report"])
+    @pytest.mark.parametrize("fault", ["corrupt-chunk", "misaligned-record"])
+    def test_verbs_reject_trace_corrupt_past_its_frames(self, tmp_path,
+                                                        verb, fault):
+        """A trace whose header and chunk frames are intact passes the
+        up-front frame walk; a corrupt compressed payload or a record
+        that breaks a request invariant surfaces only when its chunk is
+        decoded, mid-run, and must still exit 1 naming the file, not
+        escape as a traceback."""
+        requests = TraceGenerator("gcc", seed=7).generate_list(1000)
+        path = tmp_path / "t.esdtrace"
+        compress = fault == "corrupt-chunk"
+        write_trace(requests, path, compress=compress)
+        blob = bytearray(path.read_bytes())
+        if compress:
+            middle = len(blob) // 2
+            blob[middle] ^= 0xFF
+            blob[middle + 1] ^= 0xFF
+            expected = "corrupt compressed chunk 0"
+        else:
+            # Header (20 bytes) and chunk frame (12), then records of 24
+            # bytes plus a write's 64-byte payload; the address is the
+            # u64 at offset 8 of record 500.
+            offset = 32 + sum(24 + 64 * r.is_write for r in requests[:500])
+            blob[offset + 8] |= 1
+            expected = ""
+        path.write_bytes(bytes(blob))
+        assert trace_record_count(path) == 1000
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--scheme", "ESD", "--trace", str(path)])
+        assert str(excinfo.value.code).startswith(
+            f"cannot read trace {path}: {expected}")
 
     def test_list_apps(self, capsys):
         rc = main(["list-apps"])

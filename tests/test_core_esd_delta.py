@@ -1,6 +1,10 @@
 """Tests for the ESD-Delta partial-match extension."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.types import AccessType, MemoryRequest
 from repro.core.esd_delta import (
@@ -151,3 +155,76 @@ class TestIntegrityUnderTraces:
                 delta.handle_write(req)
         assert (delta.controller.data_writes
                 <= esd.controller.data_writes)
+
+
+def _word_ecc_bytes_reference(ecc):
+    """The shift-and-mask form ``word_ecc_bytes`` replaced."""
+    return tuple((ecc >> (8 * i)) & 0xFF for i in range(8))
+
+
+class _TupleKeyedDelta(ESDDeltaScheme):
+    """ESD-Delta with the word index keyed by ``(position, byte)`` tuples
+    and walked through ``enumerate``: the loop form the int-keyed index
+    replaced, kept as the oracle."""
+
+    def _index_words(self, ecc, frame):
+        for position, byte in enumerate(_word_ecc_bytes_reference(ecc)):
+            bucket = self._word_index.setdefault((position, byte), [])
+            if frame in bucket:
+                continue
+            bucket.append(frame)
+            if len(bucket) > self._word_index_depth:
+                bucket.pop(0)
+
+    def _candidate_frames(self, ecc):
+        votes = {}
+        for position, byte in enumerate(_word_ecc_bytes_reference(ecc)):
+            for frame in self._word_index.get((position, byte), ()):
+                votes[frame] = votes.get(frame, 0) + 1
+        ranked = [frame for frame, count in votes.items()
+                  if count >= self.min_matching_words
+                  and self.allocator.is_allocated(frame)]
+        ranked.sort(key=lambda f: -votes[f])
+        return ranked[:2]
+
+
+def _near_duplicate_writes(seed, count=300):
+    """Writes of a few random base lines with 0-5 words replaced, over 40
+    addresses, so lines share most word-ECC bytes and rewrites free
+    frames."""
+    rng = random.Random(seed)
+    bases = [rng.randbytes(64) for _ in range(5)]
+    for seq in range(count):
+        line = bytearray(rng.choice(bases))
+        for word in rng.sample(range(8), rng.choice((0, 1, 1, 2, 3, 5))):
+            line[word * 8:(word + 1) * 8] = rng.randbytes(8)
+        yield wreq(rng.randrange(40) * 64, bytes(line), t=seq * 50.0)
+
+
+class TestWordIndexAgainstTupleKeyedOracle:
+    @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
+    @settings(max_examples=200)
+    def test_word_ecc_bytes_matches_shift_and_mask(self, ecc):
+        assert word_ecc_bytes(ecc) == _word_ecc_bytes_reference(ecc)
+
+    @pytest.mark.parametrize("min_words", [3, 6])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_index_and_candidates_match_oracle(self, config, seed,
+                                               min_words):
+        """Driven through the same writes, the int-keyed index holds the
+        oracle's buckets in the oracle's key order, and every candidate
+        ranking (each write's own ECC, before the write) is identical."""
+        fast = ESDDeltaScheme(config, min_matching_words=min_words)
+        oracle = _TupleKeyedDelta(config, min_matching_words=min_words)
+        ranked = 0
+        for request in _near_duplicate_writes(seed):
+            ecc = line_ecc(request.data)
+            candidates = fast._candidate_frames(ecc)
+            assert candidates == oracle._candidate_frames(ecc)
+            ranked += bool(candidates)
+            fast.handle_write(request)
+            oracle.handle_write(request)
+            assert [((key >> 8, key & 0xFF), bucket)
+                    for key, bucket in fast._word_index.items()] \
+                == list(oracle._word_index.items())
+        assert ranked and fast.delta_writes == oracle.delta_writes > 0

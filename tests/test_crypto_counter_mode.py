@@ -10,6 +10,7 @@ from repro.crypto.counter_mode import (
     CounterTable,
     EncryptedLine,
     _derive_pad_uncached,
+    _xor_line_reference,
     demonstrate_diffusion,
 )
 
@@ -117,8 +118,9 @@ class TestCostAccounting:
 
 
 class TestPinnedPads:
-    """Pad bytes and pad-memo accounting, pinned from the loop-built
-    derivation and the ``MemoCache.get``/``put`` encrypt path."""
+    """Pad bytes, pinned from the loop-built derivation, and the pad
+    store's accounting: one slot per line, holding the pad of the
+    counter it was derived for."""
 
     @pytest.mark.parametrize("key, line, counter, pad_hex", [
         (b"\x13" * 32, 0, 1,
@@ -156,16 +158,100 @@ class TestPinnedPads:
 
     @pytest.mark.parametrize("capacity, stats, recency", [
         (None,
-         ({"hits": 8, "misses": 6, "evictions": 0, "size": 6},
+         ({"hits": 7, "misses": 7, "evictions": 0, "size": 4},
           {"hits": 0, "misses": 2, "evictions": 0, "size": 2}),
-         ([(12, 1), (13, 1), (10, 1), (10, 2), (11, 2), (11, 1)],
-          [(13, 1), (10, 1)])),
+         ([(12, 1), (13, 1), (10, 2), (11, 2)], [(13, 1), (10, 1)])),
         (3,
-         ({"hits": 2, "misses": 12, "evictions": 9, "size": 3},
+         ({"hits": 2, "misses": 12, "evictions": 7, "size": 3},
           {"hits": 0, "misses": 2, "evictions": 0, "size": 2}),
-         ([(10, 2), (11, 2), (11, 1)], [(13, 1), (10, 1)])),
+         ([(13, 1), (10, 2), (11, 2)], [(13, 1), (10, 1)])),
     ])
     def test_counter_pad_counts(self, capacity, stats, recency):
+        """Re-encrypting lines 10 and 11 replaces their counter-1 slots,
+        so decrypting ``first[1]`` afterwards derives its pad again (a
+        miss) and leaves the line's newer slot in place.  At capacity 3
+        a line already in the store re-encrypts without evicting."""
         engines = self._encrypt_decrypt_reencrypt(capacity)
         assert tuple(e.pad_cache.stats() for e in engines) == stats
-        assert tuple(list(e.pad_cache._data) for e in engines) == recency
+        assert tuple([(line, slot[0]) for line, slot
+                      in e.pad_cache._data.items()]
+                     for e in engines) == recency
+
+
+class _CountingKeyState:
+    """Stands in for an engine's key hash state, counting pad derivations:
+    each derivation continues two copies of the state, one per block."""
+
+    def __init__(self, state):
+        self._state = state
+        self.copies = 0
+
+    def copy(self):
+        self.copies += 1
+        return self._state.copy()
+
+
+_PAD_OPS = st.lists(
+    st.tuples(st.sampled_from(("encrypt", "decrypt_at", "decrypt")),
+              st.integers(min_value=0, max_value=5),
+              st.integers(min_value=0, max_value=7),
+              LINES),
+    max_size=60)
+
+
+class TestPadStore:
+    """The pad store against the uncached derivation, over random
+    interleavings of encrypts and both decrypt forms on up to 6 lines."""
+
+    @pytest.mark.parametrize("capacity", [3, None], ids=["cap3", "default"])
+    @given(ops=_PAD_OPS)
+    @settings(max_examples=80, deadline=None)
+    def test_random_interleavings(self, capacity, ops):
+        """Every decrypt returns its plaintext; a decrypt hits exactly
+        when the line's slot holds the counter it decrypts under, and a
+        decrypt never replaces a slot with an older counter's pad; every
+        held pad is the derivation of its slot's counter; misses equal
+        derivations; and the store holds at most one slot per line and
+        at most its capacity."""
+        engine = CounterModeEngine()
+        if capacity is not None:
+            engine.pad_cache.capacity = capacity
+        key_state = engine._key_state = _CountingKeyState(engine._key_state)
+        store = engine.pad_cache
+        slots = store._data
+        written = {}  # line -> [(EncryptedLine, plaintext), ...]
+        touched = set()
+        for op, line, pick, plaintext in ops:
+            touched.add(line)
+            history = written.get(line)
+            before, hits = slots.get(line), store.hits
+            if op == "encrypt" or (op == "decrypt" and not history):
+                enc = engine.encrypt(plaintext, line)
+                written.setdefault(line, []).append((enc, plaintext))
+                counter = None
+            elif op == "decrypt":
+                enc, expected = history[pick % len(history)]
+                assert engine.decrypt(enc) == expected
+                counter = enc.counter
+            elif history:
+                enc, expected = history[-1]
+                assert engine.decrypt_at(enc.ciphertext, line) == expected
+                counter = enc.counter
+            else:
+                pad = _derive_pad_uncached(engine._key, line, 0)
+                assert engine.decrypt_at(plaintext, line) \
+                    == _xor_line_reference(plaintext, pad)
+                counter = 0
+            if counter is not None:
+                hit = before is not None and before[0] == counter
+                assert store.hits - hits == hit
+                if before is not None:
+                    assert slots[line][0] >= before[0]
+            for held, (held_counter, pad) in slots.items():
+                assert pad == int.from_bytes(
+                    _derive_pad_uncached(engine._key, held, held_counter),
+                    "little")
+                assert held_counter <= engine.counters.current(held)
+            assert len(slots) <= min(store.capacity, len(touched))
+            assert store.misses == key_state.copies // 2
+        assert store.hits + store.misses == len(ops)
